@@ -28,6 +28,12 @@ from .levi import highest_weight_roots
 from .rootsys import CartanMatrix, Root, RootSystem, SimpleType
 
 
+def _require_node(rs: RootSystem, j: int) -> None:
+    """Reject a node number outside the ordinary diagram's 1..rank."""
+    if not 1 <= j <= rs.rank:
+        raise InvalidPair(f"node {j} out of range 1..{rs.rank}")
+
+
 def _pair_entry(rs: RootSystem, x: Root, y: Root) -> int:
     """Cartan-type entry 2(x,y)/(y,y) for two integer vectors."""
     num = 2 * rs.form(x, y)
@@ -83,8 +89,7 @@ def delete_node(ext: ExtendedDiagram, j: int) -> CartanMatrix:
     the adjoined node.
     """
     rs = ext.rs
-    if not 1 <= j <= rs.rank:
-        raise InvalidPair(f"node {j} out of range 1..{rs.rank}")
+    _require_node(rs, j)
     vectors = [
         tuple(1 if t == i else 0 for t in range(rs.rank))
         for i in range(rs.rank) if i != j - 1
@@ -118,8 +123,7 @@ def subalgebra_roots(rs: RootSystem, j: int) -> SubalgebraModel:
     combination of the candidate simple system; the affine relation is
     pinned down by exact rank computations.
     """
-    if not 1 <= j <= rs.rank:
-        raise InvalidPair(f"node {j} out of range 1..{rs.rank}")
+    _require_node(rs, j)
     j0 = j - 1
     n = rs.marks[j0]
     kept = [i for i in range(rs.rank) if i != j0]
@@ -340,16 +344,14 @@ def residue_bracket_check(model: SubalgebraModel, p: int, q: int) -> ResidueBrac
     if r == 0:
         raise InvalidPair("p + q = 0 mod n lands in the subalgebra, not a class")
     rs = model.rs
-    enc = rs.encode
-    enc_roots = rs._enc_roots
-    left = [enc(x) for x in model.residues[p]]
-    right = [enc(x) for x in model.residues[q]]
-    got = {s for a in left for b in right if (s := a + b) in enc_roots}
-    expected = {enc(x) for x in model.residues[r]}
+    index = rs.index
+    got = rs.sum_table().sums([index[x] for x in model.residues[p]],
+                              rs.mask(model.residues[q]))
+    expected = rs.mask(model.residues[r])
     failures = []
     if got != expected:
-        missing = len(expected - got)
-        extra = len(got - expected)
+        missing = (expected & ~got).bit_count()
+        extra = (got & ~expected).bit_count()
         failures.append(
             f"classes {p}+{q}: image misses {missing} and adds {extra} roots vs class {r}"
         )
@@ -378,8 +380,7 @@ def _is_prime(n: int) -> bool:
 
 def alcove_vertex(rs: RootSystem, j: int) -> RatVec:
     """Fixed-point coordinates at node j: 1/mark in the coweight basis."""
-    if not 1 <= j <= rs.rank:
-        raise InvalidPair(f"node {j} out of range 1..{rs.rank}")
+    _require_node(rs, j)
     n = rs.marks[j - 1]
     return tuple(
         Fraction(1, n) if i == j - 1 else Fraction(0) for i in range(rs.rank)
@@ -450,10 +451,12 @@ def maximal_document(rs: RootSystem) -> dict:
 def extended_dot(ext: ExtendedDiagram, deleted: int | None = None) -> str:
     """Graphviz DOT text for the extended diagram.
 
-    Node 0 is the adjoined lowest root; a deleted node is drawn filled.
-    Edge labels carry bond orders above 1.
+    Node 0 is the adjoined lowest root; a deleted node (one of 1..rank)
+    is drawn filled.  Edge labels carry bond orders above 1.
     """
     rs = ext.rs
+    if deleted is not None:
+        _require_node(rs, deleted)
     lines = ["graph extended_diagram {", "  node [shape=circle];"]
     name = str(rs.stype) if rs.stype else f"rank{rs.rank}"
     lines.append(f'  label="{name} extended";')

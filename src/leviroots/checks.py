@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import mul, neg
 
 from . import slnx
 from .bds import (
@@ -155,17 +156,15 @@ def _check_weights(des, trsys, failures):
     kept = des.kept0
     if not kept:
         return
-    cartan = rs.cartan
+    # column i of the Cartan matrix gives <phi, alpha_i^vee> as a dot product
+    columns = [tuple(row[i] for row in rs.cartan) for i in kept]
     for key in trsys.positives:
         space = trsys.spaces[key]
         if len(space.roots) == 1:
             continue
         seen = set()
         for phi in space.roots:
-            w = tuple(
-                sum(phi[j] * cartan[j][i] for j in range(rs.rank) if phi[j])
-                for i in kept
-            )
+            w = tuple([sum(map(mul, phi, col)) for col in columns])
             if w in seen:
                 failures.append(Failure(
                     "weight-multiplicity", _deleted_label(des),
@@ -218,26 +217,30 @@ def _check_brackets(trsys, failures, label):
 
     Only pairs with a positive sum key are computed; the pair with both
     keys negated covers the mirror case exactly (space mirroring is
-    verified separately per designation).
+    verified separately per designation).  The smaller space of each
+    pair is the one walked, as the sum set does not depend on the order.
     """
     key_encs = trsys._key_encs
     by_enc = {e: k for k, e in key_encs.items()}
-    pos_encs = frozenset(key_encs[k] for k in trsys.positives)
-    space_sets = {k: frozenset(v) for k, v in trsys._space_encs.items()}
-    enc_roots = trsys.rs._enc_roots
+    numbers, masks = trsys.root_numbers(), trsys.masks()
+    targets = {key_encs[k]: masks[k] for k in trsys.positives}
+    sums = trsys.rs.sum_table().sums
     encs = sorted(key_encs.values())
     for i, em in enumerate(encs):
-        left = trsys._space_encs[by_enc[em]]
+        km = by_enc[em]
         for en in encs[i:]:
-            s = em + en
-            if s not in pos_encs:
+            target = targets.get(em + en)
+            if target is None:
                 continue
-            right = trsys._space_encs[by_enc[en]]
-            got = {x for a in left for b in right if (x := a + b) in enc_roots}
-            if got != space_sets[by_enc[s]]:
+            kn = by_enc[en]
+            if len(numbers[km]) <= len(numbers[kn]):
+                got = sums(numbers[km], masks[kn])
+            else:
+                got = sums(numbers[kn], masks[km])
+            if got != target:
                 failures.append(Failure(
                     "bracket-law", label,
-                    f"keys {by_enc[em]} + {by_enc[en]}: root sums miss the target space",
+                    f"keys {km} + {kn}: root sums miss the target space",
                 ))
 
 
@@ -246,10 +249,14 @@ def _check_signs(trsys, failures, label):
     pos = trsys.positives
     key_encs = trsys._key_encs
     enc_set = frozenset(key_encs.values())
+    pairings = trsys.positive_pairings()
+    p = len(pos)
     for i, mu in enumerate(pos):
         emu = key_encs[mu]
-        for nu in pos[i:]:
-            s = trsys.inner_sign(mu, nu)
+        row = pairings[i * p:(i + 1) * p]
+        for j in range(i, p):
+            nu = pos[j]
+            s = row[j]
             enu = key_encs[nu]
             plus, minus = emu + enu, emu - enu
             if s < 0:
@@ -275,60 +282,62 @@ def _check_strings(trsys, failures, label):
     For fixed nu the pairs (gamma, nu) with gamma on one maximal run
     share one interval up to shift, one pair of endpoint inequalities,
     and one family of interior non-vanishing conditions, so each run is
-    verified once; runs along -nu impose the mirrored inequalities,
-    which are literally the same checks.
+    verified once, from its bottom up; runs along -nu impose the
+    mirrored inequalities, which are literally the same checks.
+    Endpoint signs read nu's row of the positive pairing table (a
+    negative key pairs as minus its mirror); the action at a position
+    is nonzero when some root of its space adds to a root of the nu
+    (or -nu) space within Delta u {0}.
     """
     members = trsys._key_enc_with_zero
-    by_enc = {e: k for k, e in trsys._key_encs.items()}
-    width = len(trsys.key_bounds)
-    by_enc[0] = (0,) * width
-    space_encs = trsys._space_encs
-    enc_roots_z = trsys.rs._enc_with_zero
-    inner_sign = trsys.inner_sign
-    for nu in trsys.positives:
-        en = trsys._key_encs[nu]
-        raisers = space_encs[nu]
-        lowerers = space_encs[tuple(-c for c in nu)]
-        visited = set()
-        for start in sorted(members):
-            if start in visited:
-                continue
-            e = start
-            while e - en in members:
-                e -= en
-            run = []
-            while e in members:
-                run.append(e)
-                visited.add(e)
-                e += en
-            bottom, top = run[0], run[-1]
-            if len(run) == 1:
-                if inner_sign(by_enc[top], nu) != 0:
+    ordered = sorted(members)
+    key_encs = trsys._key_encs
+    by_enc = {e: k for k, e in key_encs.items()}
+    by_enc[0] = (0,) * len(trsys.key_bounds)
+    pos_encs = [key_encs[k] for k in trsys.positives]
+    neg_encs = [-e for e in pos_encs]
+    masks = trsys.masks()
+    reach = trsys.rs.sum_table().reach
+    reaches = {key_encs[k]: reach(nums) for k, nums in trsys.root_numbers().items()}
+    pairings = trsys.positive_pairings()
+    p = len(pos_encs)
+    for b, nu in enumerate(trsys.positives):
+        row = pairings[b * p:(b + 1) * p]
+        en = key_encs[nu]
+        # (x, nu) for every t-weight x, by encoding
+        pairing = dict(zip(pos_encs, row))
+        pairing.update(zip(neg_encs, map(neg, row)))
+        pairing[0] = 0
+        raisers = masks[nu]
+        lowerers = masks[tuple(-c for c in nu)]
+        for bottom in ordered:
+            if bottom - en in members:
+                continue  # not the bottom of its run
+            top = bottom
+            while top + en in members:
+                top += en
+            if top == bottom:
+                if pairing[top] != 0:
                     failures.append(Failure(
                         "string-law", label,
                         f"singleton string at {by_enc[top]} along {nu} not orthogonal"))
                 continue
-            if inner_sign(by_enc[top], nu) <= 0:
+            if pairing[top] <= 0:
                 failures.append(Failure(
                     "string-law", label,
                     f"top of string {by_enc[top]} along {nu} not positive"))
-            if inner_sign(by_enc[bottom], nu) >= 0:
+            if pairing[bottom] >= 0:
                 failures.append(Failure(
                     "string-law", label,
                     f"bottom of string {by_enc[bottom]} along {nu} not negative"))
-            for x in run:
+            for x in range(bottom, top + en, en):
                 if x == 0:
                     continue  # bracketing with the Levi factor is automatic
-                tgt = space_encs[by_enc[x]]
-                if x != top and not any(
-                    (a + b) in enc_roots_z for a in tgt for b in raisers
-                ):
+                if x != top and not reaches[x] & raisers:
                     failures.append(Failure(
                         "string-law", label,
                         f"no raising root sum at {by_enc[x]} along {nu}"))
-                if x != bottom and not any(
-                    (a + b) in enc_roots_z for a in tgt for b in lowerers
-                ):
+                if x != bottom and not reaches[x] & lowerers:
                     failures.append(Failure(
                         "string-law", label,
                         f"no lowering root sum at {by_enc[x]} along {nu}"))
@@ -336,18 +345,18 @@ def _check_strings(trsys, failures, label):
 
 def _check_delta(trsys, failures, label):
     """The nilradical trace pairs positively with every positive t-root."""
-    delta = trsys.delta_key
+    row = trsys._pairing(trsys.delta_key)
     for nu in trsys.positives:
-        if trsys.inner_sign(nu, delta) <= 0:
+        if sum(map(mul, nu, row)) <= 0:
             failures.append(Failure(
                 "trace-positivity", label,
                 f"({nu}, delta) is not positive"))
     for nu in trsys.positives:
-        neg = tuple(-c for c in nu)
-        if trsys.inner_sign(neg, delta) >= 0:
+        mirror = tuple(-c for c in nu)
+        if sum(map(mul, mirror, row)) >= 0:
             failures.append(Failure(
                 "trace-positivity", label,
-                f"({neg}, delta) is not negative"))
+                f"({mirror}, delta) is not negative"))
 
 
 def _check_series(trsys, failures, label):

@@ -16,7 +16,7 @@ import sys
 
 from . import checks
 from .bds import bds_document, extended_diagram, extended_dot, maximal_document
-from .errors import LeviRootsError
+from .errors import InvalidCartan, LeviRootsError
 from .levi import designation, troot_system
 from .rootsys import DEFAULT_MAX_RANK, RootSystem, generate, root_system
 from .series import series_document
@@ -28,11 +28,25 @@ def _node_list(text: str) -> tuple[int, ...]:
 
 
 def _load_cartan(path: str):
+    """Read a Cartan matrix from JSON: a list of rows, or {"cartan": rows}.
+
+    Entries must be JSON integers; floats and booleans are rejected,
+    never rounded.
+    """
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     if isinstance(data, dict):
+        if "cartan" not in data:
+            raise InvalidCartan(f'{path}: the JSON object has no "cartan" key')
         data = data["cartan"]
-    return tuple(tuple(int(x) for x in row) for row in data)
+    if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
+        raise InvalidCartan(f"{path}: the Cartan matrix must be a list of rows")
+    for i, row in enumerate(data):
+        for j, x in enumerate(row):
+            if isinstance(x, bool) or not isinstance(x, int):
+                raise InvalidCartan(
+                    f"{path}: entry [{i}][{j}] = {json.dumps(x)} is not an integer")
+    return tuple(tuple(row) for row in data)
 
 
 def _resolve_system(args) -> RootSystem:

@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from . import exactlin
@@ -40,7 +41,7 @@ Key = tuple[int, ...]
 class ParabolicDesignation:
     """A choice of kept simple-root nodes (1-based), kept != all."""
 
-    __slots__ = ("rs", "kept", "deleted", "kept0", "deleted0")
+    __slots__ = ("rs", "deleted", "kept0", "deleted0")
 
     def __init__(self, rs: RootSystem, kept_nodes: Iterable[int]):
         kept = frozenset(kept_nodes)
@@ -51,10 +52,15 @@ class ParabolicDesignation:
         if kept == nodes:
             raise InvalidDesignation("kept every node; the parabolic must be proper")
         self.rs = rs
-        self.kept = kept
         self.deleted = tuple(sorted(nodes - kept))
         self.kept0 = tuple(sorted(k - 1 for k in kept))
         self.deleted0 = tuple(d - 1 for d in self.deleted)
+
+    @property
+    def kept(self) -> frozenset[int]:
+        # built on demand: sweeps hold thousands of designations, and a
+        # frozenset of five or more nodes takes 728 bytes, kept0 under 130
+        return frozenset(k + 1 for k in self.kept0)
 
     def __repr__(self) -> str:
         name = str(self.rs.stype) if self.rs.stype else f"rank-{self.rs.rank}"
@@ -105,6 +111,13 @@ def _sorted_roots(roots: Iterable[Root]) -> tuple[Root, ...]:
     return tuple(sorted(roots, key=lambda r: (sum(r), r)))
 
 
+def _annihilated(rs: RootSystem, encs, steps) -> list[int]:
+    """Positions p with encs[p] + s outside Delta u {0} for every step s."""
+    hits = rs._enc_index
+    return [p for p, e in enumerate(encs)
+            if all(e + s not in hits and e != -s for s in steps)]
+
+
 def highest_weight_roots(rs: RootSystem, roots: Iterable[Root],
                          raising: Iterable[Root]) -> list[Root]:
     """Roots phi with phi + alpha not a root (nor zero) for all raising alpha.
@@ -114,19 +127,17 @@ def highest_weight_roots(rs: RootSystem, roots: Iterable[Root],
     ``raising``; their count is the number of irreducible summands
     whenever the weights are multiplicity-free.
     """
-    hits = rs._enc_with_zero
-    r_enc = [rs.encode(a) for a in raising]
-    return [phi for phi in roots
-            if all(rs.encode(phi) + a not in hits for a in r_enc)]
+    roots = list(roots)
+    steps = [rs.encode(a) for a in raising]
+    return [roots[p] for p in _annihilated(rs, map(rs.encode, roots), steps)]
 
 
 def lowest_weight_roots(rs: RootSystem, roots: Iterable[Root],
                         raising: Iterable[Root]) -> list[Root]:
     """Mirrored certificate: phi - alpha not a root (nor zero)."""
-    hits = rs._enc_with_zero
-    r_enc = [rs.encode(a) for a in raising]
-    return [phi for phi in roots
-            if all(rs.encode(phi) - a not in hits for a in r_enc)]
+    roots = list(roots)
+    steps = [-rs.encode(a) for a in raising]
+    return [roots[p] for p in _annihilated(rs, map(rs.encode, roots), steps)]
 
 
 class TRootSystem:
@@ -139,7 +150,8 @@ class TRootSystem:
     __slots__ = (
         "designation", "rs", "spaces", "keys", "positives", "simples",
         "delta_key", "key_bounds", "_kpows", "_key_encs", "_key_enc_with_zero",
-        "_space_encs", "_beta", "_gram_t", "_gram_scaled", "_pairings",
+        "_numbers", "_masks", "_nil_sums", "_beta", "_gram_t", "_gram_scaled",
+        "_pairings", "_pos_pairings",
     )
 
     def __init__(self, des: ParabolicDesignation):
@@ -147,33 +159,37 @@ class TRootSystem:
         self.designation = des
         self.rs = rs
         D = des.deleted0
-        kept_enc = [rs._pows[k] for k in des.kept0]
-        hits = rs._enc_with_zero
+        up = [rs._pows[k] for k in des.kept0]
+        down = [-a for a in up]
+        positives = rs.positives
+        indexed = rs.indexed
+        n_pos = len(positives)
+        encs = rs._encs
 
-        groups: dict[Key, list[Root]] = {}
-        for phi in rs.positives:
+        groups: dict[Key, list[int]] = {}
+        for i, phi in enumerate(positives):
             key = tuple(phi[d] for d in D)
             if any(key):
-                groups.setdefault(key, []).append(phi)
+                groups.setdefault(key, []).append(i)
 
         spaces: dict[Key, TRootSpace] = {}
-        for key, roots in groups.items():
-            encs = [rs.encode(phi) for phi in roots]
-            hw = [phi for phi, e in zip(roots, encs)
-                  if all(e + a not in hits for a in kept_enc)]
-            lw = [phi for phi, e in zip(roots, encs)
-                  if all(e - a not in hits for a in kept_enc)]
+        for key, members in groups.items():
+            group_encs = [encs[i] for i in members]
+            hw = _annihilated(rs, group_encs, up)
+            lw = _annihilated(rs, group_encs, down)
             if len(hw) != 1 or len(lw) != 1:
                 raise IrreducibilityViolation(
                     f"space {key} has {len(hw)} highest / {len(lw)} lowest weight roots"
                 )
-            pos_roots = _sorted_roots(roots)
-            spaces[key] = TRootSpace(key, pos_roots, hw[0], lw[0])
+            top, bottom = members[hw[0]], members[lw[0]]
+            # positives are in (height, lex) order, so the group is too, and
+            # negation reverses that order
+            spaces[key] = TRootSpace(
+                key, tuple(indexed[i] for i in members), indexed[top], indexed[bottom])
             neg_key = tuple(-c for c in key)
-            neg_roots = _sorted_roots(tuple(-c for c in phi) for phi in roots)
             spaces[neg_key] = TRootSpace(
-                neg_key, neg_roots,
-                tuple(-c for c in lw[0]), tuple(-c for c in hw[0]),
+                neg_key, tuple(indexed[i + n_pos] for i in reversed(members)),
+                indexed[bottom + n_pos], indexed[top + n_pos],
             )
 
         order = sorted(spaces, key=lambda k: (sum(k), k))
@@ -197,25 +213,43 @@ class TRootSystem:
         self._kpows = rs._pows[:width]
         self._key_encs = {k: self.key_enc(k) for k in order}
         self._key_enc_with_zero = frozenset(self._key_encs.values()) | {0}
-        self._space_encs = {
-            k: tuple(rs.encode(phi) for phi in spaces[k].roots) for k in order
-        }
+        self._numbers = None
+        self._masks = None
+        self._nil_sums = None
         self._beta = None
         self._gram_t = None
         self._gram_scaled = None
         self._pairings = {}
+        self._pos_pairings = None
 
     # -- key arithmetic -------------------------------------------------
 
     def key_enc(self, key: Key) -> int:
-        pows = self._kpows
-        return sum(c * pows[i] for i, c in enumerate(key))
+        return sum(map(mul, key, self._kpows))
 
     def is_troot(self, key) -> bool:
         return tuple(key) in self.spaces
 
     def space(self, key) -> TRootSpace:
         return self.spaces[tuple(key)]
+
+    # -- root numbers and masks, read from ``spaces`` on first use ---------
+
+    def root_numbers(self) -> dict[Key, tuple[int, ...]]:
+        """Each space's roots by their number in ``rs.indexed``."""
+        if self._numbers is None:
+            index = self.rs.index
+            self._numbers = {
+                k: tuple(index[r] for r in sp.roots) for k, sp in self.spaces.items()
+            }
+        return self._numbers
+
+    def masks(self) -> dict[Key, int]:
+        """Each space's roots as a bitmask over ``rs.indexed``."""
+        if self._masks is None:
+            mask = self.rs.mask
+            self._masks = {k: mask(sp.roots) for k, sp in self.spaces.items()}
+        return self._masks
 
     # -- exact geometry ---------------------------------------------------
 
@@ -300,6 +334,26 @@ class TRootSystem:
             self._pairings[key] = cached
         return cached
 
+    def positive_pairings(self) -> list[int]:
+        """Scaled integer pairings of the positive t-roots, row by row.
+
+        With p positive t-roots, entry ``i * p + j`` pairs ``positives[i]``
+        with ``positives[j]``: a fixed positive multiple of ``inner``, so
+        it has the same sign.  The table is symmetric, so each pair is
+        computed once, on first use.  One flat list, not p row lists,
+        keeps a large designation from scattering p blocks over the heap.
+        """
+        if self._pos_pairings is None:
+            pos = self.positives
+            p = len(pos)
+            table = [0] * (p * p)
+            for j, nu in enumerate(pos):
+                row = self._pairing(nu)
+                for i in range(j + 1):
+                    table[i * p + j] = table[j * p + i] = sum(map(mul, pos[i], row))
+            self._pos_pairings = table
+        return self._pos_pairings
+
     def inner_sign(self, k1: Sequence[int], k2) -> int:
         """Sign of the pairing; integer fast path (form scaled positively)."""
         p = self._pairing(tuple(k2))
@@ -376,11 +430,9 @@ def bracket_image(trsys: TRootSystem, mu, nu) -> tuple[Root, ...]:
         raise InvalidPair("both arguments must be t-roots of this system")
     if all(a + b == 0 for a, b in zip(km, kn)):
         raise InvalidPair("mu + nu = 0: the bracket lands in the Levi factor")
-    enc_roots = trsys.rs._enc_roots
-    left = trsys._space_encs[km]
-    right = trsys._space_encs[kn]
-    out = {s for a in left for b in right if (s := a + b) in enc_roots}
-    return _sorted_roots(trsys.rs.decode(s) for s in out)
+    rs = trsys.rs
+    got = rs.sum_table().sums(trsys.root_numbers()[km], trsys.masks()[kn])
+    return _sorted_roots(rs.roots_of(got))
 
 
 class SignRuleReport(NamedTuple):
@@ -517,16 +569,17 @@ def troot_string_report(trsys: TRootSystem, gamma, nu) -> StringReport:
             failures.append("(gamma + q*nu, nu) is not positive")
         if trsys.inner_sign(bot, kn) >= 0:
             failures.append("(gamma + p*nu, nu) is not negative")
-    hits = trsys.rs._enc_with_zero
-    up = trsys._space_encs[kn]
-    down = trsys._space_encs[tuple(-c for c in kn)]
+    table = trsys.rs.sum_table()
+    numbers, masks = trsys.root_numbers(), trsys.masks()
+    up = masks[kn]
+    down = masks[tuple(-c for c in kn)]
     for m in range(p, q + 1):
         pos = tuple(g + m * v for g, v in zip(kg, kn))
         if not any(pos):
             continue  # the Levi factor itself acts nonzero on every space
-        tgt = trsys._space_encs[pos]
-        if m < q and not any(a + b in hits for a in up for b in tgt):
+        reach = table.reach(numbers[pos])
+        if m < q and not reach & up:
             failures.append(f"raising action vanishes at position {m}")
-        if m > p and not any(a + b in hits for a in down for b in tgt):
+        if m > p and not reach & down:
             failures.append(f"lowering action vanishes at position {m}")
     return StringReport(kg, kn, p, q, not failures, tuple(failures))

@@ -18,7 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, count
 from math import gcd
+from operator import mul
 
 from .errors import InvalidCartan, InvalidRank, NotFiniteType
 from .exactlin import RatVec
@@ -164,6 +166,72 @@ def _max_positive_count(rank: int) -> int:
     return max(rank * rank, special.get(rank, 0))
 
 
+def _bit_flags(mask: int):
+    # one flag per bit of a nonnegative int, least significant first
+    return map("1".__eq__, bin(mask)[:1:-1])
+
+
+def mask_bits(mask: int) -> list[int]:
+    """Positions of the set bits of a nonnegative int, ascending."""
+    return list(compress(count(), _bit_flags(mask)))
+
+
+class RootSums:
+    """Which roots add up to which, for one root system.
+
+    Roots are numbered once per system (see ``RootSystem.indexed``):
+    the positives first, then their negatives in the same order, so a
+    root and its negative are ``len(positives)`` apart.  ``adjz[i]`` is
+    the bitmask of the roots ``j`` with ``root_i + root_j`` in
+    ``Delta u {0}``; the sum itself is found by adding the two integer
+    encodings.  Root sets are Python-int bitmasks over the numbering.
+    """
+
+    __slots__ = ("adjz", "_encs", "_enc_index")
+
+    def __init__(self, rs: "RootSystem"):
+        encs = rs._encs
+        enc_index = rs._enc_index
+        size = len(encs)
+        n_pos = size // 2
+        adjz = [1 << (i + n_pos if i < n_pos else i - n_pos) for i in range(size)]
+        # each unordered pair once; a sum is a root iff its encoding is one
+        for i in range(size):
+            ei = encs[i]
+            row = 0
+            for j in range(i + 1, size):
+                if ei + encs[j] in enc_index:
+                    row |= 1 << j
+                    adjz[j] |= 1 << i
+            adjz[i] |= row
+        self.adjz = adjz
+        self._encs = encs
+        self._enc_index = enc_index
+
+    def reach(self, indices) -> int:
+        """Bitmask of the roots that add to some root i in indices within Delta u {0}."""
+        adjz = self.adjz
+        out = 0
+        for i in indices:
+            out |= adjz[i]
+        return out
+
+    def sums(self, indices, mask: int) -> int:
+        """Bitmask of the roots ``root_i + root_j``, i in indices, j in mask."""
+        adjz, encs, get = self.adjz, self._encs, self._enc_index.get
+        out = 0
+        for i in indices:
+            m = adjz[i] & mask
+            ei = encs[i]
+            while m:
+                j = m.bit_length() - 1
+                m ^= 1 << j
+                k = get(ei + encs[j])
+                if k is not None:  # None: the pair cancels to zero
+                    out |= 1 << k
+        return out
+
+
 class RootSystem:
     """An irreducible finite root system with its exact bilinear form.
 
@@ -176,14 +244,16 @@ class RootSystem:
     gram : integer Gram matrix of the simple roots, gram[i][j] = a[i][j]*d[j]
     positives : positive roots sorted by (height, lex)
     roots : frozenset of all roots
+    indexed : every root by its number: the positives, then their negatives
+    index : root -> its number in ``indexed``
     highest_root : the unique root of maximal height
     marks : coefficients of the highest root
     """
 
     __slots__ = (
         "stype", "rank", "cartan", "d", "gram", "positives", "roots",
-        "highest_root", "marks", "_base", "_pows", "_enc_roots",
-        "_enc_with_zero", "_by_enc",
+        "indexed", "index", "highest_root", "marks", "_pows", "_encs",
+        "_enc_index", "_sums",
     )
 
     def __init__(self, stype, cartan, d, positives):
@@ -195,27 +265,47 @@ class RootSystem:
             tuple(cartan[i][j] * d[j] for j in range(self.rank)) for i in range(self.rank)
         )
         self.positives = positives
-        self.roots = frozenset(positives) | {tuple(-c for c in r) for r in positives}
+        self.indexed = positives + tuple(tuple(-c for c in r) for r in positives)
+        self.index = {r: i for i, r in enumerate(self.indexed)}
+        self.roots = frozenset(self.indexed)
         self.highest_root = positives[-1]
         if len(positives) > 1 and sum(positives[-2]) == sum(positives[-1]):
             raise NotFiniteType("highest root is not unique; matrix is not irreducible")
         self.marks = self.highest_root
         # integer encoding: collision-free for coordinate vectors bounded by 2*max(marks)
-        self._base = 4 * max(self.marks) + 1
-        self._pows = tuple(self._base ** i for i in range(self.rank))
-        self._by_enc = {self.encode(r): r for r in self.roots}
-        self._enc_roots = frozenset(self._by_enc)
-        self._enc_with_zero = self._enc_roots | {0}
+        base = 4 * max(self.marks) + 1
+        self._pows = tuple(base ** i for i in range(self.rank))
+        pos_encs = [self.encode(r) for r in positives]
+        self._encs = tuple(pos_encs + [-e for e in pos_encs])
+        self._enc_index = {e: i for i, e in enumerate(self._encs)}
+        self._sums = None
 
     # -- basic queries ------------------------------------------------
 
     def encode(self, coeffs) -> int:
         """Positional integer encoding of a coefficient vector."""
-        pows = self._pows
-        return sum(c * pows[i] for i, c in enumerate(coeffs))
+        return sum(map(mul, coeffs, self._pows))
 
     def decode(self, enc: int) -> Root:
-        return self._by_enc[enc]
+        return self.indexed[self._enc_index[enc]]
+
+    def sum_table(self) -> RootSums:
+        """The root-sum table, built on first use and kept."""
+        if self._sums is None:
+            self._sums = RootSums(self)
+        return self._sums
+
+    def mask(self, roots) -> int:
+        """Bitmask of a collection of roots over the root numbering."""
+        index = self.index
+        out = 0
+        for r in roots:
+            out |= 1 << index[r]
+        return out
+
+    def roots_of(self, mask: int) -> tuple[Root, ...]:
+        """The roots in a bitmask, in numbering order."""
+        return tuple(compress(self.indexed, _bit_flags(mask)))
 
     def is_root(self, coeffs) -> bool:
         return tuple(coeffs) in self.roots

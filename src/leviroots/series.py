@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import SeriesMismatch
 from .levi import Key, TRootSystem
-from .rootsys import Root
+from .rootsys import Root, mask_bits
 
 
 def order_of(key) -> int:
@@ -66,16 +66,25 @@ class CentralSeries:
     length: int
 
 
-def _nilradical_encs(trsys: TRootSystem) -> list[int]:
-    out: list[int] = []
-    for key in trsys.positives:
-        out.extend(trsys._space_encs[key])
-    return out
+def _nilradical_sums(trsys: TRootSystem) -> tuple[list[int], int, dict[int, int]]:
+    """Nilradical roots by number, their mask, and each one's sums with n.
+
+    For phi in n, sums[phi] is the bitmask of the roots phi + psi with psi
+    in n.  Read from the space root sets and the root-sum table only.
+    """
+    if trsys._nil_sums is None:
+        numbers, masks = trsys.root_numbers(), trsys.masks()
+        members = [i for key in trsys.positives for i in numbers[key]]
+        total = 0
+        for key in trsys.positives:
+            total |= masks[key]
+        sums = trsys.rs.sum_table().sums
+        trsys._nil_sums = members, total, {phi: sums((phi,), total) for phi in members}
+    return trsys._nil_sums
 
 
-def _decode_all(trsys: TRootSystem, encs) -> frozenset[Root]:
-    dec = trsys.rs.decode
-    return frozenset(dec(e) for e in encs)
+def _decode_all(trsys: TRootSystem, terms: list[int]) -> list[frozenset[Root]]:
+    return [frozenset(trsys.rs.roots_of(term)) for term in terms]
 
 
 def lower_series_oracle(trsys: TRootSystem) -> list[frozenset[Root]]:
@@ -84,18 +93,22 @@ def lower_series_oracle(trsys: TRootSystem) -> list[frozenset[Root]]:
     Starts from the full nilradical root set and keeps only root sums;
     stops when bracketing kills everything.  Independent of the grading.
     """
-    all_encs = _nilradical_encs(trsys)
-    roots_enc = trsys.rs._enc_roots
-    chain = [set(all_encs)]
+    members, total, sums = _nilradical_sums(trsys)
+    sums_with_n = trsys.rs.sum_table().sums
+    chain = [total]
     while True:
-        cur = chain[-1]
-        nxt = {s for a in all_encs for b in cur if (s := a + b) in roots_enc}
+        nxt = 0
+        for b in mask_bits(chain[-1]):
+            step = sums.get(b)
+            if step is None:  # a sum that lies outside the nilradical root set
+                step = sums_with_n((b,), total)
+            nxt |= step
         if not nxt:
             break
-        if len(chain) > len(all_encs) + 1:
+        if len(chain) > len(members) + 1:
             raise AssertionError("lower central series did not terminate")
         chain.append(nxt)
-    return [_decode_all(trsys, term) for term in chain]
+    return _decode_all(trsys, chain)
 
 
 def upper_series_oracle(trsys: TRootSystem) -> list[frozenset[Root]]:
@@ -106,27 +119,25 @@ def upper_series_oracle(trsys: TRootSystem) -> list[frozenset[Root]]:
     verified to be a union of whole t-root spaces (stability under the
     Levi factor), which is what makes per-root computation exact.
     """
-    all_encs = _nilradical_encs(trsys)
-    roots_enc = trsys.rs._enc_roots
-    total = set(all_encs)
-    chain: list[set[int]] = []
-    prev: set[int] = set()
+    members, total, sums = _nilradical_sums(trsys)
+    masks = trsys.masks()
+    chain: list[int] = []
+    prev = 0
     while prev != total:
-        cur = {
-            phi for phi in all_encs
-            if not any((s := phi + other) in roots_enc and s not in prev
-                       for other in all_encs)
-        }
-        if not prev < cur:
+        outside = ~prev
+        cur = 0
+        for phi in members:
+            if not sums[phi] & outside:
+                cur |= 1 << phi
+        if cur == prev or prev & ~cur:
             raise AssertionError("upper central series stalled")
         for key in trsys.positives:
-            encs = trsys._space_encs[key]
-            inside = sum(1 for e in encs if e in cur)
-            if inside not in (0, len(encs)):
+            inside = cur & masks[key]
+            if inside and inside != masks[key]:
                 raise AssertionError(f"center term splits the t-root space {key}")
         chain.append(cur)
         prev = cur
-    return [_decode_all(trsys, term) for term in chain]
+    return _decode_all(trsys, chain)
 
 
 def closed_form_series(trsys: TRootSystem, grad: Grading | None = None,
@@ -162,9 +173,9 @@ def closed_form_series(trsys: TRootSystem, grad: Grading | None = None,
         if series.lower[i - 1] != series.upper[k_cent - i]:
             raise SeriesMismatch(f"series reversal fails at term {i}")
     if verify:
-        if [set(t) for t in series.lower] != [set(t) for t in lower_series_oracle(trsys)]:
+        if list(series.lower) != lower_series_oracle(trsys):
             raise SeriesMismatch("closed-form lower series disagrees with its oracle")
-        if [set(t) for t in series.upper] != [set(t) for t in upper_series_oracle(trsys)]:
+        if list(series.upper) != upper_series_oracle(trsys):
             raise SeriesMismatch("closed-form upper series disagrees with its oracle")
     return series
 

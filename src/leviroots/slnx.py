@@ -167,11 +167,16 @@ def crosscheck(comp: Composition, rs: RootSystem | None = None) -> CrossCheckRep
     }
 
     rs_full = des.rs
-    enc_with_zero = rs_full._enc_with_zero
-    units = {
-        i: rs_full.encode(tuple(1 if t == i - 1 else 0 for t in range(rs_full.rank)))
-        for b in nodes_in_block for i in nodes_in_block[b]
+    # +- the simple roots of the kept nodes inside each block
+    movers = {
+        b: rs_full.mask(
+            tuple(s if t == i - 1 else 0 for t in range(rs_full.rank))
+            for i in block_nodes for s in (1, -1)
+        )
+        for b, block_nodes in nodes_in_block.items()
     }
+    reach = rs_full.sum_table().reach
+    numbers = trsys.root_numbers()
     for key, e in by_key.items():
         space = trsys.spaces.get(key)
         if space is None:
@@ -182,13 +187,10 @@ def crosscheck(comp: Composition, rs: RootSystem | None = None) -> CrossCheckRep
             failures.append(f"key {key}: order mismatch with |r - s|")
         # a diagonal block acts on (r, s) iff it is block r or s and has
         # size > 1: at root level, some kept node inside it moves the space
-        encs = [rs_full.encode(r) for r in space.roots]
+        # (a +- alpha_i in Delta u {0} for a root a of the space)
+        moved = reach(numbers[key])
         for b in range(1, comp.k + 1):
-            moves = any(
-                (a + units[i]) in enc_with_zero or (a - units[i]) in enc_with_zero
-                for i in nodes_in_block[b]
-                for a in encs
-            )
+            moves = bool(moved & movers[b])
             if moves != (b in e.acting_blocks):
                 failures.append(
                     f"block {e.row},{e.col}: diagonal block {b} "

@@ -1,5 +1,7 @@
 """The invariant sweep must pass on real data and fail on corrupted data."""
 
+from dataclasses import replace
+
 import pytest
 
 from leviroots import (
@@ -15,7 +17,7 @@ from leviroots import (
     sweep_types,
 )
 from leviroots import checks
-from leviroots.levi import troot_system as real_troot_system
+from leviroots.levi import TRootSystem, troot_system as real_troot_system
 
 
 def test_all_parabolic_designations_count():
@@ -65,19 +67,94 @@ def test_corrupted_delta_detected(monkeypatch, g2):
     assert {f.check for f in rep.failures} == {"trace-positivity"}
 
 
-def test_corrupted_space_detected(monkeypatch):
-    rs = root_system("B3")
-
+def _corrupting(monkeypatch, damage):
+    """Make check_designation see t-root systems damaged after construction."""
     def corrupt(des):
         t = real_troot_system(des)
-        key = t.positives[0]
-        t._space_encs[key] = frozenset(list(t._space_encs[key])[1:])
+        damage(t)
         return t
 
     monkeypatch.setattr(checks, "troot_system", corrupt)
-    rep = check_designation(designation(rs, deleted=[2]))
+
+
+def _drop_root(t, key, position=0):
+    """Remove one root from the public space at key."""
+    sp = t.spaces[key]
+    roots = sp.roots[:position] + sp.roots[position + 1:]
+    t.spaces[key] = replace(sp, roots=roots)
+
+
+def _drop_troot(t, key):
+    """Remove the t-root key and its negative: the spaces, the key lists,
+    and the key encodings that the sign and string laws walk."""
+    gone = {key, tuple(-c for c in key)}
+    for k in gone:
+        del t.spaces[k]
+    t.keys = tuple(k for k in t.keys if k not in gone)
+    t.positives = tuple(k for k in t.positives if k not in gone)
+    t._key_encs = {k: e for k, e in t._key_encs.items() if k not in gone}
+    t._key_enc_with_zero = frozenset(t._key_encs.values()) | {0}
+
+
+def test_corrupted_space_detected(monkeypatch):
+    # one root dropped from a public space must break the bracket law:
+    # the sums of the spaces at -1 and 2 still reach the dropped root
+    _corrupting(monkeypatch, lambda t: _drop_root(t, t.positives[0]))
+    rep = check_designation(designation(root_system("B3"), deleted=[2]))
     names = {f.check for f in rep.failures}
     assert "bracket-law" in names
+
+
+def test_corrupted_top_space_breaks_central_series(monkeypatch):
+    # [n, n] still reaches the root dropped from the top space, so the
+    # lower-series oracle and the closed form part ways
+    _corrupting(monkeypatch, lambda t: _drop_root(t, t.positives[-1]))
+    rep = check_designation(designation(root_system("B3"), deleted=[2]))
+    details = [f.detail for f in rep.failures if f.check == "central-series"]
+    assert details == ["closed-form lower series disagrees with its oracle"]
+
+
+def test_corrupted_bottom_space_splits_upper_series_term(monkeypatch, g2):
+    # the lower series still agrees, but the upper-series oracle finds a
+    # center term that holds only part of the damaged space at (1,)
+    _corrupting(monkeypatch, lambda t: _drop_root(t, (1,)))
+    rep = check_designation(designation(g2, deleted=[2]))
+    details = [f.detail for f in rep.failures if f.check == "central-series"]
+    assert details == ["center term splits the t-root space (1,)"]
+
+
+def test_corrupted_raising_space_breaks_string_law(monkeypatch):
+    # an emptied space at nu leaves no root sum to raise along nu
+    def damage(t):
+        nu = t.positives[0]
+        t.spaces[nu] = replace(t.spaces[nu], roots=())
+
+    _corrupting(monkeypatch, damage)
+    rep = check_designation(designation(root_system("B3"), deleted=[2]))
+    details = [f.detail for f in rep.failures if f.check == "string-law"]
+    assert any("no raising root sum" in d for d in details)
+
+
+def test_missing_troot_breaks_sign_rule(monkeypatch, g2):
+    # without (1, 1), the negatively paired simple t-roots of the G2 Borel
+    # have a sum that is no longer a t-root
+    _corrupting(monkeypatch, lambda t: _drop_troot(t, (1, 1)))
+    rep = check_designation(designation(g2, deleted=[1, 2]))
+    details = [f.detail for f in rep.failures if f.check == "sign-rule"]
+    assert any("< 0 but the sum is not a t-root" in d for d in details)
+    assert "string-law" in {f.check for f in rep.failures}
+
+
+def test_flipped_pairings_break_endpoint_signs(monkeypatch, g2):
+    # both laws read their signs from the positive pairing table
+    real_pairings = TRootSystem.positive_pairings
+    monkeypatch.setattr(TRootSystem, "positive_pairings",
+                        lambda t: [-v for v in real_pairings(t)])
+    rep = check_designation(designation(g2, deleted=[1, 2]))
+    details = {f.check: f.detail for f in rep.failures}
+    assert "sign-rule" in details
+    assert any(f.check == "string-law" and "not positive" in f.detail for f in rep.failures)
+    assert "bracket-law" not in details and "central-series" not in details
 
 
 def test_check_node_green(g2, f4):

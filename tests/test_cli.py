@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -93,6 +94,45 @@ def test_cartan_file(tmp_path, capsys):
     assert doc["count"] == 12
 
 
+@pytest.mark.parametrize("matrix", [
+    [[2, -1.7], [-1, 2]],    # would truncate to A2
+    [[2.9, -1], [-1, 2]],
+    [[2, -1.0], [-1, 2]],    # integral, but not a JSON integer
+    [[2, True], [-1, 2]],    # booleans are not integers
+])
+def test_cartan_file_rejects_non_integer_entries(tmp_path, capsys, matrix):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"cartan": matrix}))
+    assert cli.run(["roots", "--cartan", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "is not an integer" in captured.err
+
+
+def test_cartan_file_without_cartan_key(tmp_path, capsys):
+    path = tmp_path / "nokey.json"
+    path.write_text(json.dumps({"matrix": [[2, -1], [-1, 2]]}))
+    assert cli.run(["roots", "--cartan", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert 'no "cartan" key' in err
+
+
+def test_cartan_file_not_a_matrix(tmp_path, capsys):
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps([2, -1, -1, 2]))
+    assert cli.run(["roots", "--cartan", str(path)]) == 1
+    assert "list of rows" in capsys.readouterr().err
+
+
+def test_bds_dot_rejects_bad_node(capsys):
+    assert cli.run(["bds", "G2", "--dot", "--node", "7"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "node 7 out of range 1..2" in captured.err
+    assert cli.run(["bds", "G2", "--dot", "--node", "2"]) == 0
+    assert "fillcolor" in capsys.readouterr().out
+
+
 def test_check_small(capsys):
     doc = _json_out(capsys, ["check", "A2", "--all-parabolics"])
     assert doc["schema"] == "leviroots.check/1"
@@ -158,3 +198,18 @@ def test_missing_cartan_file(capsys):
     assert cli.run(["roots", "--cartan", "/nonexistent/file.json"]) == 1
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+# sha256 of the stdout of `check <type> --all-parabolics`, pinned so that
+# any change to the verdicts, counts, wording or order of the report shows
+CHECK_STDOUT_SHA256 = {
+    "F4": "f47bd606c1bbaf8f905201fe8b5ac5a4bd6010e8b25843471a1c24d60db44265",
+    "E6": "0f3b1cc2e793eb7f67578c63ecb99e1bb3056c9a16a394f47594b4e7df4788a7",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_STDOUT_SHA256))
+def test_check_all_parabolics_stdout_pinned(capsys, name):
+    assert cli.run(["check", name, "--all-parabolics"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CHECK_STDOUT_SHA256[name]

@@ -69,8 +69,9 @@ def test_rat_str():
 @given(st.lists(st.integers(-50, 50), min_size=2, max_size=4))
 def test_solve_roundtrip_diagonally_dominant(diag_noise):
     n = len(diag_noise)
-    # build a strictly diagonally dominant (hence invertible) matrix
-    mat = [[100 + abs(diag_noise[i]) if i == j else diag_noise[(i + j) % n]
+    # build a strictly diagonally dominant (hence invertible) matrix: a row
+    # has at most 3 off-diagonal entries of size <= 50, so 151 dominates
+    mat = [[151 + abs(diag_noise[i]) if i == j else diag_noise[(i + j) % n]
             for j in range(n)] for i in range(n)]
     rhs = [diag_noise[i] - i for i in range(n)]
     sol = exactlin.solve(mat, rhs)

@@ -232,3 +232,28 @@ def test_string_report_random_pairs(des, data):
     nu = data.draw(st.sampled_from(keys))
     rep = troot_string_report(trsys, gamma, nu)
     assert rep.ok, rep.failures
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_designation())
+def test_positive_pairings_match_exact_form(des):
+    # the scaled integer table is a positive multiple of the exact pairing
+    trsys = troot_system(des)
+    table = trsys.positive_pairings()
+    pos = trsys.positives
+    p = len(pos)
+    assert len(table) == p * p
+    scale = trsys.inner(pos[0], pos[0]) / table[0]
+    for i, mu in enumerate(pos):
+        for j, nu in enumerate(pos):
+            assert table[i * p + j] == table[j * p + i]
+            assert trsys.inner(mu, nu) == scale * table[i * p + j]
+    assert scale > 0
+
+
+def test_space_masks_follow_public_spaces(f4):
+    trsys = troot_system(designation(f4, deleted=[1, 3]))
+    rs = trsys.rs
+    for key, space in trsys.spaces.items():
+        assert rs.roots_of(trsys.masks()[key]) == tuple(sorted(space.roots, key=rs.index.get))
+        assert trsys.root_numbers()[key] == tuple(rs.index[r] for r in space.roots)

@@ -9,12 +9,17 @@ from leviroots import (
     NotFiniteType,
     SimpleType,
     all_simple_types,
+    bds_document,
     cartan_matrix,
     classical_root_count,
+    designation,
     generate,
+    maximal_document,
     root_system,
     symmetrizers,
+    troot_system,
 )
+from leviroots.rootsys import mask_bits
 
 
 def test_parse_and_str():
@@ -190,3 +195,58 @@ def test_sum_of_two_roots_is_root_or_not_by_form(stype):
                 continue
             if rs.form(phi, psi) < 0:
                 assert tuple(a + b for a, b in zip(phi, psi)) in rs.roots
+
+
+def test_root_numbering(f4):
+    n_pos = len(f4.positives)
+    assert f4.indexed[:n_pos] == f4.positives
+    for i, r in enumerate(f4.positives):
+        assert f4.indexed[i + n_pos] == tuple(-c for c in r)
+    assert all(f4.index[r] == i for i, r in enumerate(f4.indexed))
+    assert frozenset(f4.indexed) == f4.roots
+
+
+def test_mask_roundtrip(f4):
+    some = f4.indexed[3::7]
+    mask = f4.mask(some)
+    assert mask_bits(mask) == sorted(f4.index[r] for r in some)
+    assert f4.roots_of(mask) == tuple(sorted(some, key=f4.index.get))
+    assert f4.roots_of(0) == () and mask_bits(0) == []
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2", "F4", "D4"])
+def test_sum_table_matches_brute_force(name):
+    rs = root_system(name)
+    table = rs.sum_table()
+    roots = rs.indexed
+    zero = (0,) * rs.rank
+
+    def add(a, b):
+        return tuple(x + y for x, y in zip(a, b))
+
+    for i, a in enumerate(roots):
+        expected = {j for j, b in enumerate(roots) if add(a, b) in rs.roots or add(a, b) == zero}
+        assert set(mask_bits(table.adjz[i])) == expected
+    # sums and reach against set arithmetic, on a few index/mask pairs
+    for left in (roots[:3], roots[5:9], roots):
+        for right in (roots[2:11], roots[-6:], roots):
+            got = table.sums([rs.index[a] for a in left], rs.mask(right))
+            want = {add(a, b) for a in left for b in right} & rs.roots
+            assert set(rs.roots_of(got)) == want
+        reach = table.reach(rs.index[a] for a in left)
+        want = {j for j, b in enumerate(roots)
+                if any(add(a, b) in rs.roots or add(a, b) == zero for a in left)}
+        assert set(mask_bits(reach)) == want
+
+
+def test_sum_table_built_lazily_and_once():
+    rs = root_system("E6")
+    assert rs._sums is None
+    # the verbs that need no root sums never build the table
+    rs.document()
+    troot_system(designation(rs, deleted=[2])).document()
+    bds_document(rs)
+    maximal_document(rs)
+    assert rs._sums is None
+    table = rs.sum_table()
+    assert rs.sum_table() is table
