@@ -6,6 +6,10 @@ Levi factor (t-roots), certifies each restricted space irreducible,
 computes the grading and both central series of the nilradical in
 closed form with brute-force oracles, and classifies the equal-rank
 subalgebras obtained from the extended Dynkin diagram.
+
+The package exports its key entry points and error classes; everything
+else lives in its submodule (``rootsys``, ``levi``, ``series``, ``bds``,
+``slnx``, ``checks``, ``exactlin``, ``cli``).
 """
 
 from .errors import (
@@ -21,88 +25,16 @@ from .errors import (
     SimpleSystemFailure,
     SingularMatrix,
 )
-from .rootsys import (
-    RootSystem,
-    SimpleType,
-    all_simple_types,
-    cartan_matrix,
-    classical_root_count,
-    generate,
-    root_system,
-    symmetrizers,
-)
-from .levi import (
-    ParabolicDesignation,
-    TRootSpace,
-    TRootSystem,
-    bracket_image,
-    designation,
-    highest_weight_roots,
-    lowest_weight_roots,
-    nilradical_trace,
-    sign_rule_check,
-    troot_coroot,
-    troot_inner,
-    troot_of,
-    troot_string,
-    troot_string_report,
-    troot_system,
-)
-from .series import (
-    CentralSeries,
-    Grading,
-    closed_form_series,
-    grading,
-    lower_series_oracle,
-    order_of,
-    series_document,
-    upper_series_oracle,
-)
-from .bds import (
-    DiagramClass,
-    ExtendedDiagram,
-    SubalgebraModel,
-    alcove_vertex,
-    bds_document,
-    classify,
-    delete_node,
-    extended_diagram,
-    extended_dot,
-    maximal_document,
-    maximal_equal_rank,
-    residue_bracket_check,
-    residue_irreducibility,
-    subalgebra_roots,
-)
-from .slnx import (
-    BlockTRootTable,
-    Composition,
-    block_table,
-    composition,
-    crosscheck,
-    designation_of,
-    sln_document,
-)
-from .checks import (
-    all_parabolic_designations,
-    borel_designation,
-    check_designation,
-    check_document,
-    check_node,
-    check_type,
-    standard_designations,
-    sweep_types,
-)
+from .rootsys import generate, root_system
+from .levi import designation, troot_system
+from .series import closed_form_series, grading
+from .bds import classify, extended_diagram, maximal_equal_rank, subalgebra_roots
+from .slnx import block_table, composition, crosscheck
+from .checks import check_type, sweep_types
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockTRootTable",
-    "CentralSeries",
-    "Composition",
-    "DiagramClass",
-    "ExtendedDiagram",
-    "Grading",
     "InvalidCartan",
     "InvalidComposition",
     "InvalidDesignation",
@@ -111,60 +43,22 @@ __all__ = [
     "IrreducibilityViolation",
     "LeviRootsError",
     "NotFiniteType",
-    "ParabolicDesignation",
-    "RootSystem",
     "SeriesMismatch",
     "SimpleSystemFailure",
-    "SimpleType",
     "SingularMatrix",
-    "SubalgebraModel",
-    "TRootSpace",
-    "TRootSystem",
-    "alcove_vertex",
-    "all_parabolic_designations",
-    "all_simple_types",
-    "bds_document",
     "block_table",
-    "borel_designation",
-    "bracket_image",
-    "cartan_matrix",
-    "check_designation",
-    "check_document",
-    "check_node",
     "check_type",
-    "classical_root_count",
     "classify",
     "closed_form_series",
     "composition",
     "crosscheck",
-    "delete_node",
     "designation",
-    "designation_of",
     "extended_diagram",
-    "extended_dot",
     "generate",
     "grading",
-    "highest_weight_roots",
-    "lower_series_oracle",
-    "lowest_weight_roots",
-    "maximal_document",
     "maximal_equal_rank",
-    "nilradical_trace",
-    "order_of",
-    "residue_bracket_check",
-    "residue_irreducibility",
     "root_system",
-    "series_document",
-    "sign_rule_check",
-    "sln_document",
-    "standard_designations",
     "subalgebra_roots",
     "sweep_types",
-    "symmetrizers",
-    "troot_coroot",
-    "troot_inner",
-    "troot_of",
-    "troot_string",
-    "troot_string_report",
     "troot_system",
 ]

@@ -28,7 +28,10 @@ from .bds import (
 )
 from . import exactlin
 from .errors import LeviRootsError
-from .levi import ParabolicDesignation, designation, troot_of, troot_system
+from .levi import (
+    ParabolicDesignation, designation, sign_rule_failure, string_reaches, string_run,
+    string_weights, troot_of, troot_system,
+)
 from .rootsys import RootSystem, all_simple_types, root_system
 from .series import closed_form_series, grading
 
@@ -197,13 +200,13 @@ def _check_simples(des, trsys, failures):
                     "simple-troots", label,
                     f"simple t-roots {a},{b} have positive inner product"))
     # one-signed keys, and simplicity <=> not a sum of two positives
-    pos_encs = frozenset(trsys._key_encs[k] for k in trsys.positives)
+    pos_encs = frozenset(map(trsys.key_enc, trsys.positives))
     for key in trsys.keys:
         if not (all(c >= 0 for c in key) or all(c <= 0 for c in key)):
             failures.append(Failure(
                 "positivity-dichotomy", label, f"key {key} is mixed-sign"))
     for key in trsys.positives:
-        e = trsys._key_encs[key]
+        e = trsys.key_enc(key)
         decomposable = any(e - p in pos_encs for p in pos_encs)
         if decomposable == (key in units):
             kind = "decomposes" if decomposable else "has no decomposition"
@@ -220,19 +223,18 @@ def _check_brackets(trsys, failures, label):
     verified separately per designation).  The smaller space of each
     pair is the one walked, as the sum set does not depend on the order.
     """
-    key_encs = trsys._key_encs
-    by_enc = {e: k for k, e in key_encs.items()}
+    troots = trsys.key_index()
     numbers, masks = trsys.root_numbers(), trsys.masks()
-    targets = {key_encs[k]: masks[k] for k in trsys.positives}
+    targets = {trsys.key_enc(k): masks[k] for k in trsys.positives}
     sums = trsys.rs.sum_table().sums
-    encs = sorted(key_encs.values())
+    encs = sorted(troots)
     for i, em in enumerate(encs):
-        km = by_enc[em]
+        km = troots[em]
         for en in encs[i:]:
             target = targets.get(em + en)
             if target is None:
                 continue
-            kn = by_enc[en]
+            kn = troots[en]
             if len(numbers[km]) <= len(numbers[kn]):
                 got = sums(numbers[km], masks[kn])
             else:
@@ -247,37 +249,20 @@ def _check_brackets(trsys, failures, label):
 def _check_signs(trsys, failures, label):
     """Sign rules once per orbit {(+-mu, +-nu), (+-nu, +-mu)}."""
     pos = trsys.positives
-    key_encs = trsys._key_encs
-    enc_set = frozenset(key_encs.values())
+    troots = trsys.key_index()
+    encs = [trsys.key_enc(k) for k in pos]
     pairings = trsys.positive_pairings()
     p = len(pos)
     for i, mu in enumerate(pos):
-        emu = key_encs[mu]
-        row = pairings[i * p:(i + 1) * p]
-        for j in range(i, p):
-            nu = pos[j]
-            s = row[j]
-            enu = key_encs[nu]
-            plus, minus = emu + enu, emu - enu
-            if s < 0:
-                if plus and plus not in enc_set:
-                    failures.append(Failure(
-                        "sign-rule", label,
-                        f"({mu},{nu}) < 0 but the sum is not a t-root"))
-            elif s > 0:
-                if minus and minus not in enc_set:
-                    failures.append(Failure(
-                        "sign-rule", label,
-                        f"({mu},{nu}) > 0 but the difference is not a t-root"))
-            else:
-                if (plus in enc_set) != (minus in enc_set):
-                    failures.append(Failure(
-                        "sign-rule", label,
-                        f"({mu},{nu}) = 0 but sum/difference membership differs"))
+        emu = encs[i]
+        for nu, enu, s in zip(pos[i:], encs[i:], pairings[i * p + i:(i + 1) * p]):
+            failure = sign_rule_failure(s, mu, nu, emu + enu, emu - enu, troots)
+            if failure:
+                failures.append(Failure("sign-rule", label, failure))
 
 
 def _check_strings(trsys, failures, label):
-    """String laws for every (gamma, nu), batched along nu-lines.
+    """String laws for every (gamma, nu), one check per maximal nu-run.
 
     For fixed nu the pairs (gamma, nu) with gamma on one maximal run
     share one interval up to shift, one pair of endpoint inequalities,
@@ -285,62 +270,29 @@ def _check_strings(trsys, failures, label):
     verified once, from its bottom up; runs along -nu impose the
     mirrored inequalities, which are literally the same checks.
     Endpoint signs read nu's row of the positive pairing table (a
-    negative key pairs as minus its mirror); the action at a position
-    is nonzero when some root of its space adds to a root of the nu
-    (or -nu) space within Delta u {0}.
+    negative key pairs as minus its mirror).
     """
-    members = trsys._key_enc_with_zero
-    ordered = sorted(members)
-    key_encs = trsys._key_encs
-    by_enc = {e: k for k, e in key_encs.items()}
-    by_enc[0] = (0,) * len(trsys.key_bounds)
-    pos_encs = [key_encs[k] for k in trsys.positives]
+    weights = string_weights(trsys)
+    reaches = string_reaches(trsys, weights)
+    ordered = sorted(weights)
+    pos_encs = [trsys.key_enc(k) for k in trsys.positives]
     neg_encs = [-e for e in pos_encs]
     masks = trsys.masks()
-    reach = trsys.rs.sum_table().reach
-    reaches = {key_encs[k]: reach(nums) for k, nums in trsys.root_numbers().items()}
     pairings = trsys.positive_pairings()
     p = len(pos_encs)
+    texts: list[str] = []
     for b, nu in enumerate(trsys.positives):
         row = pairings[b * p:(b + 1) * p]
-        en = key_encs[nu]
+        en = pos_encs[b]
         # (x, nu) for every t-weight x, by encoding
         pairing = dict(zip(pos_encs, row))
         pairing.update(zip(neg_encs, map(neg, row)))
         pairing[0] = 0
-        raisers = masks[nu]
-        lowerers = masks[tuple(-c for c in nu)]
+        up, down = masks[nu], masks[tuple(-c for c in nu)]
         for bottom in ordered:
-            if bottom - en in members:
-                continue  # not the bottom of its run
-            top = bottom
-            while top + en in members:
-                top += en
-            if top == bottom:
-                if pairing[top] != 0:
-                    failures.append(Failure(
-                        "string-law", label,
-                        f"singleton string at {by_enc[top]} along {nu} not orthogonal"))
-                continue
-            if pairing[top] <= 0:
-                failures.append(Failure(
-                    "string-law", label,
-                    f"top of string {by_enc[top]} along {nu} not positive"))
-            if pairing[bottom] >= 0:
-                failures.append(Failure(
-                    "string-law", label,
-                    f"bottom of string {by_enc[bottom]} along {nu} not negative"))
-            for x in range(bottom, top + en, en):
-                if x == 0:
-                    continue  # bracketing with the Levi factor is automatic
-                if x != top and not reaches[x] & raisers:
-                    failures.append(Failure(
-                        "string-law", label,
-                        f"no raising root sum at {by_enc[x]} along {nu}"))
-                if x != bottom and not reaches[x] & lowerers:
-                    failures.append(Failure(
-                        "string-law", label,
-                        f"no lowering root sum at {by_enc[x]} along {nu}"))
+            if bottom - en not in weights:  # the bottom of its run
+                string_run(bottom, en, nu, weights, pairing, reaches, up, down, texts)
+    failures.extend(Failure("string-law", label, t) for t in texts)
 
 
 def _check_delta(trsys, failures, label):

@@ -16,7 +16,7 @@ import sys
 
 from . import checks
 from .bds import bds_document, extended_diagram, extended_dot, maximal_document
-from .errors import InvalidCartan, LeviRootsError
+from .errors import InvalidCartan, InvalidRank, LeviRootsError
 from .levi import designation, troot_system
 from .rootsys import DEFAULT_MAX_RANK, RootSystem, generate, root_system
 from .series import series_document
@@ -31,7 +31,7 @@ def _load_cartan(path: str):
     """Read a Cartan matrix from JSON: a list of rows, or {"cartan": rows}.
 
     Entries must be JSON integers; floats and booleans are rejected,
-    never rounded.
+    never rounded.  The rank is capped at DEFAULT_MAX_RANK, like named types.
     """
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
@@ -41,6 +41,9 @@ def _load_cartan(path: str):
         data = data["cartan"]
     if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
         raise InvalidCartan(f"{path}: the Cartan matrix must be a list of rows")
+    if len(data) > DEFAULT_MAX_RANK:
+        raise InvalidRank(
+            f"{path}: rank {len(data)} exceeds the configured maximum {DEFAULT_MAX_RANK}")
     for i, row in enumerate(data):
         for j, x in enumerate(row):
             if isinstance(x, bool) or not isinstance(x, int):
@@ -253,17 +256,13 @@ def _run_check(args) -> int:
     if args.type and args.max_rank is not None:
         raise LeviRootsError("give either a type or --max-rank, not both")
     if args.type or getattr(args, "cartan", None):
-        systems = [_resolve_system(args)]
+        reports = [checks.check_type(_resolve_system(args), args.all_parabolics)]
     elif args.max_rank is not None:
-        if args.max_rank < 1:
-            raise LeviRootsError("--max-rank must be at least 1")
-        systems = None
-    else:
-        raise LeviRootsError("check needs a type, --cartan, or --max-rank")
-    if systems is None:
+        if not 1 <= args.max_rank <= DEFAULT_MAX_RANK:
+            raise LeviRootsError(f"--max-rank must be between 1 and {DEFAULT_MAX_RANK}")
         reports = checks.sweep_types(args.max_rank, args.all_parabolics)
     else:
-        reports = [checks.check_type(rs, args.all_parabolics) for rs in systems]
+        raise LeviRootsError("check needs a type, --cartan, or --max-rank")
     doc = checks.check_document(reports, args.all_parabolics)
     _emit(doc, args.pretty, _pretty_check)
     return 0 if doc["ok"] else 2

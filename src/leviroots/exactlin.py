@@ -14,11 +14,6 @@ from typing import Iterable, Sequence
 from .errors import SingularMatrix
 
 RatVec = tuple[Fraction, ...]
-RatMat = tuple[RatVec, ...]
-
-
-def as_vec(entries: Iterable) -> RatVec:
-    return tuple(Fraction(e) for e in entries)
 
 
 def rat_str(x) -> str:
@@ -29,23 +24,12 @@ def rat_str(x) -> str:
     return str(Fraction(x))
 
 
-def as_mat(rows: Iterable[Iterable]) -> RatMat:
-    return tuple(as_vec(r) for r in rows)
-
-
-def solve(mat: Sequence[Sequence], rhs: Sequence) -> RatVec:
-    """Solve ``mat @ x = rhs`` for square ``mat``.
-
-    Raises SingularMatrix when the matrix is not invertible.
-    """
-    return solve_many(mat, [rhs])[0]
-
-
 def solve_many(mat: Sequence[Sequence], rhss: Sequence[Sequence]) -> list[RatVec]:
     """Solve one square system against several right-hand sides.
 
     The elimination is done once; each right-hand side is carried along
-    as an extra column.
+    as an extra column.  Raises SingularMatrix when the matrix is not
+    invertible.
     """
     n = len(mat)
     if n == 0:
@@ -89,19 +73,6 @@ def solve_many(mat: Sequence[Sequence], rhss: Sequence[Sequence]) -> list[RatVec
             x[i] = acc / row[i]
         outs.append(tuple(x))
     return outs
-
-
-def project(span_gram: Sequence[Sequence], pairings: Sequence) -> RatVec:
-    """Coefficients of an orthogonal projection onto a spanned subspace.
-
-    ``span_gram`` is the Gram matrix of a basis ``b_1..b_s`` and
-    ``pairings[i] = (v, b_i)``; the result ``c`` satisfies
-    ``sum c_i b_i = proj(v)``.  An empty basis projects to zero and
-    yields the empty coefficient vector.
-    """
-    if len(span_gram) == 0:
-        return ()
-    return solve(span_gram, pairings)
 
 
 def det(mat: Sequence[Sequence]) -> Fraction:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
@@ -72,15 +73,14 @@ def designation(rs: RootSystem, kept: Iterable[int] | None = None,
     """Build a designation from either the kept or the deleted node set."""
     if (kept is None) == (deleted is None):
         raise InvalidDesignation("give exactly one of kept= or deleted=")
-    if kept is not None:
-        return ParabolicDesignation(rs, kept)
-    deleted = frozenset(deleted)
-    nodes = frozenset(range(1, rs.rank + 1))
-    if not deleted <= nodes:
-        raise InvalidDesignation(f"node indices out of range: {sorted(deleted - nodes)}")
-    if not deleted:
-        raise InvalidDesignation("deleted no node; the parabolic must be proper")
-    return ParabolicDesignation(rs, nodes - deleted)
+    if kept is None:
+        deleted = frozenset(deleted)
+        if not deleted:
+            raise InvalidDesignation("deleted no node; the parabolic must be proper")
+        # the symmetric difference keeps an out-of-range node in the kept
+        # set, where the constructor's range check names it
+        kept = frozenset(range(1, rs.rank + 1)) ^ deleted
+    return ParabolicDesignation(rs, kept)
 
 
 def troot_of(des: ParabolicDesignation, root: Root) -> Key | None:
@@ -149,9 +149,8 @@ class TRootSystem:
 
     __slots__ = (
         "designation", "rs", "spaces", "keys", "positives", "simples",
-        "delta_key", "key_bounds", "_kpows", "_key_encs", "_key_enc_with_zero",
-        "_numbers", "_masks", "_nil_sums", "_beta", "_gram_t", "_gram_scaled",
-        "_pairings", "_pos_pairings",
+        "delta_key", "key_bounds", "_kpows", "_troots", "_numbers", "_masks",
+        "_nil_sums", "_beta", "_gram_t", "_gram_scaled", "_pairings", "_pos_pairings",
     )
 
     def __init__(self, des: ParabolicDesignation):
@@ -211,8 +210,7 @@ class TRootSystem:
         self.delta_key = tuple(delta)
         self.key_bounds = tuple(rs.marks[d] for d in D)
         self._kpows = rs._pows[:width]
-        self._key_encs = {k: self.key_enc(k) for k in order}
-        self._key_enc_with_zero = frozenset(self._key_encs.values()) | {0}
+        self._troots = None
         self._numbers = None
         self._masks = None
         self._nil_sums = None
@@ -226,6 +224,18 @@ class TRootSystem:
 
     def key_enc(self, key: Key) -> int:
         return sum(map(mul, key, self._kpows))
+
+    def key_index(self) -> dict[int, Key]:
+        """Each t-root by its integer encoding, read from ``keys`` on first use.
+
+        Keys are bounded by the marks of the deleted nodes, and the encoding
+        is collision-free up to twice that bound, so the encoding of a sum
+        or difference of two t-roots is in the index exactly when the
+        sum or difference is a t-root.
+        """
+        if self._troots is None:
+            self._troots = {self.key_enc(k): k for k in self.keys}
+        return self._troots
 
     def is_troot(self, key) -> bool:
         return tuple(key) in self.spaces
@@ -293,11 +303,6 @@ class TRootSystem:
         self._gram_scaled = tuple(
             tuple(int(v * scale) for v in row) for row in gt
         )
-
-    def simple_troot_vectors(self) -> tuple[RatVec, ...]:
-        """Projections of the deleted simple roots, in node order."""
-        self._ensure_form_data()
-        return self._beta
 
     def troot_vec(self, key: Sequence[int]) -> RatVec:
         """Rational vector of a key combination, in simple-root coordinates."""
@@ -395,11 +400,6 @@ def troot_system(des: ParabolicDesignation) -> TRootSystem:
     return TRootSystem(des)
 
 
-def troot_inner(trsys: TRootSystem, mu, nu) -> Fraction:
-    """Exact bilinear pairing of two t-roots (by key)."""
-    return trsys.inner(tuple(mu), tuple(nu))
-
-
 def troot_coroot(trsys: TRootSystem, nu) -> RatVec:
     """The covector 2*nu/(nu,nu), in simple-root coordinates."""
     key = tuple(nu)
@@ -418,6 +418,13 @@ def nilradical_trace(trsys: TRootSystem) -> RatVec:
     return trsys.troot_vec(trsys.delta_key)
 
 
+def _troot_pair(trsys: TRootSystem, mu, nu) -> tuple[Key, Key]:
+    km, kn = tuple(mu), tuple(nu)
+    if not (trsys.is_troot(km) and trsys.is_troot(kn)):
+        raise InvalidPair("both arguments must be t-roots of this system")
+    return km, kn
+
+
 def bracket_image(trsys: TRootSystem, mu, nu) -> tuple[Root, ...]:
     """Root set of [g_mu, g_nu]: all root sums phi + phi'.
 
@@ -425,9 +432,7 @@ def bracket_image(trsys: TRootSystem, mu, nu) -> tuple[Root, ...]:
     empty otherwise.  Rejects mu + nu = 0, where the bracket lands in
     the Levi factor instead of a t-root space.
     """
-    km, kn = tuple(mu), tuple(nu)
-    if not (trsys.is_troot(km) and trsys.is_troot(kn)):
-        raise InvalidPair("both arguments must be t-roots of this system")
+    km, kn = _troot_pair(trsys, mu, nu)
     if all(a + b == 0 for a, b in zip(km, kn)):
         raise InvalidPair("mu + nu = 0: the bracket lands in the Levi factor")
     rs = trsys.rs
@@ -443,29 +448,35 @@ class SignRuleReport(NamedTuple):
     failures: tuple[str, ...]
 
 
-def sign_rule_check(trsys: TRootSystem, mu, nu) -> SignRuleReport:
-    """Verify the pairing-sign membership rules for one pair of t-roots.
+def sign_rule_failure(s: int, mu: Key, nu: Key, plus: int, minus: int,
+                      troots: dict[int, Key]) -> str | None:
+    """The sign rule for one pair of t-roots, read on their encodings.
 
-    Negative pairing forces mu + nu to be a t-root (when nonzero),
-    positive pairing forces mu - nu (when nonzero), and zero pairing
-    makes the two memberships equivalent.
+    ``s`` has the sign of (mu, nu), ``plus`` and ``minus`` encode mu + nu
+    and mu - nu, and ``troots`` is ``TRootSystem.key_index()``.  Negative
+    pairing forces mu + nu to be a t-root (when nonzero), positive pairing
+    forces mu - nu (when nonzero), and zero pairing makes the two
+    memberships equivalent.  Returns the failure text, or None.
     """
-    km, kn = tuple(mu), tuple(nu)
-    if not (trsys.is_troot(km) and trsys.is_troot(kn)):
-        raise InvalidPair("both arguments must be t-roots of this system")
+    if s < 0:
+        if plus and plus not in troots:
+            return f"({mu},{nu}) < 0 but the sum is not a t-root"
+    elif s > 0:
+        if minus and minus not in troots:
+            return f"({mu},{nu}) > 0 but the difference is not a t-root"
+    elif (plus in troots) != (minus in troots):
+        return f"({mu},{nu}) = 0 but sum/difference membership differs"
+    return None
+
+
+def sign_rule_check(trsys: TRootSystem, mu, nu) -> SignRuleReport:
+    """Verify the sign rule (``sign_rule_failure``) for one pair of t-roots."""
+    km, kn = _troot_pair(trsys, mu, nu)
     s = trsys.inner_sign(km, kn)
-    ksum = tuple(a + b for a, b in zip(km, kn))
-    kdiff = tuple(a - b for a, b in zip(km, kn))
-    sum_in = any(ksum) and ksum in trsys.spaces
-    diff_in = any(kdiff) and kdiff in trsys.spaces
-    failures = []
-    if s < 0 and any(ksum) and not sum_in:
-        failures.append("pairing < 0 but mu+nu is not a t-root")
-    if s > 0 and any(kdiff) and not diff_in:
-        failures.append("pairing > 0 but mu-nu is not a t-root")
-    if s == 0 and sum_in != diff_in:
-        failures.append("pairing = 0 but mu+nu / mu-nu membership differs")
-    return SignRuleReport(km, kn, s, not failures, tuple(failures))
+    em, en = trsys.key_enc(km), trsys.key_enc(kn)
+    failure = sign_rule_failure(s, km, kn, em + en, em - en, trsys.key_index())
+    failures = (failure,) if failure else ()
+    return SignRuleReport(km, kn, s, not failures, failures)
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -493,9 +504,6 @@ def _string_window(kg: Key, kn: Key, bounds: tuple[int, ...]) -> tuple[int, int]
     return lo, hi
 
 
-_ZERO_HINT = (None, (), 0)
-
-
 def _as_weight_key(trsys: TRootSystem, gamma) -> Key:
     width = len(trsys.simples)
     if gamma is None:
@@ -506,6 +514,56 @@ def _as_weight_key(trsys: TRootSystem, gamma) -> Key:
     if key not in trsys.spaces:
         raise InvalidPair(f"{key} is neither zero nor a t-root here")
     return key
+
+
+def string_weights(trsys: TRootSystem) -> dict[int, Key]:
+    """The t-weights of the adjoint module by encoding: the t-roots and zero."""
+    weights = dict(trsys.key_index())
+    weights[0] = (0,) * len(trsys.simples)
+    return weights
+
+
+def string_reaches(trsys: TRootSystem, encs: Iterable[int]) -> dict[int, int]:
+    """``RootSums.reach`` of the space at each nonzero encoding in ``encs``."""
+    reach = trsys.rs.sum_table().reach
+    numbers, troots = trsys.root_numbers(), trsys.key_index()
+    return {e: reach(numbers[troots[e]]) for e in encs if e}
+
+
+def string_run(bottom: int, step: int, nu: Key, weights: dict[int, Key],
+               pairing: dict[int, int], reaches: dict[int, int],
+               up: int, down: int, out: list[str]) -> None:
+    """The string law on the maximal nu-run of t-weights from ``bottom`` up.
+
+    Everything is read on encodings: ``step`` encodes nu and ``weights``
+    is ``string_weights``.  For (at least) the positions of the run,
+    ``pairing[x]`` is a positive multiple of (x, nu) and ``reaches`` holds
+    ``string_reaches``; ``up`` and ``down`` are the masks of the spaces at
+    nu and -nu.  A singleton run must be orthogonal to nu; otherwise its
+    top must pair positively and its bottom negatively with nu, and the
+    action of g_nu (raising, below the top) and g_-nu (lowering, above the
+    bottom) must be nonzero at every nonzero position: some root of the
+    space there adds to a root of the acting space within Delta u {0}.
+    Appends each failure text to ``out``.
+    """
+    top = bottom
+    while top + step in weights:
+        top += step
+    if top == bottom:
+        if pairing[top] != 0:
+            out.append(f"singleton string at {weights[top]} along {nu} not orthogonal")
+        return
+    if pairing[top] <= 0:
+        out.append(f"top of string {weights[top]} along {nu} not positive")
+    if pairing[bottom] >= 0:
+        out.append(f"bottom of string {weights[bottom]} along {nu} not negative")
+    for x in range(bottom, top + step, step):
+        if x == 0:
+            continue  # bracketing with the Levi factor is automatic
+        if x != top and not reaches[x] & up:
+            out.append(f"no raising root sum at {weights[x]} along {nu}")
+        if x != bottom and not reaches[x] & down:
+            out.append(f"no lowering root sum at {weights[x]} along {nu}")
 
 
 def troot_string(trsys: TRootSystem, gamma, nu) -> tuple[int, int]:
@@ -520,21 +578,17 @@ def troot_string(trsys: TRootSystem, gamma, nu) -> tuple[int, int]:
     if kn not in trsys.spaces:
         raise InvalidPair(f"{kn} is not a t-root here")
     kg = _as_weight_key(trsys, gamma)
-    lo, hi = _string_window(kg, kn, trsys.key_bounds)
-    eg = trsys.key_enc(kg)
-    en = trsys.key_enc(kn)
-    members = trsys._key_enc_with_zero
+    weights = string_weights(trsys)
+    eg, en = trsys.key_enc(kg), trsys.key_enc(kn)
     q = 0
-    while q + 1 <= hi and eg + (q + 1) * en in members:
+    while eg + (q + 1) * en in weights:
         q += 1
     p = 0
-    while p - 1 >= lo and eg + (p - 1) * en in members:
+    while eg + (p - 1) * en in weights:
         p -= 1
-    for j in range(q + 2, hi + 1):
-        if eg + j * en in members:
-            raise AssertionError(f"t-weight string through {kg} along {kn} is not an interval")
-    for j in range(lo, p - 1):
-        if eg + j * en in members:
+    lo, hi = _string_window(kg, kn, trsys.key_bounds)
+    for j in chain(range(lo, p - 1), range(q + 2, hi + 1)):
+        if eg + j * en in weights:
             raise AssertionError(f"t-weight string through {kg} along {kn} is not an interval")
     return p, q
 
@@ -549,37 +603,16 @@ class StringReport(NamedTuple):
 
 
 def troot_string_report(trsys: TRootSystem, gamma, nu) -> StringReport:
-    """String endpoints plus endpoint-sign and non-vanishing certificates.
-
-    Checks, at root level, that the interval endpoints pair with nu
-    with the forced signs and that the raising/lowering action is
-    nonzero at every interior position of the string.
-    """
-    kn = tuple(nu)
+    """String endpoints plus the string law (``string_run``) on that string."""
     p, q = troot_string(trsys, gamma, nu)
-    kg = _as_weight_key(trsys, gamma)
-    failures = []
-    if p == q == 0:
-        if any(kg) and trsys.inner_sign(kg, kn) != 0:
-            failures.append("singleton string but (gamma, nu) != 0")
-    else:
-        top = tuple(g + q * v for g, v in zip(kg, kn))
-        bot = tuple(g + p * v for g, v in zip(kg, kn))
-        if trsys.inner_sign(top, kn) <= 0:
-            failures.append("(gamma + q*nu, nu) is not positive")
-        if trsys.inner_sign(bot, kn) >= 0:
-            failures.append("(gamma + p*nu, nu) is not negative")
-    table = trsys.rs.sum_table()
-    numbers, masks = trsys.root_numbers(), trsys.masks()
-    up = masks[kn]
-    down = masks[tuple(-c for c in kn)]
-    for m in range(p, q + 1):
-        pos = tuple(g + m * v for g, v in zip(kg, kn))
-        if not any(pos):
-            continue  # the Levi factor itself acts nonzero on every space
-        reach = table.reach(numbers[pos])
-        if m < q and not reach & up:
-            failures.append(f"raising action vanishes at position {m}")
-        if m > p and not reach & down:
-            failures.append(f"lowering action vanishes at position {m}")
+    kg, kn = _as_weight_key(trsys, gamma), tuple(nu)
+    weights = string_weights(trsys)
+    eg, en = trsys.key_enc(kg), trsys.key_enc(kn)
+    run = range(eg + p * en, eg + (q + 1) * en, en)
+    row = trsys._pairing(kn)
+    pairing = {x: sum(map(mul, weights[x], row)) for x in run}
+    masks = trsys.masks()
+    failures: list[str] = []
+    string_run(run[0], en, kn, weights, pairing, string_reaches(trsys, run),
+               masks[kn], masks[tuple(-c for c in kn)], failures)
     return StringReport(kg, kn, p, q, not failures, tuple(failures))

@@ -307,9 +307,6 @@ class RootSystem:
         """The roots in a bitmask, in numbering order."""
         return tuple(compress(self.indexed, _bit_flags(mask)))
 
-    def is_root(self, coeffs) -> bool:
-        return tuple(coeffs) in self.roots
-
     def form(self, v, w):
         """Symmetrized Cartan form of two coefficient vectors.
 
@@ -327,9 +324,6 @@ class RootSystem:
                     acc += row[j] * wj
             total += vi * acc
         return total
-
-    def root_height(self, root: Root) -> int:
-        return sum(root)
 
     # -- serialization ------------------------------------------------
 
@@ -413,20 +407,6 @@ def root_system(name: str | SimpleType, max_rank: int = DEFAULT_MAX_RANK) -> Roo
     """Convenience: build a named simple type's root system."""
     stype = name if isinstance(name, SimpleType) else SimpleType.parse(name)
     return generate(cartan_matrix(stype, max_rank=max_rank), stype)
-
-
-#: Classical root counts, used as generation oracles in the test suite.
-def classical_root_count(stype: SimpleType) -> int:
-    n = stype.rank
-    return {
-        "A": n * (n + 1),
-        "B": 2 * n * n,
-        "C": 2 * n * n,
-        "D": 2 * n * (n - 1),
-        "E": {6: 72, 7: 126, 8: 240}.get(n, 0),
-        "F": 48,
-        "G": 12,
-    }[stype.family]
 
 
 def all_simple_types(max_rank: int) -> list[SimpleType]:

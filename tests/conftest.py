@@ -33,3 +33,17 @@ def g2():
 @pytest.fixture(scope="session")
 def f4():
     return root_system("F4")
+
+
+def classical_root_count(stype) -> int:
+    """Classical root count of a simple type: the generation oracle."""
+    n = stype.rank
+    return {
+        "A": n * (n + 1),
+        "B": 2 * n * n,
+        "C": 2 * n * n,
+        "D": 2 * n * (n - 1),
+        "E": {6: 72, 7: 126, 8: 240}.get(n, 0),
+        "F": 48,
+        "G": 12,
+    }[stype.family]

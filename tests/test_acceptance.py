@@ -11,18 +11,18 @@ import time
 import pytest
 
 from leviroots import (
-    all_parabolic_designations,
-    all_simple_types,
     cli,
     composition,
     crosscheck,
     maximal_equal_rank,
-    residue_irreducibility,
     root_system,
     subalgebra_roots,
     sweep_types,
     troot_system,
 )
+from leviroots.bds import residue_irreducibility
+from leviroots.checks import all_parabolic_designations
+from leviroots.rootsys import all_simple_types
 
 MAX_RANK = 8
 DESIGNATION_TOTAL = 2458  # sum of 2^rank - 1 over the 32 simple types of rank <= 8

@@ -2,25 +2,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from leviroots import (
-    DiagramClass,
     InvalidPair,
     NotFiniteType,
-    SimpleType,
-    alcove_vertex,
-    all_simple_types,
-    bds_document,
-    cartan_matrix,
     classify,
-    delete_node,
     extended_diagram,
-    extended_dot,
-    maximal_document,
     maximal_equal_rank,
-    residue_bracket_check,
-    residue_irreducibility,
     root_system,
     subalgebra_roots,
 )
+from leviroots.bds import (
+    DiagramClass,
+    alcove_vertex,
+    bds_document,
+    delete_node,
+    extended_dot,
+    maximal_document,
+    residue_bracket_check,
+    residue_irreducibility,
+)
+from leviroots.rootsys import SimpleType, all_simple_types, cartan_matrix
 from leviroots import exactlin
 from fractions import Fraction as Q
 
@@ -233,5 +233,5 @@ def test_subalgebra_rank_and_size(stype, data):
     assert exactlin.rank_of(model.simple_roots) == rs.rank
     # root count consistent with the classified components
     cls = classify(model.cartan_of_sub)
-    from leviroots import classical_root_count
+    from conftest import classical_root_count
     assert len(model.root_set) == sum(classical_root_count(t) for t in cls.components)

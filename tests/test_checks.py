@@ -5,19 +5,26 @@ from dataclasses import replace
 import pytest
 
 from leviroots import (
-    all_parabolic_designations,
-    check_designation,
-    check_document,
-    check_node,
     check_type,
     designation,
     extended_diagram,
     root_system,
-    standard_designations,
     sweep_types,
 )
+from leviroots.checks import (
+    all_parabolic_designations,
+    check_designation,
+    check_document,
+    check_node,
+    standard_designations,
+)
 from leviroots import checks
-from leviroots.levi import TRootSystem, troot_system as real_troot_system
+from leviroots.levi import (
+    TRootSystem,
+    sign_rule_check,
+    troot_string_report,
+    troot_system as real_troot_system,
+)
 
 
 def test_all_parabolic_designations_count():
@@ -85,15 +92,13 @@ def _drop_root(t, key, position=0):
 
 
 def _drop_troot(t, key):
-    """Remove the t-root key and its negative: the spaces, the key lists,
-    and the key encodings that the sign and string laws walk."""
+    """Remove the t-root key and its negative from the public spaces and
+    key lists."""
     gone = {key, tuple(-c for c in key)}
     for k in gone:
         del t.spaces[k]
     t.keys = tuple(k for k in t.keys if k not in gone)
     t.positives = tuple(k for k in t.positives if k not in gone)
-    t._key_encs = {k: e for k, e in t._key_encs.items() if k not in gone}
-    t._key_enc_with_zero = frozenset(t._key_encs.values()) | {0}
 
 
 def test_corrupted_space_detected(monkeypatch):
@@ -143,6 +148,34 @@ def test_missing_troot_breaks_sign_rule(monkeypatch, g2):
     details = [f.detail for f in rep.failures if f.check == "sign-rule"]
     assert any("< 0 but the sum is not a t-root" in d for d in details)
     assert "string-law" in {f.check for f in rep.failures}
+
+
+def test_per_pair_api_and_sweep_read_the_same_troots(monkeypatch, g2):
+    # a t-root dropped from the public data is gone for the per-pair
+    # functions and for the sweep alike, with the same failure texts
+    damaged = []
+
+    def damage(t):
+        _drop_troot(t, (1, 1))
+        damaged.append(t)
+
+    _corrupting(monkeypatch, damage)
+    rep = check_designation(designation(g2, deleted=[1, 2]))
+    [trsys] = damaged
+    sign = sign_rule_check(trsys, (1, 0), (0, 1))
+    assert not sign.ok
+    assert sign.failures == ("((1, 0),(0, 1)) < 0 but the sum is not a t-root",)
+    string = troot_string_report(trsys, (1, 0), (0, 1))
+    assert (string.p, string.q, string.ok) == (0, 0, False)
+    assert string.failures == ("singleton string at (1, 0) along (0, 1) not orthogonal",)
+    by_check = {}
+    for f in rep.failures:
+        by_check.setdefault(f.check, []).append(f.detail)
+    assert {"sign-rule", "string-law"} <= set(by_check)
+    # the sweep checks the orbit of the pair at its representative
+    mirror = sign_rule_check(trsys, (0, 1), (1, 0))
+    assert mirror.failures[0] in by_check["sign-rule"]
+    assert string.failures[0] in by_check["string-law"]
 
 
 def test_flipped_pairings_break_endpoint_signs(monkeypatch, g2):

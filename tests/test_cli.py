@@ -133,6 +133,35 @@ def test_bds_dot_rejects_bad_node(capsys):
     assert "fillcolor" in capsys.readouterr().out
 
 
+def _a_cartan(n):
+    return [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)]
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--max-rank", "13"],
+    ["check", "--max-rank", "13", "--all-parabolics"],
+    ["check", "--max-rank", "0"],
+])
+def test_check_max_rank_capped(capsys, argv):
+    assert cli.run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--max-rank must be between 1 and 12" in captured.err
+
+
+def test_cartan_file_rank_capped(tmp_path, capsys):
+    path = tmp_path / "a13.json"
+    path.write_text(json.dumps(_a_cartan(13)))
+    for verb in (["roots"], ["check", "--all-parabolics"]):
+        assert cli.run(verb + ["--cartan", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "rank 13 exceeds the configured maximum 12" in captured.err
+    path.write_text(json.dumps(_a_cartan(12)))
+    assert _json_out(capsys, ["roots", "--cartan", str(path)])["count"] == 156
+
+
 def test_check_small(capsys):
     doc = _json_out(capsys, ["check", "A2", "--all-parabolics"])
     assert doc["schema"] == "leviroots.check/1"
@@ -213,3 +242,47 @@ def test_check_all_parabolics_stdout_pinned(capsys, name):
     assert cli.run(["check", name, "--all-parabolics"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CHECK_STDOUT_SHA256[name]
+
+
+# (arguments, exit status, stdout sha256) for every verb, JSON and --pretty,
+# bds --dot, an explicit Cartan file (G2FILE) and two rejected calls, taken
+# before the per-pair and batched t-root laws were merged; any change to
+# what the verbs print shows here
+CLI_CORPUS = [
+    ("roots G2", 0, "72f31e714e47b312ebde16bca131bd307d70e6ce4b51e4545f2cfdc3f88ba504"),
+    ("roots G2 --pretty", 0, "b426b32b6c2a2e934ab536394d986538c06d52184927646925d88a78c21bd291"),
+    ("troots E6 --delete 2", 0, "621226f82a3ea12336f0fd79e1091f9e1ff24da4740cd71b08eaff13737a6c4c"),
+    ("troots E6 --delete 2 --pretty", 0,
+     "6d834629d11dc8ba0e47f2d6ffcdebacfa3a3600812e27edd5eaf90ea1203a33"),
+    ("troots B3 --keep 1 --pretty", 0,
+     "514f841f21ec71d9d5f928b42c06b2682d20445bdddc361bbc1c2efc8182655f"),
+    ("series G2 --delete 1,2", 0, "6e841f9548c6ef6a054d503af8a1d6c2dadc617113bd030686ae336e5d29344d"),
+    ("series B3 --delete 2 --pretty", 0,
+     "01b028bdbb5d1527e2f34c52b1d267a99916f3cba1e42f73eeac8c5e26b9aafd"),
+    ("bds F4", 0, "2ca985652df3c330b81256bfaa26d52f424a4db9785ecc70b1614dae488d5110"),
+    ("bds F4 --pretty", 0, "e21ba537b640b6cc281d344755b9ad7493d60dcce1e3472f19d36cc6420599d4"),
+    ("bds G2 --dot", 0, "bd8accd4e8f8aff0a27e161203a48403226cc536db770df6abc36765c711b9b3"),
+    ("maximal E6", 0, "45534fcd96da7a61805363a9af61dbd17ea84f0461c341171ea4ffa70c34fd9c"),
+    ("maximal E6 --pretty", 0, "676d2a10f3701b086d729b80617c176ef732d24b0c259bf1a2c89684a71ba2b8"),
+    ("sln 2,1,3", 0, "6333d0a884cb1b9caf95b104057cfae49412cdf2f29b63bad65ee048a0d83d3d"),
+    ("sln 2,1,3 --pretty", 0, "8b806b20db4da3f4e4319009f92163a572b1d364b84e2ebe5c6b8c891193ba73"),
+    ("check G2", 0, "0b816a8fdc53ad5fad12c766cf052cccdfd5e29cce92bd78790d1a50b1a8291a"),
+    ("check --max-rank 2", 0, "76e713104a48cc8ec2afbcb46059f3ca74ea848a3eb1c7423f00853ccedd3281"),
+    ("check A3 --all-parabolics --pretty", 0,
+     "0dfa22c03494aeef1ff79ca4fff962e451834dff16f8d3ab88e1be73a4e0a4ca"),
+    ("roots --cartan G2FILE", 0, "6b5ea928a2948b84ec1e0b074f508e397b34eeab90e825650cdad6b14db0e606"),
+    ("roots --cartan G2FILE --pretty", 0,
+     "6180430ec0ce4341383ba2d6fa5b9e4461a1b217fcecb6989b372f49ce7136c6"),
+    ("troots A3 --delete 7", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("check G2 --max-rank 3", 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+]
+
+
+@pytest.mark.parametrize("line, code, digest", CLI_CORPUS, ids=[c[0] for c in CLI_CORPUS])
+def test_cli_corpus_stdout_pinned(tmp_path, capsys, line, code, digest):
+    g2 = tmp_path / "g2.json"
+    g2.write_text(json.dumps({"cartan": [[2, -1], [-3, 2]]}))
+    argv = [str(g2) if arg == "G2FILE" else arg for arg in line.split()]
+    assert cli.run(argv) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -8,20 +8,20 @@ from leviroots import exactlin
 
 
 def test_solve_identity():
-    assert exactlin.solve([[1, 0], [0, 1]], [3, 5]) == (Q(3), Q(5))
+    assert exactlin.solve_many([[1, 0], [0, 1]], [[3, 5]]) == [(Q(3), Q(5))]
 
 
 def test_solve_exact_fractions():
     # 2x - y = 1, -x + 2y = 1  ->  x = y = 1
-    assert exactlin.solve([[2, -1], [-1, 2]], [1, 1]) == (Q(1), Q(1))
+    assert exactlin.solve_many([[2, -1], [-1, 2]], [[1, 1]]) == [(Q(1), Q(1))]
     # a system with a genuinely fractional answer
-    sol = exactlin.solve([[2, 1], [1, 3]], [1, 0])
+    [sol] = exactlin.solve_many([[2, 1], [1, 3]], [[1, 0]])
     assert sol == (Q(3, 5), Q(-1, 5))
 
 
 def test_solve_singular():
     with pytest.raises(SingularMatrix):
-        exactlin.solve([[1, 1], [2, 2]], [1, 2])
+        exactlin.solve_many([[1, 1], [2, 2]], [[1, 2]])
 
 
 def test_solve_many_matches_repeated_solve():
@@ -29,7 +29,7 @@ def test_solve_many_matches_repeated_solve():
     rhss = [[1, 0, 0], [0, 1, 0], [2, 3, 4]]
     got = exactlin.solve_many(mat, rhss)
     for rhs, sol in zip(rhss, got):
-        assert exactlin.solve(mat, rhs) == sol
+        assert exactlin.solve_many(mat, [rhs]) == [sol]
 
 
 def test_det_values():
@@ -52,11 +52,11 @@ def test_project_onto_span():
     # project alpha1 onto span{alpha2} in A2: coefficient -1/2
     span_gram = [[2]]
     pairings = [-1]
-    assert exactlin.project(span_gram, pairings) == (Q(-1, 2),)
+    assert exactlin.solve_many(span_gram, [pairings]) == [(Q(-1, 2),)]
 
 
 def test_project_empty_span():
-    assert exactlin.project([], []) == ()
+    assert exactlin.solve_many([], [[]]) == [()]
 
 
 def test_rat_str():
@@ -74,7 +74,7 @@ def test_solve_roundtrip_diagonally_dominant(diag_noise):
     mat = [[151 + abs(diag_noise[i]) if i == j else diag_noise[(i + j) % n]
             for j in range(n)] for i in range(n)]
     rhs = [diag_noise[i] - i for i in range(n)]
-    sol = exactlin.solve(mat, rhs)
+    [sol] = exactlin.solve_many(mat, [rhs])
     for i in range(n):
         assert sum(Q(mat[i][j]) * sol[j] for j in range(n)) == rhs[i]
 

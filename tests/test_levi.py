@@ -6,20 +6,22 @@ from hypothesis import given, settings, strategies as st
 from leviroots import (
     InvalidDesignation,
     InvalidPair,
-    all_simple_types,
-    bracket_image,
     designation,
+    root_system,
+    troot_system,
+)
+from leviroots.levi import (
+    bracket_image,
     highest_weight_roots,
     lowest_weight_roots,
     nilradical_trace,
-    root_system,
     sign_rule_check,
     troot_coroot,
     troot_of,
     troot_string,
     troot_string_report,
-    troot_system,
 )
+from leviroots.rootsys import all_simple_types
 
 
 def des_a2_keep2(a2):
@@ -37,6 +39,21 @@ def test_designation_validation(a2):
         designation(a2, kept=(1,), deleted=(2,))
     d = designation(a2, deleted=(1,))
     assert sorted(d.kept) == [2] and d.deleted == (1,)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"kept": (3,)}, "node indices out of range: [3]"),
+    ({"kept": (0, 1)}, "node indices out of range: [0]"),
+    ({"deleted": (3,)}, "node indices out of range: [3]"),
+    ({"deleted": (0, 1, 4)}, "node indices out of range: [0, 4]"),
+    ({"kept": (1, 2)}, "kept every node; the parabolic must be proper"),
+    ({"deleted": ()}, "deleted no node; the parabolic must be proper"),
+])
+def test_designation_rejects_bad_nodes(a2, kwargs, message):
+    # kept= and deleted= share the constructor's range check
+    with pytest.raises(InvalidDesignation) as err:
+        designation(a2, **kwargs)
+    assert str(err.value) == message
 
 
 def test_troot_of_borel(a2):

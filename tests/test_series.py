@@ -2,15 +2,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from leviroots import (
-    all_simple_types,
     closed_form_series,
     designation,
     grading,
+    root_system,
+    troot_system,
+)
+from leviroots.rootsys import all_simple_types
+from leviroots.series import (
     lower_series_oracle,
     order_of,
-    root_system,
     series_document,
-    troot_system,
     upper_series_oracle,
 )
 

@@ -2,16 +2,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from leviroots import (
-    Composition,
     InvalidComposition,
     block_table,
     composition,
     crosscheck,
-    designation_of,
     root_system,
-    sln_document,
     troot_system,
 )
+from leviroots.slnx import Composition, designation_of, sln_document
 
 
 def test_composition_validation():
