@@ -86,15 +86,12 @@ def delete_node(ext: ExtendedDiagram, j: int) -> CartanMatrix:
     """Cartan matrix left after deleting node j from the extended diagram.
 
     Rows/columns run over the kept nodes in ascending order followed by
-    the adjoined node.
+    the adjoined node: a slice of ``ext.affine_cartan``.
     """
-    rs = ext.rs
-    _require_node(rs, j)
-    vectors = [
-        tuple(1 if t == i else 0 for t in range(rs.rank))
-        for i in range(rs.rank) if i != j - 1
-    ] + [ext.alpha0]
-    return tuple(tuple(_pair_entry(rs, x, y) for y in vectors) for x in vectors)
+    _require_node(ext.rs, j)
+    order = [i for i in range(1, ext.rs.rank + 1) if i != j] + [0]
+    affine = ext.affine_cartan
+    return tuple(tuple(affine[x][y] for y in order) for x in order)
 
 
 @dataclass(frozen=True)
@@ -364,12 +361,14 @@ def maximal_equal_rank(rs: RootSystem) -> list[tuple[int, DiagramClass]]:
     Prime marks are exactly the nodes whose subalgebra is maximal among
     proper equal-rank subalgebras.
     """
-    ext = extended_diagram(rs)
-    out = []
-    for j in range(1, rs.rank + 1):
-        if _is_prime(rs.marks[j - 1]):
-            out.append((j, classify(delete_node(ext, j))))
-    return out
+    return _maximal_of(extended_diagram(rs))
+
+
+def _maximal_of(ext: ExtendedDiagram) -> list[tuple[int, DiagramClass]]:
+    # maximal_equal_rank over an extended diagram already built
+    marks = ext.rs.marks
+    return [(j, classify(delete_node(ext, j)))
+            for j in range(1, len(marks) + 1) if _is_prime(marks[j - 1])]
 
 
 def _is_prime(n: int) -> bool:

@@ -3,7 +3,7 @@
 Every structural claim the library relies on is re-checkable here, per
 parabolic designation and per extended-diagram node, with failures
 collected as machine-readable records instead of exceptions.  The
-sweeps are exact (integer/rational arithmetic throughout) and iterate
+sweeps are exact (integer arithmetic throughout) and iterate
 in a fixed (height, lexicographic) order so repeated runs emit
 byte-identical reports.
 
@@ -23,8 +23,8 @@ from operator import mul, neg
 
 from . import slnx
 from .bds import (
-    classify, delete_node, extended_diagram, maximal_equal_rank,
-    residue_bracket_check, residue_irreducibility, subalgebra_roots,
+    _maximal_of, classify, delete_node, extended_diagram, residue_bracket_check,
+    residue_irreducibility, subalgebra_roots,
 )
 from . import exactlin
 from .errors import LeviRootsError
@@ -142,10 +142,12 @@ def _check_partition(des, trsys, failures):
             "partition", label,
             f"{total} space roots + {in_levi} Levi roots != {len(rs.roots)}",
         ))
+    # a root and its negative are len(positives) apart in the numbering,
+    # and a positive key's space holds positive roots only
+    masks = trsys.masks()
+    n_pos = len(rs.positives)
     for key in trsys.positives:
-        neg = tuple(-c for c in key)
-        mirrored = {tuple(-c for c in phi) for phi in trsys.spaces[key].roots}
-        if mirrored != set(trsys.spaces[neg].roots):
+        if masks[tuple(-c for c in key)] != masks[key] << n_pos:
             failures.append(Failure(
                 "negation-symmetry", label, f"key {key} mirror mismatch"))
         if troot_of(des, trsys.spaces[key].highest) != key:
@@ -489,7 +491,7 @@ def check_type(rs: RootSystem, all_parabolics: bool = False) -> TypeReport:
                 for msg in rep.failures:
                     sln_failures.append(Failure(
                         "block-crosscheck", f"blocks={list(comp.parts)}", msg))
-    maximal = maximal_equal_rank(rs)
+    maximal = _maximal_of(ext)
     return TypeReport(rs.stype, reports, nodes, sln_failures, maximal)
 
 

@@ -1,14 +1,19 @@
-"""Exact rational linear algebra for small dense systems.
+"""Exact linear algebra for small dense integer systems.
 
-Everything here runs over ``fractions.Fraction``; there is no floating
-point anywhere in the package.  The systems are tiny (Gram matrices of
-at most 13 rows), so plain Gaussian elimination with the first nonzero
-pivot is the right tool.
+One fraction-free elimination (Bareiss, *Sylvester's identity and
+multistep integer-preserving Gaussian elimination*, 1968) serves every
+caller: each entry it leaves is an integer minor of the input, and each
+of its divisions is exact.  ``det`` and ``rank_of`` return integers;
+``solve_many`` builds a ``fractions.Fraction`` only for its answers.
+There is no floating point anywhere in the package.  The systems are
+tiny (Gram matrices of at most 13 rows), so the first nonzero pivot is
+the right choice.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import index
 from typing import Iterable, Sequence
 
 from .errors import SingularMatrix
@@ -24,8 +29,53 @@ def rat_str(x) -> str:
     return str(Fraction(x))
 
 
-def solve_many(mat: Sequence[Sequence], rhss: Sequence[Sequence]) -> list[RatVec]:
-    """Solve one square system against several right-hand sides.
+def eliminate(rows: list[list[int]], ncols: int, jordan: bool = False) -> tuple[int, int, int]:
+    """Fraction-free elimination of an integer matrix, in place.
+
+    Pivots are sought in the first ``ncols`` columns, left to right: the
+    first nonzero entry at or below the next pivot row, swapped up; a
+    column without one is skipped.  With pivot p and previous pivot q
+    (1 at first), every row r below the pivot row (every other row, if
+    ``jordan``) becomes (p*r - r[c]*pivot row) / q, an exact division.
+    Returns the number of pivots, the last pivot (1 if none) and the sign
+    of the row permutation.
+
+    After k pivots with no swap, the last pivot is det(B) for the leading
+    k x k block B, and the rows below hold det(B) times the Schur
+    complement of B.  With ``jordan``, each pivot row also has the last
+    pivot on its diagonal and zeros in the other pivot columns.
+    """
+    n = len(rows)
+    rank, prev, sign = 0, 1, 1
+    for c in range(ncols):
+        pivot = next((r for r in range(rank, n) if rows[r][c]), None)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            sign = -sign
+        prow = rows[rank]
+        p = prow[c]
+        # below the pivot row, the columns left of c are already zero
+        start = 0 if jordan else c
+        for r in range(0 if jordan else rank + 1, n):
+            if r != rank:
+                row = rows[r]
+                f = row[c]
+                for t in range(start, len(row)):
+                    row[t] = (p * row[t] - f * prow[t]) // prev
+        prev = p
+        rank += 1
+    return rank, prev, sign
+
+
+def _int_rows(rows: Iterable[Sequence]) -> list[list[int]]:
+    # operator.index rejects a non-integer entry instead of rounding it
+    return [list(map(index, row)) for row in rows]
+
+
+def solve_many(mat: Sequence[Sequence[int]], rhss: Sequence[Sequence[int]]) -> list[RatVec]:
+    """Solve one square integer system against several right-hand sides.
 
     The elimination is done once; each right-hand side is carried along
     as an extra column.  Raises SingularMatrix when the matrix is not
@@ -40,89 +90,22 @@ def solve_many(mat: Sequence[Sequence], rhss: Sequence[Sequence]) -> list[RatVec
     for rhs in rhss:
         if len(rhs) != n:
             raise SingularMatrix("right-hand side has wrong length")
-    k = len(rhss)
-    # augmented rows: matrix columns followed by one column per rhs
-    aug = [
-        [Fraction(mat[i][j]) for j in range(n)] + [Fraction(rhss[t][i]) for t in range(k)]
-        for i in range(n)
-    ]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise SingularMatrix(f"no pivot in column {col}")
-        if pivot != col:
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-        prow = aug[col]
-        pval = prow[col]
-        for r in range(col + 1, n):
-            factor = aug[r][col]
-            if factor == 0:
-                continue
-            ratio = factor / pval
-            row = aug[r]
-            for c in range(col, n + k):
-                row[c] -= ratio * prow[c]
-    outs = []
-    for t in range(k):
-        x = [Fraction(0)] * n
-        for i in range(n - 1, -1, -1):
-            acc = aug[i][n + t]
-            row = aug[i]
-            for j in range(i + 1, n):
-                acc -= row[j] * x[j]
-            x[i] = acc / row[i]
-        outs.append(tuple(x))
-    return outs
+    aug = _int_rows(list(mat[i]) + [rhs[i] for rhs in rhss] for i in range(n))
+    rank, d, _ = eliminate(aug, n, jordan=True)
+    if rank < n:
+        raise SingularMatrix(f"matrix has rank {rank} < {n}")
+    # each pivot row now reads d * x_i = aug[i][n + t]
+    return [tuple(Fraction(row[n + t], d) for row in aug) for t in range(len(rhss))]
 
 
-def det(mat: Sequence[Sequence]) -> Fraction:
-    """Exact determinant via fraction Gaussian elimination."""
-    n = len(mat)
-    if n == 0:
-        return Fraction(1)
-    rows = [[Fraction(x) for x in row] for row in mat]
-    sign = 1
-    out = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            sign = -sign
-        prow = rows[col]
-        out *= prow[col]
-        for r in range(col + 1, n):
-            if rows[r][col] == 0:
-                continue
-            ratio = rows[r][col] / prow[col]
-            row = rows[r]
-            for c in range(col, n):
-                row[c] -= ratio * prow[c]
-    return out * sign
+def det(mat: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a square integer matrix."""
+    rows = _int_rows(mat)
+    rank, last, sign = eliminate(rows, len(rows))
+    return sign * last if rank == len(rows) else 0
 
 
-def rank_of(rows: Iterable[Sequence]) -> int:
-    """Rank of a list of row vectors (not necessarily square)."""
-    work = [[Fraction(x) for x in row] for row in rows]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(work)) if work[r][col] != 0), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        prow = work[rank]
-        for r in range(rank + 1, len(work)):
-            if work[r][col] == 0:
-                continue
-            ratio = work[r][col] / prow[col]
-            row = work[r]
-            for c in range(col, ncols):
-                row[c] -= ratio * prow[c]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
+def rank_of(rows: Iterable[Sequence[int]]) -> int:
+    """Rank of a list of integer row vectors (not necessarily square)."""
+    work = _int_rows(rows)
+    return eliminate(work, len(work[0]))[0] if work else 0

@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import gcd
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
@@ -150,7 +149,7 @@ class TRootSystem:
     __slots__ = (
         "designation", "rs", "spaces", "keys", "positives", "simples",
         "delta_key", "key_bounds", "_kpows", "_troots", "_numbers", "_masks",
-        "_nil_sums", "_beta", "_gram_t", "_gram_scaled", "_pairings", "_pos_pairings",
+        "_nil_sums", "_beta", "_form", "_pairings", "_pos_pairings",
     )
 
     def __init__(self, des: ParabolicDesignation):
@@ -158,12 +157,11 @@ class TRootSystem:
         self.designation = des
         self.rs = rs
         D = des.deleted0
-        up = [rs._pows[k] for k in des.kept0]
-        down = [-a for a in up]
+        kept = sum(1 << k for k in des.kept0)
+        steps = rs.step_table()
         positives = rs.positives
         indexed = rs.indexed
         n_pos = len(positives)
-        encs = rs._encs
 
         groups: dict[Key, list[int]] = {}
         for i, phi in enumerate(positives):
@@ -173,14 +171,15 @@ class TRootSystem:
 
         spaces: dict[Key, TRootSpace] = {}
         for key, members in groups.items():
-            group_encs = [encs[i] for i in members]
-            hw = _annihilated(rs, group_encs, up)
-            lw = _annihilated(rs, group_encs, down)
+            # no kept simple step up from the highest weight, none down from
+            # the lowest; the steps down from root i are those up from i + n_pos
+            hw = [i for i in members if not steps[i] & kept]
+            lw = [i for i in members if not steps[i + n_pos] & kept]
             if len(hw) != 1 or len(lw) != 1:
                 raise IrreducibilityViolation(
                     f"space {key} has {len(hw)} highest / {len(lw)} lowest weight roots"
                 )
-            top, bottom = members[hw[0]], members[lw[0]]
+            top, bottom = hw[0], lw[0]
             # positives are in (height, lex) order, so the group is too, and
             # negation reverses that order
             spaces[key] = TRootSpace(
@@ -215,8 +214,7 @@ class TRootSystem:
         self._masks = None
         self._nil_sums = None
         self._beta = None
-        self._gram_t = None
-        self._gram_scaled = None
+        self._form = None
         self._pairings = {}
         self._pos_pairings = None
 
@@ -263,53 +261,50 @@ class TRootSystem:
 
     # -- exact geometry ---------------------------------------------------
 
-    def _ensure_form_data(self) -> None:
-        if self._gram_t is not None:
-            return
-        rs = self.rs
-        K = self.designation.kept0
-        D = self.designation.deleted0
-        gram = rs.gram
-        if K:
-            span = [[gram[a][b] for b in K] for a in K]
-            rhss = [[gram[j][a] for a in K] for j in D]
-            coeffs = exactlin.solve_many(span, rhss)
-        else:
-            coeffs = [() for _ in D]
-        rank = rs.rank
-        beta = []
-        for idx, j in enumerate(D):
-            vec = [Fraction(0)] * rank
-            vec[j] = Fraction(1)
-            for p, a in enumerate(K):
-                vec[a] -= coeffs[idx][p]
-            beta.append(tuple(vec))
-        self._beta = tuple(beta)
-        # (beta_x, beta_y) = (beta_x, alpha_{D_y}) since they differ by kept span
-        gt = []
-        for x in range(len(D)):
-            row = []
-            for y in range(len(D)):
-                val = Fraction(gram[D[x]][D[y]])
+    def scaled_form(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """``(det, Gs)``: the t-root form as an integer matrix and its scale.
+
+        With K the kept and D the deleted nodes, the exact t-root Gram is
+        the Schur complement S = G_DD - G_DK G_KK^-1 G_KD.  One fraction-free
+        elimination of the Gram matrix, kept nodes first, leaves
+        Gs = det * S in the deleted block, with det = det(G_KK) > 0 since
+        G_KK is positive definite; so Gs is an integer matrix with the
+        signs of the exact form.  Built on first use.
+        """
+        if self._form is None:
+            K = self.designation.kept0
+            order = K + self.designation.deleted0
+            gram = self.rs.gram
+            rows = [[gram[a][b] for b in order] for a in order]
+            k = len(K)
+            rank, det, _ = exactlin.eliminate(rows, k)
+            if rank != k or det <= 0:
+                raise AssertionError("the kept Gram block is not positive definite")
+            self._form = det, tuple(tuple(row[k:]) for row in rows[k:])
+        return self._form
+
+    def _betas(self) -> tuple[RatVec, ...]:
+        # the deleted simple roots projected away from the kept span
+        if self._beta is None:
+            K = self.designation.kept0
+            D = self.designation.deleted0
+            gram = self.rs.gram
+            coeffs = exactlin.solve_many([[gram[a][b] for b in K] for a in K],
+                                         [[gram[j][a] for a in K] for j in D])
+            beta = []
+            for j, c in zip(D, coeffs):
+                vec = [Fraction(0)] * self.rs.rank
+                vec[j] = Fraction(1)
                 for p, a in enumerate(K):
-                    val -= coeffs[x][p] * gram[a][D[y]]
-                row.append(val)
-            gt.append(tuple(row))
-        self._gram_t = tuple(gt)
-        scale = 1
-        for row in gt:
-            for v in row:
-                scale = scale * v.denominator // gcd(scale, v.denominator)
-        self._gram_scaled = tuple(
-            tuple(int(v * scale) for v in row) for row in gt
-        )
+                    vec[a] -= c[p]
+                beta.append(tuple(vec))
+            self._beta = tuple(beta)
+        return self._beta
 
     def troot_vec(self, key: Sequence[int]) -> RatVec:
         """Rational vector of a key combination, in simple-root coordinates."""
-        self._ensure_form_data()
-        rank = self.rs.rank
-        out = [Fraction(0)] * rank
-        for c, b in zip(key, self._beta):
+        out = [Fraction(0)] * self.rs.rank
+        for c, b in zip(key, self._betas()):
             if c:
                 for i, v in enumerate(b):
                     if v:
@@ -318,24 +313,13 @@ class TRootSystem:
 
     def inner(self, k1: Sequence[int], k2: Sequence[int]) -> Fraction:
         """Exact pairing of two key combinations under the ambient form."""
-        self._ensure_form_data()
-        gt = self._gram_t
-        total = Fraction(0)
-        for x, a in enumerate(k1):
-            if a:
-                row = gt[x]
-                total += a * sum(row[y] * b for y, b in enumerate(k2) if b)
-        return total
+        return Fraction(sum(map(mul, k1, self._pairing(tuple(k2)))), self.scaled_form()[0])
 
     def _pairing(self, key: Key) -> tuple[int, ...]:
-        # integer vector G_scaled . key, memoized per key
+        # integer vector Gs . key, memoized per key
         cached = self._pairings.get(key)
         if cached is None:
-            self._ensure_form_data()
-            gs = self._gram_scaled
-            cached = tuple(
-                sum(row[y] * b for y, b in enumerate(key) if b) for row in gs
-            )
+            cached = tuple(sum(map(mul, row, key)) for row in self.scaled_form()[1])
             self._pairings[key] = cached
         return cached
 
@@ -360,9 +344,8 @@ class TRootSystem:
         return self._pos_pairings
 
     def inner_sign(self, k1: Sequence[int], k2) -> int:
-        """Sign of the pairing; integer fast path (form scaled positively)."""
-        p = self._pairing(tuple(k2))
-        s = sum(a * p[x] for x, a in enumerate(k1) if a)
+        """Sign of the pairing, read on the integer form ``scaled_form``."""
+        s = sum(map(mul, k1, self._pairing(tuple(k2))))
         return (s > 0) - (s < 0)
 
     # -- serialization ----------------------------------------------------

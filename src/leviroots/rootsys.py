@@ -253,7 +253,7 @@ class RootSystem:
     __slots__ = (
         "stype", "rank", "cartan", "d", "gram", "positives", "roots",
         "indexed", "index", "highest_root", "marks", "_pows", "_encs",
-        "_enc_index", "_sums",
+        "_enc_index", "_sums", "_steps",
     )
 
     def __init__(self, stype, cartan, d, positives):
@@ -279,6 +279,7 @@ class RootSystem:
         self._encs = tuple(pos_encs + [-e for e in pos_encs])
         self._enc_index = {e: i for i, e in enumerate(self._encs)}
         self._sums = None
+        self._steps = None
 
     # -- basic queries ------------------------------------------------
 
@@ -294,6 +295,21 @@ class RootSystem:
         if self._sums is None:
             self._sums = RootSums(self)
         return self._sums
+
+    def step_table(self) -> list[int]:
+        """Per root, the simple steps that stay in Delta u {0}, built on first use.
+
+        Bit k of entry i is set when ``indexed[i] + alpha_(k+1)`` is a root
+        or zero.  A root and its negative are ``len(positives)`` apart, so
+        the steps down from root i are the entry of its negative.
+        """
+        if self._steps is None:
+            hits = self._enc_index
+            self._steps = [
+                sum(1 << k for k, s in enumerate(self._pows) if e + s in hits or e == -s)
+                for e in self._encs
+            ]
+        return self._steps
 
     def mask(self, roots) -> int:
         """Bitmask of a collection of roots over the root numbering."""

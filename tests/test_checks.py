@@ -1,6 +1,7 @@
 """The invariant sweep must pass on real data and fail on corrupted data."""
 
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -18,7 +19,8 @@ from leviroots.checks import (
     check_node,
     standard_designations,
 )
-from leviroots import checks
+from leviroots import bds, checks
+from leviroots.rootsys import RootSystem
 from leviroots.levi import (
     TRootSystem,
     sign_rule_check,
@@ -188,6 +190,93 @@ def test_flipped_pairings_break_endpoint_signs(monkeypatch, g2):
     assert "sign-rule" in details
     assert any(f.check == "string-law" and "not positive" in f.detail for f in rep.failures)
     assert "bracket-law" not in details and "central-series" not in details
+
+
+def test_two_highest_weight_roots_fail_certification(monkeypatch):
+    # a root of the space at (1,) with no kept step up in the step table is
+    # a second highest weight
+    rs = root_system("B3")
+    des = designation(rs, deleted=[2])
+    space = real_troot_system(des).spaces[(1,)]
+    steps = list(rs.step_table())
+    steps[rs.index[space.lowest]] = 0
+    monkeypatch.setattr(RootSystem, "step_table", lambda self: steps)
+    rep = check_designation(des)
+    assert [(f.check, f.detail) for f in rep.failures] == [
+        ("certification", "space (1,) has 2 highest / 1 lowest weight roots")]
+
+
+def test_dropped_negative_root_breaks_negation_symmetry(monkeypatch):
+    _corrupting(monkeypatch, lambda t: _drop_root(t, tuple(-c for c in t.positives[0])))
+    rep = check_designation(designation(root_system("B3"), deleted=[2]))
+    details = [f.detail for f in rep.failures if f.check == "negation-symmetry"]
+    assert details == ["key (1,) mirror mismatch"]
+
+
+def test_positively_paired_simples_fail_simple_troots():
+    # a Gram matrix with a positive off-diagonal entry: the simple t-roots
+    # of the Borel pair positively
+    rs = root_system("A2")
+    rs.gram = ((2, 1), (1, 2))
+    rep = check_designation(designation(rs, deleted=[1, 2]))
+    details = [f.detail for f in rep.failures if f.check == "simple-troots"]
+    assert details == ["simple t-roots 0,1 have positive inner product"]
+
+
+def test_missing_simple_troot_breaks_intrinsic_simplicity(monkeypatch, g2):
+    # without the unit key (1, 0), (1, 1) is no longer a sum of two
+    # positive t-roots
+    _corrupting(monkeypatch, lambda t: _drop_troot(t, (1, 0)))
+    rep = check_designation(designation(g2, deleted=[1, 2]))
+    details = [f.detail for f in rep.failures if f.check == "intrinsic-simplicity"]
+    assert "key (1, 1) has no decomposition, contradicting the simple set" in details
+
+
+def test_corrupted_affine_cartan_breaks_equal_rank_classify(g2):
+    # unlinking the adjoined node from node 2 splits the diagram left by
+    # deleting node 1, while the root pipeline still finds A2
+    ext = extended_diagram(g2)
+    affine = [list(row) for row in ext.affine_cartan]
+    affine[0][2] = affine[2][0] = 0
+    bad = replace(ext, affine_cartan=tuple(map(tuple, affine)))
+    rep = check_node(g2, bad, 1)
+    assert [(f.check, f.detail) for f in rep.failures] == [
+        ("equal-rank-classify", "diagram pipeline A1+A1 != root pipeline A2")]
+    assert check_node(g2, ext, 1).ok
+
+
+def test_check_type_builds_the_extended_diagram_once(monkeypatch):
+    calls = []
+    real = bds.extended_diagram
+
+    def counting(rs):
+        calls.append(rs)
+        return real(rs)
+
+    monkeypatch.setattr(bds, "extended_diagram", counting)
+    monkeypatch.setattr(checks, "extended_diagram", counting)
+    rs = root_system("E6")
+    rep = check_type(rs)
+    assert rep.ok and len(calls) == 1
+    assert rep.maximal == bds.maximal_equal_rank(rs)
+
+
+def test_check_type_builds_no_fraction(monkeypatch):
+    # every law of the sweep and the node checks runs on integers
+    systems = [(root_system(n), True) for n in ("G2", "F4", "E6")]
+    systems += [(root_system(n), False) for n in ("E8", "D12")]
+    built = []
+    real_new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    reports = [check_type(rs, all_parabolics) for rs, all_parabolics in systems]
+    monkeypatch.undo()
+    assert all(rep.ok for rep in reports)
+    assert built == []
 
 
 def test_check_node_green(g2, f4):

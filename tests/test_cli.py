@@ -244,6 +244,17 @@ def test_check_all_parabolics_stdout_pinned(capsys, name):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CHECK_STDOUT_SHA256[name]
 
 
+# the only output that covers the Borel-de Siebenthal node checks and the
+# designation laws on the types of rank 9 to 12
+CHECK_MAX_RANK_12_SHA256 = "3c91182cd0b997c21f94d3ea3f1806a09fef20dd5eafc23ac4c22dfeb8d1a2ed"
+
+
+def test_check_max_rank_12_stdout_pinned(capsys):
+    assert cli.run(["check", "--max-rank", "12"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CHECK_MAX_RANK_12_SHA256
+
+
 # (arguments, exit status, stdout sha256) for every verb, JSON and --pretty,
 # bds --dot, an explicit Cartan file (G2FILE) and two rejected calls, taken
 # before the per-pair and batched t-root laws were merged; any change to

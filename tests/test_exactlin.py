@@ -1,8 +1,9 @@
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from conftest import fraction_det, fraction_eliminate, fraction_solve
 from leviroots import SingularMatrix
 from leviroots import exactlin
 
@@ -84,3 +85,56 @@ def test_rank_of_duplicated_rows(n, extra):
     rows = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     rows += [rows[0]] * extra
     assert exactlin.rank_of(rows) == n
+
+
+# -- the fraction-free routines against a plain Fraction reference ----------
+
+entries = st.integers(-6, 6) | st.sampled_from([0, 0, 1, -1])
+
+
+@st.composite
+def int_matrix(draw, square=True):
+    n = draw(st.integers(1, 5))
+    m = n if square else draw(st.integers(1, 5))
+    return draw(st.lists(st.lists(entries, min_size=m, max_size=m), min_size=n, max_size=n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_matrix())
+def test_det_matches_fraction_reference(mat):
+    got = exactlin.det(mat)
+    assert type(got) is int
+    assert got == fraction_det(mat)
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_matrix(square=False))
+def test_rank_of_matches_fraction_reference(rows):
+    assert exactlin.rank_of(rows) == len(fraction_eliminate(rows)[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_matrix(), st.data())
+def test_solve_many_matches_fraction_reference(mat, data):
+    n = len(mat)
+    rhss = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=1, max_size=3))
+    if fraction_det(mat) == 0:
+        with pytest.raises(SingularMatrix):
+            exactlin.solve_many(mat, rhss)
+    else:
+        assert exactlin.solve_many(mat, rhss) == [fraction_solve(mat, rhs) for rhs in rhss]
+
+
+def test_eliminate_leaves_scaled_schur_complement():
+    # leading block [[2, -1], [-1, 2]] (det 3) of the A3 Cartan matrix: the
+    # rows below hold 3 * (2 - (0, -1) B^-1 (0, -1)^T) = 3 * 4/3
+    rows = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
+    assert exactlin.eliminate(rows, 2) == (2, 3, 1)
+    assert rows[2][2] == 4
+
+
+def test_non_integer_entries_rejected():
+    with pytest.raises(TypeError):
+        exactlin.det([[Q(1, 2)]])
+    with pytest.raises(TypeError):
+        exactlin.rank_of([(1.5, 0)])

@@ -21,6 +21,8 @@ from leviroots.levi import (
     troot_string,
     troot_string_report,
 )
+from conftest import fraction_solve
+from leviroots.checks import all_parabolic_designations
 from leviroots.rootsys import all_simple_types
 
 
@@ -274,3 +276,29 @@ def test_space_masks_follow_public_spaces(f4):
     for key, space in trsys.spaces.items():
         assert rs.roots_of(trsys.masks()[key]) == tuple(sorted(space.roots, key=rs.index.get))
         assert trsys.root_numbers()[key] == tuple(rs.index[r] for r in space.roots)
+
+
+def _schur_pairing(des):
+    """The exact t-root form by Fraction algebra: G_DD - G_DK G_KK^-1 G_KD."""
+    gram, K, D = des.rs.gram, des.kept0, des.deleted0
+    span = [[gram[a][b] for b in K] for a in K]
+    coeffs = [fraction_solve(span, [gram[a][d] for a in K]) if K else () for d in D]
+    return [[gram[x][y] - sum(c * gram[a][y] for c, a in zip(coeffs[i], K))
+             for y in D] for i, x in enumerate(D)]
+
+
+@pytest.mark.parametrize("stype", SMALL, ids=str)
+def test_inner_matches_fraction_schur_complement(stype):
+    # every designation of every type of rank <= 4, every pair of t-roots
+    for des in all_parabolic_designations(root_system(stype)):
+        trsys = troot_system(des)
+        form = _schur_pairing(des)
+        det, scaled = trsys.scaled_form()
+        assert det > 0
+        assert [[Q(v, det) for v in row] for row in scaled] == form
+        for mu in trsys.keys:
+            row = [sum(Q(a) * form[x][y] for x, a in enumerate(mu)) for y in range(len(mu))]
+            for nu in trsys.keys:
+                want = sum(r * b for r, b in zip(row, nu))
+                assert trsys.inner(mu, nu) == want
+                assert trsys.inner_sign(mu, nu) == (want > 0) - (want < 0)

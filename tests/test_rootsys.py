@@ -241,6 +241,19 @@ def test_sum_table_matches_brute_force(name):
         assert set(mask_bits(reach)) == want
 
 
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2", "F4", "D4"])
+def test_step_table_matches_brute_force(name):
+    rs = root_system(name)
+    zero = (0,) * rs.rank
+    for i, phi in enumerate(rs.indexed):
+        ups = set()
+        for k in range(rs.rank):
+            up = tuple(c + (t == k) for t, c in enumerate(phi))
+            if up in rs.roots or up == zero:
+                ups.add(k)
+        assert set(mask_bits(rs.step_table()[i])) == ups
+
+
 def test_sum_table_built_lazily_and_once():
     rs = root_system("E6")
     assert rs._sums is None
@@ -252,3 +265,14 @@ def test_sum_table_built_lazily_and_once():
     assert rs._sums is None
     table = rs.sum_table()
     assert rs.sum_table() is table
+
+
+def test_step_table_built_on_first_use_and_once():
+    rs = root_system("E6")
+    assert rs._steps is None
+    rs.document()
+    bds_document(rs)
+    assert rs._steps is None
+    troot_system(designation(rs, deleted=[2]))
+    steps = rs._steps
+    assert steps is not None and rs.step_table() is steps
