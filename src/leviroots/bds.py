@@ -24,8 +24,7 @@ from fractions import Fraction
 from . import exactlin
 from .errors import InvalidCartan, InvalidPair, IrreducibilityViolation, NotFiniteType, SimpleSystemFailure
 from .exactlin import RatVec
-from .levi import highest_weight_roots
-from .rootsys import CartanMatrix, Root, RootSystem, SimpleType
+from .rootsys import CartanMatrix, Root, RootSystem, SimpleType, _validate_cartan
 
 
 def _require_node(rs: RootSystem, j: int) -> None:
@@ -54,32 +53,28 @@ class ExtendedDiagram:
 
 
 def extended_diagram(rs: RootSystem) -> ExtendedDiagram:
-    """Adjoin the lowest root and compute its links to each node.
+    """Adjoin the lowest root and read its links to each node.
 
     The link count at node i is 2(alpha_i, psi)/(alpha_i, alpha_i) with
-    psi the highest root; the (l+1)-node Cartan-type matrix including
-    the new node is singular, which is asserted.
+    psi the highest root, minus row 0 of the (l+1)-node Cartan-type
+    matrix including the new node; that matrix is singular, which is
+    asserted.
     """
-    psi = rs.highest_root
-    alpha0 = tuple(-c for c in psi)
-    links = []
-    for i in range(rs.rank):
-        unit = tuple(1 if j == i else 0 for j in range(rs.rank))
-        m = _pair_entry(rs, psi, unit)  # 2(psi, alpha_i)/(alpha_i, alpha_i)
-        if m < 0:
-            raise AssertionError("negative link to the highest root")
-        links.append(m)
-    if sum(1 for m in links if m) > 3:
-        raise AssertionError("highest root linked to more than 3 nodes")
+    alpha0 = tuple(-c for c in rs.highest_root)
     vectors = [alpha0] + [
         tuple(1 if j == i else 0 for j in range(rs.rank)) for i in range(rs.rank)
     ]
     affine = tuple(
         tuple(_pair_entry(rs, x, y) for y in vectors) for x in vectors
     )
+    links = tuple(-m for m in affine[0][1:])
+    if any(m < 0 for m in links):
+        raise AssertionError("negative link to the highest root")
+    if sum(1 for m in links if m) > 3:
+        raise AssertionError("highest root linked to more than 3 nodes")
     if exactlin.det(affine) != 0:
         raise AssertionError("extended Cartan matrix is not singular")
-    return ExtendedDiagram(rs, alpha0, tuple(links), affine)
+    return ExtendedDiagram(rs, alpha0, links, affine)
 
 
 def delete_node(ext: ExtendedDiagram, j: int) -> CartanMatrix:
@@ -263,14 +258,8 @@ def classify(cartan) -> DiagramClass:
     orientation, and branch-arm lengths.  Raises NotFiniteType when the
     fingerprint matches no finite type.
     """
-    cartan = tuple(tuple(row) for row in cartan)
+    cartan = _validate_cartan(cartan)
     n = len(cartan)
-    for i, row in enumerate(cartan):
-        if len(row) != n or row[i] != 2:
-            raise InvalidCartan("not a Cartan-type matrix")
-        for k, x in enumerate(row):
-            if i != k and (x > 0 or (x == 0) != (cartan[k][i] == 0)):
-                raise InvalidCartan("off-diagonal signs or zero pattern invalid")
     seen = [False] * n
     comps = []
     for start in range(n):
@@ -308,8 +297,14 @@ def residue_irreducibility(model: SubalgebraModel, k: int) -> Root:
     """
     if k not in model.residues:
         raise InvalidPair(f"residue class {k} not in 1..{model.mark - 1}")
-    roots = sorted(model.residues[k], key=lambda r: (sum(r), r))
-    hw = highest_weight_roots(model.rs, roots, model.simple_roots)
+    # phi + alpha not a root for every raising alpha, on encodings (never
+    # zero: -alpha lies in the subalgebra); -psi is no simple step, so the
+    # step table cannot answer this
+    rs = model.rs
+    hits = rs._enc_index
+    raising = [rs.encode(a) for a in model.simple_roots]
+    encs = {rs.encode(phi): phi for phi in model.residues[k]}
+    hw = [phi for e, phi in encs.items() if all(e + a not in hits for a in raising)]
     if len(hw) != 1:
         raise IrreducibilityViolation(
             f"residue class {k} at node {model.node} has {len(hw)} highest weights"
@@ -361,14 +356,9 @@ def maximal_equal_rank(rs: RootSystem) -> list[tuple[int, DiagramClass]]:
     Prime marks are exactly the nodes whose subalgebra is maximal among
     proper equal-rank subalgebras.
     """
-    return _maximal_of(extended_diagram(rs))
-
-
-def _maximal_of(ext: ExtendedDiagram) -> list[tuple[int, DiagramClass]]:
-    # maximal_equal_rank over an extended diagram already built
-    marks = ext.rs.marks
+    ext = extended_diagram(rs)
     return [(j, classify(delete_node(ext, j)))
-            for j in range(1, len(marks) + 1) if _is_prime(marks[j - 1])]
+            for j in range(1, rs.rank + 1) if _is_prime(rs.marks[j - 1])]
 
 
 def _is_prime(n: int) -> bool:

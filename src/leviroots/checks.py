@@ -23,7 +23,7 @@ from operator import mul, neg
 
 from . import slnx
 from .bds import (
-    _maximal_of, classify, delete_node, extended_diagram, residue_bracket_check,
+    _is_prime, classify, delete_node, extended_diagram, residue_bracket_check,
     residue_irreducibility, subalgebra_roots,
 )
 from . import exactlin
@@ -321,7 +321,7 @@ def _check_series(trsys, failures, label):
         failures.append(Failure("grading", label, str(exc)))
         return None
     try:
-        series = closed_form_series(trsys, grad, verify=True)
+        series = closed_form_series(trsys, grad)
     except (LeviRootsError, AssertionError) as exc:
         failures.append(Failure("central-series", label, str(exc)))
         return grad.k_cent
@@ -337,6 +337,7 @@ def _check_series(trsys, failures, label):
 
 
 class NodeReport:
+    # classes: the diagram pipeline's DiagramClass, None if classifying failed
     __slots__ = ("node", "mark", "classes", "failures")
 
     def __init__(self, node, mark, classes, failures):
@@ -353,7 +354,7 @@ class NodeReport:
         return {
             "node": self.node,
             "mark": self.mark,
-            "subalgebra": self.classes,
+            "subalgebra": None if self.classes is None else self.classes.names(),
             "ok": self.ok,
             "failures": [f.as_dict() for f in self.failures],
         }
@@ -369,7 +370,7 @@ def check_node(rs: RootSystem, ext, j: int) -> NodeReport:
         from_diagram = classify(delete_node(ext, j))
         model = subalgebra_roots(rs, j)
         from_roots = classify(model.cartan_of_sub)
-        classes = from_diagram.names()
+        classes = from_diagram
         if from_diagram != from_roots:
             failures.append(Failure(
                 "equal-rank-classify", label,
@@ -491,7 +492,10 @@ def check_type(rs: RootSystem, all_parabolics: bool = False) -> TypeReport:
                 for msg in rep.failures:
                     sln_failures.append(Failure(
                         "block-crosscheck", f"blocks={list(comp.parts)}", msg))
-    maximal = _maximal_of(ext)
+    # the maximal table is the prime-mark nodes; one whose classification
+    # failed is already a reported failure
+    maximal = [(r.node, r.classes) for r in nodes
+               if _is_prime(r.mark) and r.classes is not None]
     return TypeReport(rs.stype, reports, nodes, sln_failures, maximal)
 
 

@@ -30,8 +30,9 @@ def _node_list(text: str) -> tuple[int, ...]:
 def _load_cartan(path: str):
     """Read a Cartan matrix from JSON: a list of rows, or {"cartan": rows}.
 
-    Entries must be JSON integers; floats and booleans are rejected,
-    never rounded.  The rank is capped at DEFAULT_MAX_RANK, like named types.
+    Only the JSON shape and the rank cap (DEFAULT_MAX_RANK, like named
+    types) are checked here; ``generate`` validates the entries, so floats
+    and booleans are rejected, never rounded.
     """
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
@@ -44,12 +45,7 @@ def _load_cartan(path: str):
     if len(data) > DEFAULT_MAX_RANK:
         raise InvalidRank(
             f"{path}: rank {len(data)} exceeds the configured maximum {DEFAULT_MAX_RANK}")
-    for i, row in enumerate(data):
-        for j, x in enumerate(row):
-            if isinstance(x, bool) or not isinstance(x, int):
-                raise InvalidCartan(
-                    f"{path}: entry [{i}][{j}] = {json.dumps(x)} is not an integer")
-    return tuple(tuple(row) for row in data)
+    return data
 
 
 def _resolve_system(args) -> RootSystem:
@@ -71,6 +67,13 @@ def _build_parser() -> argparse.ArgumentParser:
     typed.add_argument("--cartan", metavar="FILE",
                        help="JSON file holding an explicit Cartan matrix")
 
+    parabolic = argparse.ArgumentParser(add_help=False)
+    group = parabolic.add_mutually_exclusive_group(required=True)
+    group.add_argument("--keep", type=_node_list,
+                       help="kept node indices, comma separated (empty = Borel)")
+    group.add_argument("--delete", type=_node_list,
+                       help="deleted node indices, comma separated")
+
     parser = argparse.ArgumentParser(
         prog="leviroots",
         description="Root systems restricted to parabolic centers, "
@@ -81,21 +84,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("roots", parents=[common, typed],
                    help="generate the root system")
 
-    p = sub.add_parser("troots", parents=[common, typed],
-                       help="restricted root spaces of a parabolic")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--keep", type=_node_list,
-                       help="kept node indices, comma separated (empty = Borel)")
-    group.add_argument("--delete", type=_node_list,
-                       help="deleted node indices, comma separated")
-
-    p = sub.add_parser("series", parents=[common, typed],
-                       help="grading and central series of the nilradical")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--keep", type=_node_list,
-                       help="kept node indices, comma separated (empty = Borel)")
-    group.add_argument("--delete", type=_node_list,
-                       help="deleted node indices, comma separated")
+    sub.add_parser("troots", parents=[common, typed, parabolic],
+                   help="restricted root spaces of a parabolic")
+    sub.add_parser("series", parents=[common, typed, parabolic],
+                   help="grading and central series of the nilradical")
 
     p = sub.add_parser("bds", parents=[common, typed],
                        help="equal-rank subalgebras from the extended diagram")
@@ -209,36 +201,30 @@ def _pretty_sln(doc: dict) -> str:
 
 
 def _pretty_check(doc: dict) -> str:
-    lines = [f"scope: {doc['scope']}"]
-    rows = []
+    rows, fails = [], []
     for t in doc["types"]:
-        n_fail = (
-            sum(len(d["failures"]) for d in t["designations"])
-            + sum(len(n["failures"]) for n in t["nodes"])
-            + len(t["block_check_failures"])
-        )
+        lines = [
+            f"FAIL {t['type']} deleted={d['deleted']} {f['check']}: {f['detail']}"
+            for d in t["designations"] for f in d["failures"]
+        ] + [
+            f"FAIL {t['type']} node={n['node']} {f['check']}: {f['detail']}"
+            for n in t["nodes"] for f in n["failures"]
+        ] + [
+            f"FAIL {t['type']} {f['subject']} {f['check']}: {f['detail']}"
+            for f in t["block_check_failures"]
+        ]
         rows.append([
             t["type"] or "(explicit)",
             str(len(t["designations"])), str(len(t["nodes"])),
-            "ok" if t["ok"] else "FAIL", str(n_fail),
+            "ok" if t["ok"] else "FAIL", str(len(lines)),
         ])
-    lines.append(_table(["type", "designations", "nodes", "status", "failures"], rows))
-    for t in doc["types"]:
-        for d in t["designations"]:
-            for f in d["failures"]:
-                lines.append(
-                    f"FAIL {t['type']} deleted={d['deleted']} "
-                    f"{f['check']}: {f['detail']}"
-                )
-        for n in t["nodes"]:
-            for f in n["failures"]:
-                lines.append(
-                    f"FAIL {t['type']} node={n['node']} {f['check']}: {f['detail']}"
-                )
-        for f in t["block_check_failures"]:
-            lines.append(f"FAIL {t['type']} {f['subject']} {f['check']}: {f['detail']}")
-    lines.append("result: " + ("ok" if doc["ok"] else "FAIL"))
-    return "\n".join(lines)
+        fails.extend(lines)
+    return "\n".join([
+        f"scope: {doc['scope']}",
+        _table(["type", "designations", "nodes", "status", "failures"], rows),
+        *fails,
+        "result: " + ("ok" if doc["ok"] else "FAIL"),
+    ])
 
 
 # ---------------------------------------------------------------------------

@@ -106,39 +106,6 @@ class TRootSpace:
         return len(self.roots)
 
 
-def _sorted_roots(roots: Iterable[Root]) -> tuple[Root, ...]:
-    return tuple(sorted(roots, key=lambda r: (sum(r), r)))
-
-
-def _annihilated(rs: RootSystem, encs, steps) -> list[int]:
-    """Positions p with encs[p] + s outside Delta u {0} for every step s."""
-    hits = rs._enc_index
-    return [p for p, e in enumerate(encs)
-            if all(e + s not in hits and e != -s for s in steps)]
-
-
-def highest_weight_roots(rs: RootSystem, roots: Iterable[Root],
-                         raising: Iterable[Root]) -> list[Root]:
-    """Roots phi with phi + alpha not a root (nor zero) for all raising alpha.
-
-    These index the highest-weight vectors of the span of the given
-    root vectors under the subalgebra whose simple raising set is
-    ``raising``; their count is the number of irreducible summands
-    whenever the weights are multiplicity-free.
-    """
-    roots = list(roots)
-    steps = [rs.encode(a) for a in raising]
-    return [roots[p] for p in _annihilated(rs, map(rs.encode, roots), steps)]
-
-
-def lowest_weight_roots(rs: RootSystem, roots: Iterable[Root],
-                        raising: Iterable[Root]) -> list[Root]:
-    """Mirrored certificate: phi - alpha not a root (nor zero)."""
-    roots = list(roots)
-    steps = [-rs.encode(a) for a in raising]
-    return [roots[p] for p in _annihilated(rs, map(rs.encode, roots), steps)]
-
-
 class TRootSystem:
     """All t-root spaces of one parabolic designation.
 
@@ -420,7 +387,7 @@ def bracket_image(trsys: TRootSystem, mu, nu) -> tuple[Root, ...]:
         raise InvalidPair("mu + nu = 0: the bracket lands in the Levi factor")
     rs = trsys.rs
     got = rs.sum_table().sums(trsys.root_numbers()[km], trsys.masks()[kn])
-    return _sorted_roots(rs.roots_of(got))
+    return tuple(sorted(rs.roots_of(got), key=lambda r: (sum(r), r)))
 
 
 class SignRuleReport(NamedTuple):

@@ -23,7 +23,6 @@ from math import gcd
 from operator import mul
 
 from .errors import InvalidCartan, InvalidRank, NotFiniteType
-from .exactlin import RatVec
 
 Root = tuple[int, ...]
 CartanMatrix = tuple[tuple[int, ...], ...]
@@ -143,21 +142,34 @@ def symmetrizers(cartan: CartanMatrix) -> tuple[int, ...]:
     return tuple(x // g for x in ints)
 
 
-def _validate_cartan(cartan: CartanMatrix) -> None:
+def _validate_cartan(cartan) -> CartanMatrix:
+    # the one check of Cartan input, for generate and classify, returned as
+    # a tuple of rows; entry types come first, so no later test lets 2.0
+    # pass for 2 or True for 1.  Decomposable matrices pass: symmetrizers
+    # rejects them
+    try:
+        cartan = tuple(tuple(row) for row in cartan)
+    except TypeError:
+        raise InvalidCartan("the matrix must be a sequence of rows") from None
+    for i, row in enumerate(cartan):
+        for j, x in enumerate(row):
+            if isinstance(x, bool) or not isinstance(x, int):
+                raise InvalidCartan(f"entry a[{i}][{j}] = {x!r} is not an integer")
     n = len(cartan)
     if n == 0:
         raise InvalidCartan("empty matrix")
+    if any(len(row) != n for row in cartan):
+        raise InvalidCartan("matrix is not square")
     for i, row in enumerate(cartan):
-        if len(row) != n:
-            raise InvalidCartan("matrix is not square")
         if row[i] != 2:
             raise InvalidCartan(f"diagonal entry a[{i}][{i}] != 2")
         for j, x in enumerate(row):
             if i != j:
-                if not isinstance(x, int) or x > 0:
+                if x > 0:
                     raise InvalidCartan(f"off-diagonal a[{i}][{j}] must be a nonpositive integer")
                 if (x == 0) != (cartan[j][i] == 0):
                     raise InvalidCartan(f"zero pattern not symmetric at ({i},{j})")
+    return cartan
 
 
 def _max_positive_count(rank: int) -> int:
@@ -287,9 +299,6 @@ class RootSystem:
         """Positional integer encoding of a coefficient vector."""
         return sum(map(mul, coeffs, self._pows))
 
-    def decode(self, enc: int) -> Root:
-        return self.indexed[self._enc_index[enc]]
-
     def sum_table(self) -> RootSums:
         """The root-sum table, built on first use and kept."""
         if self._sums is None:
@@ -373,8 +382,7 @@ def generate(cartan, stype: SimpleType | None = None) -> RootSystem:
     Raises NotFiniteType when closure overruns the classical root-count
     bound for the rank, and InvalidCartan for malformed input.
     """
-    cartan = tuple(tuple(row) for row in cartan)
-    _validate_cartan(cartan)
+    cartan = _validate_cartan(cartan)
     d = symmetrizers(cartan)  # also rejects decomposable/unsymmetrizable
     n = len(cartan)
     bound = _max_positive_count(n)

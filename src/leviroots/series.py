@@ -140,12 +140,11 @@ def upper_series_oracle(trsys: TRootSystem) -> list[frozenset[Root]]:
     return _decode_all(trsys, chain)
 
 
-def closed_form_series(trsys: TRootSystem, grad: Grading | None = None,
-                       verify: bool = True) -> CentralSeries:
+def closed_form_series(trsys: TRootSystem, grad: Grading | None = None) -> CentralSeries:
     """Both central series read off the order grading.
 
-    With verify=True (the default) the result is compared against both
-    brute-force oracles and SeriesMismatch is raised on any difference.
+    The result is always compared against both brute-force oracles, and
+    SeriesMismatch is raised on any difference.
     """
     if grad is None:
         grad = grading(trsys)
@@ -172,18 +171,17 @@ def closed_form_series(trsys: TRootSystem, grad: Grading | None = None,
     for i in range(1, k_cent + 1):
         if series.lower[i - 1] != series.upper[k_cent - i]:
             raise SeriesMismatch(f"series reversal fails at term {i}")
-    if verify:
-        if list(series.lower) != lower_series_oracle(trsys):
-            raise SeriesMismatch("closed-form lower series disagrees with its oracle")
-        if list(series.upper) != upper_series_oracle(trsys):
-            raise SeriesMismatch("closed-form upper series disagrees with its oracle")
+    if list(series.lower) != lower_series_oracle(trsys):
+        raise SeriesMismatch("closed-form lower series disagrees with its oracle")
+    if list(series.upper) != upper_series_oracle(trsys):
+        raise SeriesMismatch("closed-form upper series disagrees with its oracle")
     return series
 
 
 def series_document(trsys: TRootSystem) -> dict:
     """Versioned JSON-ready description (see docs/schemas.md)."""
     grad = grading(trsys)
-    series = closed_form_series(trsys, grad, verify=True)
+    series = closed_form_series(trsys, grad)
     des = trsys.designation
 
     def root_list(term):

@@ -29,7 +29,7 @@ class Composition:
     def __post_init__(self):
         if len(self.parts) < 2:
             raise InvalidComposition("need at least two blocks")
-        if any(p < 1 or p != int(p) for p in self.parts):
+        if any(isinstance(p, bool) or not isinstance(p, int) or p < 1 for p in self.parts):
             raise InvalidComposition(f"parts must be positive integers: {self.parts}")
 
     @property
@@ -51,7 +51,7 @@ class Composition:
 
 
 def composition(parts) -> Composition:
-    return Composition(tuple(int(p) for p in parts))
+    return Composition(tuple(parts))
 
 
 def designation_of(comp: Composition, rs: RootSystem | None = None) -> ParabolicDesignation:

@@ -245,6 +245,86 @@ def test_corrupted_affine_cartan_breaks_equal_rank_classify(g2):
     assert check_node(g2, ext, 1).ok
 
 
+def test_second_annihilated_root_breaks_residue_irreducibility(monkeypatch, g2):
+    # without -psi in the raising set, each residue class at the mark-3
+    # node has a second root that nothing raises
+    real = bds.subalgebra_roots
+
+    def damaged(rs, j):
+        model = real(rs, j)
+        return replace(model, simple_roots=model.simple_roots[:-1])
+
+    monkeypatch.setattr(checks, "subalgebra_roots", damaged)
+    rep = check_node(g2, extended_diagram(g2), 1)
+    assert [(f.check, f.detail) for f in rep.failures] == [
+        ("residue-irreducibility", "residue class 1 at node 1 has 2 highest weights"),
+        ("residue-irreducibility", "residue class 2 at node 1 has 2 highest weights"),
+    ]
+
+
+def test_moved_root_breaks_residue_bracket(monkeypatch, g2):
+    # a root of class 2 moved into the subalgebra keeps the partition count
+    # and the class's highest weight, but classes no longer add mod 3
+    real = bds.subalgebra_roots
+
+    def damaged(rs, j):
+        model = real(rs, j)
+        moved = (-1, -1)
+        assert moved in model.residues[2]
+        residues = {**model.residues, 2: model.residues[2] - {moved}}
+        return replace(model, residues=residues, root_set=model.root_set | {moved})
+
+    monkeypatch.setattr(checks, "subalgebra_roots", damaged)
+    rep = check_node(g2, extended_diagram(g2), 1)
+    assert [(f.check, f.detail) for f in rep.failures] == [
+        ("residue-bracket", "classes 1+1: image misses 0 and adds 1 roots vs class 2"),
+        ("residue-bracket", "classes 2+2: image misses 2 and adds 0 roots vs class 1"),
+    ]
+
+
+def test_missing_top_troot_breaks_maximal_parabolic_ladder(monkeypatch, g2):
+    # deleting the mark-3 node must give t-roots +-1..3 times the unit key
+    _corrupting(monkeypatch, lambda t: _drop_troot(t, (3,)))
+    rep = check_node(g2, extended_diagram(g2), 1)
+    assert [(f.check, f.detail) for f in rep.failures] == [
+        ("maximal-parabolic-ladder", "t-roots are not +-1..3 times the unit key")]
+
+
+def test_unclassifiable_prime_node_is_a_reported_failure(monkeypatch, g2):
+    # a quadruple bond between the adjoined node and node 2 leaves no finite
+    # type at the prime-mark node 1: check_type reports it and leaves the
+    # node out of the maximal table instead of raising
+    ext = extended_diagram(g2)
+    affine = [list(row) for row in ext.affine_cartan]
+    affine[0][2] = affine[2][0] = -2
+    bad = replace(ext, affine_cartan=tuple(map(tuple, affine)))
+    monkeypatch.setattr(checks, "extended_diagram", lambda rs: bad)
+    rep = check_type(g2)
+    [node1, node2] = rep.nodes
+    assert [(f.check, f.detail) for f in node1.failures] == [
+        ("equal-rank-classify", "bond order 4 is not finite type")]
+    assert node1.classes is None and node2.ok
+    assert rep.maximal == [(2, node2.classes)]
+    assert rep.as_dict()["maximal_equal_rank"] == [{"node": 2, "subalgebra": ["A1", "A1"]}]
+
+
+def test_check_type_classifies_each_node_once(monkeypatch):
+    # two classifications per node (diagram and root pipeline), none more
+    # for the maximal table
+    calls = []
+    real = bds.classify
+
+    def counting(cartan):
+        calls.append(cartan)
+        return real(cartan)
+
+    monkeypatch.setattr(bds, "classify", counting)
+    monkeypatch.setattr(checks, "classify", counting)
+    rep = check_type(root_system("E6"))
+    assert rep.ok and len(calls) == 12
+    assert rep.maximal == bds.maximal_equal_rank(root_system("E6"))
+
+
 def test_check_type_builds_the_extended_diagram_once(monkeypatch):
     calls = []
     real = bds.extended_diagram

@@ -204,6 +204,38 @@ def test_check_failure_exit_code(capsys, monkeypatch):
     assert doc["failure_count"] == 1
 
 
+def test_check_pretty_counts_the_fail_lines(capsys, monkeypatch):
+    # the failures column counts the FAIL lines rendered for each type
+    from leviroots import checks
+
+    def report(rs, all_parabolics=False):
+        fail = checks.Failure
+        des = checks.check_designation(checks.borel_designation(rs))
+        return checks.TypeReport(
+            stype=rs.stype,
+            designations=[checks.DesignationReport(
+                des.deleted, des.counts,
+                (fail("bracket-law", "x", "one"), fail("sign-rule", "x", "two")))],
+            nodes=[checks.NodeReport(1, 2, None, (fail("equal-rank-classify", "x", "three"),))],
+            sln_failures=[fail("block-crosscheck", "blocks=[1, 1]", "four")],
+            maximal=[],
+        )
+
+    monkeypatch.setattr(cli.checks, "check_type", report)
+    assert cli.run(["check", "A1", "--pretty"]) == 2
+    assert capsys.readouterr().out == (
+        "scope: borel-and-maximal\n"
+        "type  designations  nodes  status  failures\n"
+        "----  ------------  -----  ------  --------\n"
+        "A1    1             1      FAIL    4\n"
+        "FAIL A1 deleted=[1] bracket-law: one\n"
+        "FAIL A1 deleted=[1] sign-rule: two\n"
+        "FAIL A1 node=1 equal-rank-classify: three\n"
+        "FAIL A1 blocks=[1, 1] block-crosscheck: four\n"
+        "result: FAIL\n"
+    )
+
+
 def test_invalid_args_exit_one(capsys):
     assert cli.run(["roots", "Z9"]) == 1
     assert cli.run(["roots", "A0"]) == 1

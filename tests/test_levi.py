@@ -12,8 +12,6 @@ from leviroots import (
 )
 from leviroots.levi import (
     bracket_image,
-    highest_weight_roots,
-    lowest_weight_roots,
     nilradical_trace,
     sign_rule_check,
     troot_coroot,
@@ -109,14 +107,25 @@ def test_space_partition_counts():
         assert sum(len(s.roots) for s in trsys.spaces.values()) + in_levi == len(rs.roots)
 
 
-def test_highest_and_lowest_certificates(g2):
-    des = designation(g2, deleted=(2,))
-    trsys = troot_system(des)
-    raising = [(1, 0)]  # the kept simple root
-    for key in trsys.positives:
-        space = trsys.spaces[key]
-        assert highest_weight_roots(g2, space.roots, raising) == [space.highest]
-        assert lowest_weight_roots(g2, space.roots, raising) == [space.lowest]
+def test_highest_and_lowest_certificates():
+    # brute force over rs.roots: the highest weight is the one root of the
+    # space that no kept simple root raises into Delta u {0}, the lowest the
+    # one that none lowers there
+    for rs in (root_system("G2"), root_system("B3")):
+        zero = (0,) * rs.rank
+        for des in all_parabolic_designations(rs):
+            units = [tuple(int(t == k) for t in range(rs.rank)) for k in des.kept0]
+
+            def stuck(phi, sign):
+                return all(
+                    step not in rs.roots and step != zero
+                    for u in units
+                    for step in [tuple(p + sign * c for p, c in zip(phi, u))]
+                )
+
+            for space in troot_system(des).spaces.values():
+                assert [phi for phi in space.roots if stuck(phi, 1)] == [space.highest]
+                assert [phi for phi in space.roots if stuck(phi, -1)] == [space.lowest]
 
 
 def test_g2_mark2_parabolic_spaces(g2):

@@ -33,7 +33,7 @@ def test_borel_a2_grading(a2):
 
 def test_borel_a2_series(a2):
     trsys = troot_system(designation(a2, kept=()))
-    series = closed_form_series(trsys, verify=True)
+    series = closed_form_series(trsys)
     assert series.length == 2
     assert series.upper[0] == frozenset({(1, 1)})
     assert series.upper[1] == frozenset({(1, 0), (0, 1), (1, 1)})
@@ -44,7 +44,7 @@ def test_borel_a2_series(a2):
 def test_oracles_match_closed_form(g2, f4):
     for rs, deleted in [(g2, (1,)), (g2, (1, 2)), (f4, (2,)), (f4, (1, 3))]:
         trsys = troot_system(designation(rs, deleted=deleted))
-        series = closed_form_series(trsys, verify=False)
+        series = closed_form_series(trsys)
         assert list(series.upper) == list(upper_series_oracle(trsys))
         assert list(series.lower) == list(lower_series_oracle(trsys))
 
@@ -63,7 +63,7 @@ def test_abelian_nilradical():
     trsys = troot_system(designation(rs, deleted=(2,)))
     grad = grading(trsys)
     assert grad.k_cent == 1
-    series = closed_form_series(trsys, grad, verify=True)
+    series = closed_form_series(trsys, grad)
     assert series.length == 1
     assert series.upper[0] == series.lower[0]
     # the single term is everything
@@ -75,7 +75,7 @@ def test_reversal_identity():
     rs = root_system("B4")
     for deleted in [(1,), (4,), (1, 3), (2, 4)]:
         trsys = troot_system(designation(rs, deleted=deleted))
-        series = closed_form_series(trsys, verify=False)
+        series = closed_form_series(trsys)
         k = series.length
         for i in range(k):
             assert series.lower[i] == series.upper[k - i - 1]
@@ -84,7 +84,7 @@ def test_reversal_identity():
 def test_series_terms_are_unions_of_spaces():
     rs = root_system("C4")
     trsys = troot_system(designation(rs, deleted=(2, 3)))
-    series = closed_form_series(trsys, verify=True)
+    series = closed_form_series(trsys)
     spaces = [set(trsys.spaces[k].roots) for k in trsys.positives]
     for term in list(series.upper) + list(series.lower):
         for sp in spaces:
@@ -120,7 +120,7 @@ def small_designation(draw):
 @given(small_designation())
 def test_series_matches_oracles_randomized(des):
     trsys = troot_system(des)
-    closed_form_series(trsys, verify=True)  # raises SeriesMismatch on any gap
+    closed_form_series(trsys)  # raises SeriesMismatch on any gap
 
 
 @settings(max_examples=50, deadline=None)

@@ -19,6 +19,10 @@ def test_composition_validation():
         composition([2, 0, 1])
     with pytest.raises(InvalidComposition):
         composition([2, -1])
+    # parts are checked as given, never coerced to int
+    for parts in ([2.5, 1], [True, 1], ["2", 1]):
+        with pytest.raises(InvalidComposition):
+            composition(parts)
     c = composition((2, 1))
     assert c.n == 3 and c.k == 2
     assert c.cuts() == (2,)
