@@ -20,11 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
+from operator import mul
 
 from . import exactlin
 from .errors import InvalidCartan, InvalidPair, IrreducibilityViolation, NotFiniteType, SimpleSystemFailure
 from .exactlin import RatVec
-from .rootsys import CartanMatrix, Root, RootSystem, SimpleType, _validate_cartan
+from .rootsys import CartanMatrix, Root, RootSystem, SimpleType, _validate_cartan, mask_bits
 
 
 def _require_node(rs: RootSystem, j: int) -> None:
@@ -33,13 +35,15 @@ def _require_node(rs: RootSystem, j: int) -> None:
         raise InvalidPair(f"node {j} out of range 1..{rs.rank}")
 
 
-def _pair_entry(rs: RootSystem, x: Root, y: Root) -> int:
-    """Cartan-type entry 2(x,y)/(y,y) for two integer vectors."""
-    num = 2 * rs.form(x, y)
-    den = rs.form(y, y)
-    if num % den:
-        raise InvalidCartan(f"2(x,y)/(y,y) is not an integer for {x}, {y}")
-    return num // den
+def _cartan_of(rs: RootSystem, vectors: list[Root] | tuple[Root, ...]) -> CartanMatrix:
+    """Cartan-type entries 2(x,y)/(y,y) of integer vectors, on the Gram matrix."""
+    images = [[sum(map(mul, row, y)) for row in rs.gram] for y in vectors]  # G y
+    form = [[sum(map(mul, x, gy)) for gy in images] for x in vectors]
+    for a, b in product(range(len(vectors)), repeat=2):
+        if 2 * form[a][b] % form[b][b]:
+            raise InvalidCartan(
+                f"2(x,y)/(y,y) is not an integer for {vectors[a]}, {vectors[b]}")
+    return tuple(tuple(2 * f // form[b][b] for b, f in enumerate(row)) for row in form)
 
 
 @dataclass(frozen=True)
@@ -64,9 +68,7 @@ def extended_diagram(rs: RootSystem) -> ExtendedDiagram:
     vectors = [alpha0] + [
         tuple(1 if j == i else 0 for j in range(rs.rank)) for i in range(rs.rank)
     ]
-    affine = tuple(
-        tuple(_pair_entry(rs, x, y) for y in vectors) for x in vectors
-    )
+    affine = _cartan_of(rs, vectors)
     links = tuple(-m for m in affine[0][1:])
     if any(m < 0 for m in links):
         raise AssertionError("negative link to the highest root")
@@ -96,16 +98,16 @@ class SubalgebraModel:
     root_set is the subalgebra's root set, simple_roots its certified
     simple system (kept simples then the lowest root), and residues[k]
     collects the leftover roots whose node coefficient is congruent to
-    k mod the node's mark.
+    k mod the node's mark, each as a mask over ``rs.indexed``.
     """
 
     rs: RootSystem
     node: int
     mark: int
-    root_set: frozenset[Root]
+    root_set: int
     simple_roots: tuple[Root, ...]
     cartan_of_sub: CartanMatrix
-    residues: dict[int, frozenset[Root]]
+    residues: dict[int, int]
 
 
 def subalgebra_roots(rs: RootSystem, j: int) -> SubalgebraModel:
@@ -122,42 +124,35 @@ def subalgebra_roots(rs: RootSystem, j: int) -> SubalgebraModel:
     psi = rs.highest_root
     minus_psi = tuple(-c for c in psi)
 
-    root_set = set()
-    residues: dict[int, set[Root]] = {k: set() for k in range(1, n)}
-    for phi in rs.roots:
+    root_set = 0
+    residues = dict.fromkeys(range(1, n), 0)
+    for i, phi in enumerate(rs.indexed):
         c = phi[j0]
-        if c == 0 or c == n or c == -n:
-            root_set.add(phi)
-        else:
-            residues[c % n].add(phi)
-    if len(root_set) + sum(len(v) for v in residues.values()) != len(rs.roots):
+        if c % n:
+            residues[c % n] |= 1 << i
+            continue
+        root_set |= 1 << i
+        # one-signed integer coordinates in the candidate simple system
+        c0 = -c // n
+        coords = [phi[t] + c0 * rs.marks[t] for t in kept] + [c0]
+        if not (all(x >= 0 for x in coords) or all(x <= 0 for x in coords)):
+            raise SimpleSystemFailure(
+                f"root {phi} is not a one-signed combination at node {j}"
+            )
+    if root_set.bit_count() + sum(v.bit_count() for v in residues.values()) != len(rs.indexed):
         raise AssertionError("residue classes do not partition the root set")
 
     simple_roots = tuple(
         tuple(1 if t == i else 0 for t in range(rs.rank)) for i in kept
     ) + (minus_psi,)
-
-    # one-signed integer coordinates in the candidate simple system
-    for phi in root_set:
-        c0 = -phi[j0] // n if phi[j0] else 0
-        coords = [phi[i] + c0 * rs.marks[i] for i in kept] + [c0]
-        if not (all(c >= 0 for c in coords) or all(c <= 0 for c in coords)):
-            raise SimpleSystemFailure(
-                f"root {phi} is not a one-signed combination at node {j}"
-            )
     if exactlin.rank_of(simple_roots) != rs.rank:
         raise SimpleSystemFailure("candidate simple system does not span")
     unit_j = tuple(1 if t == j0 else 0 for t in range(rs.rank))
     if exactlin.rank_of(simple_roots + (unit_j,)) != rs.rank:
         raise SimpleSystemFailure("affine relation is not the only dependency")
 
-    cartan = tuple(
-        tuple(_pair_entry(rs, x, y) for y in simple_roots) for x in simple_roots
-    )
-    return SubalgebraModel(
-        rs, j, n, frozenset(root_set), simple_roots, cartan,
-        {k: frozenset(v) for k, v in residues.items()},
-    )
+    cartan = _cartan_of(rs, simple_roots)
+    return SubalgebraModel(rs, j, n, root_set, simple_roots, cartan, residues)
 
 
 # ---------------------------------------------------------------------------
@@ -301,15 +296,15 @@ def residue_irreducibility(model: SubalgebraModel, k: int) -> Root:
     # zero: -alpha lies in the subalgebra); -psi is no simple step, so the
     # step table cannot answer this
     rs = model.rs
-    hits = rs._enc_index
+    hits, encs = rs._enc_index, rs._encs
     raising = [rs.encode(a) for a in model.simple_roots]
-    encs = {rs.encode(phi): phi for phi in model.residues[k]}
-    hw = [phi for e, phi in encs.items() if all(e + a not in hits for a in raising)]
+    hw = [i for i in mask_bits(model.residues[k])
+          if all(encs[i] + a not in hits for a in raising)]
     if len(hw) != 1:
         raise IrreducibilityViolation(
             f"residue class {k} at node {model.node} has {len(hw)} highest weights"
         )
-    return hw[0]
+    return rs.indexed[hw[0]]
 
 
 class ResidueBracketReport:
@@ -335,11 +330,9 @@ def residue_bracket_check(model: SubalgebraModel, p: int, q: int) -> ResidueBrac
     r = (p + q) % n
     if r == 0:
         raise InvalidPair("p + q = 0 mod n lands in the subalgebra, not a class")
-    rs = model.rs
-    index = rs.index
-    got = rs.sum_table().sums([index[x] for x in model.residues[p]],
-                              rs.mask(model.residues[q]))
-    expected = rs.mask(model.residues[r])
+    residues = model.residues
+    got = model.rs.sum_table().sums(mask_bits(residues[p]), residues[q])
+    expected = residues[r]
     failures = []
     if got != expected:
         missing = (expected & ~got).bit_count()
@@ -387,7 +380,7 @@ def _node_entry(ext: ExtendedDiagram, j: int) -> dict:
     residues = [
         {
             "class": k,
-            "size": len(model.residues[k]),
+            "size": model.residues[k].bit_count(),
             "highest": list(residue_irreducibility(model, k)),
         }
         for k in sorted(model.residues)
@@ -397,7 +390,7 @@ def _node_entry(ext: ExtendedDiagram, j: int) -> dict:
         "mark": model.mark,
         "maximal": _is_prime(model.mark),
         "subalgebra": cls.names(),
-        "subalgebra_root_count": len(model.root_set),
+        "subalgebra_root_count": model.root_set.bit_count(),
         "simple_roots": [list(r) for r in model.simple_roots],
         "cartan": [list(row) for row in model.cartan_of_sub],
         "alcove_vertex": [exactlin.rat_str(c) for c in alcove_vertex(rs, j)],

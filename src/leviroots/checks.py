@@ -136,7 +136,7 @@ def _check_partition(des, trsys, failures):
     label = _deleted_label(des)
     D = des.deleted0
     in_levi = sum(1 for phi in rs.roots if not any(phi[d] for d in D))
-    total = sum(len(sp.roots) for sp in trsys.spaces.values())
+    total = sum(sp.dim for sp in trsys.spaces.values())
     if total + in_levi != len(rs.roots):
         failures.append(Failure(
             "partition", label,
@@ -144,13 +144,13 @@ def _check_partition(des, trsys, failures):
         ))
     # a root and its negative are len(positives) apart in the numbering,
     # and a positive key's space holds positive roots only
-    masks = trsys.masks()
+    spaces = trsys.spaces
     n_pos = len(rs.positives)
     for key in trsys.positives:
-        if masks[tuple(-c for c in key)] != masks[key] << n_pos:
+        if spaces[tuple(-c for c in key)].mask != spaces[key].mask << n_pos:
             failures.append(Failure(
                 "negation-symmetry", label, f"key {key} mirror mismatch"))
-        if troot_of(des, trsys.spaces[key].highest) != key:
+        if troot_of(des, spaces[key].highest) != key:
             failures.append(Failure(
                 "restriction", label, f"highest root of {key} restricts elsewhere"))
 
@@ -165,7 +165,7 @@ def _check_weights(des, trsys, failures):
     columns = [tuple(row[i] for row in rs.cartan) for i in kept]
     for key in trsys.positives:
         space = trsys.spaces[key]
-        if len(space.roots) == 1:
+        if space.dim == 1:
             continue
         seen = set()
         for phi in space.roots:
@@ -225,23 +225,21 @@ def _check_brackets(trsys, failures, label):
     verified separately per designation).  The smaller space of each
     pair is the one walked, as the sum set does not depend on the order.
     """
-    troots = trsys.key_index()
-    numbers, masks = trsys.root_numbers(), trsys.masks()
-    targets = {trsys.key_enc(k): masks[k] for k in trsys.positives}
+    troots, spaces = trsys.key_index(), trsys.spaces
+    targets = {trsys.key_enc(k): spaces[k].mask for k in trsys.positives}
     sums = trsys.rs.sum_table().sums
     encs = sorted(troots)
     for i, em in enumerate(encs):
         km = troots[em]
+        sm = spaces[km]
         for en in encs[i:]:
             target = targets.get(em + en)
             if target is None:
                 continue
             kn = troots[en]
-            if len(numbers[km]) <= len(numbers[kn]):
-                got = sums(numbers[km], masks[kn])
-            else:
-                got = sums(numbers[kn], masks[km])
-            if got != target:
+            sn = spaces[kn]
+            small, large = (sm, sn) if sm.dim <= sn.dim else (sn, sm)
+            if sums(small.numbers, large.mask) != target:
                 failures.append(Failure(
                     "bracket-law", label,
                     f"keys {km} + {kn}: root sums miss the target space",
@@ -279,7 +277,7 @@ def _check_strings(trsys, failures, label):
     ordered = sorted(weights)
     pos_encs = [trsys.key_enc(k) for k in trsys.positives]
     neg_encs = [-e for e in pos_encs]
-    masks = trsys.masks()
+    spaces = trsys.spaces
     pairings = trsys.positive_pairings()
     p = len(pos_encs)
     texts: list[str] = []
@@ -290,7 +288,7 @@ def _check_strings(trsys, failures, label):
         pairing = dict(zip(pos_encs, row))
         pairing.update(zip(neg_encs, map(neg, row)))
         pairing[0] = 0
-        up, down = masks[nu], masks[tuple(-c for c in nu)]
+        up, down = spaces[nu].mask, spaces[tuple(-c for c in nu)].mask
         for bottom in ordered:
             if bottom - en not in weights:  # the bottom of its run
                 string_run(bottom, en, nu, weights, pairing, reaches, up, down, texts)
@@ -395,8 +393,8 @@ def check_node(rs: RootSystem, ext, j: int) -> NodeReport:
             failures.append(Failure(
                 "maximal-parabolic-ladder", label, "rank-1 mark must be 1"))
 
-    if len(model.root_set) != len(rs.roots) - sum(
-        len(v) for v in model.residues.values()
+    if model.root_set.bit_count() != len(rs.indexed) - sum(
+        v.bit_count() for v in model.residues.values()
     ):
         failures.append(Failure(
             "residue-partition", label, "residues do not complement the subalgebra"))
@@ -481,8 +479,13 @@ def check_type(rs: RootSystem, all_parabolics: bool = False) -> TypeReport:
         else standard_designations(rs)
     )
     reports = [check_designation(des) for des in scope]
-    ext = extended_diagram(rs)
-    nodes = [check_node(rs, ext, j) for j in range(1, rs.rank + 1)]
+    try:
+        ext = extended_diagram(rs)
+    except (LeviRootsError, AssertionError) as exc:  # no node can be classified
+        nodes = [NodeReport(j, n, None, (Failure("equal-rank-classify", f"node={j}", str(exc)),))
+                 for j, n in enumerate(rs.marks, 1)]
+    else:
+        nodes = [check_node(rs, ext, j) for j in range(1, rs.rank + 1)]
     sln_failures: list[Failure] = []
     if rs.stype is not None and rs.stype.family == "A":
         for des in scope:

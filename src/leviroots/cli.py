@@ -50,7 +50,11 @@ def _load_cartan(path: str):
 
 def _resolve_system(args) -> RootSystem:
     if getattr(args, "cartan", None):
-        return generate(_load_cartan(args.cartan))
+        data = _load_cartan(args.cartan)
+        try:
+            return generate(data)
+        except LeviRootsError as exc:
+            raise type(exc)(f"{args.cartan}: {exc}") from None
     if not args.type:
         raise LeviRootsError("a type (like E8) or --cartan FILE is required")
     return root_system(args.type, max_rank=DEFAULT_MAX_RANK)

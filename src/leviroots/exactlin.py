@@ -3,11 +3,11 @@
 One fraction-free elimination (Bareiss, *Sylvester's identity and
 multistep integer-preserving Gaussian elimination*, 1968) serves every
 caller: each entry it leaves is an integer minor of the input, and each
-of its divisions is exact.  ``det`` and ``rank_of`` return integers;
-``solve_many`` builds a ``fractions.Fraction`` only for its answers.
-There is no floating point anywhere in the package.  The systems are
-tiny (Gram matrices of at most 13 rows), so the first nonzero pivot is
-the right choice.
+of its divisions is exact.  ``det`` and ``rank_of`` return integers; a
+Jordan elimination of ``[A | B]`` leaves ``p * A^-1 B`` by ``p * I`` (p
+the last pivot), so callers divide only to print.  Nothing is floating
+point.  The systems are tiny (Gram matrices of at most 13 rows), so the
+first nonzero pivot is the right choice.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import index
 from typing import Iterable, Sequence
-
-from .errors import SingularMatrix
 
 RatVec = tuple[Fraction, ...]
 
@@ -72,30 +70,6 @@ def eliminate(rows: list[list[int]], ncols: int, jordan: bool = False) -> tuple[
 def _int_rows(rows: Iterable[Sequence]) -> list[list[int]]:
     # operator.index rejects a non-integer entry instead of rounding it
     return [list(map(index, row)) for row in rows]
-
-
-def solve_many(mat: Sequence[Sequence[int]], rhss: Sequence[Sequence[int]]) -> list[RatVec]:
-    """Solve one square integer system against several right-hand sides.
-
-    The elimination is done once; each right-hand side is carried along
-    as an extra column.  Raises SingularMatrix when the matrix is not
-    invertible.
-    """
-    n = len(mat)
-    if n == 0:
-        return [() for _ in rhss]
-    for row in mat:
-        if len(row) != n:
-            raise SingularMatrix("matrix is not square")
-    for rhs in rhss:
-        if len(rhs) != n:
-            raise SingularMatrix("right-hand side has wrong length")
-    aug = _int_rows(list(mat[i]) + [rhs[i] for rhs in rhss] for i in range(n))
-    rank, d, _ = eliminate(aug, n, jordan=True)
-    if rank < n:
-        raise SingularMatrix(f"matrix has rank {rank} < {n}")
-    # each pivot row now reads d * x_i = aug[i][n + t]
-    return [tuple(Fraction(row[n + t], d) for row in aug) for t in range(len(rhss))]
 
 
 def det(mat: Sequence[Sequence[int]]) -> int:

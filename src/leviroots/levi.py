@@ -24,7 +24,7 @@ combinatorially on root sets:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from operator import mul
@@ -92,18 +92,43 @@ def troot_of(des: ParabolicDesignation, root: Root) -> Key | None:
     return key if any(key) else None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TRootSpace:
-    """One t-root space: all roots restricting to the same nonzero key."""
+    """One t-root space: all roots restricting to the same nonzero key.
+
+    Roots are held by number in ``rs.indexed`` (``indexed``): ``numbers``,
+    their ``mask``, the highest weight ``top`` and the lowest ``bottom``;
+    ``roots``, ``highest`` and ``lowest`` decode them for output.
+    """
 
     key: Key
-    roots: tuple[Root, ...]
-    highest: Root
-    lowest: Root
+    numbers: tuple[int, ...]
+    top: int
+    bottom: int
+    indexed: tuple[Root, ...] = field(repr=False, compare=False)
+    mask: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        mask = 0
+        for i in self.numbers:
+            mask |= 1 << i
+        object.__setattr__(self, "mask", mask)
 
     @property
     def dim(self) -> int:
-        return len(self.roots)
+        return len(self.numbers)
+
+    @property
+    def roots(self) -> tuple[Root, ...]:
+        return tuple(map(self.indexed.__getitem__, self.numbers))
+
+    @property
+    def highest(self) -> Root:
+        return self.indexed[self.top]
+
+    @property
+    def lowest(self) -> Root:
+        return self.indexed[self.bottom]
 
 
 class TRootSystem:
@@ -115,8 +140,8 @@ class TRootSystem:
 
     __slots__ = (
         "designation", "rs", "spaces", "keys", "positives", "simples",
-        "delta_key", "key_bounds", "_kpows", "_troots", "_numbers", "_masks",
-        "_nil_sums", "_beta", "_form", "_pairings", "_pos_pairings",
+        "delta_key", "key_bounds", "_kpows", "_troots", "_nil_sums", "_beta",
+        "_form", "_proj", "_pairings", "_pos_pairings",
     )
 
     def __init__(self, des: ParabolicDesignation):
@@ -127,12 +152,11 @@ class TRootSystem:
         kept = sum(1 << k for k in des.kept0)
         steps = rs.step_table()
         positives = rs.positives
-        indexed = rs.indexed
         n_pos = len(positives)
 
         groups: dict[Key, list[int]] = {}
         for i, phi in enumerate(positives):
-            key = tuple(phi[d] for d in D)
+            key = tuple([phi[d] for d in D])
             if any(key):
                 groups.setdefault(key, []).append(i)
 
@@ -149,12 +173,11 @@ class TRootSystem:
             top, bottom = hw[0], lw[0]
             # positives are in (height, lex) order, so the group is too, and
             # negation reverses that order
-            spaces[key] = TRootSpace(
-                key, tuple(indexed[i] for i in members), indexed[top], indexed[bottom])
+            spaces[key] = TRootSpace(key, tuple(members), top, bottom, rs.indexed)
             neg_key = tuple(-c for c in key)
             spaces[neg_key] = TRootSpace(
-                neg_key, tuple(indexed[i + n_pos] for i in reversed(members)),
-                indexed[bottom + n_pos], indexed[top + n_pos],
+                neg_key, tuple([i + n_pos for i in reversed(members)]),
+                bottom + n_pos, top + n_pos, rs.indexed,
             )
 
         order = sorted(spaces, key=lambda k: (sum(k), k))
@@ -170,15 +193,13 @@ class TRootSystem:
                 raise IrreducibilityViolation(f"unit key {s} missing from t-root set")
         delta = [0] * width
         for k in self.positives:
-            dim = len(self.spaces[k].roots)
+            dim = self.spaces[k].dim
             for i, c in enumerate(k):
                 delta[i] += dim * c
         self.delta_key = tuple(delta)
         self.key_bounds = tuple(rs.marks[d] for d in D)
         self._kpows = rs._pows[:width]
         self._troots = None
-        self._numbers = None
-        self._masks = None
         self._nil_sums = None
         self._beta = None
         self._form = None
@@ -208,24 +229,6 @@ class TRootSystem:
     def space(self, key) -> TRootSpace:
         return self.spaces[tuple(key)]
 
-    # -- root numbers and masks, read from ``spaces`` on first use ---------
-
-    def root_numbers(self) -> dict[Key, tuple[int, ...]]:
-        """Each space's roots by their number in ``rs.indexed``."""
-        if self._numbers is None:
-            index = self.rs.index
-            self._numbers = {
-                k: tuple(index[r] for r in sp.roots) for k, sp in self.spaces.items()
-            }
-        return self._numbers
-
-    def masks(self) -> dict[Key, int]:
-        """Each space's roots as a bitmask over ``rs.indexed``."""
-        if self._masks is None:
-            mask = self.rs.mask
-            self._masks = {k: mask(sp.roots) for k, sp in self.spaces.items()}
-        return self._masks
-
     # -- exact geometry ---------------------------------------------------
 
     def scaled_form(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -233,10 +236,11 @@ class TRootSystem:
 
         With K the kept and D the deleted nodes, the exact t-root Gram is
         the Schur complement S = G_DD - G_DK G_KK^-1 G_KD.  One fraction-free
-        elimination of the Gram matrix, kept nodes first, leaves
+        Jordan elimination of the Gram matrix, kept nodes first, leaves
         Gs = det * S in the deleted block, with det = det(G_KK) > 0 since
         G_KK is positive definite; so Gs is an integer matrix with the
-        signs of the exact form.  Built on first use.
+        signs of the exact form.  The kept rows of the deleted columns hold
+        det * G_KK^-1 G_KD, which ``_betas`` reads.  Built on first use.
         """
         if self._form is None:
             K = self.designation.kept0
@@ -244,26 +248,24 @@ class TRootSystem:
             gram = self.rs.gram
             rows = [[gram[a][b] for b in order] for a in order]
             k = len(K)
-            rank, det, _ = exactlin.eliminate(rows, k)
+            rank, det, _ = exactlin.eliminate(rows, k, jordan=True)
             if rank != k or det <= 0:
                 raise AssertionError("the kept Gram block is not positive definite")
             self._form = det, tuple(tuple(row[k:]) for row in rows[k:])
+            self._proj = tuple(row[k:] for row in rows[:k])
         return self._form
 
     def _betas(self) -> tuple[RatVec, ...]:
-        # the deleted simple roots projected away from the kept span
+        # the deleted simple roots projected away from the kept span:
+        # beta_j = alpha_j - sum over kept a of (G_KK^-1 G_KD)[a][j] alpha_a
         if self._beta is None:
-            K = self.designation.kept0
-            D = self.designation.deleted0
-            gram = self.rs.gram
-            coeffs = exactlin.solve_many([[gram[a][b] for b in K] for a in K],
-                                         [[gram[j][a] for a in K] for j in D])
+            det = self.scaled_form()[0]
             beta = []
-            for j, c in zip(D, coeffs):
+            for t, j in enumerate(self.designation.deleted0):
                 vec = [Fraction(0)] * self.rs.rank
                 vec[j] = Fraction(1)
-                for p, a in enumerate(K):
-                    vec[a] -= c[p]
+                for a, row in zip(self.designation.kept0, self._proj):
+                    vec[a] = Fraction(-row[t], det)
                 beta.append(tuple(vec))
             self._beta = tuple(beta)
         return self._beta
@@ -386,7 +388,7 @@ def bracket_image(trsys: TRootSystem, mu, nu) -> tuple[Root, ...]:
     if all(a + b == 0 for a, b in zip(km, kn)):
         raise InvalidPair("mu + nu = 0: the bracket lands in the Levi factor")
     rs = trsys.rs
-    got = rs.sum_table().sums(trsys.root_numbers()[km], trsys.masks()[kn])
+    got = rs.sum_table().sums(trsys.spaces[km].numbers, trsys.spaces[kn].mask)
     return tuple(sorted(rs.roots_of(got), key=lambda r: (sum(r), r)))
 
 
@@ -476,8 +478,8 @@ def string_weights(trsys: TRootSystem) -> dict[int, Key]:
 def string_reaches(trsys: TRootSystem, encs: Iterable[int]) -> dict[int, int]:
     """``RootSums.reach`` of the space at each nonzero encoding in ``encs``."""
     reach = trsys.rs.sum_table().reach
-    numbers, troots = trsys.root_numbers(), trsys.key_index()
-    return {e: reach(numbers[troots[e]]) for e in encs if e}
+    spaces, troots = trsys.spaces, trsys.key_index()
+    return {e: reach(spaces[troots[e]].numbers) for e in encs if e}
 
 
 def string_run(bottom: int, step: int, nu: Key, weights: dict[int, Key],
@@ -561,8 +563,7 @@ def troot_string_report(trsys: TRootSystem, gamma, nu) -> StringReport:
     run = range(eg + p * en, eg + (q + 1) * en, en)
     row = trsys._pairing(kn)
     pairing = {x: sum(map(mul, weights[x], row)) for x in run}
-    masks = trsys.masks()
     failures: list[str] = []
     string_run(run[0], en, kn, weights, pairing, string_reaches(trsys, run),
-               masks[kn], masks[tuple(-c for c in kn)], failures)
+               trsys.spaces[kn].mask, trsys.spaces[tuple(-c for c in kn)].mask, failures)
     return StringReport(kg, kn, p, q, not failures, tuple(failures))

@@ -320,14 +320,6 @@ class RootSystem:
             ]
         return self._steps
 
-    def mask(self, roots) -> int:
-        """Bitmask of a collection of roots over the root numbering."""
-        index = self.index
-        out = 0
-        for r in roots:
-            out |= 1 << index[r]
-        return out
-
     def roots_of(self, mask: int) -> tuple[Root, ...]:
         """The roots in a bitmask, in numbering order."""
         return tuple(compress(self.indexed, _bit_flags(mask)))

@@ -12,10 +12,12 @@ sets and never consult the grading.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from .errors import SeriesMismatch
 from .levi import Key, TRootSystem
-from .rootsys import Root, mask_bits
+from .rootsys import mask_bits
 
 
 def order_of(key) -> int:
@@ -59,10 +61,11 @@ def grading(trsys: TRootSystem) -> Grading:
 
 @dataclass(frozen=True)
 class CentralSeries:
-    """Both central series as root sets; length is the nilpotency class."""
+    """Both central series as root masks over ``rs.indexed``; length is the
+    nilpotency class."""
 
-    upper: tuple[frozenset[Root], ...]
-    lower: tuple[frozenset[Root], ...]
+    upper: tuple[int, ...]
+    lower: tuple[int, ...]
     length: int
 
 
@@ -70,24 +73,18 @@ def _nilradical_sums(trsys: TRootSystem) -> tuple[list[int], int, dict[int, int]
     """Nilradical roots by number, their mask, and each one's sums with n.
 
     For phi in n, sums[phi] is the bitmask of the roots phi + psi with psi
-    in n.  Read from the space root sets and the root-sum table only.
+    in n.  Read from the spaces and the root-sum table only.
     """
     if trsys._nil_sums is None:
-        numbers, masks = trsys.root_numbers(), trsys.masks()
-        members = [i for key in trsys.positives for i in numbers[key]]
-        total = 0
-        for key in trsys.positives:
-            total |= masks[key]
+        spaces = [trsys.spaces[key] for key in trsys.positives]
+        members = [i for sp in spaces for i in sp.numbers]
+        total = reduce(or_, (sp.mask for sp in spaces), 0)
         sums = trsys.rs.sum_table().sums
         trsys._nil_sums = members, total, {phi: sums((phi,), total) for phi in members}
     return trsys._nil_sums
 
 
-def _decode_all(trsys: TRootSystem, terms: list[int]) -> list[frozenset[Root]]:
-    return [frozenset(trsys.rs.roots_of(term)) for term in terms]
-
-
-def lower_series_oracle(trsys: TRootSystem) -> list[frozenset[Root]]:
+def lower_series_oracle(trsys: TRootSystem) -> list[int]:
     """Brute-force descending series: repeatedly bracket with all of n.
 
     Starts from the full nilradical root set and keeps only root sums;
@@ -108,10 +105,10 @@ def lower_series_oracle(trsys: TRootSystem) -> list[frozenset[Root]]:
         if len(chain) > len(members) + 1:
             raise AssertionError("lower central series did not terminate")
         chain.append(nxt)
-    return _decode_all(trsys, chain)
+    return chain
 
 
-def upper_series_oracle(trsys: TRootSystem) -> list[frozenset[Root]]:
+def upper_series_oracle(trsys: TRootSystem) -> list[int]:
     """Brute-force ascending series: iterated centers, per root vector.
 
     A root vector sits in the next term when bracketing with every
@@ -120,7 +117,6 @@ def upper_series_oracle(trsys: TRootSystem) -> list[frozenset[Root]]:
     Levi factor), which is what makes per-root computation exact.
     """
     members, total, sums = _nilradical_sums(trsys)
-    masks = trsys.masks()
     chain: list[int] = []
     prev = 0
     while prev != total:
@@ -132,12 +128,12 @@ def upper_series_oracle(trsys: TRootSystem) -> list[frozenset[Root]]:
         if cur == prev or prev & ~cur:
             raise AssertionError("upper central series stalled")
         for key in trsys.positives:
-            inside = cur & masks[key]
-            if inside and inside != masks[key]:
+            inside = cur & trsys.spaces[key].mask
+            if inside and inside != trsys.spaces[key].mask:
                 raise AssertionError(f"center term splits the t-root space {key}")
         chain.append(cur)
         prev = cur
-    return _decode_all(trsys, chain)
+    return chain
 
 
 def closed_form_series(trsys: TRootSystem, grad: Grading | None = None) -> CentralSeries:
@@ -149,21 +145,17 @@ def closed_form_series(trsys: TRootSystem, grad: Grading | None = None) -> Centr
     if grad is None:
         grad = grading(trsys)
     k_cent = grad.k_cent
-    level_roots: dict[int, frozenset[Root]] = {}
-    for k, keys in grad.levels.items():
-        acc: set[Root] = set()
-        for key in keys:
-            acc.update(trsys.spaces[key].roots)
-        level_roots[k] = frozenset(acc)
+    level_masks = {k: reduce(or_, (trsys.spaces[key].mask for key in keys), 0)
+                   for k, keys in grad.levels.items()}
     upper = []
-    acc: frozenset[Root] = frozenset()
+    acc = 0
     for i in range(1, k_cent + 1):
-        acc = acc | level_roots[k_cent - i + 1]
+        acc |= level_masks[k_cent - i + 1]
         upper.append(acc)
     lower = []
-    acc = frozenset()
+    acc = 0
     for k in range(k_cent, 0, -1):
-        acc = acc | level_roots[k]
+        acc |= level_masks[k]
         lower.append(acc)
     lower.reverse()
     series = CentralSeries(tuple(upper), tuple(lower), k_cent)
@@ -171,9 +163,9 @@ def closed_form_series(trsys: TRootSystem, grad: Grading | None = None) -> Centr
     for i in range(1, k_cent + 1):
         if series.lower[i - 1] != series.upper[k_cent - i]:
             raise SeriesMismatch(f"series reversal fails at term {i}")
-    if list(series.lower) != lower_series_oracle(trsys):
+    if lower != lower_series_oracle(trsys):
         raise SeriesMismatch("closed-form lower series disagrees with its oracle")
-    if list(series.upper) != upper_series_oracle(trsys):
+    if upper != upper_series_oracle(trsys):
         raise SeriesMismatch("closed-form upper series disagrees with its oracle")
     return series
 
@@ -185,7 +177,9 @@ def series_document(trsys: TRootSystem) -> dict:
     des = trsys.designation
 
     def root_list(term):
-        return [list(r) for r in sorted(term, key=lambda r: (sum(r), r))]
+        # the terms hold positive roots only, and the numbering lists the
+        # positives in (height, lex) order
+        return [list(r) for r in trsys.rs.roots_of(term)]
 
     return {
         "schema": "leviroots.series/1",

@@ -155,28 +155,13 @@ def crosscheck(comp: Composition, rs: RootSystem | None = None) -> CrossCheckRep
     if len(trsys.spaces) != comp.k * (comp.k - 1):
         failures.append("space count is not k(k-1)")
 
-    # kept nodes grouped by the diagonal block they sit inside
-    starts = {}
-    acc = 0
+    # kept nodes of each diagonal block as a node mask: block b of size p
+    # from matrix index first holds nodes first..first+p-2
+    movers, first = {}, 1
     for b, p in enumerate(comp.parts, start=1):
-        starts[b] = acc + 1  # first matrix index of block b (1-based)
-        acc += p
-    nodes_in_block = {
-        b: tuple(range(starts[b], starts[b] + comp.parts[b - 1] - 1))
-        for b in range(1, comp.k + 1)
-    }
-
-    rs_full = des.rs
-    # +- the simple roots of the kept nodes inside each block
-    movers = {
-        b: rs_full.mask(
-            tuple(s if t == i - 1 else 0 for t in range(rs_full.rank))
-            for i in block_nodes for s in (1, -1)
-        )
-        for b, block_nodes in nodes_in_block.items()
-    }
-    reach = rs_full.sum_table().reach
-    numbers = trsys.root_numbers()
+        movers[b] = ((1 << (p - 1)) - 1) << (first - 1)
+        first += p
+    steps, n_pos = des.rs.step_table(), len(des.rs.positives)
     for key, e in by_key.items():
         space = trsys.spaces.get(key)
         if space is None:
@@ -186,9 +171,12 @@ def crosscheck(comp: Composition, rs: RootSystem | None = None) -> CrossCheckRep
         if sum(abs(c) for c in key) != e.order:
             failures.append(f"key {key}: order mismatch with |r - s|")
         # a diagonal block acts on (r, s) iff it is block r or s and has
-        # size > 1: at root level, some kept node inside it moves the space
-        # (a +- alpha_i in Delta u {0} for a root a of the space)
-        moved = reach(numbers[key])
+        # size > 1: at root level, some kept node i inside it moves the
+        # space, a +- alpha_i in Delta u {0} for a root a of it: bit i - 1 of
+        # the step-table entry of a or of -a, len(positives) away
+        moved = 0
+        for a in space.numbers:
+            moved |= steps[a] | steps[(a + n_pos) % (2 * n_pos)]
         for b in range(1, comp.k + 1):
             moves = bool(moved & movers[b])
             if moves != (b in e.acting_blocks):

@@ -19,7 +19,7 @@ from leviroots.checks import (
     check_node,
     standard_designations,
 )
-from leviroots import bds, checks
+from leviroots import bds, checks, slnx
 from leviroots.rootsys import RootSystem
 from leviroots.levi import (
     TRootSystem,
@@ -87,10 +87,10 @@ def _corrupting(monkeypatch, damage):
 
 
 def _drop_root(t, key, position=0):
-    """Remove one root from the public space at key."""
+    """Remove one root number from the public space at key."""
     sp = t.spaces[key]
-    roots = sp.roots[:position] + sp.roots[position + 1:]
-    t.spaces[key] = replace(sp, roots=roots)
+    numbers = sp.numbers[:position] + sp.numbers[position + 1:]
+    t.spaces[key] = replace(sp, numbers=numbers)
 
 
 def _drop_troot(t, key):
@@ -134,7 +134,7 @@ def test_corrupted_raising_space_breaks_string_law(monkeypatch):
     # an emptied space at nu leaves no root sum to raise along nu
     def damage(t):
         nu = t.positives[0]
-        t.spaces[nu] = replace(t.spaces[nu], roots=())
+        t.spaces[nu] = replace(t.spaces[nu], numbers=())
 
     _corrupting(monkeypatch, damage)
     rep = check_designation(designation(root_system("B3"), deleted=[2]))
@@ -213,6 +213,45 @@ def test_dropped_negative_root_breaks_negation_symmetry(monkeypatch):
     assert details == ["key (1,) mirror mismatch"]
 
 
+def test_repeated_root_number_breaks_partition(monkeypatch):
+    # a root listed twice in a negative space leaves its mask, and every law
+    # that reads masks, unchanged, but the spaces overcount the roots
+    def damage(t):
+        sp = t.spaces[(-1,)]
+        t.spaces[(-1,)] = replace(sp, numbers=sp.numbers + sp.numbers[:1])
+
+    _corrupting(monkeypatch, damage)
+    rep = check_designation(designation(root_system("B3"), deleted=[2]))
+    assert [(f.check, f.detail) for f in rep.failures] == [
+        ("partition", "15 space roots + 4 Levi roots != 18")]
+
+
+def test_misplaced_highest_root_breaks_restriction(monkeypatch):
+    # the highest weight of (1,) pointed at the root of the space at (2,)
+    def damage(t):
+        t.spaces[(1,)] = replace(t.spaces[(1,)], top=t.spaces[(2,)].top)
+
+    _corrupting(monkeypatch, damage)
+    rep = check_designation(designation(root_system("B3"), deleted=[2]))
+    assert [(f.check, f.detail) for f in rep.failures] == [
+        ("restriction", "highest root of (1,) restricts elsewhere")]
+
+
+def test_repeated_root_number_breaks_weight_multiplicity(monkeypatch):
+    # a root listed twice in a positive space carries its kept-node
+    # pairings twice
+    def damage(t):
+        sp = t.spaces[(1,)]
+        t.spaces[(1,)] = replace(sp, numbers=sp.numbers + sp.numbers[:1])
+
+    _corrupting(monkeypatch, damage)
+    rep = check_designation(designation(root_system("B3"), deleted=[2]))
+    assert [(f.check, f.detail) for f in rep.failures] == [
+        ("partition", "15 space roots + 4 Levi roots != 18"),
+        ("weight-multiplicity", "two roots of (1,) share kept-node pairings (-1, -2)"),
+    ]
+
+
 def test_positively_paired_simples_fail_simple_troots():
     # a Gram matrix with a positive off-diagonal entry: the simple t-roots
     # of the Borel pair positively
@@ -269,10 +308,10 @@ def test_moved_root_breaks_residue_bracket(monkeypatch, g2):
 
     def damaged(rs, j):
         model = real(rs, j)
-        moved = (-1, -1)
-        assert moved in model.residues[2]
-        residues = {**model.residues, 2: model.residues[2] - {moved}}
-        return replace(model, residues=residues, root_set=model.root_set | {moved})
+        moved = 1 << rs.index[(-1, -1)]
+        assert model.residues[2] & moved
+        residues = {**model.residues, 2: model.residues[2] & ~moved}
+        return replace(model, residues=residues, root_set=model.root_set | moved)
 
     monkeypatch.setattr(checks, "subalgebra_roots", damaged)
     rep = check_node(g2, extended_diagram(g2), 1)
@@ -280,6 +319,50 @@ def test_moved_root_breaks_residue_bracket(monkeypatch, g2):
         ("residue-bracket", "classes 1+1: image misses 0 and adds 1 roots vs class 2"),
         ("residue-bracket", "classes 2+2: image misses 2 and adds 0 roots vs class 1"),
     ]
+
+
+def test_dropped_residue_root_breaks_residue_partition(monkeypatch, g2):
+    # (0, 1) is not the highest weight of class 1 at the mark-2 node, and
+    # classes 1 + 1 land in the subalgebra, so only the count shows it
+    real = bds.subalgebra_roots
+
+    def damaged(rs, j):
+        model = real(rs, j)
+        gone = 1 << rs.index[(0, 1)]
+        assert model.residues[1] & gone
+        return replace(model, residues={1: model.residues[1] & ~gone})
+
+    monkeypatch.setattr(checks, "subalgebra_roots", damaged)
+    rep = check_node(g2, extended_diagram(g2), 2)
+    assert [(f.check, f.detail) for f in rep.failures] == [
+        ("residue-partition", "residues do not complement the subalgebra")]
+
+
+def test_bad_extended_diagram_is_a_reported_failure():
+    # a Gram matrix whose affine entries are not integers: every node
+    # reports the failure instead of check_type raising InvalidCartan
+    rs = root_system("G2")
+    rs.gram = ((2, -1), (-1, 6))
+    rep = check_type(rs)
+    detail = "2(x,y)/(y,y) is not an integer for (1, 0), (-3, -2)"
+    assert [[(f.check, f.detail) for f in node.failures] for node in rep.nodes] == [
+        [("equal-rank-classify", detail)]] * 2
+    assert rep.maximal == [] and not rep.ok
+
+
+def test_dropped_root_number_breaks_block_crosscheck(monkeypatch):
+    # only the block crosscheck sees the damaged space, so only it fails
+    def damaged(des):
+        t = real_troot_system(des)
+        if des.deleted == (1,):
+            _drop_root(t, (1,))
+        return t
+
+    monkeypatch.setattr(slnx, "troot_system", damaged)
+    rep = check_type(root_system("A2"))
+    assert all(r.ok for r in rep.designations) and all(r.ok for r in rep.nodes)
+    assert [(f.check, f.subject, f.detail) for f in rep.sln_failures] == [
+        ("block-crosscheck", "blocks=[1, 2]", "key (1,): dim 1 != block 1,2 dim 2")]
 
 
 def test_missing_top_troot_breaks_maximal_parabolic_ladder(monkeypatch, g2):

@@ -94,19 +94,27 @@ def test_cartan_file(tmp_path, capsys):
     assert doc["count"] == 12
 
 
-@pytest.mark.parametrize("matrix", [
-    [[2, -1.7], [-1, 2]],    # would truncate to A2
-    [[2.9, -1], [-1, 2]],
-    [[2, -1.0], [-1, 2]],    # integral, but not a JSON integer
-    [[2, True], [-1, 2]],    # booleans are not integers
-])
-def test_cartan_file_rejects_non_integer_entries(tmp_path, capsys, matrix):
+BAD_CARTAN_FILES = [
+    ([[2, -1.7], [-1, 2]], "is not an integer"),  # would truncate to A2
+    ([[2.9, -1], [-1, 2]], "is not an integer"),
+    ([[2, -1.0], [-1, 2]], "is not an integer"),  # integral, but not a JSON integer
+    ([[2, True], [-1, 2]], "is not an integer"),  # booleans are not integers
+    ([[2, -1, 0], [-1, 2]], "matrix is not square"),
+    ([[2, -2], [-2, 2]], "closure produced more than 6 positive roots"),  # affine A1
+]
+
+
+@pytest.mark.parametrize("matrix, message", BAD_CARTAN_FILES,
+                         ids=[f"matrix{i}" for i in range(len(BAD_CARTAN_FILES))])
+def test_cartan_file_rejects_non_integer_entries(tmp_path, capsys, matrix, message):
+    # the errors of generate name the file, like those of the JSON checks
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"cartan": matrix}))
     assert cli.run(["roots", "--cartan", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "is not an integer" in captured.err
+    assert captured.err.startswith(f"error: {path}: ")
+    assert message in captured.err
 
 
 def test_cartan_file_without_cartan_key(tmp_path, capsys):
@@ -285,6 +293,19 @@ def test_check_max_rank_12_stdout_pinned(capsys):
     assert cli.run(["check", "--max-rank", "12"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CHECK_MAX_RANK_12_SHA256
+
+
+# the full rank <= 12 sweep: every parabolic of all 48 types, 33,162
+# designations, about 300 s on a 2-vCPU machine
+CHECK_MAX_RANK_12_ALL_PARABOLICS_SHA256 = (
+    "2ac5b42c87ceff1c277a5899d356b5af80e426f076d5142fb365eb656dff2320")
+
+
+@pytest.mark.slow
+def test_check_max_rank_12_all_parabolics_stdout_pinned(capsys):
+    assert cli.run(["check", "--max-rank", "12", "--all-parabolics"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digest == CHECK_MAX_RANK_12_ALL_PARABOLICS_SHA256
 
 
 # (arguments, exit status, stdout sha256) for every verb, JSON and --pretty,

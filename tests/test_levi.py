@@ -283,8 +283,26 @@ def test_space_masks_follow_public_spaces(f4):
     trsys = troot_system(designation(f4, deleted=[1, 3]))
     rs = trsys.rs
     for key, space in trsys.spaces.items():
-        assert rs.roots_of(trsys.masks()[key]) == tuple(sorted(space.roots, key=rs.index.get))
-        assert trsys.root_numbers()[key] == tuple(rs.index[r] for r in space.roots)
+        assert rs.roots_of(space.mask) == tuple(sorted(space.roots, key=rs.index.get))
+        assert space.numbers == tuple(rs.index[r] for r in space.roots)
+
+
+@pytest.mark.parametrize("stype", SMALL, ids=str)
+def test_troot_vec_matches_fraction_projection(stype):
+    # the vector of a unit key is its deleted simple root minus the
+    # projection onto the kept span, here by Fraction algebra
+    rs = root_system(stype)
+    gram = rs.gram
+    for des in all_parabolic_designations(rs):
+        trsys = troot_system(des)
+        K = des.kept0
+        span = [[gram[a][b] for b in K] for a in K]
+        for unit, d in zip(trsys.simples, des.deleted0):
+            want = [Q(int(i == d)) for i in range(rs.rank)]
+            if K:
+                for c, a in zip(fraction_solve(span, [gram[a][d] for a in K]), K):
+                    want[a] -= c
+            assert trsys.troot_vec(unit) == tuple(want)
 
 
 def _schur_pairing(des):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from leviroots import (
     InvalidCartan,
     InvalidRank,
+    LeviRootsError,
     NotFiniteType,
     classify,
     designation,
@@ -228,7 +229,7 @@ def test_root_numbering(f4):
 
 def test_mask_roundtrip(f4):
     some = f4.indexed[3::7]
-    mask = f4.mask(some)
+    mask = sum(1 << f4.index[r] for r in some)
     assert mask_bits(mask) == sorted(f4.index[r] for r in some)
     assert f4.roots_of(mask) == tuple(sorted(some, key=f4.index.get))
     assert f4.roots_of(0) == () and mask_bits(0) == []
@@ -250,7 +251,7 @@ def test_sum_table_matches_brute_force(name):
     # sums and reach against set arithmetic, on a few index/mask pairs
     for left in (roots[:3], roots[5:9], roots):
         for right in (roots[2:11], roots[-6:], roots):
-            got = table.sums([rs.index[a] for a in left], rs.mask(right))
+            got = table.sums([rs.index[a] for a in left], sum(1 << rs.index[b] for b in right))
             want = {add(a, b) for a in left for b in right} & rs.roots
             assert set(rs.roots_of(got)) == want
         reach = table.reach(rs.index[a] for a in left)
@@ -294,3 +295,70 @@ def test_step_table_built_on_first_use_and_once():
     troot_system(designation(rs, deleted=[2]))
     steps = rs._steps
     assert steps is not None and rs.step_table() is steps
+
+
+# -- generate and classify on arbitrary integer matrices --------------------
+
+
+@st.composite
+def integer_matrix(draw):
+    """An integer matrix of rank <= 4: any entries, or a generalized Cartan
+    matrix (2 on the diagonal, nonpositive off it, symmetric zero pattern),
+    which covers finite, affine, indefinite and non-symmetrizable types."""
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        return draw(st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n),
+                             min_size=n, max_size=n))
+    a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if draw(st.booleans()):
+                a[i][j], a[j][i] = -draw(st.integers(1, 4)), -draw(st.integers(1, 4))
+    return a
+
+
+AFFINE_AND_INDEFINITE = [
+    [[2, -2], [-2, 2]],                        # affine A1
+    [[2, -1], [-4, 2]],                        # affine A2 twisted
+    [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],   # affine A2
+    [[2, -3], [-3, 2]],                        # hyperbolic
+    [[2, -1, 0], [-2, 2, -2], [0, -1, 2]],     # affine C2
+    [[2, -1, -1], [-2, 2, -1], [-1, -1, 2]],   # not symmetrizable
+]
+
+
+@settings(max_examples=400, deadline=2000)
+@given(integer_matrix() | st.sampled_from(AFFINE_AND_INDEFINITE))
+def test_generate_and_classify_fuzz(matrix):
+    # each either succeeds or raises a LeviRootsError, in well under the
+    # deadline; a generated system is one finite type of the same rank
+    try:
+        rs = generate(matrix)
+    except LeviRootsError:
+        rs = None
+    try:
+        cls = classify(matrix)
+    except LeviRootsError:
+        cls = None
+    if rs is not None:
+        [stype] = cls.components
+        assert stype.rank == len(matrix)
+        assert len(rs.roots) == classical_root_count(stype)
+
+
+# -- an independent source: sympy's tables ----------------------------------
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "F4", "G2", "E6"])
+def test_cartan_matrix_matches_sympy(name):
+    sympy_cartan = pytest.importorskip("sympy.liealgebras.cartan_matrix")
+    # sympy uses the same Bourbaki numbering and column convention
+    want = sympy_cartan.CartanMatrix(name).tolist()
+    assert [list(row) for row in cartan_matrix(SimpleType.parse(name))] == want
+
+
+@pytest.mark.parametrize("name", ["A1", "A4", "B2", "B4", "C3", "C5", "D4", "D5"])
+def test_root_count_matches_sympy(name):
+    sympy_roots = pytest.importorskip("sympy.liealgebras.root_system")
+    want = len(sympy_roots.RootSystem(name).all_roots())
+    assert len(root_system(name).roots) == want
