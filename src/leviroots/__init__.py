@@ -23,7 +23,6 @@ from .errors import (
     NotFiniteType,
     SeriesMismatch,
     SimpleSystemFailure,
-    SingularMatrix,
 )
 from .rootsys import generate, root_system
 from .levi import designation, troot_system
@@ -45,7 +44,6 @@ __all__ = [
     "NotFiniteType",
     "SeriesMismatch",
     "SimpleSystemFailure",
-    "SingularMatrix",
     "block_table",
     "check_type",
     "classify",

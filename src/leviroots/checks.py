@@ -10,16 +10,20 @@ byte-identical reports.
 For the quadratic sweeps the pair count is cut by symmetry, never the
 content: a sign-rule or string condition for (mu, nu) coincides with
 the one for (-mu, -nu), (nu, mu) and (mu, -nu) after negating roots,
-and t-root spaces at opposite keys are exact mirrors (which the suite
-itself verifies per designation), so checking one representative per
-orbit checks them all.
+and t-root spaces at opposite keys are exact mirrors, with the keys
+closed under negation (which the suite itself verifies per designation),
+so checking one representative per orbit checks them all.  The string
+law is walked once per positive nu over the positive t-weights x: a
+negative x pairs with nu as minus its mirror -x, so its conditions are
+those at -x on the mirrored run, with top and bottom, raising and
+lowering swapped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from operator import mul, neg
+from operator import mul
 
 from . import slnx
 from .bds import (
@@ -29,7 +33,7 @@ from .bds import (
 from . import exactlin
 from .errors import LeviRootsError
 from .levi import (
-    ParabolicDesignation, designation, sign_rule_failure, string_reaches, string_run,
+    ParabolicDesignation, designation, sign_rule_failures, string_reaches, string_walk,
     string_weights, troot_of, troot_system,
 )
 from .rootsys import RootSystem, all_simple_types, root_system
@@ -119,29 +123,41 @@ def check_designation(des: ParabolicDesignation) -> DesignationReport:
         "positive": len(trsys.positives),
         "simple": len(trsys.simples),
     }
+    # the reach of every space, read by the bracket and the string law
+    reaches = string_reaches(trsys, trsys.key_index())
     _check_partition(des, trsys, failures)
     _check_weights(des, trsys, failures)
     _check_simples(des, trsys, failures)
-    _check_brackets(trsys, failures, label)
+    _check_brackets(trsys, reaches, failures, label)
     _check_signs(trsys, failures, label)
-    _check_strings(trsys, failures, label)
+    _check_strings(trsys, reaches, failures, label)
     _check_delta(trsys, failures, label)
     counts["k_cent"] = _check_series(trsys, failures, label)
     return DesignationReport(des.deleted, counts, tuple(failures))
 
 
 def _check_partition(des, trsys, failures):
-    """Spaces partition the roots off the Levi factor; mirrors are exact."""
+    """Spaces partition the roots off the Levi factor; mirrors are exact;
+    each positive space is the whole fiber of its key."""
     rs = des.rs
     label = _deleted_label(des)
-    D = des.deleted0
-    in_levi = sum(1 for phi in rs.roots if not any(phi[d] for d in D))
+    # each positive root's key, zipped from the deleted coordinate columns
+    columns = tuple(zip(*rs.positives))
+    fibers: dict[tuple, int] = {}
+    for i, key in enumerate(zip(*[columns[d] for d in des.deleted0])):
+        fibers[key] = fibers.get(key, 0) | 1 << i
+    in_levi = 2 * fibers.get((0,) * len(des.deleted0), 0).bit_count()
     total = sum(sp.dim for sp in trsys.spaces.values())
     if total + in_levi != len(rs.roots):
         failures.append(Failure(
             "partition", label,
             f"{total} space roots + {in_levi} Levi roots != {len(rs.roots)}",
         ))
+    troots = trsys.key_index()
+    for e, key in troots.items():
+        if -e not in troots:
+            failures.append(Failure(
+                "negation-symmetry", label, f"key {key} has no negative in keys"))
     # a root and its negative are len(positives) apart in the numbering,
     # and a positive key's space holds positive roots only
     spaces = trsys.spaces
@@ -150,6 +166,9 @@ def _check_partition(des, trsys, failures):
         if spaces[tuple(-c for c in key)].mask != spaces[key].mask << n_pos:
             failures.append(Failure(
                 "negation-symmetry", label, f"key {key} mirror mismatch"))
+        if spaces[key].mask != fibers.get(key):
+            failures.append(Failure(
+                "restriction", label, f"space {key} is not the fiber of its key"))
         if troot_of(des, spaces[key].highest) != key:
             failures.append(Failure(
                 "restriction", label, f"highest root of {key} restricts elsewhere"))
@@ -161,21 +180,21 @@ def _check_weights(des, trsys, failures):
     kept = des.kept0
     if not kept:
         return
-    # column i of the Cartan matrix gives <phi, alpha_i^vee> as a dot product
-    columns = [tuple(row[i] for row in rs.cartan) for i in kept]
+    codes = rs.pairing_codes()
+    fields = sum(15 << 4 * k for k in kept)  # the kept nodes' bits of a code
     for key in trsys.positives:
-        space = trsys.spaces[key]
-        if space.dim == 1:
+        numbers = trsys.spaces[key].numbers
+        if len({codes[i] & fields for i in numbers}) == len(numbers):
             continue
         seen = set()
-        for phi in space.roots:
-            w = tuple([sum(map(mul, phi, col)) for col in columns])
-            if w in seen:
+        for code in [codes[i] & fields for i in numbers]:
+            if code in seen:
+                w = tuple([(code >> 4 * k & 15) - 8 for k in kept])
                 failures.append(Failure(
                     "weight-multiplicity", _deleted_label(des),
                     f"two roots of {key} share kept-node pairings {w}",
                 ))
-            seen.add(w)
+            seen.add(code)
 
 
 def _check_simples(des, trsys, failures):
@@ -204,12 +223,12 @@ def _check_simples(des, trsys, failures):
     # one-signed keys, and simplicity <=> not a sum of two positives
     pos_encs = frozenset(map(trsys.key_enc, trsys.positives))
     for key in trsys.keys:
-        if not (all(c >= 0 for c in key) or all(c <= 0 for c in key)):
+        if not (min(key) >= 0 or max(key) <= 0):
             failures.append(Failure(
                 "positivity-dichotomy", label, f"key {key} is mixed-sign"))
     for key in trsys.positives:
         e = trsys.key_enc(key)
-        decomposable = any(e - p in pos_encs for p in pos_encs)
+        decomposable = not pos_encs.isdisjoint(map(e.__sub__, pos_encs))
         if decomposable == (key in units):
             kind = "decomposes" if decomposable else "has no decomposition"
             failures.append(Failure(
@@ -217,32 +236,26 @@ def _check_simples(des, trsys, failures):
                 f"key {key} {kind}, contradicting the simple set"))
 
 
-def _check_brackets(trsys, failures, label):
+def _check_brackets(trsys, reaches, failures, label):
     """Root sums from keys mu, nu fill the space at mu+nu exactly.
 
-    Only pairs with a positive sum key are computed; the pair with both
-    keys negated covers the mirror case exactly (space mirroring is
-    verified separately per designation).  The smaller space of each
-    pair is the one walked, as the sum set does not depend on the order.
+    A root k at mu+nu is a sum from mu and nu exactly when it is in the
+    reach of the space at -mu, and no sum escapes the target, because
+    every space is the whole fiber of its key (``restriction``; see
+    docs/conventions.md).  Only pairs with a positive sum key are checked;
+    the pair with both keys negated is the mirror case.
     """
     troots, spaces = trsys.key_index(), trsys.spaces
     targets = {trsys.key_enc(k): spaces[k].mask for k in trsys.positives}
-    sums = trsys.rs.sum_table().sums
     encs = sorted(troots)
     for i, em in enumerate(encs):
-        km = troots[em]
-        sm = spaces[km]
+        reach = reaches.get(-em, 0)  # 0 when -mu is no key (negation-symmetry)
         for en in encs[i:]:
             target = targets.get(em + en)
-            if target is None:
-                continue
-            kn = troots[en]
-            sn = spaces[kn]
-            small, large = (sm, sn) if sm.dim <= sn.dim else (sn, sm)
-            if sums(small.numbers, large.mask) != target:
+            if target is not None and reach & target != target:
                 failures.append(Failure(
                     "bracket-law", label,
-                    f"keys {km} + {kn}: root sums miss the target space",
+                    f"keys {troots[em]} + {troots[en]}: root sums miss the target space",
                 ))
 
 
@@ -254,44 +267,29 @@ def _check_signs(trsys, failures, label):
     pairings = trsys.positive_pairings()
     p = len(pos)
     for i, mu in enumerate(pos):
-        emu = encs[i]
-        for nu, enu, s in zip(pos[i:], encs[i:], pairings[i * p + i:(i + 1) * p]):
-            failure = sign_rule_failure(s, mu, nu, emu + enu, emu - enu, troots)
-            if failure:
-                failures.append(Failure("sign-rule", label, failure))
+        row = pairings[i * p + i:(i + 1) * p]
+        for text in sign_rule_failures(mu, encs[i], pos[i:], encs[i:], row, troots):
+            failures.append(Failure("sign-rule", label, text))
 
 
-def _check_strings(trsys, failures, label):
-    """String laws for every (gamma, nu), one check per maximal nu-run.
+def _check_strings(trsys, reaches, failures, label):
+    """String laws for every (gamma, nu), walked once per positive nu.
 
-    For fixed nu the pairs (gamma, nu) with gamma on one maximal run
-    share one interval up to shift, one pair of endpoint inequalities,
-    and one family of interior non-vanishing conditions, so each run is
-    verified once, from its bottom up; runs along -nu impose the
-    mirrored inequalities, which are literally the same checks.
-    Endpoint signs read nu's row of the positive pairing table (a
-    negative key pairs as minus its mirror).
+    The walk visits the positive t-weights only (the orbit rule of the
+    module docstring).  Zero needs no visit: it is interior to every run,
+    since nu and -nu are t-weights, and exempt from the non-vanishing
+    conditions.  Pairings read nu's row of the positive pairing table.
     """
     weights = string_weights(trsys)
-    reaches = string_reaches(trsys, weights)
-    ordered = sorted(weights)
     pos_encs = [trsys.key_enc(k) for k in trsys.positives]
-    neg_encs = [-e for e in pos_encs]
     spaces = trsys.spaces
     pairings = trsys.positive_pairings()
     p = len(pos_encs)
     texts: list[str] = []
     for b, nu in enumerate(trsys.positives):
-        row = pairings[b * p:(b + 1) * p]
-        en = pos_encs[b]
-        # (x, nu) for every t-weight x, by encoding
-        pairing = dict(zip(pos_encs, row))
-        pairing.update(zip(neg_encs, map(neg, row)))
-        pairing[0] = 0
         up, down = spaces[nu].mask, spaces[tuple(-c for c in nu)].mask
-        for bottom in ordered:
-            if bottom - en not in weights:  # the bottom of its run
-                string_run(bottom, en, nu, weights, pairing, reaches, up, down, texts)
+        string_walk(pos_encs[b], nu, pos_encs, pairings[b * p:(b + 1) * p], weights,
+                    reaches, up, down, texts)
     failures.extend(Failure("string-law", label, t) for t in texts)
 
 

@@ -35,7 +35,10 @@ def _load_cartan(path: str):
     and booleans are rejected, never rounded.
     """
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InvalidCartan(f"{path}: {exc}") from None
     if isinstance(data, dict):
         if "cartan" not in data:
             raise InvalidCartan(f'{path}: the JSON object has no "cartan" key')

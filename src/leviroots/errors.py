@@ -5,10 +5,6 @@ class LeviRootsError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class SingularMatrix(LeviRootsError):
-    """A linear system had no unique solution (Gram matrix not invertible)."""
-
-
 class InvalidRank(LeviRootsError):
     """A simple type was requested with a rank outside its family's range."""
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from operator import mul
+from operator import add, mul
 from typing import Iterable, NamedTuple, Sequence
 
 from . import exactlin
@@ -297,18 +297,27 @@ class TRootSystem:
 
         With p positive t-roots, entry ``i * p + j`` pairs ``positives[i]``
         with ``positives[j]``: a fixed positive multiple of ``inner``, so
-        it has the same sign.  The table is symmetric, so each pair is
-        computed once, on first use.  One flat list, not p row lists,
-        keeps a large designation from scattering p blocks over the heap.
+        it has the same sign.  Built on first use; by bilinearity the row
+        of a key one unit step above a positive key is that key's row plus
+        the unit key's row, and any other row takes p dot products.  One
+        flat list, not p row lists, is kept.
         """
         if self._pos_pairings is None:
-            pos = self.positives
-            p = len(pos)
-            table = [0] * (p * p)
-            for j, nu in enumerate(pos):
-                row = self._pairing(nu)
-                for i in range(j + 1):
-                    table[i * p + j] = table[j * p + i] = sum(map(mul, pos[i], row))
+            pos, pows = self.positives, self._kpows
+            rows: dict[int, list[int]] = {}
+            table: list[int] = []
+            for key in pos:  # by height, so the key one step below comes first
+                e = self.key_enc(key)
+                for a in range(len(key)):
+                    below, unit = rows.get(e - pows[a]), rows.get(pows[a])
+                    if below is not None and unit is not None:
+                        row = list(map(add, below, unit))
+                        break
+                else:
+                    form = self._pairing(key)
+                    row = [sum(map(mul, nu, form)) for nu in pos]
+                rows[e] = row
+                table += row
             self._pos_pairings = table
         return self._pos_pairings
 
@@ -400,34 +409,36 @@ class SignRuleReport(NamedTuple):
     failures: tuple[str, ...]
 
 
-def sign_rule_failure(s: int, mu: Key, nu: Key, plus: int, minus: int,
-                      troots: dict[int, Key]) -> str | None:
-    """The sign rule for one pair of t-roots, read on their encodings.
+def sign_rule_failures(mu: Key, emu: int, nus: Sequence[Key], encs: Sequence[int],
+                       signs: Sequence[int], troots: dict[int, Key]) -> list[str]:
+    """The sign rule for mu against each nu of a row, read on encodings.
 
-    ``s`` has the sign of (mu, nu), ``plus`` and ``minus`` encode mu + nu
-    and mu - nu, and ``troots`` is ``TRootSystem.key_index()``.  Negative
-    pairing forces mu + nu to be a t-root (when nonzero), positive pairing
-    forces mu - nu (when nonzero), and zero pairing makes the two
-    memberships equivalent.  Returns the failure text, or None.
+    ``emu`` and ``encs`` encode mu and the nus, ``signs`` has the sign of
+    each (mu, nu), and ``troots`` is ``TRootSystem.key_index()``.
+    Negative pairing forces mu + nu to be a t-root (when nonzero), positive
+    pairing forces mu - nu (when nonzero), and zero pairing makes the two
+    memberships equivalent.  Returns the failure texts.
     """
-    if s < 0:
-        if plus and plus not in troots:
-            return f"({mu},{nu}) < 0 but the sum is not a t-root"
-    elif s > 0:
-        if minus and minus not in troots:
-            return f"({mu},{nu}) > 0 but the difference is not a t-root"
-    elif (plus in troots) != (minus in troots):
-        return f"({mu},{nu}) = 0 but sum/difference membership differs"
-    return None
+    out = []
+    for nu, enu, s in zip(nus, encs, signs):
+        plus, minus = emu + enu, emu - enu
+        if s < 0:
+            if plus and plus not in troots:
+                out.append(f"({mu},{nu}) < 0 but the sum is not a t-root")
+        elif s > 0:
+            if minus and minus not in troots:
+                out.append(f"({mu},{nu}) > 0 but the difference is not a t-root")
+        elif (plus in troots) != (minus in troots):
+            out.append(f"({mu},{nu}) = 0 but sum/difference membership differs")
+    return out
 
 
 def sign_rule_check(trsys: TRootSystem, mu, nu) -> SignRuleReport:
-    """Verify the sign rule (``sign_rule_failure``) for one pair of t-roots."""
+    """Verify the sign rule (``sign_rule_failures``) for one pair of t-roots."""
     km, kn = _troot_pair(trsys, mu, nu)
     s = trsys.inner_sign(km, kn)
-    em, en = trsys.key_enc(km), trsys.key_enc(kn)
-    failure = sign_rule_failure(s, km, kn, em + en, em - en, trsys.key_index())
-    failures = (failure,) if failure else ()
+    failures = tuple(sign_rule_failures(
+        km, trsys.key_enc(km), (kn,), (trsys.key_enc(kn),), (s,), trsys.key_index()))
     return SignRuleReport(km, kn, s, not failures, failures)
 
 
@@ -482,40 +493,39 @@ def string_reaches(trsys: TRootSystem, encs: Iterable[int]) -> dict[int, int]:
     return {e: reach(spaces[troots[e]].numbers) for e in encs if e}
 
 
-def string_run(bottom: int, step: int, nu: Key, weights: dict[int, Key],
-               pairing: dict[int, int], reaches: dict[int, int],
-               up: int, down: int, out: list[str]) -> None:
-    """The string law on the maximal nu-run of t-weights from ``bottom`` up.
+def string_walk(step: int, nu: Key, positions: Iterable[int], pairings: Iterable[int],
+                weights: dict[int, Key], reaches: dict[int, int], up: int, down: int,
+                out: list[str]) -> None:
+    """The string law at each t-weight of ``positions`` along nu.
 
     Everything is read on encodings: ``step`` encodes nu and ``weights``
-    is ``string_weights``.  For (at least) the positions of the run,
-    ``pairing[x]`` is a positive multiple of (x, nu) and ``reaches`` holds
-    ``string_reaches``; ``up`` and ``down`` are the masks of the spaces at
-    nu and -nu.  A singleton run must be orthogonal to nu; otherwise its
-    top must pair positively and its bottom negatively with nu, and the
-    action of g_nu (raising, below the top) and g_-nu (lowering, above the
-    bottom) must be nonzero at every nonzero position: some root of the
-    space there adds to a root of the acting space within Delta u {0}.
-    Appends each failure text to ``out``.
+    is ``string_weights``; ``pairings`` gives a positive multiple of
+    (x, nu) for each position x, ``reaches`` holds ``string_reaches`` of
+    (at least) the nonzero positions, and ``up`` and ``down`` are the
+    masks of the spaces at nu and -nu.  A position is the top of its maximal nu-run
+    when x + nu is no t-weight, and the bottom when x - nu is none.  A
+    singleton run must be orthogonal to nu; otherwise its top must pair
+    positively and its bottom negatively with nu, and the action of g_nu
+    (raising, below the top) and g_-nu (lowering, above the bottom) must
+    be nonzero at every nonzero position: some root of the space there
+    adds to a root of the acting space within Delta u {0}.  Appends each
+    failure text to ``out``.
     """
-    top = bottom
-    while top + step in weights:
-        top += step
-    if top == bottom:
-        if pairing[top] != 0:
-            out.append(f"singleton string at {weights[top]} along {nu} not orthogonal")
-        return
-    if pairing[top] <= 0:
-        out.append(f"top of string {weights[top]} along {nu} not positive")
-    if pairing[bottom] >= 0:
-        out.append(f"bottom of string {weights[bottom]} along {nu} not negative")
-    for x in range(bottom, top + step, step):
-        if x == 0:
-            continue  # bracketing with the Levi factor is automatic
-        if x != top and not reaches[x] & up:
-            out.append(f"no raising root sum at {weights[x]} along {nu}")
-        if x != bottom and not reaches[x] & down:
-            out.append(f"no lowering root sum at {weights[x]} along {nu}")
+    for x, s in zip(positions, pairings):
+        raised, lowered = x + step in weights, x - step in weights
+        if not (raised or lowered):
+            if s:
+                out.append(f"singleton string at {weights[x]} along {nu} not orthogonal")
+            continue
+        if not raised and s <= 0:
+            out.append(f"top of string {weights[x]} along {nu} not positive")
+        if not lowered and s >= 0:
+            out.append(f"bottom of string {weights[x]} along {nu} not negative")
+        if x:  # bracketing with the Levi factor is automatic
+            if raised and not reaches[x] & up:
+                out.append(f"no raising root sum at {weights[x]} along {nu}")
+            if lowered and not reaches[x] & down:
+                out.append(f"no lowering root sum at {weights[x]} along {nu}")
 
 
 def troot_string(trsys: TRootSystem, gamma, nu) -> tuple[int, int]:
@@ -555,15 +565,15 @@ class StringReport(NamedTuple):
 
 
 def troot_string_report(trsys: TRootSystem, gamma, nu) -> StringReport:
-    """String endpoints plus the string law (``string_run``) on that string."""
+    """String endpoints plus the string law (``string_walk``) on that string."""
     p, q = troot_string(trsys, gamma, nu)
     kg, kn = _as_weight_key(trsys, gamma), tuple(nu)
     weights = string_weights(trsys)
     eg, en = trsys.key_enc(kg), trsys.key_enc(kn)
     run = range(eg + p * en, eg + (q + 1) * en, en)
     row = trsys._pairing(kn)
-    pairing = {x: sum(map(mul, weights[x], row)) for x in run}
+    pairings = [sum(map(mul, weights[x], row)) for x in run]
     failures: list[str] = []
-    string_run(run[0], en, kn, weights, pairing, string_reaches(trsys, run),
-               trsys.spaces[kn].mask, trsys.spaces[tuple(-c for c in kn)].mask, failures)
+    string_walk(en, kn, run, pairings, weights, string_reaches(trsys, run),
+                trsys.spaces[kn].mask, trsys.spaces[tuple(-c for c in kn)].mask, failures)
     return StringReport(kg, kn, p, q, not failures, tuple(failures))

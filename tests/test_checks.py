@@ -20,10 +20,12 @@ from leviroots.checks import (
     standard_designations,
 )
 from leviroots import bds, checks, slnx
-from leviroots.rootsys import RootSystem
+from leviroots.rootsys import RootSystem, all_simple_types
 from leviroots.levi import (
     TRootSystem,
+    bracket_image,
     sign_rule_check,
+    string_reaches,
     troot_string_report,
     troot_system as real_troot_system,
 )
@@ -104,8 +106,9 @@ def _drop_troot(t, key):
 
 
 def test_corrupted_space_detected(monkeypatch):
-    # one root dropped from a public space must break the bracket law:
-    # the sums of the spaces at -1 and 2 still reach the dropped root
+    # one root dropped from a public space must break the bracket law: the
+    # damaged space at (1,) is the target of (-1,) + (2,), and the reach of
+    # its own damaged copy, the mirror of (-1,), no longer covers it
     _corrupting(monkeypatch, lambda t: _drop_root(t, t.positives[0]))
     rep = check_designation(designation(root_system("B3"), deleted=[2]))
     names = {f.check for f in rep.failures}
@@ -180,6 +183,81 @@ def test_per_pair_api_and_sweep_read_the_same_troots(monkeypatch, g2):
     assert string.failures[0] in by_check["string-law"]
 
 
+def _laws_by_pair(trsys, strings=True):
+    """Per-pair verdicts: (bracket agreements, sign texts, string texts).
+
+    The bracket law's reach form is compared with ``bracket_image``, the
+    root-sum walk, on every pair with a positive sum key; the sign rule
+    and (unless ``strings`` is false) the string law run through the
+    per-pair API on every pair.
+    """
+    spaces, index = trsys.spaces, trsys.rs.index
+    reaches = string_reaches(trsys, trsys.key_index())
+    agree = []
+    for mu in trsys.keys:
+        for nu in trsys.keys:
+            total = tuple(a + b for a, b in zip(mu, nu))
+            if total in trsys.positives:
+                image = sum(1 << index[r] for r in bracket_image(trsys, mu, nu))
+                mirror = reaches[-trsys.key_enc(mu)]
+                agree.append(mirror & spaces[total].mask == image)
+    signs = {t for mu in trsys.keys for nu in trsys.keys
+             for t in sign_rule_check(trsys, mu, nu).failures}
+    if strings:
+        strings = {t for gamma in (None,) + trsys.keys for nu in trsys.keys
+                   for t in troot_string_report(trsys, gamma, nu).failures}
+    return agree, signs, strings
+
+
+def test_mask_laws_agree_with_per_pair_api():
+    # every designation of every type of rank <= 4: the reach form of the
+    # bracket law finds exactly the root sums of bracket_image, and the
+    # sweep passes the sign and string laws exactly when every pair does
+    designations = pairs = 0
+    for stype in all_simple_types(4):
+        for des in all_parabolic_designations(root_system(stype)):
+            rep = check_designation(des)
+            agree, signs, strings = _laws_by_pair(real_troot_system(des))
+            assert all(agree), des
+            found = {f.check for f in rep.failures}
+            assert ("sign-rule" in found) == bool(signs), des
+            assert ("string-law" in found) == bool(strings), des
+            designations += 1
+            pairs += len(agree)
+    assert designations == 109 and pairs > 1000
+
+
+def test_sweep_and_per_pair_api_agree_on_a_missing_troot(monkeypatch, g2):
+    # without (1, 1) the sweep reports exactly the per-pair sign texts of
+    # its representatives mu <= nu, and both fail the string law (where the
+    # per-pair API finds no interval it raises instead of reporting)
+    damaged = []
+
+    def damage(t):
+        _drop_troot(t, (1, 1))
+        damaged.append(t)
+
+    _corrupting(monkeypatch, damage)
+    rep = check_designation(designation(g2, deleted=[1, 2]))
+    [trsys] = damaged
+    _, signs, _ = _laws_by_pair(trsys, strings=False)
+    strings = set()
+    for gamma in (None,) + trsys.keys:
+        for nu in trsys.keys:
+            try:
+                strings.update(troot_string_report(trsys, gamma, nu).failures)
+            except AssertionError:  # the damage leaves a gap in this string
+                pass
+    pos = trsys.positives
+    representatives = {t for i, mu in enumerate(pos) for nu in pos[i:]
+                       for t in sign_rule_check(trsys, mu, nu).failures}
+    by_check = {}
+    for f in rep.failures:
+        by_check.setdefault(f.check, set()).add(f.detail)
+    assert by_check["sign-rule"] == representatives and representatives <= signs
+    assert by_check["string-law"] and strings
+
+
 def test_flipped_pairings_break_endpoint_signs(monkeypatch, g2):
     # both laws read their signs from the positive pairing table
     real_pairings = TRootSystem.positive_pairings
@@ -235,6 +313,61 @@ def test_misplaced_highest_root_breaks_restriction(monkeypatch):
     rep = check_designation(designation(root_system("B3"), deleted=[2]))
     assert [(f.check, f.detail) for f in rep.failures] == [
         ("restriction", "highest root of (1,) restricts elsewhere")]
+
+
+def test_moved_root_breaks_restriction(monkeypatch):
+    # a root of (1,) moved to (2,), and its negative from (-1,) to (-2,):
+    # the root counts and the mirrors still hold, but two spaces are no
+    # longer the fibers of their keys
+    def damage(t):
+        moved = t.spaces[(1,)].numbers[0]
+        n_pos = len(t.rs.positives)
+        for src, dst, i in (((1,), (2,), moved), ((-1,), (-2,), moved + n_pos)):
+            a, b = t.spaces[src], t.spaces[dst]
+            t.spaces[src] = replace(a, numbers=tuple(j for j in a.numbers if j != i))
+            t.spaces[dst] = replace(b, numbers=b.numbers + (i,))
+
+    _corrupting(monkeypatch, damage)
+    rep = check_designation(designation(root_system("B3"), deleted=[2]))
+    details = [f.detail for f in rep.failures if f.check == "restriction"]
+    assert details == ["space (1,) is not the fiber of its key",
+                       "space (2,) is not the fiber of its key"]
+    assert "negation-symmetry" not in {f.check for f in rep.failures}
+
+
+def test_missing_negative_keys_break_negation_symmetry(monkeypatch):
+    # the spaces at negative keys are intact, but keys lists none of them
+    def damage(t):
+        t.keys = t.positives
+
+    _corrupting(monkeypatch, damage)
+    rep = check_designation(designation(root_system("B3"), deleted=[2]))
+    details = [f.detail for f in rep.failures if f.check == "negation-symmetry"]
+    assert details == ["key (1,) has no negative in keys", "key (2,) has no negative in keys"]
+
+
+def test_mixed_sign_key_breaks_positivity_dichotomy(monkeypatch, g2):
+    # a mixed-sign key and its negative, each with an empty space
+    def damage(t):
+        for key in ((1, -1), (-1, 1)):
+            t.spaces[key] = replace(t.spaces[(1, 0)], key=key, numbers=())
+            t.keys += (key,)
+
+    _corrupting(monkeypatch, damage)
+    rep = check_designation(designation(g2, deleted=[1, 2]))
+    details = [f.detail for f in rep.failures if f.check == "positivity-dichotomy"]
+    assert details == ["key (1, -1) is mixed-sign", "key (-1, 1) is mixed-sign"]
+
+
+def test_dropped_top_key_breaks_grading(monkeypatch):
+    # without the top key (2,), no positive t-root has order 2 = k_cent
+    def damage(t):
+        t.positives = t.positives[:-1]
+
+    _corrupting(monkeypatch, damage)
+    rep = check_designation(designation(root_system("B3"), deleted=[2]))
+    details = [f.detail for f in rep.failures if f.check == "grading"]
+    assert details == ["grading levels are not 1..k_cent"]
 
 
 def test_repeated_root_number_breaks_weight_multiplicity(monkeypatch):

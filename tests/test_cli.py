@@ -101,6 +101,7 @@ BAD_CARTAN_FILES = [
     ([[2, True], [-1, 2]], "is not an integer"),  # booleans are not integers
     ([[2, -1, 0], [-1, 2]], "matrix is not square"),
     ([[2, -2], [-2, 2]], "closure produced more than 6 positive roots"),  # affine A1
+    ("[[2,-1],[-1,2]", "Expecting ',' delimiter"),  # not JSON: written as it stands
 ]
 
 
@@ -109,7 +110,7 @@ BAD_CARTAN_FILES = [
 def test_cartan_file_rejects_non_integer_entries(tmp_path, capsys, matrix, message):
     # the errors of generate name the file, like those of the JSON checks
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"cartan": matrix}))
+    path.write_text(matrix if isinstance(matrix, str) else json.dumps({"cartan": matrix}))
     assert cli.run(["roots", "--cartan", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
