@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
 from operator import add, mul
 from typing import Iterable, NamedTuple, Sequence
 
@@ -140,7 +139,7 @@ class TRootSystem:
 
     __slots__ = (
         "designation", "rs", "spaces", "keys", "positives", "simples",
-        "delta_key", "key_bounds", "_kpows", "_troots", "_nil_sums", "_beta",
+        "delta_key", "_kpows", "_troots", "_nil_sums", "_beta",
         "_form", "_proj", "_pairings", "_pos_pairings",
     )
 
@@ -197,7 +196,6 @@ class TRootSystem:
             for i, c in enumerate(k):
                 delta[i] += dim * c
         self.delta_key = tuple(delta)
-        self.key_bounds = tuple(rs.marks[d] for d in D)
         self._kpows = rs._pows[:width]
         self._troots = None
         self._nil_sums = None
@@ -442,31 +440,6 @@ def sign_rule_check(trsys: TRootSystem, mu, nu) -> SignRuleReport:
     return SignRuleReport(km, kn, s, not failures, failures)
 
 
-def _ceil_div(a: int, b: int) -> int:
-    # b > 0
-    return -((-a) // b)
-
-
-def _string_window(kg: Key, kn: Key, bounds: tuple[int, ...]) -> tuple[int, int]:
-    """All j for which gamma + j*nu stays inside the coordinate box.
-
-    Keys of t-weights obey |key[a]| <= mark of the deleted node a, so
-    outside this window membership is impossible; inside it the integer
-    encoding is collision-free.
-    """
-    lo, hi = None, None
-    for g, v, m in zip(kg, kn, bounds):
-        if v == 0:
-            continue
-        a, b = -m - g, m - g  # a <= j*v <= b
-        if v < 0:
-            a, b, v = -b, -a, -v
-        l, h = _ceil_div(a, v), b // v
-        lo = l if lo is None else max(lo, l)
-        hi = h if hi is None else min(hi, h)
-    return lo, hi
-
-
 def _as_weight_key(trsys: TRootSystem, gamma) -> Key:
     width = len(trsys.simples)
     if gamma is None:
@@ -528,30 +501,39 @@ def string_walk(step: int, nu: Key, positions: Iterable[int], pairings: Iterable
                 out.append(f"no lowering root sum at {weights[x]} along {nu}")
 
 
-def troot_string(trsys: TRootSystem, gamma, nu) -> tuple[int, int]:
-    """Endpoints (p, q) of the nu-string through the t-weight gamma.
+def _string_line(trsys: TRootSystem, gamma, nu) -> tuple[Key, Key, list[int]]:
+    """The keys of gamma and nu, and every j, ascending, with gamma + j*nu a t-weight.
 
-    gamma is a t-root key or None/zeros for the zero weight; the string
-    is the set of j with gamma + j*nu a t-weight of the adjoint module
-    (a t-root or zero).  The set is verified to be an interval
-    containing 0; a violation would be an internal error.
+    gamma is a t-root key or None/zeros for the zero weight, nu a t-root
+    key.  Read by key arithmetic over ``string_weights``: a weight w is on
+    the line when w - gamma is a whole multiple of nu, coordinate by
+    coordinate.
     """
     kn = tuple(nu)
     if kn not in trsys.spaces:
         raise InvalidPair(f"{kn} is not a t-root here")
     kg = _as_weight_key(trsys, gamma)
-    weights = string_weights(trsys)
-    eg, en = trsys.key_enc(kg), trsys.key_enc(kn)
-    q = 0
-    while eg + (q + 1) * en in weights:
-        q += 1
-    p = 0
-    while eg + (p - 1) * en in weights:
-        p -= 1
-    lo, hi = _string_window(kg, kn, trsys.key_bounds)
-    for j in chain(range(lo, p - 1), range(q + 2, hi + 1)):
-        if eg + j * en in weights:
-            raise AssertionError(f"t-weight string through {kg} along {kn} is not an interval")
+    a = next(i for i, c in enumerate(kn) if c)
+    line = []
+    for w in string_weights(trsys).values():
+        j, r = divmod(w[a] - kg[a], kn[a])
+        if not r and all(x - g == j * v for x, g, v in zip(w, kg, kn)):
+            line.append(j)
+    return kg, kn, sorted(line)
+
+
+def troot_string(trsys: TRootSystem, gamma, nu) -> tuple[int, int]:
+    """Endpoints (p, q) of the nu-string through the t-weight gamma.
+
+    The string is the set of j with gamma + j*nu a t-weight of the
+    adjoint module (a t-root or zero), as ``_string_line`` finds it.  The
+    set is verified to be an interval containing 0; a violation would be
+    an internal error.
+    """
+    kg, kn, line = _string_line(trsys, gamma, nu)
+    p, q = line[0], line[-1]
+    if line != list(range(p, q + 1)):
+        raise AssertionError(f"t-weight string through {kg} along {kn} is not an interval")
     return p, q
 
 
@@ -565,15 +547,18 @@ class StringReport(NamedTuple):
 
 
 def troot_string_report(trsys: TRootSystem, gamma, nu) -> StringReport:
-    """String endpoints plus the string law (``string_walk``) on that string."""
-    p, q = troot_string(trsys, gamma, nu)
-    kg, kn = _as_weight_key(trsys, gamma), tuple(nu)
+    """The string law (``string_walk``) on the whole nu-line through gamma.
+
+    (p, q) are its least and greatest j (``_string_line``); a gap in the
+    line shows as endpoint failures at both of its edges.
+    """
+    kg, kn, line = _string_line(trsys, gamma, nu)
     weights = string_weights(trsys)
     eg, en = trsys.key_enc(kg), trsys.key_enc(kn)
-    run = range(eg + p * en, eg + (q + 1) * en, en)
+    run = [eg + j * en for j in line]
     row = trsys._pairing(kn)
     pairings = [sum(map(mul, weights[x], row)) for x in run]
     failures: list[str] = []
     string_walk(en, kn, run, pairings, weights, string_reaches(trsys, run),
                 trsys.spaces[kn].mask, trsys.spaces[tuple(-c for c in kn)].mask, failures)
-    return StringReport(kg, kn, p, q, not failures, tuple(failures))
+    return StringReport(kg, kn, line[0], line[-1], not failures, tuple(failures))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidComposition
 from .levi import Key, ParabolicDesignation, designation, troot_system
-from .rootsys import RootSystem, SimpleType, root_system
+from .rootsys import RootSystem, SimpleType, cartan_matrix, root_system
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,7 @@ def designation_of(comp: Composition, rs: RootSystem | None = None) -> Parabolic
     """The parabolic on A_{n-1} whose deleted nodes are the cut points."""
     if rs is None:
         rs = root_system(SimpleType("A", comp.n - 1), max_rank=comp.n - 1)
-    if rs.stype != SimpleType("A", comp.n - 1):
+    if rs.cartan != cartan_matrix(SimpleType("A", comp.n - 1), max_rank=comp.n - 1):
         raise InvalidComposition(
             f"composition of {comp.n} needs type A{comp.n - 1}, got {rs.stype}"
         )

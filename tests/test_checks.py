@@ -20,7 +20,7 @@ from leviroots.checks import (
     standard_designations,
 )
 from leviroots import bds, checks, slnx
-from leviroots.rootsys import RootSystem, all_simple_types
+from leviroots.rootsys import RootSystem, SimpleType, all_simple_types, cartan_matrix, generate
 from leviroots.levi import (
     TRootSystem,
     bracket_image,
@@ -229,8 +229,8 @@ def test_mask_laws_agree_with_per_pair_api():
 
 def test_sweep_and_per_pair_api_agree_on_a_missing_troot(monkeypatch, g2):
     # without (1, 1) the sweep reports exactly the per-pair sign texts of
-    # its representatives mu <= nu, and both fail the string law (where the
-    # per-pair API finds no interval it raises instead of reporting)
+    # its representatives mu <= nu, and both fail the string law (the
+    # per-pair API walks the whole line, gaps included)
     damaged = []
 
     def damage(t):
@@ -244,10 +244,7 @@ def test_sweep_and_per_pair_api_agree_on_a_missing_troot(monkeypatch, g2):
     strings = set()
     for gamma in (None,) + trsys.keys:
         for nu in trsys.keys:
-            try:
-                strings.update(troot_string_report(trsys, gamma, nu).failures)
-            except AssertionError:  # the damage leaves a gap in this string
-                pass
+            strings.update(troot_string_report(trsys, gamma, nu).failures)
     pos = trsys.positives
     representatives = {t for i, mu in enumerate(pos) for nu in pos[i:]
                        for t in sign_rule_check(trsys, mu, nu).failures}
@@ -501,9 +498,33 @@ def test_dropped_root_number_breaks_block_crosscheck(monkeypatch):
 def test_missing_top_troot_breaks_maximal_parabolic_ladder(monkeypatch, g2):
     # deleting the mark-3 node must give t-roots +-1..3 times the unit key
     _corrupting(monkeypatch, lambda t: _drop_troot(t, (3,)))
-    rep = check_node(g2, extended_diagram(g2), 1)
+    rep = check_designation(designation(g2, deleted=[1]))
     assert [(f.check, f.detail) for f in rep.failures] == [
+        ("partition", "6 space roots + 2 Levi roots != 12"),
+        ("grading", "grading levels are not 1..k_cent"),
         ("maximal-parabolic-ladder", "t-roots are not +-1..3 times the unit key")]
+
+
+def test_missing_unit_troot_breaks_the_a1_ladder(monkeypatch):
+    # the A1 Borel is its only maximal parabolic, so it carries the ladder
+    _corrupting(monkeypatch, lambda t: _drop_troot(t, (1,)))
+    rep = check_type(root_system("A1"))
+    [des] = rep.designations
+    assert ("maximal-parabolic-ladder", "t-roots are not +-1..1 times the unit key") in [
+        (f.check, f.detail) for f in des.failures]
+    assert all(node.ok for node in rep.nodes)
+
+
+def test_key_without_a_space_is_one_partition_record(monkeypatch):
+    # the laws read the space at every key and at every positive key's
+    # mirror; a missing one is reported, not raised as KeyError
+    def damage(t):
+        del t.spaces[(-1,)]
+
+    _corrupting(monkeypatch, damage)
+    rep = check_designation(designation(root_system("B3"), deleted=[2]))
+    assert [(f.check, f.detail) for f in rep.failures] == [
+        ("partition", "keys without a space: [(-1,)]")]
 
 
 def test_unclassifiable_prime_node_is_a_reported_failure(monkeypatch, g2):
@@ -555,6 +576,38 @@ def test_check_type_builds_the_extended_diagram_once(monkeypatch):
     rep = check_type(rs)
     assert rep.ok and len(calls) == 1
     assert rep.maximal == bds.maximal_equal_rank(rs)
+
+
+def test_check_type_builds_each_troot_system_once(monkeypatch):
+    # one t-root system per designation in scope; the node checks build none
+    built = []
+    real_init = TRootSystem.__init__
+
+    def counting(self, des):
+        built.append(des.deleted)
+        real_init(self, des)
+
+    monkeypatch.setattr(TRootSystem, "__init__", counting)
+    rs = root_system("E6")
+    assert check_type(rs).ok and len(built) == 7
+    built.clear()
+    assert check_type(rs, all_parabolics=True).ok and len(built) == 63
+
+
+def test_explicit_type_a_matrix_gets_the_block_crosscheck(monkeypatch):
+    # the crosscheck is chosen by the Cartan matrix, not by the type name
+    calls = []
+    real = slnx.crosscheck
+
+    def counting(comp, rs=None):
+        calls.append(comp.parts)
+        return real(comp, rs)
+
+    monkeypatch.setattr(slnx, "crosscheck", counting)
+    rs = generate(cartan_matrix(SimpleType("A", 3)))
+    assert rs.stype is None
+    rep = check_type(rs)
+    assert rep.ok and calls == [(1, 1, 1, 1), (1, 3), (2, 2), (3, 1)]
 
 
 def test_check_type_builds_no_fraction(monkeypatch):

@@ -9,6 +9,7 @@ from leviroots import (
     root_system,
     troot_system,
 )
+from leviroots.rootsys import SimpleType, cartan_matrix, generate
 from leviroots.slnx import Composition, designation_of, sln_document
 
 
@@ -113,6 +114,14 @@ def test_crosscheck_all_n_le_6():
 def test_crosscheck_random(parts):
     rep = crosscheck(composition(parts))
     assert rep.ok, rep.failures
+
+
+def test_designation_of_reads_the_cartan_matrix():
+    # an explicit matrix has no type name; the A3 chain is accepted, B3 is not
+    comp = composition([2, 2])
+    assert designation_of(comp, generate(cartan_matrix(SimpleType("A", 3)))).deleted == (2,)
+    with pytest.raises(InvalidComposition):
+        designation_of(comp, generate(cartan_matrix(SimpleType("B", 3))))
 
 
 def test_crosscheck_reuses_root_system():
