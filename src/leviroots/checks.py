@@ -21,6 +21,7 @@ lowering swapped.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import combinations
 from operator import mul
@@ -125,7 +126,7 @@ def check_designation(des: ParabolicDesignation) -> DesignationReport:
     }
     # every law below reads the space at each key and at each positive
     # key's mirror
-    needed = {*trsys.keys, *trsys.positives, *(tuple(-c for c in k) for k in trsys.positives)}
+    needed = {*trsys.keys, *trsys.positives, *(tuple([-c for c in k]) for k in trsys.positives)}
     missing = sorted((k for k in needed if k not in trsys.spaces), key=lambda k: (sum(k), k))
     if missing:
         failures.append(Failure("partition", label, f"keys without a space: {missing}"))
@@ -154,12 +155,18 @@ def _check_partition(des, trsys, failures):
     each positive space is the whole fiber of its key."""
     rs = des.rs
     label = _deleted_label(des)
-    # each positive root's key, zipped from the deleted coordinate columns
-    columns = tuple(zip(*rs.positives))
-    fibers: dict[tuple, int] = {}
-    for i, key in enumerate(zip(*[columns[d] for d in des.deleted0])):
-        fibers[key] = fibers.get(key, 0) | 1 << i
-    in_levi = 2 * fibers.get((0,) * len(des.deleted0), 0).bit_count()
+    # the fiber of a key: the AND, over the deleted nodes, of the positive
+    # roots with that key entry as their coefficient there
+    value_masks = [rs.coefficient_masks()[d] for d in des.deleted0]
+    everything = (1 << len(rs.positives)) - 1
+
+    def fiber(key):
+        out = everything
+        for masks, c in zip(value_masks, key):
+            out &= masks.get(c, 0)
+        return out
+
+    in_levi = 2 * fiber((0,) * len(value_masks)).bit_count()
     total = sum(sp.dim for sp in trsys.spaces.values())
     if total + in_levi != len(rs.roots):
         failures.append(Failure(
@@ -176,10 +183,11 @@ def _check_partition(des, trsys, failures):
     spaces = trsys.spaces
     n_pos = len(rs.positives)
     for key in trsys.positives:
-        if spaces[tuple(-c for c in key)].mask != spaces[key].mask << n_pos:
+        if spaces[tuple([-c for c in key])].mask != spaces[key].mask << n_pos:
             failures.append(Failure(
                 "negation-symmetry", label, f"key {key} mirror mismatch"))
-        if spaces[key].mask != fibers.get(key):
+        own = fiber(key)
+        if not own or spaces[key].mask != own:  # a key no root has is no t-root
             failures.append(Failure(
                 "restriction", label, f"space {key} is not the fiber of its key"))
         if troot_of(des, spaces[key].highest) != key:
@@ -260,10 +268,12 @@ def _check_brackets(trsys, reaches, failures, label):
     """
     troots, spaces = trsys.key_index(), trsys.spaces
     targets = {trsys.key_enc(k): spaces[k].mask for k in trsys.positives}
+    low, high = min(targets, default=0), max(targets, default=0)
     encs = sorted(troots)
     for i, em in enumerate(encs):
         reach = reaches.get(-em, 0)  # 0 when -mu is no key (negation-symmetry)
-        for en in encs[i:]:
+        # a partner outside [low - em, high - em] reaches no target
+        for en in encs[bisect_left(encs, low - em, i):bisect_right(encs, high - em, i)]:
             target = targets.get(em + en)
             if target is not None and reach & target != target:
                 failures.append(Failure(
@@ -300,7 +310,7 @@ def _check_strings(trsys, reaches, failures, label):
     p = len(pos_encs)
     texts: list[str] = []
     for b, nu in enumerate(trsys.positives):
-        up, down = spaces[nu].mask, spaces[tuple(-c for c in nu)].mask
+        up, down = spaces[nu].mask, spaces[tuple([-c for c in nu])].mask
         string_walk(pos_encs[b], nu, pos_encs, pairings[b * p:(b + 1) * p], weights,
                     reaches, up, down, texts)
     failures.extend(Failure("string-law", label, t) for t in texts)
@@ -438,7 +448,7 @@ class TypeReport:
 
     def as_dict(self) -> dict:
         return {
-            "type": str(self.stype),
+            "type": str(self.stype) if self.stype else None,
             "ok": self.ok,
             "designations": [r.as_dict() for r in self.designations],
             "nodes": [r.as_dict() for r in self.nodes],

@@ -210,18 +210,19 @@ def _pretty_sln(doc: dict) -> str:
 def _pretty_check(doc: dict) -> str:
     rows, fails = [], []
     for t in doc["types"]:
+        name = t["type"] or "(explicit)"
         lines = [
-            f"FAIL {t['type']} deleted={d['deleted']} {f['check']}: {f['detail']}"
+            f"FAIL {name} deleted={d['deleted']} {f['check']}: {f['detail']}"
             for d in t["designations"] for f in d["failures"]
         ] + [
-            f"FAIL {t['type']} node={n['node']} {f['check']}: {f['detail']}"
+            f"FAIL {name} node={n['node']} {f['check']}: {f['detail']}"
             for n in t["nodes"] for f in n["failures"]
         ] + [
-            f"FAIL {t['type']} {f['subject']} {f['check']}: {f['detail']}"
+            f"FAIL {name} {f['subject']} {f['check']}: {f['detail']}"
             for f in t["block_check_failures"]
         ]
         rows.append([
-            t["type"] or "(explicit)",
+            name,
             str(len(t["designations"])), str(len(t["nodes"])),
             "ok" if t["ok"] else "FAIL", str(len(lines)),
         ])

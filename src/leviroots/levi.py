@@ -87,7 +87,7 @@ def troot_of(des: ParabolicDesignation, root: Root) -> Key | None:
     The restriction is zero exactly when the root lives in the Levi
     factor (all coefficients on deleted nodes are zero).
     """
-    key = tuple(root[d] for d in des.deleted0)
+    key = tuple([root[d] for d in des.deleted0])
     return key if any(key) else None
 
 
@@ -148,19 +148,26 @@ class TRootSystem:
         self.designation = des
         self.rs = rs
         D = des.deleted0
+        width = len(D)
         kept = sum(1 << k for k in des.kept0)
         steps = rs.step_table()
-        positives = rs.positives
-        n_pos = len(positives)
+        n_pos = len(rs.positives)
 
+        # each positive root's key, zipped from the deleted coefficient columns
+        columns = rs.columns()
         groups: dict[Key, list[int]] = {}
-        for i, phi in enumerate(positives):
-            key = tuple([phi[d] for d in D])
-            if any(key):
-                groups.setdefault(key, []).append(i)
+        for i, key in enumerate(zip(*[columns[d] for d in D])):
+            members = groups.get(key)
+            if members is None:
+                groups[key] = [i]
+            else:
+                members.append(i)
+        groups.pop((0,) * width, None)  # the Levi factor's roots
 
-        spaces: dict[Key, TRootSpace] = {}
-        for key, members in groups.items():
+        positives = sorted(groups, key=lambda k: (sum(k), k))
+        pos_spaces, neg_spaces = [], []
+        for key in positives:
+            members = groups[key]
             # no kept simple step up from the highest weight, none down from
             # the lowest; the steps down from root i are those up from i + n_pos
             hw = [i for i in members if not steps[i] & kept]
@@ -172,18 +179,17 @@ class TRootSystem:
             top, bottom = hw[0], lw[0]
             # positives are in (height, lex) order, so the group is too, and
             # negation reverses that order
-            spaces[key] = TRootSpace(key, tuple(members), top, bottom, rs.indexed)
-            neg_key = tuple(-c for c in key)
-            spaces[neg_key] = TRootSpace(
-                neg_key, tuple([i + n_pos for i in reversed(members)]),
+            pos_spaces.append(TRootSpace(key, tuple(members), top, bottom, rs.indexed))
+            neg_spaces.append(TRootSpace(
+                tuple([-c for c in key]), tuple([i + n_pos for i in reversed(members)]),
                 bottom + n_pos, top + n_pos, rs.indexed,
-            )
-
-        order = sorted(spaces, key=lambda k: (sum(k), k))
-        self.spaces = {k: spaces[k] for k in order}
-        self.keys = tuple(order)
-        self.positives = tuple(k for k in order if all(c >= 0 for c in k))
-        width = len(D)
+            ))
+        # negation reverses the (height, key) order, and every negative key
+        # comes before every positive one
+        neg_spaces.reverse()
+        self.keys = tuple([sp.key for sp in neg_spaces]) + tuple(positives)
+        self.spaces = dict(zip(self.keys, neg_spaces + pos_spaces))
+        self.positives = tuple(positives)
         self.simples = tuple(
             tuple(1 if i == a else 0 for i in range(width)) for a in range(width)
         )

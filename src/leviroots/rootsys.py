@@ -199,7 +199,7 @@ class RootSums:
     encodings.  Root sets are Python-int bitmasks over the numbering.
     """
 
-    __slots__ = ("adjz", "_encs", "_enc_index")
+    __slots__ = ("adjz", "_encs", "_enc_index", "_pos_sums")
 
     def __init__(self, rs: "RootSystem"):
         encs = rs._encs
@@ -219,6 +219,7 @@ class RootSums:
         self.adjz = adjz
         self._encs = encs
         self._enc_index = enc_index
+        self._pos_sums = None
 
     def reach(self, indices) -> int:
         """Bitmask of the roots that add to some root i in indices within Delta u {0}."""
@@ -243,6 +244,20 @@ class RootSums:
                     out |= 1 << k
         return out
 
+    def positive_sums(self) -> list[int]:
+        """Per positive root phi, the roots ``phi + psi`` with psi positive.
+
+        Entry phi is ``sums((phi,), mask of the positives)``; built on first
+        use and kept.  For a set S of positive roots, ``sums((phi,), S)`` is
+        the entry with the sums of phi over the other positives taken out:
+        translation by phi is injective, so the two sum sets are disjoint.
+        """
+        if self._pos_sums is None:
+            n_pos = len(self._encs) // 2
+            positive = (1 << n_pos) - 1
+            self._pos_sums = [self.sums((phi,), positive) for phi in range(n_pos)]
+        return self._pos_sums
+
 
 class RootSystem:
     """An irreducible finite root system with its exact bilinear form.
@@ -265,7 +280,7 @@ class RootSystem:
     __slots__ = (
         "stype", "rank", "cartan", "d", "gram", "positives", "roots",
         "indexed", "index", "highest_root", "marks", "_pows", "_encs",
-        "_enc_index", "_sums", "_steps", "_codes",
+        "_enc_index", "_sums", "_steps", "_codes", "_columns", "_coef_masks",
     )
 
     def __init__(self, stype, cartan, d, positives):
@@ -293,6 +308,8 @@ class RootSystem:
         self._sums = None
         self._steps = None
         self._codes = None
+        self._columns = None
+        self._coef_masks = None
 
     # -- basic queries ------------------------------------------------
 
@@ -333,6 +350,26 @@ class RootSystem:
                 for phi in self.indexed
             ]
         return self._codes
+
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """The positives transposed, built on first use: ``columns()[k][i]``
+        is the coefficient of alpha_(k+1) in ``positives[i]``."""
+        if self._columns is None:
+            self._columns = tuple(zip(*self.positives))
+        return self._columns
+
+    def coefficient_masks(self) -> tuple[dict[int, int], ...]:
+        """Per node k, each coefficient value c -> the mask of the positive
+        roots whose coefficient of alpha_(k+1) is c.  Built on first use."""
+        if self._coef_masks is None:
+            out = []
+            for column in self.columns():
+                masks: dict[int, int] = {}
+                for i, c in enumerate(column):
+                    masks[c] = masks.get(c, 0) | 1 << i
+                out.append(masks)
+            self._coef_masks = tuple(out)
+        return self._coef_masks
 
     def roots_of(self, mask: int) -> tuple[Root, ...]:
         """The roots in a bitmask, in numbering order."""

@@ -73,14 +73,24 @@ def _nilradical_sums(trsys: TRootSystem) -> tuple[list[int], int, dict[int, int]
     """Nilradical roots by number, their mask, and each one's sums with n.
 
     For phi in n, sums[phi] is the bitmask of the roots phi + psi with psi
-    in n.  Read from the spaces and the root-sum table only.
+    in n.  Read from the spaces and the root-sum table only.  When n holds
+    positive roots only, sums[phi] is phi's row of ``positive_sums`` less
+    the sums of phi with the positive roots outside n, the few positive
+    Levi roots; a negative root in n (damaged data) takes the direct sums.
     """
     if trsys._nil_sums is None:
         spaces = [trsys.spaces[key] for key in trsys.positives]
         members = [i for sp in spaces for i in sp.numbers]
         total = reduce(or_, (sp.mask for sp in spaces), 0)
-        sums = trsys.rs.sum_table().sums
-        trsys._nil_sums = members, total, {phi: sums((phi,), total) for phi in members}
+        table = trsys.rs.sum_table()
+        sums = table.sums
+        positive = (1 << len(trsys.rs.positives)) - 1
+        if total & ~positive:
+            nil = {phi: sums((phi,), total) for phi in members}
+        else:
+            rows, levi = table.positive_sums(), positive & ~total
+            nil = {phi: rows[phi] & ~sums((phi,), levi) for phi in members}
+        trsys._nil_sums = members, total, nil
     return trsys._nil_sums
 
 
@@ -116,20 +126,21 @@ def upper_series_oracle(trsys: TRootSystem) -> list[int]:
     verified to be a union of whole t-root spaces (stability under the
     Levi factor), which is what makes per-root computation exact.
     """
-    members, total, sums = _nilradical_sums(trsys)
+    _, total, sums = _nilradical_sums(trsys)
+    spaces = [(key, trsys.spaces[key].mask) for key in trsys.positives]
     chain: list[int] = []
     prev = 0
     while prev != total:
         outside = ~prev
         cur = 0
-        for phi in members:
-            if not sums[phi] & outside:
+        for phi, row in sums.items():
+            if not row & outside:
                 cur |= 1 << phi
         if cur == prev or prev & ~cur:
             raise AssertionError("upper central series stalled")
-        for key in trsys.positives:
-            inside = cur & trsys.spaces[key].mask
-            if inside and inside != trsys.spaces[key].mask:
+        for key, mask in spaces:
+            inside = cur & mask
+            if inside and inside != mask:
                 raise AssertionError(f"center term splits the t-root space {key}")
         chain.append(cur)
         prev = cur

@@ -59,9 +59,8 @@ def designation_of(comp: Composition, rs: RootSystem | None = None) -> Parabolic
     if rs is None:
         rs = root_system(SimpleType("A", comp.n - 1), max_rank=comp.n - 1)
     if rs.cartan != cartan_matrix(SimpleType("A", comp.n - 1), max_rank=comp.n - 1):
-        raise InvalidComposition(
-            f"composition of {comp.n} needs type A{comp.n - 1}, got {rs.stype}"
-        )
+        got = rs.stype or f"an explicit rank-{rs.rank} matrix"
+        raise InvalidComposition(f"composition of {comp.n} needs type A{comp.n - 1}, got {got}")
     return designation(rs, deleted=comp.cuts())
 
 

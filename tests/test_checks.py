@@ -332,6 +332,55 @@ def test_moved_root_breaks_restriction(monkeypatch):
     assert "negation-symmetry" not in {f.check for f in rep.failures}
 
 
+def test_empty_space_at_a_key_without_a_fiber_breaks_restriction(monkeypatch):
+    # no root of B3 has coefficient 3 at node 2, so the key (3,) has an
+    # empty fiber; an empty space there is not a fiber of its key either
+    def damage(t):
+        for key in ((3,), (-3,)):
+            t.spaces[key] = replace(t.spaces[(1,)], key=key, numbers=())
+        t.keys = ((-3,),) + t.keys + ((3,),)
+        t.positives += ((3,),)
+
+    _corrupting(monkeypatch, damage)
+    rep = check_designation(designation(root_system("B3"), deleted=[2]))
+    details = [f.detail for f in rep.failures if f.check == "restriction"]
+    assert "space (3,) is not the fiber of its key" in details
+
+
+def test_bracket_records_at_both_ends_of_the_target_range(monkeypatch, g2):
+    # the pair loop skips partners whose sum lies below the least or above
+    # the greatest target encoding; two damaged G2 Borel spaces put failures
+    # at both ends: a positive key (1, -1), mixed-sign with a negative
+    # encoding, holding the top root, and an emptied space at (0, -1), whose
+    # mirror (0, 1) then no longer reaches the top key (3, 2) with (3, 1)
+    def damage(t):
+        t.spaces[(1, -1)] = replace(t.spaces[(3, 2)], key=(1, -1))
+        t.spaces[(-1, 1)] = replace(t.spaces[(-3, -2)], key=(-1, 1))
+        t.keys += ((1, -1), (-1, 1))
+        t.positives += ((1, -1),)
+        t.spaces[(0, -1)] = replace(t.spaces[(0, -1)], numbers=())
+
+    seen = []
+    _corrupting(monkeypatch, lambda t: (damage(t), seen.append(t)))
+    rep = check_designation(designation(g2, deleted=[1, 2]))
+    [trsys] = seen
+    # every pair of keys, in encoding order, with a positive sum key
+    troots = trsys.key_index()
+    reaches = string_reaches(trsys, troots)
+    targets = {trsys.key_enc(k): trsys.spaces[k].mask for k in trsys.positives}
+    assert min(targets) == trsys.key_enc((1, -1)) < 0
+    assert max(targets) == trsys.key_enc((3, 2))
+    encs = sorted(troots)
+    want = [
+        f"keys {troots[em]} + {troots[en]}: root sums miss the target space"
+        for i, em in enumerate(encs) for en in encs[i:]
+        if em + en in targets and reaches.get(-em, 0) & targets[em + en] != targets[em + en]
+    ]
+    for pair in ("(0, -1) + (1, 0)", "(0, 1) + (3, 1)"):
+        assert f"keys {pair}: root sums miss the target space" in want
+    assert [f.detail for f in rep.failures if f.check == "bracket-law"] == want
+
+
 def test_missing_negative_keys_break_negation_symmetry(monkeypatch):
     # the spaces at negative keys are intact, but keys lists none of them
     def damage(t):

@@ -171,6 +171,32 @@ def test_cartan_file_rank_capped(tmp_path, capsys):
     assert _json_out(capsys, ["roots", "--cartan", str(path)])["count"] == 156
 
 
+def test_check_cartan_file_has_no_type_name(tmp_path, capsys, monkeypatch):
+    # an explicit matrix carries no type: null in the JSON, (explicit) in
+    # the table and in every FAIL line
+    path = tmp_path / "a3.json"
+    path.write_text(json.dumps({"cartan": _a_cartan(3)}))
+    doc = _json_out(capsys, ["check", "--cartan", str(path)])
+    assert [t["type"] for t in doc["types"]] == [None]
+    assert cli.run(["check", "--cartan", str(path), "--pretty"]) == 0
+    out = capsys.readouterr().out
+    assert "(explicit)" in out and "None" not in out
+
+    from leviroots import checks
+
+    real = checks.troot_system
+
+    def corrupt(des):
+        t = real(des)
+        t.delta_key = tuple(-x for x in t.delta_key)
+        return t
+
+    monkeypatch.setattr(checks, "troot_system", corrupt)
+    assert cli.run(["check", "--cartan", str(path), "--pretty"]) == 2
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL ")]
+    assert fails and all(line.startswith("FAIL (explicit) deleted=") for line in fails)
+
+
 def test_check_small(capsys):
     doc = _json_out(capsys, ["check", "A2", "--all-parabolics"])
     assert doc["schema"] == "leviroots.check/1"

@@ -261,6 +261,51 @@ def test_sum_table_matches_brute_force(name):
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2", "F4", "D4"])
+def test_positive_sums_match_brute_force(name):
+    rs = root_system(name)
+    rows = rs.sum_table().positive_sums()
+    assert len(rows) == len(rs.positives)
+    for i, a in enumerate(rs.positives):
+        want = {tuple(x + y for x, y in zip(a, b)) for b in rs.positives} & rs.roots
+        assert set(rs.roots_of(rows[i])) == want
+
+
+def test_positive_sums_built_on_first_use_and_once():
+    rs = root_system("E6")
+    # the verbs that need no root sums build neither table
+    rs.document()
+    troot_system(designation(rs, deleted=[2])).document()
+    bds_document(rs)
+    maximal_document(rs)
+    assert rs._sums is None
+    table = rs.sum_table()
+    assert table._pos_sums is None
+    rows = table.positive_sums()
+    assert table.positive_sums() is rows
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "G2", "F4"])
+def test_coefficient_masks_hold_each_coefficient_value(name):
+    rs = root_system(name)
+    assert rs.columns() == tuple(
+        tuple(phi[k] for phi in rs.positives) for k in range(rs.rank))
+    for k, masks in enumerate(rs.coefficient_masks()):
+        assert sorted(masks) == sorted({phi[k] for phi in rs.positives})
+        for c, mask in masks.items():
+            assert rs.roots_of(mask) == tuple(phi for phi in rs.positives if phi[k] == c)
+
+
+def test_coefficient_masks_built_on_first_use_and_once():
+    rs = root_system("E6")
+    rs.document()
+    bds_document(rs)
+    maximal_document(rs)
+    assert rs._columns is None and rs._coef_masks is None
+    masks = rs.coefficient_masks()
+    assert rs.coefficient_masks() is masks and rs.columns() is rs.columns()
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2", "F4", "D4"])
 def test_step_table_matches_brute_force(name):
     rs = root_system(name)
     zero = (0,) * rs.rank

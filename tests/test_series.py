@@ -8,8 +8,12 @@ from leviroots import (
     root_system,
     troot_system,
 )
+from dataclasses import replace
+
+from leviroots.checks import all_parabolic_designations
 from leviroots.rootsys import all_simple_types
 from leviroots.series import (
+    _nilradical_sums,
     lower_series_oracle,
     order_of,
     series_document,
@@ -131,3 +135,39 @@ def test_k_cent_is_deleted_mark_sum(des):
     rs = des.rs
     assert grad.k_cent == sum(rs.marks[j - 1] for j in des.deleted)
     assert max(grad.levels) == grad.k_cent
+
+
+def _assert_direct_sums(trsys):
+    # each nilradical root's sums with n, against the direct walk of n
+    members, total, nil = _nilradical_sums(trsys)
+    sums = trsys.rs.sum_table().sums
+    assert sorted(nil) == sorted(members)
+    for phi in members:
+        assert nil[phi] == sums((phi,), total), phi
+
+
+@pytest.mark.parametrize("stype", all_simple_types(4), ids=str)
+def test_nilradical_sums_equal_the_direct_sums(stype):
+    rs = root_system(stype)
+    for des in all_parabolic_designations(rs):
+        _assert_direct_sums(troot_system(des))
+
+
+@pytest.mark.parametrize("damage", ["drop", "levi", "negative"])
+def test_nilradical_sums_on_damaged_spaces(damage):
+    # n read from damaged public spaces: a root dropped, a positive Levi root
+    # added, or a negative root added, which must take the direct sums
+    rs = root_system("B3")
+    trsys = troot_system(designation(rs, deleted=[2]))
+    sp = trsys.spaces[(1,)]
+    n_pos = len(rs.positives)
+    extra = {
+        "drop": (),
+        "levi": (rs.index[(1, 0, 0)],),
+        "negative": (rs.index[(0, -1, 0)],),
+    }[damage]
+    numbers = sp.numbers[1:] if damage == "drop" else sp.numbers + extra
+    trsys.spaces[(1,)] = replace(sp, numbers=numbers)
+    _assert_direct_sums(trsys)
+    total = _nilradical_sums(trsys)[1]
+    assert (total >> n_pos != 0) == (damage == "negative")

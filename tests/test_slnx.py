@@ -124,6 +124,16 @@ def test_designation_of_reads_the_cartan_matrix():
         designation_of(comp, generate(cartan_matrix(SimpleType("B", 3))))
 
 
+def test_designation_of_names_the_rejected_system():
+    comp = composition([2, 2])
+    with pytest.raises(InvalidComposition) as exc:
+        designation_of(comp, generate(cartan_matrix(SimpleType("B", 3))))
+    assert str(exc.value) == "composition of 4 needs type A3, got an explicit rank-3 matrix"
+    with pytest.raises(InvalidComposition) as exc:
+        designation_of(comp, root_system("B3"))
+    assert str(exc.value) == "composition of 4 needs type A3, got B3"
+
+
 def test_crosscheck_reuses_root_system():
     comp = composition([2, 2])
     rs = root_system("A3")
