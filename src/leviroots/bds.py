@@ -113,44 +113,40 @@ class SubalgebraModel:
 def subalgebra_roots(rs: RootSystem, j: int) -> SubalgebraModel:
     """Split the root set at node j into subalgebra and residue classes.
 
-    Every subalgebra root is certified to be a one-signed integer
-    combination of the candidate simple system; the affine relation is
-    pinned down by exact rank computations.
+    Class k holds the positives of class k and the negatives of those of
+    class n - k.  Every subalgebra root is certified to be a one-signed
+    integer combination of the candidate simple system.
     """
     _require_node(rs, j)
     j0 = j - 1
     n = rs.marks[j0]
+    # the kept unit vectors and -psi have determinant +-n
+    if not n:
+        raise SimpleSystemFailure("candidate simple system does not span")
     kept = [i for i in range(rs.rank) if i != j0]
-    psi = rs.highest_root
-    minus_psi = tuple(-c for c in psi)
 
-    root_set = 0
-    residues = dict.fromkeys(range(1, n), 0)
-    for i, phi in enumerate(rs.indexed):
+    pos = [0] * n
+    for i, phi in enumerate(rs.positives):
         c = phi[j0]
-        if c % n:
-            residues[c % n] |= 1 << i
+        pos[c % n] |= 1 << i
+        # one-signed integer coordinates in the candidate simple system,
+        # tested on the positives: a negative root has the negated ones,
+        # and at c = 0 they are phi's own coefficients, all >= 0
+        if c % n or not c:
             continue
-        root_set |= 1 << i
-        # one-signed integer coordinates in the candidate simple system
         c0 = -c // n
         coords = [phi[t] + c0 * rs.marks[t] for t in kept] + [c0]
         if not (all(x >= 0 for x in coords) or all(x <= 0 for x in coords)):
             raise SimpleSystemFailure(
                 f"root {phi} is not a one-signed combination at node {j}"
             )
-    if root_set.bit_count() + sum(v.bit_count() for v in residues.values()) != len(rs.indexed):
-        raise AssertionError("residue classes do not partition the root set")
+    n_pos = len(rs.positives)
+    root_set = pos[0] | pos[0] << n_pos
+    residues = {k: pos[k] | pos[n - k] << n_pos for k in range(1, n)}
 
     simple_roots = tuple(
         tuple(1 if t == i else 0 for t in range(rs.rank)) for i in kept
-    ) + (minus_psi,)
-    if exactlin.rank_of(simple_roots) != rs.rank:
-        raise SimpleSystemFailure("candidate simple system does not span")
-    unit_j = tuple(1 if t == j0 else 0 for t in range(rs.rank))
-    if exactlin.rank_of(simple_roots + (unit_j,)) != rs.rank:
-        raise SimpleSystemFailure("affine relation is not the only dependency")
-
+    ) + (tuple(-c for c in rs.highest_root),)
     cartan = _cartan_of(rs, simple_roots)
     return SubalgebraModel(rs, j, n, root_set, simple_roots, cartan, residues)
 

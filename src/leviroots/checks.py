@@ -23,8 +23,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
-from operator import mul
+from operator import mul, or_
 
 from . import slnx
 from .bds import (
@@ -392,16 +393,13 @@ def check_node(rs: RootSystem, ext, j: int) -> NodeReport:
         failures.append(Failure("equal-rank-classify", label, str(exc)))
         return NodeReport(j, n, classes, tuple(failures))
 
-    if model.root_set.bit_count() != len(rs.indexed) - sum(
-        v.bit_count() for v in model.residues.values()
-    ):
+    # a cover of the roots whose part sizes add up to the root count has no overlap
+    parts = (model.root_set, *model.residues.values())
+    if (reduce(or_, parts) != (1 << len(rs.indexed)) - 1
+            or sum(m.bit_count() for m in parts) != len(rs.indexed)):
         failures.append(Failure(
             "residue-partition", label, "residues do not complement the subalgebra"))
-    for k in range(1, n):
-        if not model.residues.get(k):
-            failures.append(Failure(
-                "residue-irreducibility", label, f"residue class {k} is empty"))
-            continue
+    for k in range(1, n):  # an empty class has no highest weight
         try:
             residue_irreducibility(model, k)
         except LeviRootsError as exc:
@@ -410,10 +408,8 @@ def check_node(rs: RootSystem, ext, j: int) -> NodeReport:
         for q in range(1, n):
             if (p + q) % n == 0:
                 continue
-            rep = residue_bracket_check(model, p, q)
-            if not rep.ok:
-                for msg in rep.failures:
-                    failures.append(Failure("residue-bracket", label, msg))
+            for msg in residue_bracket_check(model, p, q).failures:
+                failures.append(Failure("residue-bracket", label, msg))
     return NodeReport(j, n, classes, tuple(failures))
 
 

@@ -24,7 +24,10 @@ from .slnx import composition, sln_document
 
 
 def _node_list(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(",") if x.strip())
+    entries = text.split(",") if text.strip() else []  # --keep "" is the Borel
+    if "" in map(str.strip, entries):
+        raise argparse.ArgumentTypeError(f"empty entry in {text!r}")
+    return tuple(map(int, entries))
 
 
 def _load_cartan(path: str):

@@ -71,14 +71,17 @@ def designation(rs: RootSystem, kept: Iterable[int] | None = None,
     """Build a designation from either the kept or the deleted node set."""
     if (kept is None) == (deleted is None):
         raise InvalidDesignation("give exactly one of kept= or deleted=")
+    nodes = tuple(deleted if kept is None else kept)
+    twice = sorted({k for k in nodes if nodes.count(k) > 1})
+    if twice:
+        raise InvalidDesignation(f"node indices named twice: {twice}")
     if kept is None:
-        deleted = frozenset(deleted)
-        if not deleted:
+        if not nodes:
             raise InvalidDesignation("deleted no node; the parabolic must be proper")
         # the symmetric difference keeps an out-of-range node in the kept
         # set, where the constructor's range check names it
-        kept = frozenset(range(1, rs.rank + 1)) ^ deleted
-    return ParabolicDesignation(rs, kept)
+        nodes = frozenset(range(1, rs.rank + 1)) ^ frozenset(nodes)
+    return ParabolicDesignation(rs, nodes)
 
 
 def troot_of(des: ParabolicDesignation, root: Root) -> Key | None:

@@ -1,9 +1,12 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from leviroots import (
     InvalidPair,
     NotFiniteType,
+    SimpleSystemFailure,
     classify,
     extended_diagram,
     maximal_equal_rank,
@@ -125,6 +128,30 @@ def test_subalgebra_roots_g2(g2):
     assert model.simple_roots == ((1, 0), (-3, -2))
     assert model.residues[1].bit_count() == 8
     assert classify(model.cartan_of_sub).names() == ["A1", "A1"]
+
+
+def test_split_matches_the_residue_definition():
+    # class k at node j holds the roots whose j-coefficient is k mod the
+    # node's mark n; the subalgebra holds those where it is 0
+    for stype in all_simple_types(12):
+        rs = root_system(stype)
+        for j in range(1, rs.rank + 1):
+            n = rs.marks[j - 1]
+            want = [0] * n
+            for i, phi in enumerate(rs.indexed):
+                want[phi[j - 1] % n] |= 1 << i
+            model = subalgebra_roots(rs, j)
+            assert model.mark == n and model.root_set == want[0], (stype, j)
+            assert list(model.residues.items()) == list(enumerate(want))[1:], (stype, j)
+
+
+def test_split_names_a_root_that_is_not_one_signed(monkeypatch, g2):
+    # a mark of 2 at node 1, not the highest root's 3, gives (3, 2) the
+    # mixed-sign coordinates (1, -1) in the split at node 2
+    monkeypatch.setattr(g2, "marks", (2, 2))
+    with pytest.raises(SimpleSystemFailure,
+                       match=re.escape("root (3, 2) is not a one-signed combination at node 2")):
+        subalgebra_roots(g2, 2)
 
 
 def test_residue_irreducibility_g2(g2):

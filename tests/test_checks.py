@@ -517,6 +517,46 @@ def test_dropped_residue_root_breaks_residue_partition(monkeypatch, g2):
         ("residue-partition", "residues do not complement the subalgebra")]
 
 
+def test_root_in_two_parts_breaks_residue_partition(monkeypatch, g2):
+    # the lowest root left out of every part and a class-1 root put in the
+    # subalgebra too: the part sizes still add up to the root count
+    real = bds.subalgebra_roots
+
+    def damaged(rs, j):
+        model = real(rs, j)
+        lowest, doubled = 1 << rs.index[(-3, -2)], 1 << rs.index[(0, 1)]
+        assert model.root_set & lowest and model.residues[1] & doubled
+        return replace(model, root_set=model.root_set & ~lowest | doubled)
+
+    monkeypatch.setattr(checks, "subalgebra_roots", damaged)
+    rep = check_node(g2, extended_diagram(g2), 2)
+    assert [(f.check, f.detail) for f in rep.failures] == [
+        ("residue-partition", "residues do not complement the subalgebra")]
+
+
+def test_emptied_class_breaks_residue_irreducibility(monkeypatch, g2):
+    # check_node has no separate emptiness test: an empty class has no
+    # highest weight
+    real = bds.subalgebra_roots
+    monkeypatch.setattr(checks, "subalgebra_roots",
+                        lambda rs, j: replace(real(rs, j), residues={1: 0}))
+    rep = check_node(g2, extended_diagram(g2), 2)
+    assert [(f.check, f.detail) for f in rep.failures] == [
+        ("residue-partition", "residues do not complement the subalgebra"),
+        ("residue-irreducibility", "residue class 1 at node 2 has 0 highest weights"),
+    ]
+
+
+def test_zero_mark_is_a_reported_failure(monkeypatch, g2):
+    # the kept simple root and -psi do not span when the mark is 0, and the
+    # mark is never used as a modulus
+    ext = extended_diagram(g2)
+    monkeypatch.setattr(g2, "marks", (3, 0))
+    rep = check_node(g2, ext, 2)
+    assert [(f.check, f.detail) for f in rep.failures] == [
+        ("equal-rank-classify", "candidate simple system does not span")]
+
+
 def test_bad_extended_diagram_is_a_reported_failure():
     # a Gram matrix whose affine entries are not integers: every node
     # reports the failure instead of check_type raising InvalidCartan

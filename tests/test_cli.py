@@ -284,6 +284,24 @@ def test_invalid_args_exit_one(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["troots", "A3", "--keep", "1,,3"], "empty entry in '1,,3'"),
+    (["troots", "A3", "--delete", "2,"], "empty entry in '2,'"),
+    (["sln", "2,,1"], "empty entry in '2,,1'"),
+    (["troots", "A3", "--delete", "1,1"], "node indices named twice: [1]"),
+])
+def test_node_lists_reject_empty_and_repeated_entries(capsys, argv, message):
+    assert cli.run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_repeated_block_sizes_and_empty_keep_stay_valid(capsys):
+    assert _json_out(capsys, ["sln", "2,2"])["n"] == 4
+    assert _json_out(capsys, ["troots", "A3", "--keep", ""])["kept"] == []
+
+
 def test_help_exits_zero(capsys):
     assert cli.run(["--help"]) == 0
     assert cli.run(["troots", "--help"]) == 0

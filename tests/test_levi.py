@@ -48,6 +48,8 @@ def test_designation_validation(a2):
     ({"deleted": (0, 1, 4)}, "node indices out of range: [0, 4]"),
     ({"kept": (1, 2)}, "kept every node; the parabolic must be proper"),
     ({"deleted": ()}, "deleted no node; the parabolic must be proper"),
+    ({"deleted": (1, 1)}, "node indices named twice: [1]"),
+    ({"kept": (2, 1, 2, 1)}, "node indices named twice: [1, 2]"),
 ])
 def test_designation_rejects_bad_nodes(a2, kwargs, message):
     # kept= and deleted= share the constructor's range check
