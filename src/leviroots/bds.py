@@ -123,6 +123,8 @@ def subalgebra_roots(rs: RootSystem, j: int) -> SubalgebraModel:
     # the kept unit vectors and -psi have determinant +-n
     if not n:
         raise SimpleSystemFailure("candidate simple system does not span")
+    if n < 0:  # a mark of the highest root is positive; n is a modulus below
+        raise SimpleSystemFailure(f"mark {n} of node {j} is negative")
     kept = [i for i in range(rs.rank) if i != j0]
 
     pos = [0] * n
@@ -287,7 +289,7 @@ def residue_irreducibility(model: SubalgebraModel, k: int) -> Root:
     module over the equal-rank subalgebra.
     """
     if k not in model.residues:
-        raise InvalidPair(f"residue class {k} not in 1..{model.mark - 1}")
+        raise InvalidPair(f"node {model.node} has no residue class {k}")
     # phi + alpha not a root for every raising alpha, on encodings (never
     # zero: -alpha lies in the subalgebra); -psi is no simple step, so the
     # step table cannot answer this
@@ -328,7 +330,7 @@ def residue_bracket_check(model: SubalgebraModel, p: int, q: int) -> ResidueBrac
         raise InvalidPair("p + q = 0 mod n lands in the subalgebra, not a class")
     residues = model.residues
     got = model.rs.sum_table().sums(mask_bits(residues[p]), residues[q])
-    expected = residues[r]
+    expected = residues.get(r, 0)  # a damaged model may lack class r
     failures = []
     if got != expected:
         missing = (expected & ~got).bit_count()

@@ -3,8 +3,8 @@
 One fraction-free elimination (Bareiss, *Sylvester's identity and
 multistep integer-preserving Gaussian elimination*, 1968) serves every
 caller: each entry it leaves is an integer minor of the input, and each
-of its divisions is exact.  ``det`` and ``rank_of`` return integers; a
-Jordan elimination of ``[A | B]`` leaves ``p * A^-1 B`` by ``p * I`` (p
+of its divisions is exact.  ``det`` returns an integer; a Jordan
+elimination of ``[A | B]`` leaves ``p * A^-1 B`` by ``p * I`` (p
 the last pivot), so callers divide only to print.  Nothing is floating
 point.  The systems are tiny (Gram matrices of at most 13 rows), so the
 first nonzero pivot is the right choice.
@@ -78,8 +78,3 @@ def det(mat: Sequence[Sequence[int]]) -> int:
     rank, last, sign = eliminate(rows, len(rows))
     return sign * last if rank == len(rows) else 0
 
-
-def rank_of(rows: Iterable[Sequence[int]]) -> int:
-    """Rank of a list of integer row vectors (not necessarily square)."""
-    work = _int_rows(rows)
-    return eliminate(work, len(work[0]))[0] if work else 0

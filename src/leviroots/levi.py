@@ -142,7 +142,7 @@ class TRootSystem:
 
     __slots__ = (
         "designation", "rs", "spaces", "keys", "positives", "simples",
-        "delta_key", "_kpows", "_troots", "_nil_sums", "_beta",
+        "delta_key", "_kpows", "_troots", "_nil_sums",
         "_form", "_proj", "_pairings", "_pos_pairings",
     )
 
@@ -208,7 +208,6 @@ class TRootSystem:
         self._kpows = rs._pows[:width]
         self._troots = None
         self._nil_sums = None
-        self._beta = None
         self._form = None
         self._pairings = {}
         self._pos_pairings = None
@@ -247,7 +246,7 @@ class TRootSystem:
         Gs = det * S in the deleted block, with det = det(G_KK) > 0 since
         G_KK is positive definite; so Gs is an integer matrix with the
         signs of the exact form.  The kept rows of the deleted columns hold
-        det * G_KK^-1 G_KD, which ``_betas`` reads.  Built on first use.
+        det * G_KK^-1 G_KD, which ``troot_vec`` reads.  Built on first use.
         """
         if self._form is None:
             K = self.designation.kept0
@@ -262,29 +261,19 @@ class TRootSystem:
             self._proj = tuple(row[k:] for row in rows[:k])
         return self._form
 
-    def _betas(self) -> tuple[RatVec, ...]:
-        # the deleted simple roots projected away from the kept span:
-        # beta_j = alpha_j - sum over kept a of (G_KK^-1 G_KD)[a][j] alpha_a
-        if self._beta is None:
-            det = self.scaled_form()[0]
-            beta = []
-            for t, j in enumerate(self.designation.deleted0):
-                vec = [Fraction(0)] * self.rs.rank
-                vec[j] = Fraction(1)
-                for a, row in zip(self.designation.kept0, self._proj):
-                    vec[a] = Fraction(-row[t], det)
-                beta.append(tuple(vec))
-            self._beta = tuple(beta)
-        return self._beta
-
     def troot_vec(self, key: Sequence[int]) -> RatVec:
-        """Rational vector of a key combination, in simple-root coordinates."""
+        """Rational vector of a key combination, in simple-root coordinates.
+
+        The deleted simple roots projected away from the kept span: deleted
+        coordinate j is the key entry, kept coordinate a is minus the
+        projection row of a, dotted with the key, over det.
+        """
+        det = self.scaled_form()[0]
         out = [Fraction(0)] * self.rs.rank
-        for c, b in zip(key, self._betas()):
-            if c:
-                for i, v in enumerate(b):
-                    if v:
-                        out[i] += c * v
+        for j, c in zip(self.designation.deleted0, key):
+            out[j] = Fraction(c)
+        for a, row in zip(self.designation.kept0, self._proj):
+            out[a] = Fraction(-sum(map(mul, row, key)), det)
         return tuple(out)
 
     def inner(self, k1: Sequence[int], k2: Sequence[int]) -> Fraction:

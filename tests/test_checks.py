@@ -441,6 +441,17 @@ def test_positively_paired_simples_fail_simple_troots():
     assert details == ["simple t-roots 0,1 have positive inner product"]
 
 
+def test_dropped_simple_troot_is_one_simple_troots_record(monkeypatch, g2):
+    # the obtuseness test pairs only the simples that are there
+    def damage(t):
+        t.simples = t.simples[:1]
+
+    _corrupting(monkeypatch, damage)
+    rep = check_designation(designation(g2, deleted=[1, 2]))
+    assert [(f.check, f.detail) for f in rep.failures] == [
+        ("simple-troots", "simple t-roots differ from the unit keys")]
+
+
 def test_missing_simple_troot_breaks_intrinsic_simplicity(monkeypatch, g2):
     # without the unit key (1, 0), (1, 1) is no longer a sum of two
     # positive t-roots
@@ -555,6 +566,33 @@ def test_zero_mark_is_a_reported_failure(monkeypatch, g2):
     rep = check_node(g2, ext, 2)
     assert [(f.check, f.detail) for f in rep.failures] == [
         ("equal-rank-classify", "candidate simple system does not span")]
+
+
+def test_negative_mark_is_a_reported_failure(monkeypatch, g2):
+    # a negative mark is never used as a modulus either
+    ext = extended_diagram(g2)
+    monkeypatch.setattr(g2, "marks", (3, -2))
+    rep = check_node(g2, ext, 2)
+    assert [(f.check, f.detail) for f in rep.failures] == [
+        ("equal-rank-classify", "mark -2 of node 2 is negative")]
+
+
+def test_missing_residue_class_is_a_reported_failure(monkeypatch, g2):
+    # without class 2 at the mark-3 node, classes 1 + 1 fill nothing, and
+    # the bracket loop reads no missing class
+    real = bds.subalgebra_roots
+
+    def damaged(rs, j):
+        model = real(rs, j)
+        return replace(model, residues={1: model.residues[1]})
+
+    monkeypatch.setattr(checks, "subalgebra_roots", damaged)
+    rep = check_node(g2, extended_diagram(g2), 1)
+    assert [(f.check, f.detail) for f in rep.failures] == [
+        ("residue-partition", "residues do not complement the subalgebra"),
+        ("residue-irreducibility", "node 1 has no residue class 2"),
+        ("residue-bracket", "classes 1+1: image misses 0 and adds 3 roots vs class 2"),
+    ]
 
 
 def test_bad_extended_diagram_is_a_reported_failure():

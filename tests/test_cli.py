@@ -341,7 +341,7 @@ def test_check_max_rank_12_stdout_pinned(capsys):
 
 
 # the full rank <= 12 sweep: every parabolic of all 48 types, 33,162
-# designations, about 300 s on a 2-vCPU machine
+# designations, about two minutes on a 2-vCPU machine
 CHECK_MAX_RANK_12_ALL_PARABOLICS_SHA256 = (
     "2ac5b42c87ceff1c277a5899d356b5af80e426f076d5142fb365eb656dff2320")
 
