@@ -125,16 +125,20 @@ def check_designation(des: ParabolicDesignation) -> DesignationReport:
         "simple": len(trsys.simples),
     }
     # every law below reads the space at each key and at each positive
-    # key's mirror
+    # key's mirror, and the string law finds each positive key in the key
+    # index (a mirror missing from keys is a negation-symmetry failure)
     needed = {*trsys.keys, *trsys.positives, *(tuple([-c for c in k]) for k in trsys.positives)}
     missing = sorted((k for k in needed if k not in trsys.spaces), key=lambda k: (sum(k), k))
     if missing:
         failures.append(Failure("partition", label, f"keys without a space: {missing}"))
         return DesignationReport(des.deleted, counts, tuple(failures))
+    unlisted = sorted(set(trsys.positives).difference(trsys.keys), key=lambda k: (sum(k), k))
+    if unlisted:
+        failures.append(Failure("partition", label, f"t-roots missing from keys: {unlisted}"))
+        return DesignationReport(des.deleted, counts, tuple(failures))
     # the reach of every space, read by the bracket and the string law
     reaches = string_reaches(trsys, trsys.key_index())
     _check_partition(des, trsys, failures)
-    _check_weights(des, trsys, failures)
     _check_simples(des, trsys, failures)
     _check_brackets(trsys, reaches, failures, label)
     _check_signs(trsys, failures, label)
@@ -193,29 +197,6 @@ def _check_partition(des, trsys, failures):
         if troot_of(des, spaces[key].highest) != key:
             failures.append(Failure(
                 "restriction", label, f"highest root of {key} restricts elsewhere"))
-
-
-def _check_weights(des, trsys, failures):
-    """Within a space, roots carry pairwise distinct kept-node pairings."""
-    rs = des.rs
-    kept = des.kept0
-    if not kept:
-        return
-    codes = rs.pairing_codes()
-    fields = sum(15 << 4 * k for k in kept)  # the kept nodes' bits of a code
-    for key in trsys.positives:
-        numbers = trsys.spaces[key].numbers
-        if len({codes[i] & fields for i in numbers}) == len(numbers):
-            continue
-        seen = set()
-        for code in [codes[i] & fields for i in numbers]:
-            if code in seen:
-                w = tuple([(code >> 4 * k & 15) - 8 for k in kept])
-                failures.append(Failure(
-                    "weight-multiplicity", _deleted_label(des),
-                    f"two roots of {key} share kept-node pairings {w}",
-                ))
-            seen.add(code)
 
 
 def _check_simples(des, trsys, failures):
@@ -381,6 +362,11 @@ def check_node(rs: RootSystem, ext, j: int) -> NodeReport:
     except LeviRootsError as exc:
         failures.append(Failure("equal-rank-classify", label, str(exc)))
         return NodeReport(j, n, classes, tuple(failures))
+    # the residue checks take n from the model
+    if model.mark != n:
+        failures.append(Failure(
+            "equal-rank-classify", label, f"model mark {model.mark} != mark {n} of node {j}"))
+        return NodeReport(j, n, classes, tuple(failures))
 
     # a cover of the roots whose part sizes add up to the root count has no overlap
     parts = (model.root_set, *model.residues.values())
@@ -476,11 +462,14 @@ def check_type(rs: RootSystem, all_parabolics: bool = False) -> TypeReport:
     if rs.cartan == cartan_matrix(SimpleType("A", rs.rank), max_rank=rs.rank):
         for des in scope:
             comp = _composition_of_designation(des)
-            rep = slnx.crosscheck(comp, rs)
-            if not rep.ok:
-                for msg in rep.failures:
-                    sln_failures.append(Failure(
-                        "block-crosscheck", f"blocks={list(comp.parts)}", msg))
+            subject = f"blocks={list(comp.parts)}"
+            try:  # the crosscheck builds the t-root system again
+                rep = slnx.crosscheck(comp, rs)
+            except LeviRootsError as exc:
+                sln_failures.append(Failure("block-crosscheck", subject, str(exc)))
+                continue
+            for msg in rep.failures:
+                sln_failures.append(Failure("block-crosscheck", subject, msg))
     # the maximal table is the prime-mark nodes; one whose classification
     # failed is already a reported failure
     maximal = [(r.node, r.classes) for r in nodes

@@ -280,7 +280,7 @@ class RootSystem:
     __slots__ = (
         "stype", "rank", "cartan", "d", "gram", "positives", "roots",
         "indexed", "index", "highest_root", "marks", "_pows", "_encs",
-        "_enc_index", "_sums", "_steps", "_codes", "_columns", "_coef_masks",
+        "_enc_index", "_sums", "_steps", "_columns", "_coef_masks",
     )
 
     def __init__(self, stype, cartan, d, positives):
@@ -307,7 +307,6 @@ class RootSystem:
         self._enc_index = {e: i for i, e in enumerate(self._encs)}
         self._sums = None
         self._steps = None
-        self._codes = None
         self._columns = None
         self._coef_masks = None
 
@@ -337,19 +336,6 @@ class RootSystem:
                 for e in self._encs
             ]
         return self._steps
-
-    def pairing_codes(self) -> list[int]:
-        """Per root, bits 4k..4k+3 hold ``<indexed[i], alpha_(k+1)^vee> + 8``.
-
-        Built on first use; a root pairs with a simple coroot within -3..3.
-        """
-        if self._codes is None:
-            columns = tuple(zip(*self.cartan))  # column k pairs with alpha_(k+1)^vee
-            self._codes = [
-                sum(sum(map(mul, phi, col)) + 8 << 4 * k for k, col in enumerate(columns))
-                for phi in self.indexed
-            ]
-        return self._codes
 
     def columns(self) -> tuple[tuple[int, ...], ...]:
         """The positives transposed, built on first use: ``columns()[k][i]``

@@ -128,31 +128,23 @@ class CrossCheckReport:
 def crosscheck(comp: Composition, rs: RootSystem | None = None) -> CrossCheckReport:
     """Verify blocks against the restriction pipeline on A_{n-1}.
 
-    Checks the key bijection, dimensions, the total count k(k-1), the
-    distance rule order = |r - s|, and that every root of a block
-    vanishes on kept nodes outside row/column blocks of size > 1 only
-    when those blocks are trivial (the acting-blocks rule, checked via
-    block boundaries).
+    Checks that the block keys are exactly the t-root keys, that each
+    space has its block's dimension, and the acting-blocks rule: a
+    diagonal block moves the space of block (r, s) exactly when it is
+    block r or s and has size > 1.  The table's own shape (k(k-1)
+    distinct keys, order = |r - s|) holds by construction.
     """
     des = designation_of(comp, rs)
     trsys = troot_system(des)
     table = block_table(comp)
     failures = []
 
-    by_key = {}
-    for e in table.entries:
-        if e.key in by_key:
-            failures.append(f"duplicate key {e.key} in block table")
-        by_key[e.key] = e
+    by_key = {e.key: e for e in table.entries}
     space_keys = set(trsys.spaces)
     if set(by_key) != space_keys:
         failures.append(
             f"key sets differ: {len(by_key)} blocks vs {len(space_keys)} spaces"
         )
-    if len(table.entries) != comp.k * (comp.k - 1):
-        failures.append("block count is not k(k-1)")
-    if len(trsys.spaces) != comp.k * (comp.k - 1):
-        failures.append("space count is not k(k-1)")
 
     # kept nodes of each diagonal block as a node mask: block b of size p
     # from matrix index first holds nodes first..first+p-2
@@ -167,8 +159,6 @@ def crosscheck(comp: Composition, rs: RootSystem | None = None) -> CrossCheckRep
             continue
         if space.dim != e.dim:
             failures.append(f"key {key}: dim {space.dim} != block {e.row},{e.col} dim {e.dim}")
-        if sum(abs(c) for c in key) != e.order:
-            failures.append(f"key {key}: order mismatch with |r - s|")
         # a diagonal block acts on (r, s) iff it is block r or s and has
         # size > 1: at root level, some kept node i inside it moves the
         # space, a +- alpha_i in Delta u {0} for a root a of it: bit i - 1 of

@@ -4,6 +4,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from leviroots import (
     check_type,
@@ -416,9 +417,9 @@ def test_dropped_top_key_breaks_grading(monkeypatch):
     assert details == ["grading levels are not 1..k_cent"]
 
 
-def test_repeated_root_number_breaks_weight_multiplicity(monkeypatch):
-    # a root listed twice in a positive space carries its kept-node
-    # pairings twice
+def test_repeated_positive_root_number_breaks_partition(monkeypatch):
+    # a root listed twice in a positive space is one partition record: the
+    # roots of a space differ on the kept nodes, so no weight check is needed
     def damage(t):
         sp = t.spaces[(1,)]
         t.spaces[(1,)] = replace(sp, numbers=sp.numbers + sp.numbers[:1])
@@ -426,9 +427,7 @@ def test_repeated_root_number_breaks_weight_multiplicity(monkeypatch):
     _corrupting(monkeypatch, damage)
     rep = check_designation(designation(root_system("B3"), deleted=[2]))
     assert [(f.check, f.detail) for f in rep.failures] == [
-        ("partition", "15 space roots + 4 Levi roots != 18"),
-        ("weight-multiplicity", "two roots of (1,) share kept-node pairings (-1, -2)"),
-    ]
+        ("partition", "15 space roots + 4 Levi roots != 18")]
 
 
 def test_positively_paired_simples_fail_simple_troots():
@@ -577,6 +576,17 @@ def test_negative_mark_is_a_reported_failure(monkeypatch, g2):
         ("equal-rank-classify", "mark -2 of node 2 is negative")]
 
 
+@pytest.mark.parametrize("mark", [0, 1, 2, 4])
+def test_model_mark_off_the_node_mark_is_a_reported_failure(monkeypatch, g2, mark):
+    # the residue checks read the model's mark; one that is not node 1's
+    # mark 3 is reported, and no residue check runs on it
+    real = bds.subalgebra_roots
+    monkeypatch.setattr(checks, "subalgebra_roots", lambda rs, j: replace(real(rs, j), mark=mark))
+    rep = check_node(g2, extended_diagram(g2), 1)
+    assert (rep.mark, [(f.check, f.detail) for f in rep.failures]) == (3, [
+        ("equal-rank-classify", f"model mark {mark} != mark 3 of node 1")])
+
+
 def test_missing_residue_class_is_a_reported_failure(monkeypatch, g2):
     # without class 2 at the mark-3 node, classes 1 + 1 fill nothing, and
     # the bracket loop reads no missing class
@@ -622,6 +632,22 @@ def test_dropped_root_number_breaks_block_crosscheck(monkeypatch):
         ("block-crosscheck", "blocks=[1, 2]", "key (1,): dim 1 != block 1,2 dim 2")]
 
 
+def test_failed_crosscheck_rebuild_is_a_block_crosscheck_record(monkeypatch):
+    # a step table that leaves the space at (1,) with no lowest weight fails
+    # certification in the sweep and again in the crosscheck's own build
+    rs = root_system("A3")
+    t = real_troot_system(designation(rs, deleted=[2]))
+    steps = list(rs.step_table())
+    steps[t.spaces[(1,)].bottom + len(rs.positives)] = 0b111
+    monkeypatch.setattr(rs, "_steps", steps)
+    rep = check_type(rs)
+    assert [(r.deleted, [(f.check, f.detail) for f in r.failures])
+            for r in rep.designations if r.failures] == [
+        ((2,), [("certification", "space (1,) has 1 highest / 0 lowest weight roots")])]
+    assert [(f.check, f.subject, f.detail) for f in rep.sln_failures] == [
+        ("block-crosscheck", "blocks=[2, 2]", "space (1,) has 1 highest / 0 lowest weight roots")]
+
+
 def test_missing_top_troot_breaks_maximal_parabolic_ladder(monkeypatch, g2):
     # deleting the mark-3 node must give t-roots +-1..3 times the unit key
     _corrupting(monkeypatch, lambda t: _drop_troot(t, (3,)))
@@ -652,6 +678,18 @@ def test_key_without_a_space_is_one_partition_record(monkeypatch):
     rep = check_designation(designation(root_system("B3"), deleted=[2]))
     assert [(f.check, f.detail) for f in rep.failures] == [
         ("partition", "keys without a space: [(-1,)]")]
+
+
+def test_positive_key_missing_from_keys_is_one_partition_record(monkeypatch, g2):
+    # the key index is read from keys; a positive key that keeps its space
+    # but is not listed is reported before any law reads the index
+    def damage(t):
+        t.keys = tuple(k for k in t.keys if k != (1, 1))
+
+    _corrupting(monkeypatch, damage)
+    rep = check_designation(designation(g2, deleted=[1, 2]))
+    assert [(f.check, f.detail) for f in rep.failures] == [
+        ("partition", "t-roots missing from keys: [(1, 1)]")]
 
 
 def test_unclassifiable_prime_node_is_a_reported_failure(monkeypatch, g2):
@@ -753,6 +791,89 @@ def test_check_type_builds_no_fraction(monkeypatch):
     monkeypatch.undo()
     assert all(rep.ok for rep in reports)
     assert built == []
+
+
+# -- fault injection: one damaged field is a report, never an exception ------
+
+FAULT_TYPES = ["A2", "B2", "G2", "A3", "B3", "C3"]
+
+
+def _damaged(data, seq, extra):
+    """seq as a list with one entry dropped, or one drawn from extra inserted."""
+    seq = list(seq)
+    if seq and data.draw(st.booleans()):
+        del seq[data.draw(st.integers(0, len(seq) - 1))]
+    else:
+        seq.insert(data.draw(st.integers(0, len(seq))), data.draw(extra))
+    return seq
+
+
+def _damage_troots(data, t):
+    numbers = st.integers(0, len(t.rs.indexed) - 1)
+    keys = st.tuples(*[st.integers(-3, 3)] * len(t.simples))
+    field = data.draw(st.sampled_from(["spaces", "keys", "positives", "simples", "pairings"]))
+    if field == "spaces":
+        key = data.draw(st.sampled_from(t.keys))
+        sp = t.spaces[key]
+        how = data.draw(st.sampled_from(["delete", "numbers", "top", "bottom"]))
+        if how == "delete":
+            del t.spaces[key]
+        elif how == "numbers":
+            t.spaces[key] = replace(sp, numbers=tuple(_damaged(data, sp.numbers, numbers)))
+        else:
+            t.spaces[key] = replace(sp, **{how: data.draw(numbers)})
+    elif field == "pairings":
+        t._pos_pairings = _damaged(data, t.positive_pairings(), st.integers(-9, 9))
+    else:
+        setattr(t, field, tuple(_damaged(data, getattr(t, field), keys)))
+
+
+def _damage_model(data, model):
+    bits = st.integers(0, len(model.rs.indexed) - 1).map(lambda i: 1 << i)
+    field = data.draw(st.sampled_from(["root_set", "residues", "mark", "simple_roots"]))
+    if field == "root_set":
+        return replace(model, root_set=model.root_set ^ data.draw(bits))
+    if field == "residues":
+        residues = dict(model.residues)
+        k = data.draw(st.integers(-1, model.mark + 1))
+        if k in residues and data.draw(st.booleans()):
+            del residues[k]
+        else:
+            residues[k] = residues.get(k, 0) ^ data.draw(bits)
+        return replace(model, residues=residues)
+    if field == "mark":
+        return replace(model, mark=data.draw(st.integers(-3, 7)))
+    roots = st.sampled_from(model.rs.indexed)
+    return replace(model, simple_roots=tuple(_damaged(data, model.simple_roots, roots)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(FAULT_TYPES), st.data())
+def test_damaged_troot_system_is_reported_not_raised(name, data):
+    rs = root_system(name)
+    des = data.draw(st.sampled_from(all_parabolic_designations(rs)))
+
+    def corrupt(d):
+        t = real_troot_system(d)
+        _damage_troots(data, t)
+        return t
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(checks, "troot_system", corrupt)
+        rep = check_designation(des)
+    assert isinstance(rep.failures, tuple)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(FAULT_TYPES), st.data())
+def test_damaged_subalgebra_model_is_reported_not_raised(name, data):
+    rs = root_system(name)
+    j = data.draw(st.integers(1, rs.rank))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(checks, "subalgebra_roots",
+                   lambda *args: _damage_model(data, bds.subalgebra_roots(*args)))
+        rep = check_node(rs, extended_diagram(rs), j)
+    assert isinstance(rep.failures, tuple)
 
 
 def test_check_node_green(g2, f4):

@@ -342,26 +342,6 @@ def test_step_table_built_on_first_use_and_once():
     assert steps is not None and rs.step_table() is steps
 
 
-@pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2", "F4", "D4"])
-def test_pairing_codes_hold_the_coroot_pairings(name):
-    rs = root_system(name)
-    for phi, code in zip(rs.indexed, rs.pairing_codes()):
-        pairings = [sum(phi[j] * rs.cartan[j][k] for j in range(rs.rank))
-                    for k in range(rs.rank)]
-        assert [(code >> 4 * k & 15) - 8 for k in range(rs.rank)] == pairings
-        assert code >> 4 * rs.rank == 0
-
-
-def test_pairing_codes_built_on_first_use_and_once():
-    rs = root_system("E6")
-    rs.document()
-    troot_system(designation(rs, deleted=[2])).document()
-    bds_document(rs)
-    assert rs._codes is None
-    codes = rs.pairing_codes()
-    assert rs.pairing_codes() is codes
-
-
 # -- generate and classify on arbitrary integer matrices --------------------
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,6 +11,7 @@ from leviroots import (
     root_system,
     troot_system,
 )
+from leviroots import slnx
 from leviroots.rootsys import SimpleType, cartan_matrix, generate
 from leviroots.slnx import Composition, designation_of, sln_document
 
@@ -132,6 +135,32 @@ def test_designation_of_names_the_rejected_system():
     with pytest.raises(InvalidComposition) as exc:
         designation_of(comp, root_system("B3"))
     assert str(exc.value) == "composition of 4 needs type A3, got B3"
+
+
+def test_dropped_troot_breaks_the_key_sets(monkeypatch):
+    def damaged(des):
+        t = troot_system(des)
+        del t.spaces[(1, 1)], t.spaces[(-1, -1)]
+        return t
+
+    monkeypatch.setattr(slnx, "troot_system", damaged)
+    rep = crosscheck(composition([1, 1, 1]))
+    assert rep.failures == ("key sets differ: 6 blocks vs 4 spaces",) and rep.count == 6
+
+
+def test_moved_root_breaks_the_acting_blocks(monkeypatch):
+    # block (1, 2) is (1, 0, 0), which block 3 leaves alone; (0, 1, 1) in
+    # its place keeps the dimension, but alpha_3 moves it
+    rs = root_system("A3")
+
+    def damaged(des):
+        t = troot_system(des)
+        t.spaces[(1, 0)] = replace(t.spaces[(1, 0)], numbers=(rs.index[(0, 1, 1)],))
+        return t
+
+    monkeypatch.setattr(slnx, "troot_system", damaged)
+    rep = crosscheck(composition([1, 1, 2]), rs)
+    assert rep.failures == ("block 1,2: diagonal block 3 acts contrary to the table",)
 
 
 def test_crosscheck_reuses_root_system():
