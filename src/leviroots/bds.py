@@ -98,7 +98,8 @@ class SubalgebraModel:
     root_set is the subalgebra's root set, simple_roots its certified
     simple system (kept simples then the lowest root), and residues[k]
     collects the leftover roots whose node coefficient is congruent to
-    k mod the node's mark, each as a mask over ``rs.indexed``.
+    k mod the node's mark, each as a mask over ``rs.indexed``.  Its Cartan
+    matrix is ``_cartan_of(rs, simple_roots)``, computed where it is read.
     """
 
     rs: RootSystem
@@ -106,7 +107,6 @@ class SubalgebraModel:
     mark: int
     root_set: int
     simple_roots: tuple[Root, ...]
-    cartan_of_sub: CartanMatrix
     residues: dict[int, int]
 
 
@@ -149,8 +149,7 @@ def subalgebra_roots(rs: RootSystem, j: int) -> SubalgebraModel:
     simple_roots = tuple(
         tuple(1 if t == i else 0 for t in range(rs.rank)) for i in kept
     ) + (tuple(-c for c in rs.highest_root),)
-    cartan = _cartan_of(rs, simple_roots)
-    return SubalgebraModel(rs, j, n, root_set, simple_roots, cartan, residues)
+    return SubalgebraModel(rs, j, n, root_set, simple_roots, residues)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +389,7 @@ def _node_entry(ext: ExtendedDiagram, j: int) -> dict:
         "subalgebra": cls.names(),
         "subalgebra_root_count": model.root_set.bit_count(),
         "simple_roots": [list(r) for r in model.simple_roots],
-        "cartan": [list(row) for row in model.cartan_of_sub],
+        "cartan": [list(row) for row in _cartan_of(rs, model.simple_roots)],
         "alcove_vertex": [exactlin.rat_str(c) for c in alcove_vertex(rs, j)],
         "residues": residues,
     }

@@ -29,13 +29,13 @@ from operator import mul, or_
 
 from . import slnx
 from .bds import (
-    _is_prime, classify, delete_node, extended_diagram, residue_bracket_check,
+    _cartan_of, _is_prime, classify, delete_node, extended_diagram, residue_bracket_check,
     residue_irreducibility, subalgebra_roots,
 )
 from .errors import LeviRootsError
 from .levi import (
     ParabolicDesignation, designation, sign_rule_failures, string_reaches, string_walk,
-    string_weights, troot_of, troot_system,
+    string_weights, troot_system,
 )
 from .rootsys import RootSystem, SimpleType, all_simple_types, cartan_matrix, root_system
 from .series import closed_form_series, grading
@@ -136,13 +136,15 @@ def check_designation(des: ParabolicDesignation) -> DesignationReport:
     if unlisted:
         failures.append(Failure("partition", label, f"t-roots missing from keys: {unlisted}"))
         return DesignationReport(des.deleted, counts, tuple(failures))
-    # the reach of every space, read by the bracket and the string law
+    # the reach of every space (bracket and string law) and the pairing table
+    # (sign and string law)
     reaches = string_reaches(trsys, trsys.key_index())
+    pairings = trsys.positive_pairings()
     _check_partition(des, trsys, failures)
     _check_simples(des, trsys, failures)
     _check_brackets(trsys, reaches, failures, label)
-    _check_signs(trsys, failures, label)
-    _check_strings(trsys, reaches, failures, label)
+    _check_signs(trsys, pairings, failures, label)
+    _check_strings(trsys, reaches, pairings, failures, label)
     _check_delta(trsys, failures, label)
     counts["k_cent"] = _check_series(trsys, failures, label)
     if len(des.deleted) == 1:  # a maximal parabolic: t-roots +-1..n, n the mark
@@ -194,9 +196,6 @@ def _check_partition(des, trsys, failures):
         if not own or spaces[key].mask != own:  # a key no root has is no t-root
             failures.append(Failure(
                 "restriction", label, f"space {key} is not the fiber of its key"))
-        if troot_of(des, spaces[key].highest) != key:
-            failures.append(Failure(
-                "restriction", label, f"highest root of {key} restricts elsewhere"))
 
 
 def _check_simples(des, trsys, failures):
@@ -253,12 +252,11 @@ def _check_brackets(trsys, reaches, failures, label):
                 ))
 
 
-def _check_signs(trsys, failures, label):
+def _check_signs(trsys, pairings, failures, label):
     """Sign rules once per orbit {(+-mu, +-nu), (+-nu, +-mu)}."""
     pos = trsys.positives
     troots = trsys.key_index()
     encs = [trsys.key_enc(k) for k in pos]
-    pairings = trsys.positive_pairings()
     p = len(pos)
     for i, mu in enumerate(pos):
         row = pairings[i * p + i:(i + 1) * p]
@@ -266,7 +264,7 @@ def _check_signs(trsys, failures, label):
             failures.append(Failure("sign-rule", label, text))
 
 
-def _check_strings(trsys, reaches, failures, label):
+def _check_strings(trsys, reaches, pairings, failures, label):
     """String laws for every (gamma, nu), walked once per positive nu.
 
     The walk visits the positive t-weights only (the orbit rule of the
@@ -277,7 +275,6 @@ def _check_strings(trsys, reaches, failures, label):
     weights = string_weights(trsys)
     pos_encs = [trsys.key_enc(k) for k in trsys.positives]
     spaces = trsys.spaces
-    pairings = trsys.positive_pairings()
     p = len(pos_encs)
     texts: list[str] = []
     for b, nu in enumerate(trsys.positives):
@@ -353,7 +350,7 @@ def check_node(rs: RootSystem, ext, j: int) -> NodeReport:
     try:
         from_diagram = classify(delete_node(ext, j))
         model = subalgebra_roots(rs, j)
-        from_roots = classify(model.cartan_of_sub)
+        from_roots = classify(_cartan_of(rs, model.simple_roots))
         classes = from_diagram
         if from_diagram != from_roots:
             failures.append(Failure(

@@ -32,7 +32,7 @@ from typing import Iterable, NamedTuple, Sequence
 from . import exactlin
 from .errors import InvalidDesignation, InvalidPair, IrreducibilityViolation
 from .exactlin import RatVec
-from .rootsys import Root, RootSystem
+from .rootsys import Root, RootSystem, mask_bits
 
 Key = tuple[int, ...]
 
@@ -94,43 +94,46 @@ def troot_of(des: ParabolicDesignation, root: Root) -> Key | None:
     return key if any(key) else None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class TRootSpace:
     """One t-root space: all roots restricting to the same nonzero key.
 
-    Roots are held by number in ``rs.indexed`` (``indexed``): ``numbers``,
-    their ``mask``, the highest weight ``top`` and the lowest ``bottom``;
-    ``roots``, ``highest`` and ``lowest`` decode them for output.
+    The space is its key and its roots, held once as a ``mask`` over the
+    numbering of ``rs.indexed`` (``indexed``).  ``roots`` decodes them for
+    output, in (height, lex) order; ``TRootSystem.extremes`` finds the
+    highest and lowest weight roots.
     """
 
     key: Key
-    numbers: tuple[int, ...]
-    top: int
-    bottom: int
+    mask: int
     indexed: tuple[Root, ...] = field(repr=False, compare=False)
-    mask: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        mask = 0
-        for i in self.numbers:
-            mask |= 1 << i
-        object.__setattr__(self, "mask", mask)
 
     @property
     def dim(self) -> int:
-        return len(self.numbers)
+        return self.mask.bit_count()
 
     @property
     def roots(self) -> tuple[Root, ...]:
-        return tuple(map(self.indexed.__getitem__, self.numbers))
+        roots = map(self.indexed.__getitem__, mask_bits(self.mask))
+        return tuple(sorted(roots, key=lambda r: (sum(r), r)))
 
-    @property
-    def highest(self) -> Root:
-        return self.indexed[self.top]
 
-    @property
-    def lowest(self) -> Root:
-        return self.indexed[self.bottom]
+def _certify(key: Key, members: Iterable[int], steps: Sequence[int], kept: int,
+             n_pos: int) -> tuple[int, int]:
+    """The numbers of the one highest and one lowest weight root of a space.
+
+    No kept simple step (``kept``, a node mask) goes up from the highest
+    weight, none down from the lowest; the steps down from root i are those
+    up from its negative, ``n_pos`` away (``i - n_pos`` wraps round for a
+    positive i).  Any other count is an ``IrreducibilityViolation``.
+    """
+    hw = [i for i in members if not steps[i] & kept]
+    lw = [i for i in members if not steps[i - n_pos] & kept]
+    if len(hw) != 1 or len(lw) != 1:
+        raise IrreducibilityViolation(
+            f"space {key} has {len(hw)} highest / {len(lw)} lowest weight roots"
+        )
+    return hw[0], lw[0]
 
 
 class TRootSystem:
@@ -143,7 +146,7 @@ class TRootSystem:
     __slots__ = (
         "designation", "rs", "spaces", "keys", "positives", "simples",
         "delta_key", "_kpows", "_troots", "_nil_sums",
-        "_form", "_proj", "_pairings", "_pos_pairings",
+        "_form", "_proj", "_pairings",
     )
 
     def __init__(self, des: ParabolicDesignation):
@@ -171,22 +174,13 @@ class TRootSystem:
         pos_spaces, neg_spaces = [], []
         for key in positives:
             members = groups[key]
-            # no kept simple step up from the highest weight, none down from
-            # the lowest; the steps down from root i are those up from i + n_pos
-            hw = [i for i in members if not steps[i] & kept]
-            lw = [i for i in members if not steps[i + n_pos] & kept]
-            if len(hw) != 1 or len(lw) != 1:
-                raise IrreducibilityViolation(
-                    f"space {key} has {len(hw)} highest / {len(lw)} lowest weight roots"
-                )
-            top, bottom = hw[0], lw[0]
-            # positives are in (height, lex) order, so the group is too, and
-            # negation reverses that order
-            pos_spaces.append(TRootSpace(key, tuple(members), top, bottom, rs.indexed))
-            neg_spaces.append(TRootSpace(
-                tuple([-c for c in key]), tuple([i + n_pos for i in reversed(members)]),
-                bottom + n_pos, top + n_pos, rs.indexed,
-            ))
+            _certify(key, members, steps, kept, n_pos)
+            mask = 0
+            for i in members:
+                mask |= 1 << i
+            # a root and its negative are n_pos apart in the numbering
+            pos_spaces.append(TRootSpace(key, mask, rs.indexed))
+            neg_spaces.append(TRootSpace(tuple([-c for c in key]), mask << n_pos, rs.indexed))
         # negation reverses the (height, key) order, and every negative key
         # comes before every positive one
         neg_spaces.reverse()
@@ -210,7 +204,6 @@ class TRootSystem:
         self._nil_sums = None
         self._form = None
         self._pairings = {}
-        self._pos_pairings = None
 
     # -- key arithmetic -------------------------------------------------
 
@@ -293,56 +286,64 @@ class TRootSystem:
 
         With p positive t-roots, entry ``i * p + j`` pairs ``positives[i]``
         with ``positives[j]``: a fixed positive multiple of ``inner``, so
-        it has the same sign.  Built on first use; by bilinearity the row
-        of a key one unit step above a positive key is that key's row plus
-        the unit key's row, and any other row takes p dot products.  One
-        flat list, not p row lists, is kept.
+        it has the same sign.  By bilinearity the row of a key one unit step
+        above a positive key is that key's row plus the unit key's row, and
+        any other row takes p dot products.  Built on each call, as one flat
+        list.
         """
-        if self._pos_pairings is None:
-            pos, pows = self.positives, self._kpows
-            rows: dict[int, list[int]] = {}
-            table: list[int] = []
-            for key in pos:  # by height, so the key one step below comes first
-                e = self.key_enc(key)
-                for a in range(len(key)):
-                    below, unit = rows.get(e - pows[a]), rows.get(pows[a])
-                    if below is not None and unit is not None:
-                        row = list(map(add, below, unit))
-                        break
-                else:
-                    form = self._pairing(key)
-                    row = [sum(map(mul, nu, form)) for nu in pos]
-                rows[e] = row
-                table += row
-            self._pos_pairings = table
-        return self._pos_pairings
+        pos, pows = self.positives, self._kpows
+        rows: dict[int, list[int]] = {}
+        table: list[int] = []
+        for key in pos:  # by height, so the key one step below comes first
+            e = self.key_enc(key)
+            for a in range(len(key)):
+                below, unit = rows.get(e - pows[a]), rows.get(pows[a])
+                if below is not None and unit is not None:
+                    row = list(map(add, below, unit))
+                    break
+            else:
+                form = self._pairing(key)
+                row = [sum(map(mul, nu, form)) for nu in pos]
+            rows[e] = row
+            table += row
+        return table
 
     def inner_sign(self, k1: Sequence[int], k2) -> int:
         """Sign of the pairing, read on the integer form ``scaled_form``."""
         s = sum(map(mul, k1, self._pairing(tuple(k2))))
         return (s > 0) - (s < 0)
 
+    def extremes(self, key) -> tuple[Root, Root]:
+        """The highest and the lowest weight root of the space at key, by
+        the certificate that ``__init__`` runs on each positive space."""
+        rs = self.rs
+        kept = sum(1 << k for k in self.designation.kept0)
+        top, bottom = _certify(tuple(key), mask_bits(self.space(key).mask), rs.step_table(),
+                               kept, len(rs.positives))
+        return rs.indexed[top], rs.indexed[bottom]
+
     # -- serialization ----------------------------------------------------
 
     def document(self) -> dict:
         """Versioned JSON-ready description (see docs/schemas.md)."""
         des = self.designation
+        spaces = []
+        for key, sp in self.spaces.items():
+            highest, lowest = self.extremes(key)
+            spaces.append({
+                "key": list(key),
+                "dim": sp.dim,
+                "roots": [list(r) for r in sp.roots],
+                "highest": list(highest),
+                "lowest": list(lowest),
+            })
         return {
             "schema": "leviroots.trootsystem/1",
             "type": str(self.rs.stype) if self.rs.stype else None,
             "rank": self.rs.rank,
             "kept": sorted(des.kept),
             "deleted": list(des.deleted),
-            "spaces": [
-                {
-                    "key": list(sp.key),
-                    "dim": sp.dim,
-                    "roots": [list(r) for r in sp.roots],
-                    "highest": list(sp.highest),
-                    "lowest": list(sp.lowest),
-                }
-                for sp in self.spaces.values()
-            ],
+            "spaces": spaces,
             "simples": [list(k) for k in self.simples],
             "trace_vector": [exactlin.rat_str(v) for v in nilradical_trace(self)],
         }
@@ -393,7 +394,7 @@ def bracket_image(trsys: TRootSystem, mu, nu) -> tuple[Root, ...]:
     if all(a + b == 0 for a, b in zip(km, kn)):
         raise InvalidPair("mu + nu = 0: the bracket lands in the Levi factor")
     rs = trsys.rs
-    got = rs.sum_table().sums(trsys.spaces[km].numbers, trsys.spaces[kn].mask)
+    got = rs.sum_table().sums(mask_bits(trsys.spaces[km].mask), trsys.spaces[kn].mask)
     return tuple(sorted(rs.roots_of(got), key=lambda r: (sum(r), r)))
 
 
@@ -461,7 +462,7 @@ def string_reaches(trsys: TRootSystem, encs: Iterable[int]) -> dict[int, int]:
     """``RootSums.reach`` of the space at each nonzero encoding in ``encs``."""
     reach = trsys.rs.sum_table().reach
     spaces, troots = trsys.spaces, trsys.key_index()
-    return {e: reach(spaces[troots[e]].numbers) for e in encs if e}
+    return {e: reach(spaces[troots[e]].mask) for e in encs if e}
 
 
 def string_walk(step: int, nu: Key, positions: Iterable[int], pairings: Iterable[int],

@@ -221,11 +221,13 @@ class RootSums:
         self._enc_index = enc_index
         self._pos_sums = None
 
-    def reach(self, indices) -> int:
-        """Bitmask of the roots that add to some root i in indices within Delta u {0}."""
+    def reach(self, mask: int) -> int:
+        """Bitmask of the roots that add to some root of mask within Delta u {0}."""
         adjz = self.adjz
         out = 0
-        for i in indices:
+        while mask:
+            i = mask.bit_length() - 1
+            mask ^= 1 << i
             out |= adjz[i]
         return out
 

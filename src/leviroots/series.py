@@ -79,9 +79,8 @@ def _nilradical_sums(trsys: TRootSystem) -> tuple[list[int], int, dict[int, int]
     Levi roots; a negative root in n (damaged data) takes the direct sums.
     """
     if trsys._nil_sums is None:
-        spaces = [trsys.spaces[key] for key in trsys.positives]
-        members = [i for sp in spaces for i in sp.numbers]
-        total = reduce(or_, (sp.mask for sp in spaces), 0)
+        total = reduce(or_, (trsys.spaces[key].mask for key in trsys.positives), 0)
+        members = mask_bits(total)
         table = trsys.rs.sum_table()
         sums = table.sums
         positive = (1 << len(trsys.rs.positives)) - 1

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidComposition
 from .levi import Key, ParabolicDesignation, designation, troot_system
-from .rootsys import RootSystem, SimpleType, cartan_matrix, root_system
+from .rootsys import RootSystem, SimpleType, cartan_matrix, mask_bits, root_system
 
 
 @dataclass(frozen=True)
@@ -164,7 +164,7 @@ def crosscheck(comp: Composition, rs: RootSystem | None = None) -> CrossCheckRep
         # space, a +- alpha_i in Delta u {0} for a root a of it: bit i - 1 of
         # the step-table entry of a or of -a, len(positives) away
         moved = 0
-        for a in space.numbers:
+        for a in mask_bits(space.mask):
             moved |= steps[a] | steps[(a + n_pos) % (2 * n_pos)]
         for b in range(1, comp.k + 1):
             moves = bool(moved & movers[b])

@@ -15,6 +15,7 @@ from leviroots import (
 )
 from leviroots.bds import (
     DiagramClass,
+    _cartan_of,
     alcove_vertex,
     bds_document,
     delete_node,
@@ -127,7 +128,7 @@ def test_subalgebra_roots_g2(g2):
     assert set(g2.roots_of(model.root_set)) == {(1, 0), (-1, 0), (3, 2), (-3, -2)}
     assert model.simple_roots == ((1, 0), (-3, -2))
     assert model.residues[1].bit_count() == 8
-    assert classify(model.cartan_of_sub).names() == ["A1", "A1"]
+    assert classify(_cartan_of(g2, model.simple_roots)).names() == ["A1", "A1"]
 
 
 def test_split_matches_the_residue_definition():
@@ -178,7 +179,7 @@ def test_dual_pipelines_agree_rank8():
         ext = extended_diagram(rs)
         for j in range(1, rs.rank + 1):
             model = subalgebra_roots(rs, j)
-            assert classify(delete_node(ext, j)) == classify(model.cartan_of_sub), (
+            assert classify(delete_node(ext, j)) == classify(_cartan_of(rs, model.simple_roots)), (
                 stype, j)
 
 
@@ -260,6 +261,6 @@ def test_subalgebra_rank_and_size(stype, data):
     # determinant +-n that the split's span test relies on
     assert abs(exactlin.det(model.simple_roots)) == model.mark
     # root count consistent with the classified components
-    cls = classify(model.cartan_of_sub)
+    cls = classify(_cartan_of(rs, model.simple_roots))
     from conftest import classical_root_count
     assert model.root_set.bit_count() == sum(classical_root_count(t) for t in cls.components)

@@ -89,11 +89,20 @@ def _corrupting(monkeypatch, damage):
     monkeypatch.setattr(checks, "troot_system", corrupt)
 
 
-def _drop_root(t, key, position=0):
-    """Remove one root number from the public space at key."""
+def _drop_root(t, key):
+    """Clear the lowest bit, the first root by number, of the public space at key."""
     sp = t.spaces[key]
-    numbers = sp.numbers[:position] + sp.numbers[position + 1:]
-    t.spaces[key] = replace(sp, numbers=numbers)
+    t.spaces[key] = replace(sp, mask=sp.mask & (sp.mask - 1))
+
+
+def _move_root(t, src, dst, keep=False):
+    """Move the first root by number of the space at src to the space at dst,
+    or with ``keep`` add it to dst and leave it in src too."""
+    a, b = t.spaces[src], t.spaces[dst]
+    bit = a.mask & -a.mask
+    if not keep:
+        t.spaces[src] = replace(a, mask=a.mask ^ bit)
+    t.spaces[dst] = replace(b, mask=b.mask | bit)
 
 
 def _drop_troot(t, key):
@@ -138,7 +147,7 @@ def test_corrupted_raising_space_breaks_string_law(monkeypatch):
     # an emptied space at nu leaves no root sum to raise along nu
     def damage(t):
         nu = t.positives[0]
-        t.spaces[nu] = replace(t.spaces[nu], numbers=())
+        t.spaces[nu] = replace(t.spaces[nu], mask=0)
 
     _corrupting(monkeypatch, damage)
     rep = check_designation(designation(root_system("B3"), deleted=[2]))
@@ -273,9 +282,9 @@ def test_two_highest_weight_roots_fail_certification(monkeypatch):
     # a second highest weight
     rs = root_system("B3")
     des = designation(rs, deleted=[2])
-    space = real_troot_system(des).spaces[(1,)]
+    lowest = real_troot_system(des).extremes((1,))[1]
     steps = list(rs.step_table())
-    steps[rs.index[space.lowest]] = 0
+    steps[rs.index[lowest]] = 0
     monkeypatch.setattr(RootSystem, "step_table", lambda self: steps)
     rep = check_designation(des)
     assert [(f.check, f.detail) for f in rep.failures] == [
@@ -290,27 +299,13 @@ def test_dropped_negative_root_breaks_negation_symmetry(monkeypatch):
 
 
 def test_repeated_root_number_breaks_partition(monkeypatch):
-    # a root listed twice in a negative space leaves its mask, and every law
-    # that reads masks, unchanged, but the spaces overcount the roots
-    def damage(t):
-        sp = t.spaces[(-1,)]
-        t.spaces[(-1,)] = replace(sp, numbers=sp.numbers + sp.numbers[:1])
-
-    _corrupting(monkeypatch, damage)
+    # a root of the space at (-2,) added to the space at (-1,) too: the
+    # spaces overcount the roots, and (-1,) is no longer the mirror of (1,)
+    _corrupting(monkeypatch, lambda t: _move_root(t, (-2,), (-1,), keep=True))
     rep = check_designation(designation(root_system("B3"), deleted=[2]))
     assert [(f.check, f.detail) for f in rep.failures] == [
-        ("partition", "15 space roots + 4 Levi roots != 18")]
-
-
-def test_misplaced_highest_root_breaks_restriction(monkeypatch):
-    # the highest weight of (1,) pointed at the root of the space at (2,)
-    def damage(t):
-        t.spaces[(1,)] = replace(t.spaces[(1,)], top=t.spaces[(2,)].top)
-
-    _corrupting(monkeypatch, damage)
-    rep = check_designation(designation(root_system("B3"), deleted=[2]))
-    assert [(f.check, f.detail) for f in rep.failures] == [
-        ("restriction", "highest root of (1,) restricts elsewhere")]
+        ("partition", "15 space roots + 4 Levi roots != 18"),
+        ("negation-symmetry", "key (1,) mirror mismatch")]
 
 
 def test_moved_root_breaks_restriction(monkeypatch):
@@ -318,12 +313,8 @@ def test_moved_root_breaks_restriction(monkeypatch):
     # the root counts and the mirrors still hold, but two spaces are no
     # longer the fibers of their keys
     def damage(t):
-        moved = t.spaces[(1,)].numbers[0]
-        n_pos = len(t.rs.positives)
-        for src, dst, i in (((1,), (2,), moved), ((-1,), (-2,), moved + n_pos)):
-            a, b = t.spaces[src], t.spaces[dst]
-            t.spaces[src] = replace(a, numbers=tuple(j for j in a.numbers if j != i))
-            t.spaces[dst] = replace(b, numbers=b.numbers + (i,))
+        _move_root(t, (1,), (2,))
+        _move_root(t, (-1,), (-2,))
 
     _corrupting(monkeypatch, damage)
     rep = check_designation(designation(root_system("B3"), deleted=[2]))
@@ -338,7 +329,7 @@ def test_empty_space_at_a_key_without_a_fiber_breaks_restriction(monkeypatch):
     # empty fiber; an empty space there is not a fiber of its key either
     def damage(t):
         for key in ((3,), (-3,)):
-            t.spaces[key] = replace(t.spaces[(1,)], key=key, numbers=())
+            t.spaces[key] = replace(t.spaces[(1,)], key=key, mask=0)
         t.keys = ((-3,),) + t.keys + ((3,),)
         t.positives += ((3,),)
 
@@ -359,7 +350,7 @@ def test_bracket_records_at_both_ends_of_the_target_range(monkeypatch, g2):
         t.spaces[(-1, 1)] = replace(t.spaces[(-3, -2)], key=(-1, 1))
         t.keys += ((1, -1), (-1, 1))
         t.positives += ((1, -1),)
-        t.spaces[(0, -1)] = replace(t.spaces[(0, -1)], numbers=())
+        t.spaces[(0, -1)] = replace(t.spaces[(0, -1)], mask=0)
 
     seen = []
     _corrupting(monkeypatch, lambda t: (damage(t), seen.append(t)))
@@ -397,7 +388,7 @@ def test_mixed_sign_key_breaks_positivity_dichotomy(monkeypatch, g2):
     # a mixed-sign key and its negative, each with an empty space
     def damage(t):
         for key in ((1, -1), (-1, 1)):
-            t.spaces[key] = replace(t.spaces[(1, 0)], key=key, numbers=())
+            t.spaces[key] = replace(t.spaces[(1, 0)], key=key, mask=0)
             t.keys += (key,)
 
     _corrupting(monkeypatch, damage)
@@ -418,16 +409,16 @@ def test_dropped_top_key_breaks_grading(monkeypatch):
 
 
 def test_repeated_positive_root_number_breaks_partition(monkeypatch):
-    # a root listed twice in a positive space is one partition record: the
-    # roots of a space differ on the kept nodes, so no weight check is needed
-    def damage(t):
-        sp = t.spaces[(1,)]
-        t.spaces[(1,)] = replace(sp, numbers=sp.numbers + sp.numbers[:1])
-
-    _corrupting(monkeypatch, damage)
+    # a root of the space at (2,) added to the space at (1,) too: the spaces
+    # overcount the roots, and every law that reads the damaged mask fires
+    _corrupting(monkeypatch, lambda t: _move_root(t, (2,), (1,), keep=True))
     rep = check_designation(designation(root_system("B3"), deleted=[2]))
     assert [(f.check, f.detail) for f in rep.failures] == [
-        ("partition", "15 space roots + 4 Levi roots != 18")]
+        ("partition", "15 space roots + 4 Levi roots != 18"),
+        ("negation-symmetry", "key (1,) mirror mismatch"),
+        ("restriction", "space (1,) is not the fiber of its key"),
+        ("bracket-law", "keys (-1,) + (2,): root sums miss the target space"),
+        ("central-series", "center term splits the t-root space (1,)")]
 
 
 def test_positively_paired_simples_fail_simple_troots():
@@ -475,7 +466,8 @@ def test_corrupted_affine_cartan_breaks_equal_rank_classify(g2):
 
 def test_second_annihilated_root_breaks_residue_irreducibility(monkeypatch, g2):
     # without -psi in the raising set, each residue class at the mark-3
-    # node has a second root that nothing raises
+    # node has a second root that nothing raises, and the root pipeline
+    # classifies the one simple root that is left
     real = bds.subalgebra_roots
 
     def damaged(rs, j):
@@ -485,9 +477,27 @@ def test_second_annihilated_root_breaks_residue_irreducibility(monkeypatch, g2):
     monkeypatch.setattr(checks, "subalgebra_roots", damaged)
     rep = check_node(g2, extended_diagram(g2), 1)
     assert [(f.check, f.detail) for f in rep.failures] == [
+        ("equal-rank-classify", "diagram pipeline A2 != root pipeline A1"),
         ("residue-irreducibility", "residue class 1 at node 1 has 2 highest weights"),
         ("residue-irreducibility", "residue class 2 at node 1 has 2 highest weights"),
     ]
+
+
+@pytest.mark.parametrize("cut, classes", [(0, "A1+A1"), (1, "A2"), (2, "B2")])
+def test_cut_simple_root_at_a_mark_one_node_breaks_equal_rank_classify(monkeypatch, cut, classes):
+    # B3 node 1 has mark 1, so no residue class reads the simple roots; the
+    # root pipeline classifies the two that are left
+    real = bds.subalgebra_roots
+
+    def damaged(rs, j):
+        model = real(rs, j)
+        return replace(model, simple_roots=model.simple_roots[:cut] + model.simple_roots[cut + 1:])
+
+    monkeypatch.setattr(checks, "subalgebra_roots", damaged)
+    b3 = root_system("B3")
+    rep = check_node(b3, extended_diagram(b3), 1)
+    assert [(f.check, f.detail) for f in rep.failures] == [
+        ("equal-rank-classify", f"diagram pipeline B3 != root pipeline {classes}")]
 
 
 def test_moved_root_breaks_residue_bracket(monkeypatch, g2):
@@ -638,7 +648,7 @@ def test_failed_crosscheck_rebuild_is_a_block_crosscheck_record(monkeypatch):
     rs = root_system("A3")
     t = real_troot_system(designation(rs, deleted=[2]))
     steps = list(rs.step_table())
-    steps[t.spaces[(1,)].bottom + len(rs.positives)] = 0b111
+    steps[rs.index[t.extremes((1,))[1]] + len(rs.positives)] = 0b111
     monkeypatch.setattr(rs, "_steps", steps)
     rep = check_type(rs)
     assert [(r.deleted, [(f.check, f.detail) for f in r.failures])
@@ -809,21 +819,15 @@ def _damaged(data, seq, extra):
 
 
 def _damage_troots(data, t):
-    numbers = st.integers(0, len(t.rs.indexed) - 1)
+    bits = st.integers(0, len(t.rs.indexed) - 1).map(lambda i: 1 << i)
     keys = st.tuples(*[st.integers(-3, 3)] * len(t.simples))
-    field = data.draw(st.sampled_from(["spaces", "keys", "positives", "simples", "pairings"]))
+    field = data.draw(st.sampled_from(["spaces", "keys", "positives", "simples"]))
     if field == "spaces":
         key = data.draw(st.sampled_from(t.keys))
-        sp = t.spaces[key]
-        how = data.draw(st.sampled_from(["delete", "numbers", "top", "bottom"]))
-        if how == "delete":
+        if data.draw(st.booleans()):
             del t.spaces[key]
-        elif how == "numbers":
-            t.spaces[key] = replace(sp, numbers=tuple(_damaged(data, sp.numbers, numbers)))
-        else:
-            t.spaces[key] = replace(sp, **{how: data.draw(numbers)})
-    elif field == "pairings":
-        t._pos_pairings = _damaged(data, t.positive_pairings(), st.integers(-9, 9))
+        else:  # one mask bit flipped
+            t.spaces[key] = replace(t.spaces[key], mask=t.spaces[key].mask ^ data.draw(bits))
     else:
         setattr(t, field, tuple(_damaged(data, getattr(t, field), keys)))
 

@@ -3,7 +3,12 @@ import json
 
 import pytest
 
-from leviroots import cli
+from leviroots import cli, root_system
+from leviroots.bds import bds_document
+from leviroots.checks import all_parabolic_designations, standard_designations
+from leviroots.levi import troot_system
+from leviroots.rootsys import all_simple_types
+from leviroots.series import series_document
 
 
 def _json_out(capsys, argv):
@@ -351,6 +356,27 @@ def test_check_max_rank_12_all_parabolics_stdout_pinned(capsys):
     assert cli.run(["check", "--max-rank", "12", "--all-parabolics"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
     assert digest == CHECK_MAX_RANK_12_ALL_PARABOLICS_SHA256
+
+
+# sha256 over the troots and series documents of every parabolic of each
+# type of rank <= 6 and the Borel and maximal parabolics at ranks 7 and 8
+# (633 designations), then the bds document of every type of rank <= 8
+DOCUMENTS_SHA256 = "261aa7d0a588ba5b6f6bbdae7e862d8d903913d685549f0215bf41fb1ee7d94c"
+
+
+def test_troots_series_and_bds_documents_pinned():
+    digest, count = hashlib.sha256(), 0
+    for stype in all_simple_types(8):
+        rs = root_system(stype, max_rank=8)
+        scope = all_parabolic_designations(rs) if rs.rank <= 6 else standard_designations(rs)
+        for des in scope:
+            trsys = troot_system(des)
+            for doc in (trsys.document(), series_document(trsys)):
+                digest.update(json.dumps(doc).encode("utf-8"))
+            count += 1
+        digest.update(json.dumps(bds_document(rs)).encode("utf-8"))
+    assert count == 633
+    assert digest.hexdigest() == DOCUMENTS_SHA256
 
 
 # (arguments, exit status, stdout sha256) for every verb, JSON and --pretty,

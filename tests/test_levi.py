@@ -77,8 +77,8 @@ def test_a2_keep2_worked_example(a2):
     assert trsys.keys == ((-1,), (1,))
     space = trsys.spaces[(1,)]
     assert set(space.roots) == {(1, 0), (1, 1)}
-    assert space.highest == (1, 1)  # alpha1+alpha2+alpha2 is not a root
-    assert space.lowest == (1, 0)
+    # alpha1+alpha2+alpha2 is not a root
+    assert trsys.extremes((1,)) == ((1, 1), (1, 0))
     # projection of alpha1: alpha1 + alpha2/2
     beta = trsys.simples[0]
     assert trsys.troot_vec(beta) == (Q(1), Q(1, 2))
@@ -125,9 +125,11 @@ def test_highest_and_lowest_certificates():
                     for step in [tuple(p + sign * c for p, c in zip(phi, u))]
                 )
 
-            for space in troot_system(des).spaces.values():
-                assert [phi for phi in space.roots if stuck(phi, 1)] == [space.highest]
-                assert [phi for phi in space.roots if stuck(phi, -1)] == [space.lowest]
+            trsys = troot_system(des)
+            for key, space in trsys.spaces.items():
+                highest, lowest = trsys.extremes(key)
+                assert [phi for phi in space.roots if stuck(phi, 1)] == [highest]
+                assert [phi for phi in space.roots if stuck(phi, -1)] == [lowest]
 
 
 def test_g2_mark2_parabolic_spaces(g2):
@@ -279,14 +281,6 @@ def test_positive_pairings_match_exact_form(des):
             assert table[i * p + j] == table[j * p + i]
             assert trsys.inner(mu, nu) == scale * table[i * p + j]
     assert scale > 0
-
-
-def test_space_masks_follow_public_spaces(f4):
-    trsys = troot_system(designation(f4, deleted=[1, 3]))
-    rs = trsys.rs
-    for key, space in trsys.spaces.items():
-        assert rs.roots_of(space.mask) == tuple(sorted(space.roots, key=rs.index.get))
-        assert space.numbers == tuple(rs.index[r] for r in space.roots)
 
 
 @pytest.mark.parametrize("stype", SMALL, ids=str)

@@ -254,7 +254,7 @@ def test_sum_table_matches_brute_force(name):
             got = table.sums([rs.index[a] for a in left], sum(1 << rs.index[b] for b in right))
             want = {add(a, b) for a in left for b in right} & rs.roots
             assert set(rs.roots_of(got)) == want
-        reach = table.reach(rs.index[a] for a in left)
+        reach = table.reach(sum(1 << rs.index[a] for a in left))
         want = {j for j, b in enumerate(roots)
                 if any(add(a, b) in rs.roots or add(a, b) == zero for a in left)}
         assert set(mask_bits(reach)) == want

@@ -161,13 +161,11 @@ def test_nilradical_sums_on_damaged_spaces(damage):
     trsys = troot_system(designation(rs, deleted=[2]))
     sp = trsys.spaces[(1,)]
     n_pos = len(rs.positives)
-    extra = {
-        "drop": (),
-        "levi": (rs.index[(1, 0, 0)],),
-        "negative": (rs.index[(0, -1, 0)],),
-    }[damage]
-    numbers = sp.numbers[1:] if damage == "drop" else sp.numbers + extra
-    trsys.spaces[(1,)] = replace(sp, numbers=numbers)
+    if damage == "drop":  # the space's first root by number: its lowest bit
+        mask = sp.mask & (sp.mask - 1)
+    else:
+        mask = sp.mask | 1 << rs.index[(1, 0, 0) if damage == "levi" else (0, -1, 0)]
+    trsys.spaces[(1,)] = replace(sp, mask=mask)
     _assert_direct_sums(trsys)
     total = _nilradical_sums(trsys)[1]
     assert (total >> n_pos != 0) == (damage == "negative")

@@ -155,7 +155,7 @@ def test_moved_root_breaks_the_acting_blocks(monkeypatch):
 
     def damaged(des):
         t = troot_system(des)
-        t.spaces[(1, 0)] = replace(t.spaces[(1, 0)], numbers=(rs.index[(0, 1, 1)],))
+        t.spaces[(1, 0)] = replace(t.spaces[(1, 0)], mask=1 << rs.index[(0, 1, 1)])
         return t
 
     monkeypatch.setattr(slnx, "troot_system", damaged)
