@@ -7,16 +7,21 @@ sweeps are exact (integer arithmetic throughout) and iterate
 in a fixed (height, lexicographic) order so repeated runs emit
 byte-identical reports.
 
-For the quadratic sweeps the pair count is cut by symmetry, never the
-content: a sign-rule or string condition for (mu, nu) coincides with
-the one for (-mu, -nu), (nu, mu) and (mu, -nu) after negating roots,
-and t-root spaces at opposite keys are exact mirrors, with the keys
+For the quadratic laws the pair count is cut by symmetry, never the
+content.  t-root spaces at opposite keys are exact mirrors, with the keys
 closed under negation (which the suite itself verifies per designation),
-so checking one representative per orbit checks them all.  The string
-law is walked once per positive nu over the positive t-weights x: a
-negative x pairs with nu as minus its mirror -x, so its conditions are
-those at -x on the mirrored run, with top and bottom, raising and
-lowering swapped.
+so the string law is walked once per positive nu over the positive
+t-weights x: a negative x pairs with nu as minus its mirror -x, so its
+conditions are those at -x on the mirrored run, with top and bottom,
+raising and lowering swapped.  The same walk reports the sign rule.  Off
+the diagonal, the sign rule for (x, nu) fails exactly when the walk's
+endpoint test at x does: (x, nu) < 0 forces x + nu to be a t-root,
+(x, nu) > 0 forces x - nu, and (x, nu) = 0 both or neither.  The rule
+for (mu, nu) is the one for (-mu, -nu), (nu, mu) and (mu, -nu), so a
+failed endpoint test is also a sign-rule record when x comes before nu
+among the positives, once per orbit.  On the diagonal the walk counts
+x - nu = 0 as a weight, so it tests nothing at x = nu when 2 nu is a
+t-root; the rule is tested there as (nu, nu) > 0.
 """
 
 from __future__ import annotations
@@ -33,10 +38,7 @@ from .bds import (
     residue_irreducibility, subalgebra_roots,
 )
 from .errors import LeviRootsError
-from .levi import (
-    ParabolicDesignation, designation, sign_rule_failures, string_reaches, string_walk,
-    string_weights, troot_system,
-)
+from .levi import ParabolicDesignation, designation, troot_system
 from .rootsys import RootSystem, SimpleType, all_simple_types, cartan_matrix, root_system
 from .series import closed_form_series, grading
 
@@ -136,15 +138,17 @@ def check_designation(des: ParabolicDesignation) -> DesignationReport:
     if unlisted:
         failures.append(Failure("partition", label, f"t-roots missing from keys: {unlisted}"))
         return DesignationReport(des.deleted, counts, tuple(failures))
-    # the reach of every space (bracket and string law) and the pairing table
-    # (sign and string law)
-    reaches = string_reaches(trsys, trsys.key_index())
+    # the encodings of the positive keys (simplicity, bracket and string
+    # law), the reach of every space by encoding (bracket and string law)
+    # and the positive pairing table (string law and sign rule)
+    pos_encs = [trsys.key_enc(k) for k in trsys.positives]
+    reach = des.rs.sum_table().reach
+    reaches = {e: reach(trsys.spaces[k].mask) for e, k in trsys.key_index().items() if e}
     pairings = trsys.positive_pairings()
     _check_partition(des, trsys, failures)
-    _check_simples(des, trsys, failures)
-    _check_brackets(trsys, reaches, failures, label)
-    _check_signs(trsys, pairings, failures, label)
-    _check_strings(trsys, reaches, pairings, failures, label)
+    _check_simples(des, trsys, pos_encs, failures)
+    _check_brackets(trsys, pos_encs, reaches, failures, label)
+    _check_strings(trsys, pos_encs, reaches, pairings, failures, label)
     _check_delta(trsys, failures, label)
     counts["k_cent"] = _check_series(trsys, failures, label)
     if len(des.deleted) == 1:  # a maximal parabolic: t-roots +-1..n, n the mark
@@ -198,7 +202,7 @@ def _check_partition(des, trsys, failures):
                 "restriction", label, f"space {key} is not the fiber of its key"))
 
 
-def _check_simples(des, trsys, failures):
+def _check_simples(des, trsys, pos_encs, failures):
     """Simple t-roots: unit keys, obtuseness, intrinsic simplicity."""
     label = _deleted_label(des)
     width = len(des.deleted)
@@ -212,14 +216,13 @@ def _check_simples(des, trsys, failures):
                 "simple-troots", label,
                 f"simple t-roots {a},{b} have positive inner product"))
     # one-signed keys, and simplicity <=> not a sum of two positives
-    pos_encs = frozenset(map(trsys.key_enc, trsys.positives))
+    encs = frozenset(pos_encs)
     for key in trsys.keys:
         if not (min(key) >= 0 or max(key) <= 0):
             failures.append(Failure(
                 "positivity-dichotomy", label, f"key {key} is mixed-sign"))
-    for key in trsys.positives:
-        e = trsys.key_enc(key)
-        decomposable = not pos_encs.isdisjoint(map(e.__sub__, pos_encs))
+    for key, e in zip(trsys.positives, pos_encs):
+        decomposable = not encs.isdisjoint(map(e.__sub__, encs))
         if decomposable == (key in units):
             kind = "decomposes" if decomposable else "has no decomposition"
             failures.append(Failure(
@@ -227,7 +230,7 @@ def _check_simples(des, trsys, failures):
                 f"key {key} {kind}, contradicting the simple set"))
 
 
-def _check_brackets(trsys, reaches, failures, label):
+def _check_brackets(trsys, pos_encs, reaches, failures, label):
     """Root sums from keys mu, nu fill the space at mu+nu exactly.
 
     A root k at mu+nu is a sum from mu and nu exactly when it is in the
@@ -237,7 +240,7 @@ def _check_brackets(trsys, reaches, failures, label):
     the pair with both keys negated is the mirror case.
     """
     troots, spaces = trsys.key_index(), trsys.spaces
-    targets = {trsys.key_enc(k): spaces[k].mask for k in trsys.positives}
+    targets = {e: spaces[k].mask for e, k in zip(pos_encs, trsys.positives)}
     low, high = min(targets, default=0), max(targets, default=0)
     encs = sorted(troots)
     for i, em in enumerate(encs):
@@ -252,36 +255,62 @@ def _check_brackets(trsys, reaches, failures, label):
                 ))
 
 
-def _check_signs(trsys, pairings, failures, label):
-    """Sign rules once per orbit {(+-mu, +-nu), (+-nu, +-mu)}."""
-    pos = trsys.positives
-    troots = trsys.key_index()
-    encs = [trsys.key_enc(k) for k in pos]
-    p = len(pos)
-    for i, mu in enumerate(pos):
-        row = pairings[i * p + i:(i + 1) * p]
-        for text in sign_rule_failures(mu, encs[i], pos[i:], encs[i:], row, troots):
-            failures.append(Failure("sign-rule", label, text))
+# what the sign rule asks of (mu, nu), by the sign of the pairing
+_SIGN_RULE = {
+    -1: "< 0 but the sum is not a t-root",
+    0: "= 0 but sum/difference membership differs",
+    1: "> 0 but the difference is not a t-root",
+}
 
 
-def _check_strings(trsys, reaches, pairings, failures, label):
-    """String laws for every (gamma, nu), walked once per positive nu.
+def _check_strings(trsys, pos_encs, reaches, pairings, failures, label):
+    """The string law and the sign rule, walked once per positive nu.
 
-    The walk visits the positive t-weights only (the orbit rule of the
-    module docstring).  Zero needs no visit: it is interior to every run,
-    since nu and -nu are t-weights, and exempt from the non-vanishing
-    conditions.  Pairings read nu's row of the positive pairing table.
+    The walk visits the positive t-weights x only (the orbit rule of the
+    module docstring), on encodings, with (x, nu) read from nu's row of
+    the positive pairing table.  x tops its maximal nu-run when x + nu is
+    no t-weight (a t-root or zero), and bottoms it when x - nu is none.  A
+    singleton run must be orthogonal to nu; otherwise its top must pair
+    positively and its bottom negatively with nu, and the action of g_nu
+    (raising, below the top) and g_-nu (lowering, above the bottom) must
+    be nonzero at x: some root of the space at x adds to a root of the
+    acting space within Delta u {0}.  Zero needs no visit: it is interior
+    to every run, since nu and -nu are t-weights, and bracketing with the
+    Levi factor is automatic.  A failed endpoint test at x before nu is
+    also a sign-rule record, and the diagonal pairing (nu, nu) must be
+    positive (the module docstring).
     """
-    weights = string_weights(trsys)
-    pos_encs = [trsys.key_enc(k) for k in trsys.positives]
+    weights = dict(trsys.key_index())
+    weights[0] = (0,) * len(trsys.simples)
     spaces = trsys.spaces
     p = len(pos_encs)
-    texts: list[str] = []
-    for b, nu in enumerate(trsys.positives):
+    for b, (nu, step) in enumerate(zip(trsys.positives, pos_encs)):
         up, down = spaces[nu].mask, spaces[tuple([-c for c in nu])].mask
-        string_walk(pos_encs[b], nu, pos_encs, pairings[b * p:(b + 1) * p], weights,
-                    reaches, up, down, texts)
-    failures.extend(Failure("string-law", label, t) for t in texts)
+        row = pairings[b * p:(b + 1) * p]
+        if row[b] <= 0:
+            failures.append(Failure("sign-rule", label, f"({nu},{nu}) is not positive"))
+        for a, (x, s) in enumerate(zip(pos_encs, row)):
+            raised, lowered = x + step in weights, x - step in weights
+            if not (raised or lowered):
+                end = "singleton string at {} along {} not orthogonal" if s else None
+            elif not raised and s <= 0:
+                end = "top of string {} along {} not positive"
+            elif not lowered and s >= 0:
+                end = "bottom of string {} along {} not negative"
+            else:
+                end = None
+            if end:
+                failures.append(Failure("string-law", label, end.format(weights[x], nu)))
+                if a < b:
+                    failures.append(Failure(
+                        "sign-rule", label, f"({weights[x]},{nu}) {_SIGN_RULE[(s > 0) - (s < 0)]}"))
+            if x:
+                if raised and not reaches[x] & up:
+                    failures.append(Failure(
+                        "string-law", label, f"no raising root sum at {weights[x]} along {nu}"))
+                if lowered and not reaches[x] & down:
+                    failures.append(Failure(
+                        "string-law", label, f"no lowering root sum at {weights[x]} along {nu}"))
 
 
 def _check_delta(trsys, failures, label):

@@ -55,7 +55,12 @@ def _load_cartan(path: str):
 
 
 def _resolve_system(args) -> RootSystem:
-    if getattr(args, "cartan", None):
+    # a selector that another one would override is an error, never ignored
+    if args.type and args.cartan:
+        raise LeviRootsError("give either a type or --cartan, not both")
+    if getattr(args, "dot", False) and args.pretty:
+        raise LeviRootsError("give either --dot or --pretty, not both")
+    if args.cartan:
         data = _load_cartan(args.cartan)
         try:
             return generate(data)
@@ -250,9 +255,10 @@ def _emit(doc: dict, pretty: bool, renderer) -> None:
 
 
 def _run_check(args) -> int:
-    if args.type and args.max_rank is not None:
-        raise LeviRootsError("give either a type or --max-rank, not both")
-    if args.type or getattr(args, "cartan", None):
+    if args.max_rank is not None and (args.type or args.cartan):
+        other = "a type" if args.type else "--cartan"
+        raise LeviRootsError(f"give either {other} or --max-rank, not both")
+    if args.type or args.cartan:
         reports = [checks.check_type(_resolve_system(args), args.all_parabolics)]
     elif args.max_rank is not None:
         if not 1 <= args.max_rank <= DEFAULT_MAX_RANK:

@@ -31,7 +31,8 @@ class IrreducibilityViolation(LeviRootsError):
 
 
 class InvalidPair(LeviRootsError):
-    """A pair of t-roots was rejected (e.g. bracket of nu with -nu)."""
+    """A node or residue-class argument was rejected (e.g. classes p, q
+    with p + q = 0 mod n, whose bracket lands in the subalgebra)."""
 
 
 class SeriesMismatch(LeviRootsError):

@@ -8,18 +8,11 @@ phi's integer coefficients on the deleted nodes: that tuple is the
 package.  The rational projection vector is derived data, computed on
 demand by orthogonal projection away from the kept span.
 
-The central structural facts realized here, all certified
-combinatorially on root sets:
-
-* each t-root space g_nu is irreducible under m, witnessed by a unique
-  highest-weight root and a unique lowest-weight root;
-* bracket law [g_mu, g_nu] = g_{mu+nu}, realized as root-vector sums;
-* sign rules linking the bilinear pairing of two t-roots to membership
-  of their sum and difference;
-* t-weight strings through the adjoint module are intervals with
-  prescribed endpoint signs;
-* the trace covector of the nilradical action is strictly positive on
-  positive t-roots.
+Each t-root space g_nu is certified irreducible under m here, by a
+unique highest-weight root and a unique lowest-weight root.  The laws
+that the spaces obey together (the bracket law, the sign rule, the
+string law and the positivity of the nilradical trace) are checked,
+on the same data, by ``checks.check_designation``.
 """
 
 from __future__ import annotations
@@ -27,10 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, mul
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from . import exactlin
-from .errors import InvalidDesignation, InvalidPair, IrreducibilityViolation
+from .errors import InvalidDesignation, IrreducibilityViolation
 from .exactlin import RatVec
 from .rootsys import Root, RootSystem, mask_bits
 
@@ -82,16 +75,6 @@ def designation(rs: RootSystem, kept: Iterable[int] | None = None,
         # set, where the constructor's range check names it
         nodes = frozenset(range(1, rs.rank + 1)) ^ frozenset(nodes)
     return ParabolicDesignation(rs, nodes)
-
-
-def troot_of(des: ParabolicDesignation, root: Root) -> Key | None:
-    """Key of the restriction of a root to the center; None iff it vanishes.
-
-    The restriction is zero exactly when the root lives in the Levi
-    factor (all coefficients on deleted nodes are zero).
-    """
-    key = tuple([root[d] for d in des.deleted0])
-    return key if any(key) else None
 
 
 @dataclass(slots=True)
@@ -221,9 +204,6 @@ class TRootSystem:
         if self._troots is None:
             self._troots = {self.key_enc(k): k for k in self.keys}
         return self._troots
-
-    def is_troot(self, key) -> bool:
-        return tuple(key) in self.spaces
 
     def space(self, key) -> TRootSpace:
         return self.spaces[tuple(key)]
@@ -358,15 +338,6 @@ def troot_system(des: ParabolicDesignation) -> TRootSystem:
     return TRootSystem(des)
 
 
-def troot_coroot(trsys: TRootSystem, nu) -> RatVec:
-    """The covector 2*nu/(nu,nu), in simple-root coordinates."""
-    key = tuple(nu)
-    if not trsys.is_troot(key):
-        raise InvalidPair(f"{key} is not a t-root here")
-    norm = trsys.inner(key, key)
-    return tuple(2 * v / norm for v in trsys.troot_vec(key))
-
-
 def nilradical_trace(trsys: TRootSystem) -> RatVec:
     """Covector representing x -> trace(ad x | nilradical) on the center.
 
@@ -375,189 +346,3 @@ def nilradical_trace(trsys: TRootSystem) -> RatVec:
     """
     return trsys.troot_vec(trsys.delta_key)
 
-
-def _troot_pair(trsys: TRootSystem, mu, nu) -> tuple[Key, Key]:
-    km, kn = tuple(mu), tuple(nu)
-    if not (trsys.is_troot(km) and trsys.is_troot(kn)):
-        raise InvalidPair("both arguments must be t-roots of this system")
-    return km, kn
-
-
-def bracket_image(trsys: TRootSystem, mu, nu) -> tuple[Root, ...]:
-    """Root set of [g_mu, g_nu]: all root sums phi + phi'.
-
-    Equals the full root set of g_{mu+nu} when mu+nu is a t-root and is
-    empty otherwise.  Rejects mu + nu = 0, where the bracket lands in
-    the Levi factor instead of a t-root space.
-    """
-    km, kn = _troot_pair(trsys, mu, nu)
-    if all(a + b == 0 for a, b in zip(km, kn)):
-        raise InvalidPair("mu + nu = 0: the bracket lands in the Levi factor")
-    rs = trsys.rs
-    got = rs.sum_table().sums(mask_bits(trsys.spaces[km].mask), trsys.spaces[kn].mask)
-    return tuple(sorted(rs.roots_of(got), key=lambda r: (sum(r), r)))
-
-
-class SignRuleReport(NamedTuple):
-    mu: Key
-    nu: Key
-    inner_sign: int
-    ok: bool
-    failures: tuple[str, ...]
-
-
-def sign_rule_failures(mu: Key, emu: int, nus: Sequence[Key], encs: Sequence[int],
-                       signs: Sequence[int], troots: dict[int, Key]) -> list[str]:
-    """The sign rule for mu against each nu of a row, read on encodings.
-
-    ``emu`` and ``encs`` encode mu and the nus, ``signs`` has the sign of
-    each (mu, nu), and ``troots`` is ``TRootSystem.key_index()``.
-    Negative pairing forces mu + nu to be a t-root (when nonzero), positive
-    pairing forces mu - nu (when nonzero), and zero pairing makes the two
-    memberships equivalent.  Returns the failure texts.
-    """
-    out = []
-    for nu, enu, s in zip(nus, encs, signs):
-        plus, minus = emu + enu, emu - enu
-        if s < 0:
-            if plus and plus not in troots:
-                out.append(f"({mu},{nu}) < 0 but the sum is not a t-root")
-        elif s > 0:
-            if minus and minus not in troots:
-                out.append(f"({mu},{nu}) > 0 but the difference is not a t-root")
-        elif (plus in troots) != (minus in troots):
-            out.append(f"({mu},{nu}) = 0 but sum/difference membership differs")
-    return out
-
-
-def sign_rule_check(trsys: TRootSystem, mu, nu) -> SignRuleReport:
-    """Verify the sign rule (``sign_rule_failures``) for one pair of t-roots."""
-    km, kn = _troot_pair(trsys, mu, nu)
-    s = trsys.inner_sign(km, kn)
-    failures = tuple(sign_rule_failures(
-        km, trsys.key_enc(km), (kn,), (trsys.key_enc(kn),), (s,), trsys.key_index()))
-    return SignRuleReport(km, kn, s, not failures, failures)
-
-
-def _as_weight_key(trsys: TRootSystem, gamma) -> Key:
-    width = len(trsys.simples)
-    if gamma is None:
-        return (0,) * width
-    key = tuple(gamma)
-    if not any(key):
-        return (0,) * width
-    if key not in trsys.spaces:
-        raise InvalidPair(f"{key} is neither zero nor a t-root here")
-    return key
-
-
-def string_weights(trsys: TRootSystem) -> dict[int, Key]:
-    """The t-weights of the adjoint module by encoding: the t-roots and zero."""
-    weights = dict(trsys.key_index())
-    weights[0] = (0,) * len(trsys.simples)
-    return weights
-
-
-def string_reaches(trsys: TRootSystem, encs: Iterable[int]) -> dict[int, int]:
-    """``RootSums.reach`` of the space at each nonzero encoding in ``encs``."""
-    reach = trsys.rs.sum_table().reach
-    spaces, troots = trsys.spaces, trsys.key_index()
-    return {e: reach(spaces[troots[e]].mask) for e in encs if e}
-
-
-def string_walk(step: int, nu: Key, positions: Iterable[int], pairings: Iterable[int],
-                weights: dict[int, Key], reaches: dict[int, int], up: int, down: int,
-                out: list[str]) -> None:
-    """The string law at each t-weight of ``positions`` along nu.
-
-    Everything is read on encodings: ``step`` encodes nu and ``weights``
-    is ``string_weights``; ``pairings`` gives a positive multiple of
-    (x, nu) for each position x, ``reaches`` holds ``string_reaches`` of
-    (at least) the nonzero positions, and ``up`` and ``down`` are the
-    masks of the spaces at nu and -nu.  A position is the top of its maximal nu-run
-    when x + nu is no t-weight, and the bottom when x - nu is none.  A
-    singleton run must be orthogonal to nu; otherwise its top must pair
-    positively and its bottom negatively with nu, and the action of g_nu
-    (raising, below the top) and g_-nu (lowering, above the bottom) must
-    be nonzero at every nonzero position: some root of the space there
-    adds to a root of the acting space within Delta u {0}.  Appends each
-    failure text to ``out``.
-    """
-    for x, s in zip(positions, pairings):
-        raised, lowered = x + step in weights, x - step in weights
-        if not (raised or lowered):
-            if s:
-                out.append(f"singleton string at {weights[x]} along {nu} not orthogonal")
-            continue
-        if not raised and s <= 0:
-            out.append(f"top of string {weights[x]} along {nu} not positive")
-        if not lowered and s >= 0:
-            out.append(f"bottom of string {weights[x]} along {nu} not negative")
-        if x:  # bracketing with the Levi factor is automatic
-            if raised and not reaches[x] & up:
-                out.append(f"no raising root sum at {weights[x]} along {nu}")
-            if lowered and not reaches[x] & down:
-                out.append(f"no lowering root sum at {weights[x]} along {nu}")
-
-
-def _string_line(trsys: TRootSystem, gamma, nu) -> tuple[Key, Key, list[int]]:
-    """The keys of gamma and nu, and every j, ascending, with gamma + j*nu a t-weight.
-
-    gamma is a t-root key or None/zeros for the zero weight, nu a t-root
-    key.  Read by key arithmetic over ``string_weights``: a weight w is on
-    the line when w - gamma is a whole multiple of nu, coordinate by
-    coordinate.
-    """
-    kn = tuple(nu)
-    if kn not in trsys.spaces:
-        raise InvalidPair(f"{kn} is not a t-root here")
-    kg = _as_weight_key(trsys, gamma)
-    a = next(i for i, c in enumerate(kn) if c)
-    line = []
-    for w in string_weights(trsys).values():
-        j, r = divmod(w[a] - kg[a], kn[a])
-        if not r and all(x - g == j * v for x, g, v in zip(w, kg, kn)):
-            line.append(j)
-    return kg, kn, sorted(line)
-
-
-def troot_string(trsys: TRootSystem, gamma, nu) -> tuple[int, int]:
-    """Endpoints (p, q) of the nu-string through the t-weight gamma.
-
-    The string is the set of j with gamma + j*nu a t-weight of the
-    adjoint module (a t-root or zero), as ``_string_line`` finds it.  The
-    set is verified to be an interval containing 0; a violation would be
-    an internal error.
-    """
-    kg, kn, line = _string_line(trsys, gamma, nu)
-    p, q = line[0], line[-1]
-    if line != list(range(p, q + 1)):
-        raise AssertionError(f"t-weight string through {kg} along {kn} is not an interval")
-    return p, q
-
-
-class StringReport(NamedTuple):
-    gamma: Key
-    nu: Key
-    p: int
-    q: int
-    ok: bool
-    failures: tuple[str, ...]
-
-
-def troot_string_report(trsys: TRootSystem, gamma, nu) -> StringReport:
-    """The string law (``string_walk``) on the whole nu-line through gamma.
-
-    (p, q) are its least and greatest j (``_string_line``); a gap in the
-    line shows as endpoint failures at both of its edges.
-    """
-    kg, kn, line = _string_line(trsys, gamma, nu)
-    weights = string_weights(trsys)
-    eg, en = trsys.key_enc(kg), trsys.key_enc(kn)
-    run = [eg + j * en for j in line]
-    row = trsys._pairing(kn)
-    pairings = [sum(map(mul, weights[x], row)) for x in run]
-    failures: list[str] = []
-    string_walk(en, kn, run, pairings, weights, string_reaches(trsys, run),
-                trsys.spaces[kn].mask, trsys.spaces[tuple(-c for c in kn)].mask, failures)
-    return StringReport(kg, kn, line[0], line[-1], not failures, tuple(failures))

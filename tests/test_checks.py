@@ -22,14 +22,8 @@ from leviroots.checks import (
 )
 from leviroots import bds, checks, slnx
 from leviroots.rootsys import RootSystem, SimpleType, all_simple_types, cartan_matrix, generate
-from leviroots.levi import (
-    TRootSystem,
-    bracket_image,
-    sign_rule_check,
-    string_reaches,
-    troot_string_report,
-    troot_system as real_troot_system,
-)
+from leviroots.levi import TRootSystem, troot_system as real_troot_system
+from reference import bracket_image, sign_rule, string_report
 
 
 def test_all_parabolic_designations_count():
@@ -166,8 +160,8 @@ def test_missing_troot_breaks_sign_rule(monkeypatch, g2):
 
 
 def test_per_pair_api_and_sweep_read_the_same_troots(monkeypatch, g2):
-    # a t-root dropped from the public data is gone for the per-pair
-    # functions and for the sweep alike, with the same failure texts
+    # a t-root dropped from the public data is gone for the reference
+    # oracles and for the sweep alike, with the same failure texts
     damaged = []
 
     def damage(t):
@@ -177,52 +171,51 @@ def test_per_pair_api_and_sweep_read_the_same_troots(monkeypatch, g2):
     _corrupting(monkeypatch, damage)
     rep = check_designation(designation(g2, deleted=[1, 2]))
     [trsys] = damaged
-    sign = sign_rule_check(trsys, (1, 0), (0, 1))
-    assert not sign.ok
-    assert sign.failures == ("((1, 0),(0, 1)) < 0 but the sum is not a t-root",)
-    string = troot_string_report(trsys, (1, 0), (0, 1))
-    assert (string.p, string.q, string.ok) == (0, 0, False)
-    assert string.failures == ("singleton string at (1, 0) along (0, 1) not orthogonal",)
+    assert sign_rule(trsys, (1, 0), (0, 1)) == [
+        "((1, 0),(0, 1)) < 0 but the sum is not a t-root"]
+    p, q, strings = string_report(trsys, (1, 0), (0, 1))
+    assert (p, q) == (0, 0)
+    assert strings == ["singleton string at (1, 0) along (0, 1) not orthogonal"]
     by_check = {}
     for f in rep.failures:
         by_check.setdefault(f.check, []).append(f.detail)
     assert {"sign-rule", "string-law"} <= set(by_check)
     # the sweep checks the orbit of the pair at its representative
-    mirror = sign_rule_check(trsys, (0, 1), (1, 0))
-    assert mirror.failures[0] in by_check["sign-rule"]
-    assert string.failures[0] in by_check["string-law"]
+    [mirror] = sign_rule(trsys, (0, 1), (1, 0))
+    assert mirror in by_check["sign-rule"]
+    assert strings[0] in by_check["string-law"]
 
 
 def _laws_by_pair(trsys, strings=True):
     """Per-pair verdicts: (bracket agreements, sign texts, string texts).
 
-    The bracket law's reach form is compared with ``bracket_image``, the
-    root-sum walk, on every pair with a positive sum key; the sign rule
-    and (unless ``strings`` is false) the string law run through the
-    per-pair API on every pair.
+    The bracket law's reach form is compared with the reference
+    ``bracket_image``, a root-sum walk, on every pair with a positive sum
+    key; the reference sign rule and (unless ``strings`` is false) string
+    report run on every pair.
     """
     spaces, index = trsys.spaces, trsys.rs.index
-    reaches = string_reaches(trsys, trsys.key_index())
+    reach = trsys.rs.sum_table().reach
     agree = []
     for mu in trsys.keys:
         for nu in trsys.keys:
             total = tuple(a + b for a, b in zip(mu, nu))
             if total in trsys.positives:
                 image = sum(1 << index[r] for r in bracket_image(trsys, mu, nu))
-                mirror = reaches[-trsys.key_enc(mu)]
+                mirror = reach(spaces[tuple(-c for c in mu)].mask)
                 agree.append(mirror & spaces[total].mask == image)
-    signs = {t for mu in trsys.keys for nu in trsys.keys
-             for t in sign_rule_check(trsys, mu, nu).failures}
+    signs = {t for mu in trsys.keys for nu in trsys.keys for t in sign_rule(trsys, mu, nu)}
     if strings:
         strings = {t for gamma in (None,) + trsys.keys for nu in trsys.keys
-                   for t in troot_string_report(trsys, gamma, nu).failures}
+                   for t in string_report(trsys, gamma, nu)[2]}
     return agree, signs, strings
 
 
 def test_mask_laws_agree_with_per_pair_api():
     # every designation of every type of rank <= 4: the reach form of the
-    # bracket law finds exactly the root sums of bracket_image, and the
-    # sweep passes the sign and string laws exactly when every pair does
+    # bracket law finds exactly the root sums of the reference
+    # bracket_image, and the sweep passes the sign and string laws exactly
+    # when the reference oracles pass every pair
     designations = pairs = 0
     for stype in all_simple_types(4):
         for des in all_parabolic_designations(root_system(stype)):
@@ -238,9 +231,9 @@ def test_mask_laws_agree_with_per_pair_api():
 
 
 def test_sweep_and_per_pair_api_agree_on_a_missing_troot(monkeypatch, g2):
-    # without (1, 1) the sweep reports exactly the per-pair sign texts of
+    # without (1, 1) the sweep reports exactly the reference sign texts of
     # its representatives mu <= nu, and both fail the string law (the
-    # per-pair API walks the whole line, gaps included)
+    # reference walks the whole line, gaps included)
     damaged = []
 
     def damage(t):
@@ -254,15 +247,43 @@ def test_sweep_and_per_pair_api_agree_on_a_missing_troot(monkeypatch, g2):
     strings = set()
     for gamma in (None,) + trsys.keys:
         for nu in trsys.keys:
-            strings.update(troot_string_report(trsys, gamma, nu).failures)
+            strings.update(string_report(trsys, gamma, nu)[2])
     pos = trsys.positives
     representatives = {t for i, mu in enumerate(pos) for nu in pos[i:]
-                       for t in sign_rule_check(trsys, mu, nu).failures}
+                       for t in sign_rule(trsys, mu, nu)}
     by_check = {}
     for f in rep.failures:
         by_check.setdefault(f.check, set()).add(f.detail)
     assert by_check["sign-rule"] == representatives and representatives <= signs
-    assert by_check["string-law"] and strings
+    # the sweep walks the positive weights along the positive t-roots, one
+    # part of the lines the reference walks
+    assert by_check["string-law"] and by_check["string-law"] <= strings
+
+
+def _empty_space(t, key):
+    t.spaces[key] = replace(t.spaces[key], mask=0)
+
+
+@pytest.mark.parametrize("name, deleted, damage, text", [
+    # an emptied space at nu leaves no root sum to raise along nu
+    ("B3", [2], lambda t: _empty_space(t, (1,)), "no raising root sum at (1,) along (1,)"),
+    # without (2, 1), (1, 1) tops its (1, 0)-run and pairs negatively with it
+    ("G2", [1, 2], lambda t: _drop_troot(t, (2, 1)), "top of string (1, 1) along (1, 0) not positive"),
+])
+def test_sweep_and_reference_agree_on_damaged_spaces(monkeypatch, name, deleted, damage, text):
+    # each string-law text of the sweep is one the reference reports on the
+    # whole lines, and the sign-rule texts are the reference's for mu <= nu
+    damaged = []
+    _corrupting(monkeypatch, lambda t: (damage(t), damaged.append(t)))
+    rep = check_designation(designation(root_system(name), deleted=deleted))
+    [trsys] = damaged
+    sweep = {f.detail for f in rep.failures if f.check == "string-law"}
+    strings = {t for gamma in (None,) + trsys.keys for nu in trsys.keys
+               for t in string_report(trsys, gamma, nu)[2]}
+    assert text in sweep and sweep <= strings
+    pos = trsys.positives
+    assert {f.detail for f in rep.failures if f.check == "sign-rule"} == {
+        t for i, mu in enumerate(pos) for nu in pos[i:] for t in sign_rule(trsys, mu, nu)}
 
 
 def test_flipped_pairings_break_endpoint_signs(monkeypatch, g2):
@@ -275,6 +296,19 @@ def test_flipped_pairings_break_endpoint_signs(monkeypatch, g2):
     assert "sign-rule" in details
     assert any(f.check == "string-law" and "not positive" in f.detail for f in rep.failures)
     assert "bracket-law" not in details and "central-series" not in details
+
+
+@pytest.mark.parametrize("deleted", [[1], [2]])
+@pytest.mark.parametrize("entry", [-1, 0])
+def test_nonpositive_diagonal_pairing_breaks_sign_rule(monkeypatch, g2, deleted, entry):
+    # (1,) pairs with itself first in the table; 2 * (1,) is a t-root, so
+    # the walk along (1,) sees (1,) as interior and tests nothing there
+    real_pairings = TRootSystem.positive_pairings
+    monkeypatch.setattr(TRootSystem, "positive_pairings",
+                        lambda t: [entry] + real_pairings(t)[1:])
+    rep = check_designation(designation(g2, deleted=deleted))
+    assert [(f.check, f.detail) for f in rep.failures] == [
+        ("sign-rule", "((1,),(1,)) is not positive")]
 
 
 def test_two_highest_weight_roots_fail_certification(monkeypatch):
@@ -358,7 +392,8 @@ def test_bracket_records_at_both_ends_of_the_target_range(monkeypatch, g2):
     [trsys] = seen
     # every pair of keys, in encoding order, with a positive sum key
     troots = trsys.key_index()
-    reaches = string_reaches(trsys, troots)
+    reach = trsys.rs.sum_table().reach
+    reaches = {e: reach(trsys.spaces[k].mask) for e, k in troots.items()}
     targets = {trsys.key_enc(k): trsys.spaces[k].mask for k in trsys.positives}
     assert min(targets) == trsys.key_enc((1, -1)) < 0
     assert max(targets) == trsys.key_enc((3, 2))

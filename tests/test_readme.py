@@ -1,0 +1,15 @@
+"""The examples of README.md run as they stand."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_python_blocks_run(capsys):
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
+                        re.MULTILINE | re.DOTALL)
+    assert blocks
+    for code in blocks:
+        exec(compile(code, str(README), "exec"), {})
+    assert capsys.readouterr().out
