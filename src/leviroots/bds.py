@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import isqrt
 from operator import mul
 
 from . import exactlin
@@ -283,25 +284,26 @@ def classify(cartan) -> DiagramClass:
 def residue_irreducibility(model: SubalgebraModel, k: int) -> Root:
     """The unique highest-weight root of residue class k.
 
-    The raising set is the subalgebra's simple system; uniqueness of
-    the annihilated root certifies that the class is irreducible as a
-    module over the equal-rank subalgebra.
+    The raising set is the subalgebra's simple system, and
+    ``rs.weight_certificate`` reads the class's highest weights off it; a
+    unique one certifies that the class is irreducible as a module over
+    the equal-rank subalgebra.  Class k is minus class n - k, whose own
+    test certifies the lowest weights.
     """
     if k not in model.residues:
         raise InvalidPair(f"node {model.node} has no residue class {k}")
-    # phi + alpha not a root for every raising alpha, on encodings (never
-    # zero: -alpha lies in the subalgebra); -psi is no simple step, so the
-    # step table cannot answer this
+    # the kept simple roots raise by their step masks; -psi is no simple
+    # step, so its raised mask is read on encodings
     rs = model.rs
-    hits, encs = rs._enc_index, rs._encs
-    raising = [rs.encode(a) for a in model.simple_roots]
-    hw = [i for i in mask_bits(model.residues[k])
-          if all(encs[i] + a not in hits for a in raising)]
-    if len(hw) != 1:
+    steps, units = rs.step_masks(), rs._pows
+    raised = 0
+    for e in map(rs.encode, model.simple_roots):
+        raised |= steps[units.index(e)] if e in units else rs.raised_by(e)
+    top = rs.weight_certificate(model.residues[k], raised)[0]
+    if top.bit_count() != 1:
         raise IrreducibilityViolation(
-            f"residue class {k} at node {model.node} has {len(hw)} highest weights"
-        )
-    return rs.indexed[hw[0]]
+            f"residue class {k} at node {model.node} has {top.bit_count()} highest weights")
+    return rs.indexed[top.bit_length() - 1]
 
 
 class ResidueBracketReport:
@@ -354,7 +356,7 @@ def maximal_equal_rank(rs: RootSystem) -> list[tuple[int, DiagramClass]]:
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
-    return all(n % d for d in range(2, int(n ** 0.5) + 1))
+    return all(n % d for d in range(2, isqrt(n) + 1))
 
 
 def alcove_vertex(rs: RootSystem, j: int) -> RatVec:

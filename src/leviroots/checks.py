@@ -458,18 +458,6 @@ class TypeReport:
         }
 
 
-def _composition_of_designation(des: ParabolicDesignation):
-    cuts = list(des.deleted)
-    n = des.rs.rank + 1
-    parts = []
-    prev = 0
-    for c in cuts:
-        parts.append(c - prev)
-        prev = c
-    parts.append(n - prev)
-    return slnx.composition(parts)
-
-
 def check_type(rs: RootSystem, all_parabolics: bool = False) -> TypeReport:
     """Run the designation suite, node suite, and (type A) block crosschecks."""
     scope = (
@@ -487,7 +475,7 @@ def check_type(rs: RootSystem, all_parabolics: bool = False) -> TypeReport:
     sln_failures: list[Failure] = []
     if rs.cartan == cartan_matrix(SimpleType("A", rs.rank), max_rank=rs.rank):
         for des in scope:
-            comp = _composition_of_designation(des)
+            comp = slnx.composition_of(des)
             subject = f"blocks={list(comp.parts)}"
             try:  # the crosscheck builds the t-root system again
                 rep = slnx.crosscheck(comp, rs)

@@ -300,6 +300,9 @@ def run(argv=None) -> int:
             _emit(maximal_document(_resolve_system(args)), args.pretty, _pretty_maximal)
         elif args.verb == "sln":
             comp = composition(args.blocks)
+            if comp.n - 1 > DEFAULT_MAX_RANK:  # capped like the named types
+                raise InvalidRank(f"composition of {comp.n} needs type A{comp.n - 1}: rank "
+                                  f"{comp.n - 1} exceeds the configured maximum {DEFAULT_MAX_RANK}")
             _emit(sln_document(comp), args.pretty, _pretty_sln)
         elif args.verb == "check":
             return _run_check(args)

@@ -9,9 +9,10 @@ package.  The rational projection vector is derived data, computed on
 demand by orthogonal projection away from the kept span.
 
 Each t-root space g_nu is certified irreducible under m here, by a
-unique highest-weight root and a unique lowest-weight root.  The laws
-that the spaces obey together (the bracket law, the sign rule, the
-string law and the positivity of the nilradical trace) are checked,
+unique highest-weight root and a unique lowest-weight root, which
+``RootSystem.weight_certificate`` reads off the kept nodes' step masks.
+The laws that the spaces obey together (the bracket law, the sign rule,
+the string law and the positivity of the nilradical trace) are checked,
 on the same data, by ``checks.check_designation``.
 """
 
@@ -101,22 +102,16 @@ class TRootSpace:
         return tuple(sorted(roots, key=lambda r: (sum(r), r)))
 
 
-def _certify(key: Key, members: Iterable[int], steps: Sequence[int], kept: int,
-             n_pos: int) -> tuple[int, int]:
-    """The numbers of the one highest and one lowest weight root of a space.
-
-    No kept simple step (``kept``, a node mask) goes up from the highest
-    weight, none down from the lowest; the steps down from root i are those
-    up from its negative, ``n_pos`` away (``i - n_pos`` wraps round for a
-    positive i).  Any other count is an ``IrreducibilityViolation``.
-    """
-    hw = [i for i in members if not steps[i] & kept]
-    lw = [i for i in members if not steps[i - n_pos] & kept]
-    if len(hw) != 1 or len(lw) != 1:
+def _certify(rs: RootSystem, key: Key, mask: int, raised: int) -> tuple[int, int]:
+    """The numbers of the one highest and one lowest weight root of a space,
+    ``raised`` the OR of the kept nodes' step masks; any other count is an
+    ``IrreducibilityViolation``."""
+    top, bottom = rs.weight_certificate(mask, raised)
+    if top.bit_count() != 1 or bottom.bit_count() != 1:
         raise IrreducibilityViolation(
-            f"space {key} has {len(hw)} highest / {len(lw)} lowest weight roots"
+            f"space {key} has {top.bit_count()} highest / {bottom.bit_count()} lowest weight roots"
         )
-    return hw[0], lw[0]
+    return top.bit_length() - 1, bottom.bit_length() - 1
 
 
 class TRootSystem:
@@ -138,29 +133,21 @@ class TRootSystem:
         self.rs = rs
         D = des.deleted0
         width = len(D)
-        kept = sum(1 << k for k in des.kept0)
-        steps = rs.step_table()
+        raised = rs.raised_by_nodes(des.kept0)
         n_pos = len(rs.positives)
 
         # each positive root's key, zipped from the deleted coefficient columns
         columns = rs.columns()
-        groups: dict[Key, list[int]] = {}
+        groups: dict[Key, int] = {}
         for i, key in enumerate(zip(*[columns[d] for d in D])):
-            members = groups.get(key)
-            if members is None:
-                groups[key] = [i]
-            else:
-                members.append(i)
+            groups[key] = groups.get(key, 0) | 1 << i
         groups.pop((0,) * width, None)  # the Levi factor's roots
 
         positives = sorted(groups, key=lambda k: (sum(k), k))
         pos_spaces, neg_spaces = [], []
         for key in positives:
-            members = groups[key]
-            _certify(key, members, steps, kept, n_pos)
-            mask = 0
-            for i in members:
-                mask |= 1 << i
+            mask = groups[key]
+            _certify(rs, key, mask, raised)
             # a root and its negative are n_pos apart in the numbering
             pos_spaces.append(TRootSpace(key, mask, rs.indexed))
             neg_spaces.append(TRootSpace(tuple([-c for c in key]), mask << n_pos, rs.indexed))
@@ -297,9 +284,8 @@ class TRootSystem:
         """The highest and the lowest weight root of the space at key, by
         the certificate that ``__init__`` runs on each positive space."""
         rs = self.rs
-        kept = sum(1 << k for k in self.designation.kept0)
-        top, bottom = _certify(tuple(key), mask_bits(self.space(key).mask), rs.step_table(),
-                               kept, len(rs.positives))
+        raised = rs.raised_by_nodes(self.designation.kept0)
+        top, bottom = _certify(rs, tuple(key), self.space(key).mask, raised)
         return rs.indexed[top], rs.indexed[bottom]
 
     # -- serialization ----------------------------------------------------

@@ -7,6 +7,9 @@ Cartan matrices are stored in the column convention
 ``a[i][j] = 2 (alpha_i, alpha_j) / (alpha_j, alpha_j)``, the one printed
 in the standard tables.  See docs/conventions.md for the full table.
 
+Root sets are bitmasks over one numbering of the roots (``indexed``),
+the step masks and the weight certificate's raising sets too.
+
 The invariant bilinear form is the symmetrized Cartan form
 ``G = A . diag(d)`` with minimal positive integer symmetrizers ``d``;
 it agrees with the Killing form restricted to the Cartan subalgebra up
@@ -20,7 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count
 from math import gcd
-from operator import mul
+from functools import reduce
+from operator import mul, or_
 
 from .errors import InvalidCartan, InvalidRank, NotFiniteType
 
@@ -324,20 +328,36 @@ class RootSystem:
             self._sums = RootSums(self)
         return self._sums
 
-    def step_table(self) -> list[int]:
-        """Per root, the simple steps that stay in Delta u {0}, built on first use.
+    def raised_by(self, e: int) -> int:
+        """Mask of the roots phi with ``phi + alpha`` in Delta u {0}, where e
+        is the encoding of the root alpha."""
+        hits = self._enc_index
+        return sum(1 << i for i, f in enumerate(self._encs) if f + e in hits or f == -e)
 
-        Bit k of entry i is set when ``indexed[i] + alpha_(k+1)`` is a root
-        or zero.  A root and its negative are ``len(positives)`` apart, so
-        the steps down from root i are the entry of its negative.
-        """
+    def step_masks(self) -> list[int]:
+        """Per node k, ``raised_by`` the simple root alpha_(k+1), built on first use."""
         if self._steps is None:
-            hits = self._enc_index
-            self._steps = [
-                sum(1 << k for k, s in enumerate(self._pows) if e + s in hits or e == -s)
-                for e in self._encs
-            ]
+            self._steps = list(map(self.raised_by, self._pows))
         return self._steps
+
+    def raised_by_nodes(self, nodes) -> int:
+        """The OR of the step masks of some (0-based) nodes."""
+        steps = self.step_masks()
+        return reduce(or_, [steps[k] for k in nodes], 0)
+
+    def mirror(self, mask: int) -> int:
+        """The negatives of the roots in mask: the two halves of the numbering swapped."""
+        n_pos = len(self.positives)
+        return mask >> n_pos | (mask & (1 << n_pos) - 1) << n_pos
+
+    def weight_certificate(self, mask: int, raised: int) -> tuple[int, int]:
+        """The highest and the lowest weight roots of mask, as two masks.
+
+        ``raised`` holds the roots that a raising set moves within Delta u {0}
+        and its mirror those that the lowering set moves; mask spans an
+        irreducible module when each extreme is one root.
+        """
+        return mask & ~raised, mask & ~self.mirror(raised)
 
     def columns(self) -> tuple[tuple[int, ...], ...]:
         """The positives transposed, built on first use: ``columns()[k][i]``

@@ -14,10 +14,12 @@ can serve as an independent oracle against the general machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import sub
 
 from .errors import InvalidComposition
 from .levi import Key, ParabolicDesignation, designation, troot_system
-from .rootsys import RootSystem, SimpleType, cartan_matrix, mask_bits, root_system
+from .rootsys import RootSystem, SimpleType, cartan_matrix, root_system
 
 
 @dataclass(frozen=True)
@@ -42,12 +44,7 @@ class Composition:
 
     def cuts(self) -> tuple[int, ...]:
         """Partial sums d_1, d_1+d_2, ..., n - d_k (the deleted nodes)."""
-        out = []
-        acc = 0
-        for p in self.parts[:-1]:
-            acc += p
-            out.append(acc)
-        return tuple(out)
+        return tuple(accumulate(self.parts[:-1]))
 
 
 def composition(parts) -> Composition:
@@ -62,6 +59,13 @@ def designation_of(comp: Composition, rs: RootSystem | None = None) -> Parabolic
         got = rs.stype or f"an explicit rank-{rs.rank} matrix"
         raise InvalidComposition(f"composition of {comp.n} needs type A{comp.n - 1}, got {got}")
     return designation(rs, deleted=comp.cuts())
+
+
+def composition_of(des: ParabolicDesignation) -> Composition:
+    """The composition whose cut points are the deleted nodes of a parabolic
+    on A_{n-1}: the inverse of ``designation_of``."""
+    bounds = (0, *des.deleted, des.rs.rank + 1)
+    return composition(map(sub, bounds[1:], bounds))
 
 
 @dataclass(frozen=True)
@@ -146,28 +150,22 @@ def crosscheck(comp: Composition, rs: RootSystem | None = None) -> CrossCheckRep
             f"key sets differ: {len(by_key)} blocks vs {len(space_keys)} spaces"
         )
 
-    # kept nodes of each diagonal block as a node mask: block b of size p
-    # from matrix index first holds nodes first..first+p-2
-    movers, first = {}, 1
+    # M_b, the roots that a kept node of diagonal block b raises: block b of
+    # size p from matrix index first holds nodes first..first+p-2.  Block b
+    # moves a space when M_b or its mirror (the roots it lowers) meets it
+    rs, movers, first = des.rs, {}, 1
     for b, p in enumerate(comp.parts, start=1):
-        movers[b] = ((1 << (p - 1)) - 1) << (first - 1)
+        raised = rs.raised_by_nodes(range(first - 1, first + p - 2))
+        movers[b] = raised | rs.mirror(raised)
         first += p
-    steps, n_pos = des.rs.step_table(), len(des.rs.positives)
     for key, e in by_key.items():
         space = trsys.spaces.get(key)
         if space is None:
             continue
         if space.dim != e.dim:
             failures.append(f"key {key}: dim {space.dim} != block {e.row},{e.col} dim {e.dim}")
-        # a diagonal block acts on (r, s) iff it is block r or s and has
-        # size > 1: at root level, some kept node i inside it moves the
-        # space, a +- alpha_i in Delta u {0} for a root a of it: bit i - 1 of
-        # the step-table entry of a or of -a, len(positives) away
-        moved = 0
-        for a in mask_bits(space.mask):
-            moved |= steps[a] | steps[(a + n_pos) % (2 * n_pos)]
         for b in range(1, comp.k + 1):
-            moves = bool(moved & movers[b])
+            moves = bool(space.mask & movers[b])
             if moves != (b in e.acting_blocks):
                 failures.append(
                     f"block {e.row},{e.col}: diagonal block {b} "

@@ -16,6 +16,7 @@ from leviroots import (
 from leviroots.bds import (
     DiagramClass,
     _cartan_of,
+    _is_prime,
     alcove_vertex,
     bds_document,
     delete_node,
@@ -153,6 +154,11 @@ def test_split_names_a_root_that_is_not_one_signed(monkeypatch, g2):
     with pytest.raises(SimpleSystemFailure,
                        match=re.escape("root (3, 2) is not a one-signed combination at node 2")):
         subalgebra_roots(g2, 2)
+
+
+def test_is_prime_matches_trial_division():
+    primes = [n for n in range(101) if n > 1 and all(n % d for d in range(2, n))]
+    assert [n for n in range(101) if _is_prime(n)] == primes
 
 
 def test_residue_irreducibility_g2(g2):

@@ -312,14 +312,15 @@ def test_nonpositive_diagonal_pairing_breaks_sign_rule(monkeypatch, g2, deleted,
 
 
 def test_two_highest_weight_roots_fail_certification(monkeypatch):
-    # a root of the space at (1,) with no kept step up in the step table is
-    # a second highest weight
+    # a root of the space at (1,) that no kept node's step mask raises is a
+    # second highest weight
     rs = root_system("B3")
     des = designation(rs, deleted=[2])
     lowest = real_troot_system(des).extremes((1,))[1]
-    steps = list(rs.step_table())
-    steps[rs.index[lowest]] = 0
-    monkeypatch.setattr(RootSystem, "step_table", lambda self: steps)
+    steps = list(rs.step_masks())
+    for k in des.kept0:
+        steps[k] &= ~(1 << rs.index[lowest])
+    monkeypatch.setattr(RootSystem, "step_masks", lambda self: steps)
     rep = check_designation(des)
     assert [(f.check, f.detail) for f in rep.failures] == [
         ("certification", "space (1,) has 2 highest / 1 lowest weight roots")]
@@ -678,13 +679,13 @@ def test_dropped_root_number_breaks_block_crosscheck(monkeypatch):
 
 
 def test_failed_crosscheck_rebuild_is_a_block_crosscheck_record(monkeypatch):
-    # a step table that leaves the space at (1,) with no lowest weight fails
-    # certification in the sweep and again in the crosscheck's own build
+    # when every node's step mask raises minus the lowest weight of (1,),
+    # every node lowers that weight: the space has no lowest weight, and it
+    # fails certification in the sweep and again in the crosscheck's build
     rs = root_system("A3")
     t = real_troot_system(designation(rs, deleted=[2]))
-    steps = list(rs.step_table())
-    steps[rs.index[t.extremes((1,))[1]] + len(rs.positives)] = 0b111
-    monkeypatch.setattr(rs, "_steps", steps)
+    below = 1 << rs.index[tuple(-c for c in t.extremes((1,))[1])]
+    monkeypatch.setattr(rs, "_steps", [m | below for m in rs.step_masks()])
     rep = check_type(rs)
     assert [(r.deleted, [(f.check, f.detail) for f in r.failures])
             for r in rep.designations if r.failures] == [

@@ -302,6 +302,16 @@ def test_node_lists_reject_empty_and_repeated_entries(capsys, argv, message):
     assert message in captured.err
 
 
+def test_sln_is_capped_at_the_maximum_rank(capsys):
+    # blocks adding up to 13 give A12, the cap; one more is rejected
+    assert _json_out(capsys, ["sln", "4,4,5"])["n"] == 13
+    assert cli.run(["sln", "3,3,3,3,3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: composition of 15 needs type A14: rank 14 "
+                            "exceeds the configured maximum 12\n")
+
+
 def test_repeated_block_sizes_and_empty_keep_stay_valid(capsys):
     assert _json_out(capsys, ["sln", "2,2"])["n"] == 4
     assert _json_out(capsys, ["troots", "A3", "--keep", ""])["kept"] == []

@@ -307,15 +307,35 @@ def test_coefficient_masks_built_on_first_use_and_once():
 
 @pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2", "F4", "D4"])
 def test_step_table_matches_brute_force(name):
+    # the step table, held as one mask per node
     rs = root_system(name)
     zero = (0,) * rs.rank
-    for i, phi in enumerate(rs.indexed):
+    for k in range(rs.rank):
         ups = set()
-        for k in range(rs.rank):
+        for i, phi in enumerate(rs.indexed):
             up = tuple(c + (t == k) for t, c in enumerate(phi))
             if up in rs.roots or up == zero:
-                ups.add(k)
-        assert set(mask_bits(rs.step_table()[i])) == ups
+                ups.add(i)
+        assert set(mask_bits(rs.step_masks()[k])) == ups
+
+
+@pytest.mark.parametrize("name", ["A3", "G2", "F4"])
+def test_mirror_is_negation(name):
+    rs = root_system(name)
+    for i, phi in enumerate(rs.indexed):
+        assert rs.mirror(1 << i) == 1 << rs.index[tuple(-c for c in phi)]
+    assert rs.mirror((1 << len(rs.indexed)) - 1) == (1 << len(rs.indexed)) - 1
+
+
+def test_weight_certificate_reads_both_extremes():
+    # B2 with node 2 kept: the space at (1,) is alpha_1, alpha_1 + alpha_2
+    # and alpha_1 + 2 alpha_2, raised by alpha_2 from the bottom up
+    rs = root_system("B2")
+    space = sum(1 << rs.index[r] for r in [(1, 0), (1, 1), (1, 2)])
+    top, bottom = rs.weight_certificate(space, rs.step_masks()[1])
+    assert rs.roots_of(top) == ((1, 2),) and rs.roots_of(bottom) == ((1, 0),)
+    # with nothing raising, every root is both a highest and a lowest weight
+    assert rs.weight_certificate(space, 0) == (space, space)
 
 
 def test_sum_table_built_lazily_and_once():
@@ -332,14 +352,18 @@ def test_sum_table_built_lazily_and_once():
 
 
 def test_step_table_built_on_first_use_and_once():
+    # the step masks: the roots verb and the maximal table never build
+    # them; the residue certificate of bds_document does
     rs = root_system("E6")
     assert rs._steps is None
     rs.document()
-    bds_document(rs)
+    maximal_document(rs)
     assert rs._steps is None
-    troot_system(designation(rs, deleted=[2]))
+    bds_document(rs)
     steps = rs._steps
-    assert steps is not None and rs.step_table() is steps
+    assert steps is not None and rs.step_masks() is steps
+    troot_system(designation(rs, deleted=[2]))
+    assert rs._steps is steps
 
 
 # -- generate and classify on arbitrary integer matrices --------------------

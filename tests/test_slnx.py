@@ -13,7 +13,8 @@ from leviroots import (
 )
 from leviroots import slnx
 from leviroots.rootsys import SimpleType, cartan_matrix, generate
-from leviroots.slnx import Composition, designation_of, sln_document
+from leviroots.checks import all_parabolic_designations
+from leviroots.slnx import Composition, composition_of, designation_of, sln_document
 
 
 def test_composition_validation():
@@ -38,6 +39,18 @@ def test_designation_of_round_trip():
     assert des.rs.stype.family == "A" and des.rs.rank == 3
     assert des.deleted == (1, 3)
     assert des.kept == frozenset({2})
+
+
+def test_composition_of_inverts_designation_of():
+    # every designation of A1..A8 is the parabolic of exactly one composition
+    for rank in range(1, 9):
+        rs = root_system(SimpleType("A", rank))
+        designations = all_parabolic_designations(rs)
+        assert len(designations) == 2 ** rank - 1
+        for des in designations:
+            comp = composition_of(des)
+            assert comp.n == rank + 1 and comp.cuts() == des.deleted
+            assert composition_of(designation_of(comp, rs)) == comp
 
 
 def test_block_table_2_1():
@@ -161,6 +174,22 @@ def test_moved_root_breaks_the_acting_blocks(monkeypatch):
     monkeypatch.setattr(slnx, "troot_system", damaged)
     rep = crosscheck(composition([1, 1, 2]), rs)
     assert rep.failures == ("block 1,2: diagonal block 3 acts contrary to the table",)
+
+
+def test_inert_block_breaks_the_acting_blocks(monkeypatch):
+    # block (1, 3) is (1, 1), which block 3 moves; alpha_1 and -alpha_1 in
+    # its place keep the dimension, but no root of block 3 moves them
+    rs = root_system("A3")
+
+    def damaged(des):
+        t = troot_system(des)
+        mask = 1 << rs.index[(1, 0, 0)] | 1 << rs.index[(-1, 0, 0)]
+        t.spaces[(1, 1)] = replace(t.spaces[(1, 1)], mask=mask)
+        return t
+
+    monkeypatch.setattr(slnx, "troot_system", damaged)
+    rep = crosscheck(composition([1, 1, 2]), rs)
+    assert rep.failures == ("block 1,3: diagonal block 3 is inert contrary to the table",)
 
 
 def test_crosscheck_reuses_root_system():
