@@ -41,7 +41,7 @@ def _cartan_of(rs: RootSystem, vectors: list[Root] | tuple[Root, ...]) -> Cartan
     images = [[sum(map(mul, row, y)) for row in rs.gram] for y in vectors]  # G y
     form = [[sum(map(mul, x, gy)) for gy in images] for x in vectors]
     for a, b in product(range(len(vectors)), repeat=2):
-        if 2 * form[a][b] % form[b][b]:
+        if not form[b][b] or 2 * form[a][b] % form[b][b]:  # a damaged form may zero (y,y)
             raise InvalidCartan(
                 f"2(x,y)/(y,y) is not an integer for {vectors[a]}, {vectors[b]}")
     return tuple(tuple(2 * f // form[b][b] for b, f in enumerate(row)) for row in form)
@@ -62,8 +62,8 @@ def extended_diagram(rs: RootSystem) -> ExtendedDiagram:
 
     The link count at node i is 2(alpha_i, psi)/(alpha_i, alpha_i) with
     psi the highest root, minus row 0 of the (l+1)-node Cartan-type
-    matrix including the new node; that matrix is singular, which is
-    asserted.
+    matrix including the new node.  That matrix is singular by
+    construction: its l+1 vectors lie in Z^l.
     """
     alpha0 = tuple(-c for c in rs.highest_root)
     vectors = [alpha0] + [
@@ -72,11 +72,9 @@ def extended_diagram(rs: RootSystem) -> ExtendedDiagram:
     affine = _cartan_of(rs, vectors)
     links = tuple(-m for m in affine[0][1:])
     if any(m < 0 for m in links):
-        raise AssertionError("negative link to the highest root")
+        raise NotFiniteType("negative link to the highest root")
     if sum(1 for m in links if m) > 3:
-        raise AssertionError("highest root linked to more than 3 nodes")
-    if exactlin.det(affine) != 0:
-        raise AssertionError("extended Cartan matrix is not singular")
+        raise NotFiniteType("highest root linked to more than 3 nodes")
     return ExtendedDiagram(rs, alpha0, links, affine)
 
 
@@ -143,9 +141,8 @@ def subalgebra_roots(rs: RootSystem, j: int) -> SubalgebraModel:
             raise SimpleSystemFailure(
                 f"root {phi} is not a one-signed combination at node {j}"
             )
-    n_pos = len(rs.positives)
-    root_set = pos[0] | pos[0] << n_pos
-    residues = {k: pos[k] | pos[n - k] << n_pos for k in range(1, n)}
+    root_set = pos[0] | rs.mirror(pos[0])
+    residues = {k: pos[k] | rs.mirror(pos[n - k]) for k in range(1, n)}
 
     simple_roots = tuple(
         tuple(1 if t == i else 0 for t in range(rs.rank)) for i in kept
@@ -284,22 +281,22 @@ def classify(cartan) -> DiagramClass:
 def residue_irreducibility(model: SubalgebraModel, k: int) -> Root:
     """The unique highest-weight root of residue class k.
 
-    The raising set is the subalgebra's simple system, and
-    ``rs.weight_certificate`` reads the class's highest weights off it; a
-    unique one certifies that the class is irreducible as a module over
-    the equal-rank subalgebra.  Class k is minus class n - k, whose own
-    test certifies the lowest weights.
+    The raising set is the subalgebra's simple system, the kept simple
+    roots and -psi alike: its raising mask is the reach of their mask in
+    the root-sum table, and ``rs.weight_certificate`` reads the class's
+    highest weights off it; a unique one certifies that the class is
+    irreducible as a module over the equal-rank subalgebra.  Class k is
+    minus class n - k, whose own test certifies the lowest weights.
     """
     if k not in model.residues:
         raise InvalidPair(f"node {model.node} has no residue class {k}")
-    # the kept simple roots raise by their step masks; -psi is no simple
-    # step, so its raised mask is read on encodings
     rs = model.rs
-    steps, units = rs.step_masks(), rs._pows
-    raised = 0
-    for e in map(rs.encode, model.simple_roots):
-        raised |= steps[units.index(e)] if e in units else rs.raised_by(e)
-    top = rs.weight_certificate(model.residues[k], raised)[0]
+    simples = 0
+    for r in model.simple_roots:
+        if r not in rs.index:
+            raise IrreducibilityViolation(f"simple root {r} at node {model.node} is not a root")
+        simples |= 1 << rs.index[r]
+    top = rs.weight_certificate(model.residues[k], rs.sum_table().reach(simples))[0]
     if top.bit_count() != 1:
         raise IrreducibilityViolation(
             f"residue class {k} at node {model.node} has {top.bit_count()} highest weights")

@@ -14,7 +14,9 @@ class InvalidCartan(LeviRootsError):
 
 
 class NotFiniteType(LeviRootsError):
-    """Root-string closure or diagram classification found no finite type."""
+    """Root-string closure, diagram classification or a form certificate
+    found no finite type (say a kept Gram block that is not positive
+    definite, or an extended diagram with a negative link)."""
 
 
 class InvalidDesignation(LeviRootsError):
@@ -36,7 +38,8 @@ class InvalidPair(LeviRootsError):
 
 
 class SeriesMismatch(LeviRootsError):
-    """A closed-form central series disagreed with its brute-force oracle."""
+    """The order grading failed its certificate, a brute-force central-series
+    oracle failed, or a closed-form series disagreed with its oracle."""
 
 
 class SimpleSystemFailure(LeviRootsError):

@@ -10,7 +10,8 @@ demand by orthogonal projection away from the kept span.
 
 Each t-root space g_nu is certified irreducible under m here, by a
 unique highest-weight root and a unique lowest-weight root, which
-``RootSystem.weight_certificate`` reads off the kept nodes' step masks.
+``RootSystem.weight_certificate`` reads off the raising mask of the kept
+simple roots, their reach in the root-sum table.
 The laws that the spaces obey together (the bracket law, the sign rule,
 the string law and the positivity of the nilradical trace) are checked,
 on the same data, by ``checks.check_designation``.
@@ -24,7 +25,7 @@ from operator import add, mul
 from typing import Iterable, Sequence
 
 from . import exactlin
-from .errors import InvalidDesignation, IrreducibilityViolation
+from .errors import InvalidDesignation, IrreducibilityViolation, NotFiniteType
 from .exactlin import RatVec
 from .rootsys import Root, RootSystem, mask_bits
 
@@ -104,8 +105,8 @@ class TRootSpace:
 
 def _certify(rs: RootSystem, key: Key, mask: int, raised: int) -> tuple[int, int]:
     """The numbers of the one highest and one lowest weight root of a space,
-    ``raised`` the OR of the kept nodes' step masks; any other count is an
-    ``IrreducibilityViolation``."""
+    ``raised`` the raising mask of the kept simple roots; any other count is
+    an ``IrreducibilityViolation``."""
     top, bottom = rs.weight_certificate(mask, raised)
     if top.bit_count() != 1 or bottom.bit_count() != 1:
         raise IrreducibilityViolation(
@@ -123,7 +124,7 @@ class TRootSystem:
 
     __slots__ = (
         "designation", "rs", "spaces", "keys", "positives", "simples",
-        "delta_key", "_kpows", "_troots", "_nil_sums",
+        "delta_key", "_troots", "_nil_sums",
         "_form", "_proj", "_pairings",
     )
 
@@ -133,8 +134,7 @@ class TRootSystem:
         self.rs = rs
         D = des.deleted0
         width = len(D)
-        raised = rs.raised_by_nodes(des.kept0)
-        n_pos = len(rs.positives)
+        raised = rs.sum_table().reach(rs.simple_mask(des.kept0))
 
         # each positive root's key, zipped from the deleted coefficient columns
         columns = rs.columns()
@@ -148,9 +148,8 @@ class TRootSystem:
         for key in positives:
             mask = groups[key]
             _certify(rs, key, mask, raised)
-            # a root and its negative are n_pos apart in the numbering
             pos_spaces.append(TRootSpace(key, mask, rs.indexed))
-            neg_spaces.append(TRootSpace(tuple([-c for c in key]), mask << n_pos, rs.indexed))
+            neg_spaces.append(TRootSpace(tuple([-c for c in key]), rs.mirror(mask), rs.indexed))
         # negation reverses the (height, key) order, and every negative key
         # comes before every positive one
         neg_spaces.reverse()
@@ -169,7 +168,6 @@ class TRootSystem:
             for i, c in enumerate(k):
                 delta[i] += dim * c
         self.delta_key = tuple(delta)
-        self._kpows = rs._pows[:width]
         self._troots = None
         self._nil_sums = None
         self._form = None
@@ -177,19 +175,17 @@ class TRootSystem:
 
     # -- key arithmetic -------------------------------------------------
 
-    def key_enc(self, key: Key) -> int:
-        return sum(map(mul, key, self._kpows))
-
     def key_index(self) -> dict[int, Key]:
         """Each t-root by its integer encoding, read from ``keys`` on first use.
 
-        Keys are bounded by the marks of the deleted nodes, and the encoding
-        is collision-free up to twice that bound, so the encoding of a sum
-        or difference of two t-roots is in the index exactly when the
-        sum or difference is a t-root.
+        A key is encoded like a root, by ``rs.encode``, whose digits stop at
+        the key's width.  Keys are bounded by the marks of the deleted nodes,
+        and the encoding is collision-free up to twice that bound, so the
+        encoding of a sum or difference of two t-roots is in the index
+        exactly when the sum or difference is a t-root.
         """
         if self._troots is None:
-            self._troots = {self.key_enc(k): k for k in self.keys}
+            self._troots = {self.rs.encode(k): k for k in self.keys}
         return self._troots
 
     def space(self, key) -> TRootSpace:
@@ -216,7 +212,7 @@ class TRootSystem:
             k = len(K)
             rank, det, _ = exactlin.eliminate(rows, k, jordan=True)
             if rank != k or det <= 0:
-                raise AssertionError("the kept Gram block is not positive definite")
+                raise NotFiniteType("the kept Gram block is not positive definite")
             self._form = det, tuple(tuple(row[k:]) for row in rows[k:])
             self._proj = tuple(row[k:] for row in rows[:k])
         return self._form
@@ -253,18 +249,19 @@ class TRootSystem:
 
         With p positive t-roots, entry ``i * p + j`` pairs ``positives[i]``
         with ``positives[j]``: a fixed positive multiple of ``inner``, so
-        it has the same sign.  By bilinearity the row of a key one unit step
-        above a positive key is that key's row plus the unit key's row, and
-        any other row takes p dot products.  Built on each call, as one flat
-        list.
+        it has the same sign.  By bilinearity the row of a key one simple
+        t-root above a positive key is that key's row plus the simple's row,
+        and any other row takes p dot products.  Built on each call, as one
+        flat list.
         """
-        pos, pows = self.positives, self._kpows
+        pos, encode = self.positives, self.rs.encode
+        units = list(map(encode, self.simples))
         rows: dict[int, list[int]] = {}
         table: list[int] = []
         for key in pos:  # by height, so the key one step below comes first
-            e = self.key_enc(key)
-            for a in range(len(key)):
-                below, unit = rows.get(e - pows[a]), rows.get(pows[a])
+            e = encode(key)
+            for u in units:
+                below, unit = rows.get(e - u), rows.get(u)
                 if below is not None and unit is not None:
                     row = list(map(add, below, unit))
                     break
@@ -284,7 +281,7 @@ class TRootSystem:
         """The highest and the lowest weight root of the space at key, by
         the certificate that ``__init__`` runs on each positive space."""
         rs = self.rs
-        raised = rs.raised_by_nodes(self.designation.kept0)
+        raised = rs.sum_table().reach(rs.simple_mask(self.designation.kept0))
         top, bottom = _certify(rs, tuple(key), self.space(key).mask, raised)
         return rs.indexed[top], rs.indexed[bottom]
 

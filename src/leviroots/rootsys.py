@@ -8,7 +8,7 @@ Cartan matrices are stored in the column convention
 in the standard tables.  See docs/conventions.md for the full table.
 
 Root sets are bitmasks over one numbering of the roots (``indexed``),
-the step masks and the weight certificate's raising sets too.
+the weight certificate's raising masks too, read from the sum table.
 
 The invariant bilinear form is the symmetrized Cartan form
 ``G = A . diag(d)`` with minimal positive integer symmetrizers ``d``;
@@ -23,8 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count
 from math import gcd
-from functools import reduce
-from operator import mul, or_
+from operator import mul
 
 from .errors import InvalidCartan, InvalidRank, NotFiniteType
 
@@ -286,7 +285,7 @@ class RootSystem:
     __slots__ = (
         "stype", "rank", "cartan", "d", "gram", "positives", "roots",
         "indexed", "index", "highest_root", "marks", "_pows", "_encs",
-        "_enc_index", "_sums", "_steps", "_columns", "_coef_masks",
+        "_enc_index", "_sums", "_columns", "_coef_masks",
     )
 
     def __init__(self, stype, cartan, d, positives):
@@ -312,7 +311,6 @@ class RootSystem:
         self._encs = tuple(pos_encs + [-e for e in pos_encs])
         self._enc_index = {e: i for i, e in enumerate(self._encs)}
         self._sums = None
-        self._steps = None
         self._columns = None
         self._coef_masks = None
 
@@ -328,22 +326,14 @@ class RootSystem:
             self._sums = RootSums(self)
         return self._sums
 
-    def raised_by(self, e: int) -> int:
-        """Mask of the roots phi with ``phi + alpha`` in Delta u {0}, where e
-        is the encoding of the root alpha."""
-        hits = self._enc_index
-        return sum(1 << i for i, f in enumerate(self._encs) if f + e in hits or f == -e)
+    def simple_mask(self, nodes) -> int:
+        """The mask of the simple roots alpha_(k+1), k in some 0-based nodes.
 
-    def step_masks(self) -> list[int]:
-        """Per node k, ``raised_by`` the simple root alpha_(k+1), built on first use."""
-        if self._steps is None:
-            self._steps = list(map(self.raised_by, self._pows))
-        return self._steps
-
-    def raised_by_nodes(self, nodes) -> int:
-        """The OR of the step masks of some (0-based) nodes."""
-        steps = self.step_masks()
-        return reduce(or_, [steps[k] for k in nodes], 0)
+        ``sum_table().reach`` of it is the raising mask of those roots."""
+        mask = 0
+        for k in nodes:
+            mask |= 1 << self.index[(0,) * k + (1,) + (0,) * (self.rank - 1 - k)]
+        return mask
 
     def mirror(self, mask: int) -> int:
         """The negatives of the roots in mask: the two halves of the numbering swapped."""

@@ -50,10 +50,10 @@ def grading(trsys: TRootSystem) -> Grading:
     D = trsys.designation.deleted0
     k_cent = sum(rs.marks[d] for d in D)
     if sorted(levels) != list(range(1, k_cent + 1)):
-        raise AssertionError("grading levels are not 1..k_cent")
+        raise SeriesMismatch("grading levels are not 1..k_cent")
     center_key = tuple(rs.marks[d] for d in D)
     if levels[k_cent] != [center_key]:
-        raise AssertionError("top level is not the restricted highest root alone")
+        raise SeriesMismatch("top level is not the restricted highest root alone")
     return Grading(
         {k: tuple(v) for k, v in sorted(levels.items())}, k_cent, center_key
     )
@@ -112,7 +112,7 @@ def lower_series_oracle(trsys: TRootSystem) -> list[int]:
         if not nxt:
             break
         if len(chain) > len(members) + 1:
-            raise AssertionError("lower central series did not terminate")
+            raise SeriesMismatch("lower central series did not terminate")
         chain.append(nxt)
     return chain
 
@@ -135,12 +135,12 @@ def upper_series_oracle(trsys: TRootSystem) -> list[int]:
         for phi, row in sums.items():
             if not row & outside:
                 cur |= 1 << phi
-        if cur == prev or prev & ~cur:
-            raise AssertionError("upper central series stalled")
+        if cur == prev:  # the terms only grow, so a repeat is a fixed point
+            raise SeriesMismatch("upper central series stalled")
         for key, mask in spaces:
             inside = cur & mask
             if inside and inside != mask:
-                raise AssertionError(f"center term splits the t-root space {key}")
+                raise SeriesMismatch(f"center term splits the t-root space {key}")
         chain.append(cur)
         prev = cur
     return chain

@@ -154,8 +154,9 @@ def crosscheck(comp: Composition, rs: RootSystem | None = None) -> CrossCheckRep
     # size p from matrix index first holds nodes first..first+p-2.  Block b
     # moves a space when M_b or its mirror (the roots it lowers) meets it
     rs, movers, first = des.rs, {}, 1
+    reach = rs.sum_table().reach
     for b, p in enumerate(comp.parts, start=1):
-        raised = rs.raised_by_nodes(range(first - 1, first + p - 2))
+        raised = reach(rs.simple_mask(range(first - 1, first + p - 2)))
         movers[b] = raised | rs.mirror(raised)
         first += p
     for key, e in by_key.items():

@@ -21,8 +21,10 @@ from leviroots.checks import (
     standard_designations,
 )
 from leviroots import bds, checks, slnx
-from leviroots.rootsys import RootSystem, SimpleType, all_simple_types, cartan_matrix, generate
+from leviroots.rootsys import SimpleType, all_simple_types, cartan_matrix, generate, mask_bits
+from leviroots.errors import SeriesMismatch
 from leviroots.levi import TRootSystem, troot_system as real_troot_system
+from leviroots.series import upper_series_oracle
 from reference import bracket_image, sign_rule, string_report
 
 
@@ -135,6 +137,51 @@ def test_corrupted_bottom_space_splits_upper_series_term(monkeypatch, g2):
     rep = check_designation(designation(g2, deleted=[2]))
     details = [f.detail for f in rep.failures if f.check == "central-series"]
     assert details == ["center term splits the t-root space (1,)"]
+
+
+def test_repeated_top_key_breaks_grading_alone(monkeypatch, g2):
+    # positives listing the restricted highest root twice: every law but
+    # the grading reads each key once more and finds it consistent
+    def damage(t):
+        t.positives += t.positives[-1:]
+
+    _corrupting(monkeypatch, damage)
+    rep = check_designation(designation(g2, deleted=[1, 2]))
+    assert [(f.check, f.detail) for f in rep.failures] == [
+        ("grading", "top level is not the restricted highest root alone")]
+
+
+def _add_negative_simple(t):
+    """Add -alpha_1 to the space at (1,) of the A2 parabolic deleting node 1."""
+    sp = t.spaces[(1,)]
+    t.spaces[(1,)] = replace(sp, mask=sp.mask | t.rs.mirror(1 << t.rs.index[(1, 0)]))
+
+
+def test_negative_root_in_the_nilradical_stops_the_lower_series(monkeypatch):
+    # (alpha_1 + alpha_2) - alpha_1 = alpha_2 and alpha_2 + alpha_1 lead
+    # back to alpha_1 + alpha_2, so bracketing with n never reaches zero
+    _corrupting(monkeypatch, _add_negative_simple)
+    rep = check_designation(designation(root_system("A2"), deleted=[1]))
+    assert [(f.check, f.detail) for f in rep.failures] == [
+        ("partition", "5 space roots + 2 Levi roots != 6"),
+        ("negation-symmetry", "key (1,) mirror mismatch"),
+        ("restriction", "space (1,) is not the fiber of its key"),
+        ("central-series", "lower central series did not terminate")]
+
+
+def test_levi_root_in_every_nilradical_sum_stalls_the_upper_oracle():
+    # with alpha_2, a Levi root, among the sums of both nilradical roots of
+    # A2 deleting node 1, no root of n brackets it into the zero term.  The
+    # sweep runs the lower oracle first and reports the damage there: once
+    # the lower series matches the closed form the upper cannot stall
+    # (docs/conventions.md), so only a direct call reaches this raise
+    rs = root_system("A2")
+    t = real_troot_system(designation(rs, deleted=[1]))
+    rows = rs.sum_table().positive_sums()
+    for phi in mask_bits(t.spaces[(1,)].mask):
+        rows[phi] |= 1 << rs.index[(0, 1)]
+    with pytest.raises(SeriesMismatch, match="upper central series stalled"):
+        upper_series_oracle(t)
 
 
 def test_corrupted_raising_space_breaks_string_law(monkeypatch):
@@ -311,16 +358,15 @@ def test_nonpositive_diagonal_pairing_breaks_sign_rule(monkeypatch, g2, deleted,
         ("sign-rule", "((1,),(1,)) is not positive")]
 
 
-def test_two_highest_weight_roots_fail_certification(monkeypatch):
-    # a root of the space at (1,) that no kept node's step mask raises is a
-    # second highest weight
+def test_two_highest_weight_roots_fail_certification():
+    # a root of the space at (1,) that no kept simple root's sum-table row
+    # raises is a second highest weight
     rs = root_system("B3")
     des = designation(rs, deleted=[2])
     lowest = real_troot_system(des).extremes((1,))[1]
-    steps = list(rs.step_masks())
-    for k in des.kept0:
-        steps[k] &= ~(1 << rs.index[lowest])
-    monkeypatch.setattr(RootSystem, "step_masks", lambda self: steps)
+    adjz = rs.sum_table().adjz
+    for k in mask_bits(rs.simple_mask(des.kept0)):
+        adjz[k] &= ~(1 << rs.index[lowest])
     rep = check_designation(des)
     assert [(f.check, f.detail) for f in rep.failures] == [
         ("certification", "space (1,) has 2 highest / 1 lowest weight roots")]
@@ -395,9 +441,10 @@ def test_bracket_records_at_both_ends_of_the_target_range(monkeypatch, g2):
     troots = trsys.key_index()
     reach = trsys.rs.sum_table().reach
     reaches = {e: reach(trsys.spaces[k].mask) for e, k in troots.items()}
-    targets = {trsys.key_enc(k): trsys.spaces[k].mask for k in trsys.positives}
-    assert min(targets) == trsys.key_enc((1, -1)) < 0
-    assert max(targets) == trsys.key_enc((3, 2))
+    encode = trsys.rs.encode
+    targets = {encode(k): trsys.spaces[k].mask for k in trsys.positives}
+    assert min(targets) == encode((1, -1)) < 0
+    assert max(targets) == encode((3, 2))
     encs = sorted(troots)
     want = [
         f"keys {troots[em]} + {troots[en]}: root sums miss the target space"
@@ -516,6 +563,24 @@ def test_second_annihilated_root_breaks_residue_irreducibility(monkeypatch, g2):
         ("equal-rank-classify", "diagram pipeline A2 != root pipeline A1"),
         ("residue-irreducibility", "residue class 1 at node 1 has 2 highest weights"),
         ("residue-irreducibility", "residue class 2 at node 1 has 2 highest weights"),
+    ]
+
+
+def test_simple_root_that_is_no_root_is_a_residue_record(monkeypatch, g2):
+    # 4 alpha_1 + 2 alpha_2 in place of -psi: orthogonal to alpha_2, so
+    # the root pipeline still classifies, and it has no sum-table row
+    real = bds.subalgebra_roots
+
+    def damaged(rs, j):
+        model = real(rs, j)
+        return replace(model, simple_roots=model.simple_roots[:-1] + ((4, 2),))
+
+    monkeypatch.setattr(checks, "subalgebra_roots", damaged)
+    rep = check_node(g2, extended_diagram(g2), 1)
+    assert [(f.check, f.detail) for f in rep.failures] == [
+        ("equal-rank-classify", "diagram pipeline A2 != root pipeline A1+A1"),
+        ("residue-irreducibility", "simple root (4, 2) at node 1 is not a root"),
+        ("residue-irreducibility", "simple root (4, 2) at node 1 is not a root"),
     ]
 
 
@@ -663,6 +728,50 @@ def test_bad_extended_diagram_is_a_reported_failure():
     assert rep.maximal == [] and not rep.ok
 
 
+def test_indefinite_kept_gram_block_is_a_certification_record():
+    # deleting node 3 keeps the Gram block ((2, -3), (-3, 2)) of determinant
+    # -5: the t-root form has no positive scale
+    rs = root_system("A3")
+    rs.gram = ((2, -3, 0), (-3, 2, -1), (0, -1, 2))
+    record = [("certification", "the kept Gram block is not positive definite")]
+    rep = check_designation(designation(rs, deleted=[3]))
+    assert [(f.check, f.detail) for f in rep.failures] == record
+    reports = {r.deleted: r for r in check_type(rs).designations}
+    assert [(f.check, f.detail) for f in reports[(3,)].failures] == record
+
+
+def _node_records(rs):
+    rep = check_type(rs)
+    assert rep.maximal == [] and not rep.ok
+    return [[(f.check, f.detail) for f in node.failures] for node in rep.nodes]
+
+
+def test_negative_link_is_a_reported_failure():
+    # alpha_1 in place of the highest root pairs negatively with alpha_2
+    rs = root_system("A2")
+    rs.highest_root = (1, 0)
+    assert _node_records(rs) == [
+        [("equal-rank-classify", "negative link to the highest root")]] * 2
+
+
+def test_four_links_are_a_reported_failure():
+    # a damaged Gram matrix under which the highest root of A4 pairs with
+    # every simple root, and the affine entries stay integers
+    rs = root_system("A4")
+    rs.gram = ((2, -1, 0, 0), (-1, 2, -1, 2), (0, -1, -2, -1), (0, 2, -1, 2))
+    assert _node_records(rs) == [
+        [("equal-rank-classify", "highest root linked to more than 3 nodes")]] * 4
+
+
+def test_zero_length_highest_root_is_a_reported_failure():
+    # (psi, psi) = 0 under this Gram matrix: the affine entries in the
+    # column of -psi are no integers, not a division by zero
+    rs = root_system("A4")
+    rs.gram = ((0, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -1), (0, 0, -1, 2))
+    detail = "2(x,y)/(y,y) is not an integer for (-1, -1, -1, -1), (-1, -1, -1, -1)"
+    assert _node_records(rs) == [[("equal-rank-classify", detail)]] * 4
+
+
 def test_dropped_root_number_breaks_block_crosscheck(monkeypatch):
     # only the block crosscheck sees the damaged space, so only it fails
     def damaged(des):
@@ -678,14 +787,17 @@ def test_dropped_root_number_breaks_block_crosscheck(monkeypatch):
         ("block-crosscheck", "blocks=[1, 2]", "key (1,): dim 1 != block 1,2 dim 2")]
 
 
-def test_failed_crosscheck_rebuild_is_a_block_crosscheck_record(monkeypatch):
-    # when every node's step mask raises minus the lowest weight of (1,),
-    # every node lowers that weight: the space has no lowest weight, and it
-    # fails certification in the sweep and again in the crosscheck's build
+def test_failed_crosscheck_rebuild_is_a_block_crosscheck_record():
+    # when every simple root's sum-table row raises minus the lowest weight
+    # of (1,), every node lowers that weight: the space has no lowest weight,
+    # and it fails certification in the sweep and again in the crosscheck's
+    # build
     rs = root_system("A3")
     t = real_troot_system(designation(rs, deleted=[2]))
     below = 1 << rs.index[tuple(-c for c in t.extremes((1,))[1])]
-    monkeypatch.setattr(rs, "_steps", [m | below for m in rs.step_masks()])
+    adjz = rs.sum_table().adjz
+    for k in mask_bits(rs.simple_mask(range(rs.rank))):
+        adjz[k] |= below
     rep = check_type(rs)
     assert [(r.deleted, [(f.check, f.detail) for f in r.failures])
             for r in rep.designations if r.failures] == [

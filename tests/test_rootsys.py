@@ -1,5 +1,6 @@
 import re
 from fractions import Fraction as Q
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,7 @@ from leviroots import (
     troot_system,
 )
 from leviroots.bds import bds_document, maximal_document
+from leviroots.series import series_document
 from leviroots.rootsys import (
     SimpleType,
     all_simple_types,
@@ -272,16 +274,16 @@ def test_positive_sums_match_brute_force(name):
 
 def test_positive_sums_built_on_first_use_and_once():
     rs = root_system("E6")
-    # the verbs that need no root sums build neither table
-    rs.document()
-    troot_system(designation(rs, deleted=[2])).document()
+    # the troots and bds verbs build the sum table but not its positive
+    # sums; only the central-series oracles of the series verb do
+    trsys = troot_system(designation(rs, deleted=[2]))
+    trsys.document()
     bds_document(rs)
-    maximal_document(rs)
-    assert rs._sums is None
     table = rs.sum_table()
     assert table._pos_sums is None
-    rows = table.positive_sums()
-    assert table.positive_sums() is rows
+    series_document(trsys)
+    rows = table._pos_sums
+    assert rows is not None and table.positive_sums() is rows
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "G2", "F4"])
@@ -306,17 +308,23 @@ def test_coefficient_masks_built_on_first_use_and_once():
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2", "F4", "D4"])
-def test_step_table_matches_brute_force(name):
-    # the step table, held as one mask per node
+def test_simple_mask_raises_like_brute_force(name):
+    # the simple roots of each node set, and the roots that they raise
+    # within Delta u {0}: the reach of their mask in the sum table
     rs = root_system(name)
     zero = (0,) * rs.rank
-    for k in range(rs.rank):
-        ups = set()
-        for i, phi in enumerate(rs.indexed):
-            up = tuple(c + (t == k) for t, c in enumerate(phi))
-            if up in rs.roots or up == zero:
-                ups.add(i)
-        assert set(mask_bits(rs.step_masks()[k])) == ups
+    for size in range(rs.rank + 1):
+        for nodes in combinations(range(rs.rank), size):
+            mask = rs.simple_mask(nodes)
+            assert set(rs.roots_of(mask)) == {
+                tuple(int(t == k) for t in range(rs.rank)) for k in nodes}
+            ups = set()
+            for i, phi in enumerate(rs.indexed):
+                for k in nodes:
+                    up = tuple(c + (t == k) for t, c in enumerate(phi))
+                    if up in rs.roots or up == zero:
+                        ups.add(i)
+            assert set(mask_bits(rs.sum_table().reach(mask))) == ups
 
 
 @pytest.mark.parametrize("name", ["A3", "G2", "F4"])
@@ -332,38 +340,28 @@ def test_weight_certificate_reads_both_extremes():
     # and alpha_1 + 2 alpha_2, raised by alpha_2 from the bottom up
     rs = root_system("B2")
     space = sum(1 << rs.index[r] for r in [(1, 0), (1, 1), (1, 2)])
-    top, bottom = rs.weight_certificate(space, rs.step_masks()[1])
+    top, bottom = rs.weight_certificate(space, rs.sum_table().reach(1 << rs.index[(0, 1)]))
     assert rs.roots_of(top) == ((1, 2),) and rs.roots_of(bottom) == ((1, 0),)
     # with nothing raising, every root is both a highest and a lowest weight
     assert rs.weight_certificate(space, 0) == (space, space)
 
 
 def test_sum_table_built_lazily_and_once():
+    # the roots verb and the maximal table never build the table; the
+    # weight certificates of the troots and bds verbs read their raising
+    # masks from it
     rs = root_system("E6")
-    assert rs._sums is None
-    # the verbs that need no root sums never build the table
     rs.document()
+    maximal_document(rs)
+    assert rs._sums is None
     troot_system(designation(rs, deleted=[2])).document()
+    table = rs._sums
+    assert table is not None and rs.sum_table() is table
     bds_document(rs)
-    maximal_document(rs)
-    assert rs._sums is None
-    table = rs.sum_table()
-    assert rs.sum_table() is table
-
-
-def test_step_table_built_on_first_use_and_once():
-    # the step masks: the roots verb and the maximal table never build
-    # them; the residue certificate of bds_document does
-    rs = root_system("E6")
-    assert rs._steps is None
-    rs.document()
-    maximal_document(rs)
-    assert rs._steps is None
-    bds_document(rs)
-    steps = rs._steps
-    assert steps is not None and rs.step_masks() is steps
-    troot_system(designation(rs, deleted=[2]))
-    assert rs._steps is steps
+    assert rs._sums is table
+    fresh = root_system("E6")
+    bds_document(fresh)
+    assert fresh._sums is not None
 
 
 # -- generate and classify on arbitrary integer matrices --------------------
