@@ -18,7 +18,6 @@ systems built from explicit user matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import isqrt
@@ -27,7 +26,7 @@ from operator import mul
 from . import exactlin
 from .errors import InvalidCartan, InvalidPair, IrreducibilityViolation, NotFiniteType, SimpleSystemFailure
 from .exactlin import RatVec
-from .rootsys import CartanMatrix, Root, RootSystem, SimpleType, _validate_cartan, mask_bits
+from .rootsys import CartanMatrix, FrozenRecord, Root, RootSystem, SimpleType, _validate_cartan, mask_bits
 
 
 def _require_node(rs: RootSystem, j: int) -> None:
@@ -47,14 +46,17 @@ def _cartan_of(rs: RootSystem, vectors: list[Root] | tuple[Root, ...]) -> Cartan
     return tuple(tuple(2 * f // form[b][b] for b, f in enumerate(row)) for row in form)
 
 
-@dataclass(frozen=True)
 class ExtendedDiagram:
     """The affine diagram: base system, the adjoined node, link counts."""
 
-    rs: RootSystem
-    alpha0: Root
-    links: tuple[int, ...]
-    affine_cartan: CartanMatrix
+    __slots__ = ("rs", "alpha0", "links", "affine_cartan")
+
+    def __init__(self, rs: RootSystem, alpha0: Root, links: tuple[int, ...],
+                 affine_cartan: CartanMatrix):
+        self.rs = rs
+        self.alpha0 = alpha0
+        self.links = links
+        self.affine_cartan = affine_cartan
 
 
 def extended_diagram(rs: RootSystem) -> ExtendedDiagram:
@@ -90,7 +92,6 @@ def delete_node(ext: ExtendedDiagram, j: int) -> CartanMatrix:
     return tuple(tuple(affine[x][y] for y in order) for x in order)
 
 
-@dataclass(frozen=True)
 class SubalgebraModel:
     """Root-level model of the equal-rank subalgebra at one node.
 
@@ -101,12 +102,16 @@ class SubalgebraModel:
     matrix is ``_cartan_of(rs, simple_roots)``, computed where it is read.
     """
 
-    rs: RootSystem
-    node: int
-    mark: int
-    root_set: int
-    simple_roots: tuple[Root, ...]
-    residues: dict[int, int]
+    __slots__ = ("rs", "node", "mark", "root_set", "simple_roots", "residues")
+
+    def __init__(self, rs: RootSystem, node: int, mark: int, root_set: int,
+                 simple_roots: tuple[Root, ...], residues: dict[int, int]):
+        self.rs = rs
+        self.node = node
+        self.mark = mark
+        self.root_set = root_set
+        self.simple_roots = simple_roots
+        self.residues = residues
 
 
 def subalgebra_roots(rs: RootSystem, j: int) -> SubalgebraModel:
@@ -154,11 +159,16 @@ def subalgebra_roots(rs: RootSystem, j: int) -> SubalgebraModel:
 # diagram classification
 
 
-@dataclass(frozen=True)
-class DiagramClass:
+class DiagramClass(FrozenRecord):
     """Multiset of simple types, canonically sorted (B2 for B2=C2, A3 for A3=D3)."""
 
-    components: tuple[SimpleType, ...]
+    __slots__ = ("components",)
+
+    def __init__(self, components: tuple[SimpleType, ...]):
+        object.__setattr__(self, "components", components)
+
+    def _key(self) -> tuple[SimpleType, ...]:
+        return self.components
 
     @classmethod
     def of(cls, types) -> "DiagramClass":

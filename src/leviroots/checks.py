@@ -27,7 +27,6 @@ t-root; the rule is tested there as (nu, nu) > 0.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 from operator import mul, or_
@@ -43,13 +42,15 @@ from .rootsys import RootSystem, SimpleType, all_simple_types, cartan_matrix, ro
 from .series import closed_form_series, grading
 
 
-@dataclass(frozen=True)
 class Failure:
     """One violated condition: which check, where, and what went wrong."""
 
-    check: str
-    subject: str
-    detail: str
+    __slots__ = ("check", "subject", "detail")
+
+    def __init__(self, check: str, subject: str, detail: str):
+        self.check = check
+        self.subject = subject
+        self.detail = detail
 
     def as_dict(self) -> dict:
         return {"check": self.check, "subject": self.subject, "detail": self.detail}

@@ -6,6 +6,10 @@ on the bds verb to Graphviz text).  Exit status: 0 on success, 1 on
 invalid arguments or input, 2 when ``check`` finds an invariant
 failure.  Output carries no timestamps or environment data, so equal
 invocations produce byte-identical bytes.
+
+Each verb imports the modules it runs inside its own branch of ``run``,
+so a process loads ``rootsys`` for every verb and ``checks`` only for
+``check``.
 """
 
 from __future__ import annotations
@@ -14,13 +18,8 @@ import argparse
 import json
 import sys
 
-from . import checks
-from .bds import bds_document, extended_diagram, extended_dot, maximal_document
 from .errors import InvalidCartan, InvalidRank, LeviRootsError
-from .levi import designation, troot_system
 from .rootsys import DEFAULT_MAX_RANK, RootSystem, generate, root_system
-from .series import series_document
-from .slnx import composition, sln_document
 
 
 def _node_list(text: str) -> tuple[int, ...]:
@@ -255,6 +254,8 @@ def _emit(doc: dict, pretty: bool, renderer) -> None:
 
 
 def _run_check(args) -> int:
+    from . import checks
+
     if args.max_rank is not None and (args.type or args.cartan):
         other = "a type" if args.type else "--cartan"
         raise LeviRootsError(f"give either {other} or --max-rank, not both")
@@ -282,14 +283,21 @@ def run(argv=None) -> int:
         if args.verb == "roots":
             _emit(_resolve_system(args).document(), args.pretty, _pretty_roots)
         elif args.verb == "troots":
+            from .levi import designation, troot_system
+
             rs = _resolve_system(args)
             des = designation(rs, kept=args.keep, deleted=args.delete)
             _emit(troot_system(des).document(), args.pretty, _pretty_troots)
         elif args.verb == "series":
+            from .levi import designation, troot_system
+            from .series import series_document
+
             rs = _resolve_system(args)
             des = designation(rs, kept=args.keep, deleted=args.delete)
             _emit(series_document(troot_system(des)), args.pretty, _pretty_series)
         elif args.verb == "bds":
+            from .bds import bds_document, extended_diagram, extended_dot
+
             rs = _resolve_system(args)
             if args.dot:
                 ext = extended_diagram(rs)
@@ -297,8 +305,12 @@ def run(argv=None) -> int:
             else:
                 _emit(bds_document(rs, node=args.node), args.pretty, _pretty_bds)
         elif args.verb == "maximal":
+            from .bds import maximal_document
+
             _emit(maximal_document(_resolve_system(args)), args.pretty, _pretty_maximal)
         elif args.verb == "sln":
+            from .slnx import composition, sln_document
+
             comp = composition(args.blocks)
             if comp.n - 1 > DEFAULT_MAX_RANK:  # capped like the named types
                 raise InvalidRank(f"composition of {comp.n} needs type A{comp.n - 1}: rank "

@@ -3,7 +3,8 @@
 One fraction-free elimination (Bareiss, *Sylvester's identity and
 multistep integer-preserving Gaussian elimination*, 1968) serves every
 caller: each entry it leaves is an integer minor of the input, and each
-of its divisions is exact.  ``det`` returns an integer; a Jordan
+of its divisions is exact.  The determinant of a square matrix is the
+sign times the last pivot at full rank, 0 below it; a Jordan
 elimination of ``[A | B]`` leaves ``p * A^-1 B`` by ``p * I`` (p
 the last pivot), so callers divide only to print.  Nothing is floating
 point.  The systems are tiny (Gram matrices of at most 13 rows), so the
@@ -13,8 +14,6 @@ first nonzero pivot is the right choice.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import index
-from typing import Iterable, Sequence
 
 RatVec = tuple[Fraction, ...]
 
@@ -65,16 +64,3 @@ def eliminate(rows: list[list[int]], ncols: int, jordan: bool = False) -> tuple[
         prev = p
         rank += 1
     return rank, prev, sign
-
-
-def _int_rows(rows: Iterable[Sequence]) -> list[list[int]]:
-    # operator.index rejects a non-integer entry instead of rounding it
-    return [list(map(index, row)) for row in rows]
-
-
-def det(mat: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a square integer matrix."""
-    rows = _int_rows(mat)
-    rank, last, sign = eliminate(rows, len(rows))
-    return sign * last if rank == len(rows) else 0
-

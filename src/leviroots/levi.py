@@ -19,10 +19,9 @@ on the same data, by ``checks.check_designation``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from operator import add, mul
-from typing import Iterable, Sequence
 
 from . import exactlin
 from .errors import InvalidDesignation, IrreducibilityViolation, NotFiniteType
@@ -79,7 +78,6 @@ def designation(rs: RootSystem, kept: Iterable[int] | None = None,
     return ParabolicDesignation(rs, nodes)
 
 
-@dataclass(slots=True)
 class TRootSpace:
     """One t-root space: all roots restricting to the same nonzero key.
 
@@ -89,9 +87,12 @@ class TRootSpace:
     highest and lowest weight roots.
     """
 
-    key: Key
-    mask: int
-    indexed: tuple[Root, ...] = field(repr=False, compare=False)
+    __slots__ = ("key", "mask", "indexed")
+
+    def __init__(self, key: Key, mask: int, indexed: tuple[Root, ...]):
+        self.key = key
+        self.mask = mask
+        self.indexed = indexed
 
     @property
     def dim(self) -> int:

@@ -19,11 +19,9 @@ statements are normalization-free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import compress, count
-from math import gcd
-from operator import mul
+from math import gcd, lcm
+from operator import add, gt, mul
 
 from .errors import InvalidCartan, InvalidRank, NotFiniteType
 
@@ -47,19 +45,52 @@ _RANK_RANGE = {
 DEFAULT_MAX_RANK = 12
 
 
-@dataclass(frozen=True, order=True)
-class SimpleType:
-    """One of the simple types A1..G2, e.g. SimpleType('E', 8)."""
+class FrozenRecord:
+    """Base of the immutable value records: fields are set once, by
+    ``__init__``, and the record is equal and hashed by ``_key()``."""
 
-    family: str
-    rank: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.family not in _RANK_RANGE:
-            raise InvalidRank(f"unknown family {self.family!r}")
-        lo, hi = _RANK_RANGE[self.family]
-        if self.rank < lo or (hi is not None and self.rank > hi):
-            raise InvalidRank(f"{self.family}{self.rank} is not a simple type")
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+class SimpleType(FrozenRecord):
+    """One of the simple types A1..G2, e.g. SimpleType('E', 8).
+
+    Ordered by (family, rank).
+    """
+
+    __slots__ = ("family", "rank")
+
+    def __init__(self, family: str, rank: int):
+        if family not in _RANK_RANGE:
+            raise InvalidRank(f"unknown family {family!r}")
+        lo, hi = _RANK_RANGE[family]
+        if rank < lo or (hi is not None and rank > hi):
+            raise InvalidRank(f"{family}{rank} is not a simple type")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "rank", rank)
+
+    def _key(self) -> tuple[str, int]:
+        return self.family, self.rank
+
+    def __lt__(self, other):
+        return self._key() < other._key() if isinstance(other, SimpleType) else NotImplemented
+
+    def __le__(self, other):
+        return self._key() <= other._key() if isinstance(other, SimpleType) else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"SimpleType({self.family!r}, {self.rank})"
 
     @classmethod
     def parse(cls, text: str) -> "SimpleType":
@@ -118,30 +149,27 @@ def symmetrizers(cartan: CartanMatrix) -> tuple[int, ...]:
     root, so G = A.diag(d) is the integer Gram matrix of the form.
     """
     n = len(cartan)
-    vals: list[Fraction | None] = [None] * n
-    vals[0] = Fraction(1)
+    # d_j / d_0 as num[j] / den[j], in integers; den[j] is 0 until j is reached
+    num, den = [0] * n, [0] * n
+    num[0] = den[0] = 1
     queue = [0]
     while queue:
         i = queue.pop()
         for j in range(n):
             if i == j or cartan[i][j] == 0:
                 continue
-            ratio = Fraction(cartan[j][i], cartan[i][j])  # d_j / d_i
-            want = vals[i] * ratio
-            if vals[j] is None:
-                vals[j] = want
+            # d_j = d_i * a[j][i] / a[i][j]
+            p, q = num[i] * cartan[j][i], den[i] * cartan[i][j]
+            if not den[j]:
+                num[j], den[j] = p, q
                 queue.append(j)
-            elif vals[j] != want:
+            elif num[j] * q != p * den[j]:
                 raise InvalidCartan("matrix is not symmetrizable")
-    if any(v is None for v in vals):
+    if not all(den):
         raise InvalidCartan("matrix is decomposable")
-    denom_lcm = 1
-    for v in vals:
-        denom_lcm = denom_lcm * v.denominator // gcd(denom_lcm, v.denominator)
-    ints = [int(v * denom_lcm) for v in vals]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
+    scale = lcm(*den)
+    ints = [p * (scale // q) for p, q in zip(num, den)]
+    g = gcd(*ints)
     return tuple(x // g for x in ints)
 
 
@@ -415,10 +443,17 @@ class RootSystem:
 def generate(cartan, stype: SimpleType | None = None) -> RootSystem:
     """Generate the full root system from an indecomposable Cartan matrix.
 
-    Breadth-first root-string closure: a positive root phi extends by
-    the simple root alpha_i exactly when the string bound
-    q = p - <phi, alpha_i^vee> is positive, where p counts the steps
-    already available downward.  All arithmetic is integer.
+    Breadth-first root-string closure, one height at a time: a positive
+    root phi extends by the simple root alpha_i exactly when the string
+    bound q = p_i - <phi, alpha_i^vee> is positive, where the depth p_i
+    counts the steps down the alpha_i string that are already roots.
+    Each root carries both from one step below: its pairings are those of
+    the root it extends plus row i of the matrix, and p_i is one more
+    than the depth of phi - alpha_i when that is a root, else 0.  Roots
+    are keyed by their base-(2*bound + 2) encoding, alpha_1 the top digit:
+    no coefficient exceeds the height cap 2*bound, so no digit carries,
+    a step along alpha_i adds one power of the base, and within one
+    height numeric order is lex order.  All arithmetic is integer.
 
     Raises NotFiniteType when closure overruns the classical root-count
     bound for the rank, and InvalidCartan for malformed input.
@@ -427,42 +462,42 @@ def generate(cartan, stype: SimpleType | None = None) -> RootSystem:
     d = symmetrizers(cartan)  # also rejects decomposable/unsymmetrizable
     n = len(cartan)
     bound = _max_positive_count(n)
+    base = 2 * bound + 2
+    steps = [base ** (n - 1 - i) for i in range(n)]
 
-    simples = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    known: set[Root] = set(simples)
-    level = list(simples)
-    positives: list[Root] = list(simples)
+    # encoding -> (coefficients, pairings <phi, alpha_i^vee>, depths p_i)
+    known = {
+        steps[i]: (tuple(1 if j == i else 0 for j in range(n)), cartan[i], (0,) * n)
+        for i in range(n)
+    }
+    get = known.get
+    level = sorted(known)
+    positives = [known[e][0] for e in level]
     height = 1
     while level:
         height += 1
-        if height > 2 * bound:
+        if height > 2 * bound:  # the cap that keeps every coefficient a digit
             raise NotFiniteType("root-string closure did not terminate")
-        nxt: set[Root] = set()
-        for phi in level:
-            for i in range(n):
-                # pairing <phi, alpha_i^vee> = sum_j phi_j * a[j][i]
-                c = sum(phi[j] * cartan[j][i] for j in range(n) if phi[j])
-                # p = steps down the alpha_i string that are already roots
-                p = 0
-                cur = list(phi)
-                while True:
-                    cur[i] -= 1
-                    if cur[i] < 0 or tuple(cur) not in known:
-                        break
-                    p += 1
-                if p - c >= 1:
-                    up = list(phi)
-                    up[i] += 1
-                    nxt.add(tuple(up))
-        fresh = [r for r in nxt if r not in known]
-        known.update(fresh)
-        positives.extend(fresh)
+        nxt: dict[int, tuple[Root, tuple[int, ...]]] = {}
+        for enc in level:
+            phi, pairings, depths = known[enc]
+            # q_i = p_i - <phi, alpha_i^vee> >= 1: the alpha_i string goes on
+            for i in compress(range(n), map(gt, depths, pairings)):
+                up = enc + steps[i]
+                if up not in nxt:
+                    nxt[up] = (phi[:i] + (phi[i] + 1,) + phi[i + 1:],
+                               tuple(map(add, pairings, cartan[i])))
+        level = sorted(nxt)
+        for enc in level:
+            phi, pairings = nxt[enc]
+            depths = tuple(below[2][i] + 1 if (below := get(enc - step)) else 0
+                           for i, step in enumerate(steps))
+            known[enc] = (phi, pairings, depths)
+            positives.append(phi)
         if len(positives) > bound:
             raise NotFiniteType(
                 f"closure produced more than {bound} positive roots at rank {n}"
             )
-        level = fresh
-    positives.sort(key=lambda r: (sum(r), r))
     if any(c <= 0 for c in positives[-1]):
         raise NotFiniteType("highest root has a zero coefficient; matrix is decomposable")
     return RootSystem(stype, cartan, d, tuple(positives))

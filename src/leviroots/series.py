@@ -11,7 +11,6 @@ sets and never consult the grading.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 
@@ -25,13 +24,15 @@ def order_of(key) -> int:
     return sum(key)
 
 
-@dataclass(frozen=True)
 class Grading:
     """Positive t-roots bucketed by order, plus the top order."""
 
-    levels: dict[int, tuple[Key, ...]]
-    k_cent: int
-    center_key: Key
+    __slots__ = ("levels", "k_cent", "center_key")
+
+    def __init__(self, levels: dict[int, tuple[Key, ...]], k_cent: int, center_key: Key):
+        self.levels = levels
+        self.k_cent = k_cent
+        self.center_key = center_key
 
 
 def grading(trsys: TRootSystem) -> Grading:
@@ -59,14 +60,16 @@ def grading(trsys: TRootSystem) -> Grading:
     )
 
 
-@dataclass(frozen=True)
 class CentralSeries:
     """Both central series as root masks over ``rs.indexed``; length is the
     nilpotency class."""
 
-    upper: tuple[int, ...]
-    lower: tuple[int, ...]
-    length: int
+    __slots__ = ("upper", "lower", "length")
+
+    def __init__(self, upper: tuple[int, ...], lower: tuple[int, ...], length: int):
+        self.upper = upper
+        self.lower = lower
+        self.length = length
 
 
 def _nilradical_sums(trsys: TRootSystem) -> tuple[list[int], int, dict[int, int]]:

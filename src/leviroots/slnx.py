@@ -13,26 +13,28 @@ can serve as an independent oracle against the general machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import sub
 
 from .errors import InvalidComposition
 from .levi import Key, ParabolicDesignation, designation, troot_system
-from .rootsys import RootSystem, SimpleType, cartan_matrix, root_system
+from .rootsys import FrozenRecord, RootSystem, SimpleType, cartan_matrix, root_system
 
 
-@dataclass(frozen=True)
-class Composition:
+class Composition(FrozenRecord):
     """An ordered tuple of positive block sizes, at least two blocks."""
 
-    parts: tuple[int, ...]
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        if len(self.parts) < 2:
+    def __init__(self, parts: tuple[int, ...]):
+        if len(parts) < 2:
             raise InvalidComposition("need at least two blocks")
-        if any(isinstance(p, bool) or not isinstance(p, int) or p < 1 for p in self.parts):
-            raise InvalidComposition(f"parts must be positive integers: {self.parts}")
+        if any(isinstance(p, bool) or not isinstance(p, int) or p < 1 for p in parts):
+            raise InvalidComposition(f"parts must be positive integers: {parts}")
+        object.__setattr__(self, "parts", parts)
+
+    def _key(self) -> tuple[int, ...]:
+        return self.parts
 
     @property
     def n(self) -> int:
@@ -68,22 +70,27 @@ def composition_of(des: ParabolicDesignation) -> Composition:
     return composition(map(sub, bounds[1:], bounds))
 
 
-@dataclass(frozen=True)
 class BlockEntry:
     """One off-diagonal block: position, dimension, key, distance."""
 
-    row: int
-    col: int
-    dim: int
-    key: Key
-    order: int
-    acting_blocks: tuple[int, ...]
+    __slots__ = ("row", "col", "dim", "key", "order", "acting_blocks")
+
+    def __init__(self, row: int, col: int, dim: int, key: Key, order: int,
+                 acting_blocks: tuple[int, ...]):
+        self.row = row
+        self.col = col
+        self.dim = dim
+        self.key = key
+        self.order = order
+        self.acting_blocks = acting_blocks
 
 
-@dataclass(frozen=True)
 class BlockTRootTable:
-    comp: Composition
-    entries: tuple[BlockEntry, ...]
+    __slots__ = ("comp", "entries")
+
+    def __init__(self, comp: Composition, entries: tuple[BlockEntry, ...]):
+        self.comp = comp
+        self.entries = entries
 
     @property
     def count(self) -> int:

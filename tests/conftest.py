@@ -37,6 +37,19 @@ def f4():
     return root_system("F4")
 
 
+def replace(record, **changes):
+    """A copy of a slotted record with some fields changed.
+
+    Every record class of the package takes its slots, by name, as its
+    constructor arguments, so the copy goes through the constructor.
+    """
+    unknown = changes.keys() - set(record.__slots__)
+    if unknown:
+        raise TypeError(f"{type(record).__name__} has no fields {sorted(unknown)}")
+    return type(record)(**{name: changes.get(name, getattr(record, name))
+                           for name in record.__slots__})
+
+
 def classical_root_count(stype) -> int:
     """Classical root count of a simple type: the generation oracle."""
     n = stype.rank

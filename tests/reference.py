@@ -1,4 +1,5 @@
-"""Reference oracles for the t-root laws, one pair or one string at a time.
+"""Reference oracles: the t-root laws one pair or one string at a time, and
+root generation by walking every root string.
 
 Each oracle reads only the public data of a t-root system: the spaces
 (``trsys.spaces``), the keys (``trsys.keys``), the exact pairing
@@ -7,7 +8,17 @@ tuples and keys directly, and share no code with the sweep in
 ``leviroots.checks``: no sum table, no key encoding, no pairing table.
 Their failure texts are the sweep's, so a reference report can be matched
 against a sweep report.
+
+``generate`` is the closure that ``leviroots.rootsys.generate`` replaced:
+it walks every alpha_i string down through a set of root tuples and sums
+every pairing afresh, and finds the symmetrizers with ``Fraction``.
 """
+
+from fractions import Fraction
+from math import gcd
+
+from leviroots.errors import InvalidCartan, NotFiniteType
+from leviroots.rootsys import RootSystem, _max_positive_count, _validate_cartan
 
 
 def _shift(key, step, j=1):
@@ -109,3 +120,86 @@ def string_report(trsys, gamma, nu):
             if lowered and not _acts(trsys, w, minus_nu):
                 failures.append(f"no lowering root sum at {w} along {nu}")
     return line[0], line[-1], failures
+
+
+# -- root generation -------------------------------------------------------
+
+
+def symmetrizers(cartan):
+    """Minimal positive integers d with a[i][j]*d[j] == a[j][i]*d[i], by
+    propagating the ratios d_j / d_i as fractions."""
+    n = len(cartan)
+    vals = [None] * n
+    vals[0] = Fraction(1)
+    queue = [0]
+    while queue:
+        i = queue.pop()
+        for j in range(n):
+            if i == j or cartan[i][j] == 0:
+                continue
+            want = vals[i] * Fraction(cartan[j][i], cartan[i][j])  # d_j / d_i
+            if vals[j] is None:
+                vals[j] = want
+                queue.append(j)
+            elif vals[j] != want:
+                raise InvalidCartan("matrix is not symmetrizable")
+    if any(v is None for v in vals):
+        raise InvalidCartan("matrix is decomposable")
+    denom_lcm = 1
+    for v in vals:
+        denom_lcm = denom_lcm * v.denominator // gcd(denom_lcm, v.denominator)
+    ints = [int(v * denom_lcm) for v in vals]
+    g = 0
+    for x in ints:
+        g = gcd(g, x)
+    return tuple(x // g for x in ints)
+
+
+def generate(cartan, stype=None):
+    """The root system of a Cartan matrix by breadth-first string walks.
+
+    A positive root phi extends by alpha_i when p - <phi, alpha_i^vee> is
+    positive, p the number of steps down the alpha_i string that are
+    already known roots.  Raises what ``leviroots.rootsys.generate``
+    raises, with the same messages.
+    """
+    cartan = _validate_cartan(cartan)
+    d = symmetrizers(cartan)
+    n = len(cartan)
+    bound = _max_positive_count(n)
+    simples = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    known = set(simples)
+    level = list(simples)
+    positives = list(simples)
+    height = 1
+    while level:
+        height += 1
+        if height > 2 * bound:
+            raise NotFiniteType("root-string closure did not terminate")
+        nxt = set()
+        for phi in level:
+            for i in range(n):
+                c = sum(phi[j] * cartan[j][i] for j in range(n) if phi[j])
+                p = 0
+                cur = list(phi)
+                while True:
+                    cur[i] -= 1
+                    if cur[i] < 0 or tuple(cur) not in known:
+                        break
+                    p += 1
+                if p - c >= 1:
+                    up = list(phi)
+                    up[i] += 1
+                    nxt.add(tuple(up))
+        fresh = [r for r in nxt if r not in known]
+        known.update(fresh)
+        positives.extend(fresh)
+        if len(positives) > bound:
+            raise NotFiniteType(
+                f"closure produced more than {bound} positive roots at rank {n}"
+            )
+        level = fresh
+    positives.sort(key=lambda r: (sum(r), r))
+    if any(c <= 0 for c in positives[-1]):
+        raise NotFiniteType("highest root has a zero coefficient; matrix is decomposable")
+    return RootSystem(stype, cartan, d, tuple(positives))

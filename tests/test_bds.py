@@ -26,21 +26,22 @@ from leviroots.bds import (
     residue_irreducibility,
 )
 from leviroots.rootsys import SimpleType, all_simple_types, cartan_matrix
-from leviroots import exactlin
 from fractions import Fraction as Q
+
+from conftest import classical_root_count, fraction_det
 
 
 def test_extended_diagram_g2(g2):
     ext = extended_diagram(g2)
     assert ext.alpha0 == (-3, -2)
     assert ext.links == (0, 1)  # psi is orthogonal to the short simple root
-    assert exactlin.det(ext.affine_cartan) == 0
+    assert fraction_det(ext.affine_cartan) == 0
 
 
 def test_affine_cartan_singular_all_types():
     for stype in all_simple_types(8):
         ext = extended_diagram(root_system(stype))
-        assert exactlin.det(ext.affine_cartan) == 0
+        assert fraction_det(ext.affine_cartan) == 0
         assert sum(1 for m in ext.links if m) <= 3
         assert all(m >= 0 for m in ext.links)
 
@@ -265,8 +266,7 @@ def test_subalgebra_rank_and_size(stype, data):
     model = subalgebra_roots(rs, j)
     # equal rank: the simple system spans the whole space, with the
     # determinant +-n that the split's span test relies on
-    assert abs(exactlin.det(model.simple_roots)) == model.mark
+    assert abs(fraction_det(model.simple_roots)) == model.mark
     # root count consistent with the classified components
     cls = classify(_cartan_of(rs, model.simple_roots))
-    from conftest import classical_root_count
     assert model.root_set.bit_count() == sum(classical_root_count(t) for t in cls.components)

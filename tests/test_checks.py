@@ -1,6 +1,5 @@
 """The invariant sweep must pass on real data and fail on corrupted data."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -25,6 +24,7 @@ from leviroots.rootsys import SimpleType, all_simple_types, cartan_matrix, gener
 from leviroots.errors import SeriesMismatch
 from leviroots.levi import TRootSystem, troot_system as real_troot_system
 from leviroots.series import upper_series_oracle
+from conftest import replace
 from reference import bracket_image, sign_rule, string_report
 
 

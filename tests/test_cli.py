@@ -231,7 +231,7 @@ def test_check_failure_exit_code(capsys, monkeypatch):
         forced = rep.failures + (checks.Failure("bracket-law", "fake", "forced"),)
         return checks.DesignationReport(rep.deleted, rep.counts, forced)
 
-    monkeypatch.setattr(cli.checks, "check_type", lambda rs, all_parabolics=False: checks.TypeReport(
+    monkeypatch.setattr(checks, "check_type", lambda rs, all_parabolics=False: checks.TypeReport(
         stype=rs.stype,
         designations=[broken(checks.borel_designation(rs))],
         nodes=[],
@@ -261,7 +261,7 @@ def test_check_pretty_counts_the_fail_lines(capsys, monkeypatch):
             maximal=[],
         )
 
-    monkeypatch.setattr(cli.checks, "check_type", report)
+    monkeypatch.setattr(checks, "check_type", report)
     assert cli.run(["check", "A1", "--pretty"]) == 2
     assert capsys.readouterr().out == (
         "scope: borel-and-maximal\n"

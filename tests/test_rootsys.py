@@ -26,6 +26,7 @@ from leviroots.rootsys import (
     symmetrizers,
 )
 
+import reference
 from conftest import classical_root_count
 
 
@@ -411,6 +412,38 @@ def test_generate_and_classify_fuzz(matrix):
         [stype] = cls.components
         assert stype.rank == len(matrix)
         assert len(rs.roots) == classical_root_count(stype)
+
+
+def _outcome(build, matrix):
+    """The positives and symmetrizers that build makes of matrix, or the
+    type and text of the error it raises."""
+    try:
+        rs = build(matrix)
+    except LeviRootsError as exc:
+        return type(exc), str(exc)
+    return rs.positives, rs.d
+
+
+# the incremental closure and the integer symmetrizers against the string
+# walk and the Fraction ratios they replaced: the same positives in the
+# same order, or the same error with the same text
+
+
+@pytest.mark.parametrize("stype", all_simple_types(12), ids=str)
+def test_generate_matches_string_walk_on_every_type(stype):
+    matrix = cartan_matrix(stype)
+    assert _outcome(generate, matrix) == _outcome(reference.generate, matrix)
+
+
+@pytest.mark.parametrize("matrix", AFFINE_AND_INDEFINITE)
+def test_generate_matches_string_walk_on_affine_and_indefinite(matrix):
+    assert _outcome(generate, matrix) == _outcome(reference.generate, matrix)
+
+
+@settings(max_examples=400, deadline=None)
+@given(integer_matrix())
+def test_generate_matches_string_walk_on_integer_matrices(matrix):
+    assert _outcome(generate, matrix) == _outcome(reference.generate, matrix)
 
 
 # -- an independent source: sympy's tables ----------------------------------

@@ -8,7 +8,6 @@ from leviroots import (
     root_system,
     troot_system,
 )
-from dataclasses import replace
 
 from leviroots.checks import all_parabolic_designations
 from leviroots.rootsys import all_simple_types
@@ -19,6 +18,8 @@ from leviroots.series import (
     series_document,
     upper_series_oracle,
 )
+
+from conftest import replace
 
 
 def test_order_of():

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,6 +13,8 @@ from leviroots import slnx
 from leviroots.rootsys import SimpleType, cartan_matrix, generate
 from leviroots.checks import all_parabolic_designations
 from leviroots.slnx import Composition, composition_of, designation_of, sln_document
+
+from conftest import replace
 
 
 def test_composition_validation():
