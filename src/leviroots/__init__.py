@@ -9,9 +9,8 @@ subalgebras obtained from the extended Dynkin diagram.
 
 The package exports its key entry points and error classes; everything
 else lives in its submodule (``rootsys``, ``levi``, ``series``, ``bds``,
-``slnx``, ``checks``, ``exactlin``, ``cli``).  Importing the package
-loads no submodule: each exported name imports its submodule on first
-access.
+``slnx``, ``checks``, ``cli``).  Importing the package loads no
+submodule: each exported name imports its submodule on first access.
 """
 
 from importlib import import_module

@@ -23,14 +23,15 @@ from itertools import product
 from math import isqrt
 from operator import mul
 
-from . import exactlin
 from .errors import InvalidCartan, InvalidPair, IrreducibilityViolation, NotFiniteType, SimpleSystemFailure
-from .exactlin import RatVec
 from .rootsys import CartanMatrix, FrozenRecord, Root, RootSystem, SimpleType, _validate_cartan, mask_bits
 
 
 def _require_node(rs: RootSystem, j: int) -> None:
-    """Reject a node number outside the ordinary diagram's 1..rank."""
+    """Reject a node number that is not an int (2.0, True) or lies outside
+    the ordinary diagram's 1..rank."""
+    if isinstance(j, bool) or not isinstance(j, int):
+        raise InvalidPair(f"node {j!r} is not an integer")
     if not 1 <= j <= rs.rank:
         raise InvalidPair(f"node {j} out of range 1..{rs.rank}")
 
@@ -313,19 +314,9 @@ def residue_irreducibility(model: SubalgebraModel, k: int) -> Root:
     return rs.indexed[top.bit_length() - 1]
 
 
-class ResidueBracketReport:
-    """Outcome of one residue multiplication check (classes add mod n)."""
-
-    __slots__ = ("p", "q", "r", "ok", "failures")
-
-    def __init__(self, p, q, r, ok, failures):
-        self.p, self.q, self.r = p, q, r
-        self.ok = ok
-        self.failures = failures
-
-
-def residue_bracket_check(model: SubalgebraModel, p: int, q: int) -> ResidueBracketReport:
-    """Check that root sums from classes p and q fill class p+q mod n.
+def residue_bracket_check(model: SubalgebraModel, p: int, q: int) -> tuple[str, ...]:
+    """Check that root sums from classes p and q fill class p+q mod n, and
+    return the failure texts (none when they do).
 
     Requires p + q nonzero mod n (otherwise sums land in the subalgebra
     itself rather than a residue class).
@@ -339,14 +330,10 @@ def residue_bracket_check(model: SubalgebraModel, p: int, q: int) -> ResidueBrac
     residues = model.residues
     got = model.rs.sum_table().sums(mask_bits(residues[p]), residues[q])
     expected = residues.get(r, 0)  # a damaged model may lack class r
-    failures = []
-    if got != expected:
-        missing = (expected & ~got).bit_count()
-        extra = (got & ~expected).bit_count()
-        failures.append(
-            f"classes {p}+{q}: image misses {missing} and adds {extra} roots vs class {r}"
-        )
-    return ResidueBracketReport(p, q, r, not failures, tuple(failures))
+    if got == expected:
+        return ()
+    missing, extra = (expected & ~got).bit_count(), (got & ~expected).bit_count()
+    return (f"classes {p}+{q}: image misses {missing} and adds {extra} roots vs class {r}",)
 
 
 def maximal_equal_rank(rs: RootSystem) -> list[tuple[int, DiagramClass]]:
@@ -364,15 +351,6 @@ def _is_prime(n: int) -> bool:
     if n < 2:
         return False
     return all(n % d for d in range(2, isqrt(n) + 1))
-
-
-def alcove_vertex(rs: RootSystem, j: int) -> RatVec:
-    """Fixed-point coordinates at node j: 1/mark in the coweight basis."""
-    _require_node(rs, j)
-    n = rs.marks[j - 1]
-    return tuple(
-        Fraction(1, n) if i == j - 1 else Fraction(0) for i in range(rs.rank)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +377,9 @@ def _node_entry(ext: ExtendedDiagram, j: int) -> dict:
         "subalgebra_root_count": model.root_set.bit_count(),
         "simple_roots": [list(r) for r in model.simple_roots],
         "cartan": [list(row) for row in _cartan_of(rs, model.simple_roots)],
-        "alcove_vertex": [exactlin.rat_str(c) for c in alcove_vertex(rs, j)],
+        # the fixed-point vertex: 1/mark at node j in the coweight basis
+        "alcove_vertex": [str(Fraction(1, model.mark)) if i == j else "0"
+                          for i in range(1, rs.rank + 1)],
         "residues": residues,
     }
 

@@ -410,7 +410,7 @@ def check_node(rs: RootSystem, ext, j: int) -> NodeReport:
         for q in present:
             if (p + q) % n == 0:
                 continue
-            for msg in residue_bracket_check(model, p, q).failures:
+            for msg in residue_bracket_check(model, p, q):
                 failures.append(Failure("residue-bracket", label, msg))
     return NodeReport(j, n, classes, tuple(failures))
 
@@ -477,11 +477,11 @@ def check_type(rs: RootSystem, all_parabolics: bool = False) -> TypeReport:
             comp = slnx.composition_of(des)
             subject = f"blocks={list(comp.parts)}"
             try:  # the crosscheck builds the t-root system again
-                rep = slnx.crosscheck(comp, rs)
+                msgs = slnx.crosscheck(comp, rs)
             except LeviRootsError as exc:
                 sln_failures.append(Failure("block-crosscheck", subject, str(exc)))
                 continue
-            for msg in rep.failures:
+            for msg in msgs:
                 sln_failures.append(Failure("block-crosscheck", subject, msg))
     # the maximal table is the prime-mark nodes; one whose classification
     # failed is already a reported failure

@@ -8,6 +8,10 @@ phi's integer coefficients on the deleted nodes: that tuple is the
 package.  The rational projection vector is derived data, computed on
 demand by orthogonal projection away from the kept span.
 
+The projection and the t-root form come from ``eliminate``, one
+fraction-free elimination (Bareiss, 1968) whose divisions are all exact;
+nothing is floating point, and a ``Fraction`` is built only for output.
+
 Each t-root space g_nu is certified irreducible under m here, by a
 unique highest-weight root and a unique lowest-weight root, which
 ``RootSystem.weight_certificate`` reads off the raising mask of the kept
@@ -23,12 +27,67 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from operator import add, mul
 
-from . import exactlin
 from .errors import InvalidDesignation, IrreducibilityViolation, NotFiniteType
-from .exactlin import RatVec
 from .rootsys import Root, RootSystem, mask_bits
 
 Key = tuple[int, ...]
+
+
+def eliminate(rows: list[list[int]], ncols: int, jordan: bool = False) -> tuple[int, int, int]:
+    """Fraction-free elimination of an integer matrix, in place.
+
+    Pivots are sought in the first ``ncols`` columns, left to right: the
+    first nonzero entry at or below the next pivot row, swapped up; a
+    column without one is skipped (exact integers need no pivoting for
+    stability).  With pivot p and previous pivot q (1 at first), every
+    row r below the pivot row (every other row, if ``jordan``) becomes
+    (p*r - r[c]*pivot row) / q, an exact division.
+    Returns the number of pivots, the last pivot (1 if none) and the sign
+    of the row permutation.
+
+    After k pivots with no swap, the last pivot is det(B) for the leading
+    k x k block B, and the rows below hold det(B) times the Schur
+    complement of B.  With ``jordan``, each pivot row also has the last
+    pivot on its diagonal and zeros in the other pivot columns.  The
+    determinant of a square matrix is the sign times the last pivot at
+    full rank, 0 below it.
+    """
+    n = len(rows)
+    rank, prev, sign = 0, 1, 1
+    for c in range(ncols):
+        pivot = next((r for r in range(rank, n) if rows[r][c]), None)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            sign = -sign
+        prow = rows[rank]
+        p = prow[c]
+        # below the pivot row, the columns left of c are already zero
+        start = 0 if jordan else c
+        for r in range(0 if jordan else rank + 1, n):
+            if r != rank:
+                row = rows[r]
+                f = row[c]
+                for t in range(start, len(row)):
+                    row[t] = (p * row[t] - f * prow[t]) // prev
+        prev = p
+        rank += 1
+    return rank, prev, sign
+
+
+def _node_set(nodes: Iterable[int]) -> frozenset[int]:
+    """The node numbers as a set, each an int (never 2.0 for 2 or True for
+    1) and named once."""
+    nodes = tuple(nodes)
+    for k in nodes:
+        if isinstance(k, bool) or not isinstance(k, int):
+            raise InvalidDesignation(f"node index {k!r} is not an integer")
+    out = frozenset(nodes)
+    if len(out) < len(nodes):
+        twice = sorted({k for k in nodes if nodes.count(k) > 1})
+        raise InvalidDesignation(f"node indices named twice: {twice}")
+    return out
 
 
 class ParabolicDesignation:
@@ -37,7 +96,7 @@ class ParabolicDesignation:
     __slots__ = ("rs", "deleted", "kept0", "deleted0")
 
     def __init__(self, rs: RootSystem, kept_nodes: Iterable[int]):
-        kept = frozenset(kept_nodes)
+        kept = _node_set(kept_nodes)
         nodes = frozenset(range(1, rs.rank + 1))
         if not kept <= nodes:
             bad = sorted(kept - nodes)
@@ -65,16 +124,13 @@ def designation(rs: RootSystem, kept: Iterable[int] | None = None,
     """Build a designation from either the kept or the deleted node set."""
     if (kept is None) == (deleted is None):
         raise InvalidDesignation("give exactly one of kept= or deleted=")
-    nodes = tuple(deleted if kept is None else kept)
-    twice = sorted({k for k in nodes if nodes.count(k) > 1})
-    if twice:
-        raise InvalidDesignation(f"node indices named twice: {twice}")
+    nodes = _node_set(deleted if kept is None else kept)
     if kept is None:
         if not nodes:
             raise InvalidDesignation("deleted no node; the parabolic must be proper")
         # the symmetric difference keeps an out-of-range node in the kept
         # set, where the constructor's range check names it
-        nodes = frozenset(range(1, rs.rank + 1)) ^ frozenset(nodes)
+        nodes = frozenset(range(1, rs.rank + 1)) ^ nodes
     return ParabolicDesignation(rs, nodes)
 
 
@@ -179,18 +235,15 @@ class TRootSystem:
     def key_index(self) -> dict[int, Key]:
         """Each t-root by its integer encoding, read from ``keys`` on first use.
 
-        A key is encoded like a root, by ``rs.encode``, whose digits stop at
-        the key's width.  Keys are bounded by the marks of the deleted nodes,
-        and the encoding is collision-free up to twice that bound, so the
-        encoding of a sum or difference of two t-roots is in the index
-        exactly when the sum or difference is a t-root.
+        A key is encoded like a root, by ``rs.encode``: generate's base,
+        alpha_1's digit first, the digits stopping at the key's width.  The
+        encoding adds and is injective on sums and differences of two keys,
+        so the encoding of a sum or difference of two t-roots is in the
+        index exactly when the sum or difference is a t-root.
         """
         if self._troots is None:
             self._troots = {self.rs.encode(k): k for k in self.keys}
         return self._troots
-
-    def space(self, key) -> TRootSpace:
-        return self.spaces[tuple(key)]
 
     # -- exact geometry ---------------------------------------------------
 
@@ -211,14 +264,14 @@ class TRootSystem:
             gram = self.rs.gram
             rows = [[gram[a][b] for b in order] for a in order]
             k = len(K)
-            rank, det, _ = exactlin.eliminate(rows, k, jordan=True)
+            rank, det, _ = eliminate(rows, k, jordan=True)
             if rank != k or det <= 0:
                 raise NotFiniteType("the kept Gram block is not positive definite")
             self._form = det, tuple(tuple(row[k:]) for row in rows[k:])
             self._proj = tuple(row[k:] for row in rows[:k])
         return self._form
 
-    def troot_vec(self, key: Sequence[int]) -> RatVec:
+    def troot_vec(self, key: Sequence[int]) -> tuple[Fraction, ...]:
         """Rational vector of a key combination, in simple-root coordinates.
 
         The deleted simple roots projected away from the kept span: deleted
@@ -283,7 +336,7 @@ class TRootSystem:
         the certificate that ``__init__`` runs on each positive space."""
         rs = self.rs
         raised = rs.sum_table().reach(rs.simple_mask(self.designation.kept0))
-        top, bottom = _certify(rs, tuple(key), self.space(key).mask, raised)
+        top, bottom = _certify(rs, tuple(key), self.spaces[tuple(key)].mask, raised)
         return rs.indexed[top], rs.indexed[bottom]
 
     # -- serialization ----------------------------------------------------
@@ -309,7 +362,7 @@ class TRootSystem:
             "deleted": list(des.deleted),
             "spaces": spaces,
             "simples": [list(k) for k in self.simples],
-            "trace_vector": [exactlin.rat_str(v) for v in nilradical_trace(self)],
+            "trace_vector": [str(v) for v in nilradical_trace(self)],
         }
 
     def __repr__(self) -> str:
@@ -322,7 +375,7 @@ def troot_system(des: ParabolicDesignation) -> TRootSystem:
     return TRootSystem(des)
 
 
-def nilradical_trace(trsys: TRootSystem) -> RatVec:
+def nilradical_trace(trsys: TRootSystem) -> tuple[Fraction, ...]:
     """Covector representing x -> trace(ad x | nilradical) on the center.
 
     Equals the dimension-weighted sum of the positive t-roots; it pairs

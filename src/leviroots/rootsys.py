@@ -295,6 +295,9 @@ class RootSums:
 class RootSystem:
     """An irreducible finite root system with its exact bilinear form.
 
+    ``generate`` builds it and hands over its keys of the positives, which
+    are the one root encoding (``encode``); the constructor encodes nothing.
+
     Attributes
     ----------
     stype : SimpleType or None (None when built from an explicit matrix
@@ -316,7 +319,7 @@ class RootSystem:
         "_enc_index", "_sums", "_columns", "_coef_masks",
     )
 
-    def __init__(self, stype, cartan, d, positives):
+    def __init__(self, stype, cartan, d, positives, encs, pows):
         self.stype = stype
         self.rank = len(cartan)
         self.cartan = cartan
@@ -325,18 +328,13 @@ class RootSystem:
             tuple(cartan[i][j] * d[j] for j in range(self.rank)) for i in range(self.rank)
         )
         self.positives = positives
-        self.indexed = positives + tuple(tuple(-c for c in r) for r in positives)
+        self.indexed = positives + tuple([tuple([-c for c in r]) for r in positives])
         self.index = {r: i for i, r in enumerate(self.indexed)}
         self.roots = frozenset(self.indexed)
-        self.highest_root = positives[-1]
-        if len(positives) > 1 and sum(positives[-2]) == sum(positives[-1]):
-            raise NotFiniteType("highest root is not unique; matrix is not irreducible")
-        self.marks = self.highest_root
-        # integer encoding: collision-free for coordinate vectors bounded by 2*max(marks)
-        base = 4 * max(self.marks) + 1
-        self._pows = tuple(base ** i for i in range(self.rank))
-        pos_encs = [self.encode(r) for r in positives]
-        self._encs = tuple(pos_encs + [-e for e in pos_encs])
+        self.highest_root = self.marks = positives[-1]
+        # generate's keys of the positives, and the powers of its base
+        self._pows = pows
+        self._encs = encs + tuple([-e for e in encs])
         self._enc_index = {e: i for i, e in enumerate(self._encs)}
         self._sums = None
         self._columns = None
@@ -345,7 +343,15 @@ class RootSystem:
     # -- basic queries ------------------------------------------------
 
     def encode(self, coeffs) -> int:
-        """Positional integer encoding of a coefficient vector."""
+        """The key of a coefficient vector, as ``generate`` keys a root.
+
+        Its digits are the coefficients in base 2*bound + 2, alpha_1 the
+        lowest, so a key's digits stop at its width.  The encoding adds, and
+        it is injective on vectors whose entries differ by less than the
+        base.  That covers every sum or difference of two roots or of two
+        t-root keys: their entries are at most twice the largest mark, and
+        from rank 2 on the base exceeds four times the largest mark.
+        """
         return sum(map(mul, coeffs, self._pows))
 
     def sum_table(self) -> RootSums:
@@ -401,24 +407,6 @@ class RootSystem:
         """The roots in a bitmask, in numbering order."""
         return tuple(compress(self.indexed, _bit_flags(mask)))
 
-    def form(self, v, w):
-        """Symmetrized Cartan form of two coefficient vectors.
-
-        Exact: integer for integer vectors, Fraction otherwise.
-        """
-        gram = self.gram
-        total = 0
-        for i, vi in enumerate(v):
-            if vi == 0:
-                continue
-            row = gram[i]
-            acc = 0
-            for j, wj in enumerate(w):
-                if wj != 0:
-                    acc += row[j] * wj
-            total += vi * acc
-        return total
-
     # -- serialization ------------------------------------------------
 
     def document(self) -> dict:
@@ -450,10 +438,13 @@ def generate(cartan, stype: SimpleType | None = None) -> RootSystem:
     Each root carries both from one step below: its pairings are those of
     the root it extends plus row i of the matrix, and p_i is one more
     than the depth of phi - alpha_i when that is a root, else 0.  Roots
-    are keyed by their base-(2*bound + 2) encoding, alpha_1 the top digit:
-    no coefficient exceeds the height cap 2*bound, so no digit carries,
-    a step along alpha_i adds one power of the base, and within one
-    height numeric order is lex order.  All arithmetic is integer.
+    are keyed by their base-(2*bound + 2) encoding, alpha_1 the lowest
+    digit: no coefficient exceeds the height cap 2*bound, so no digit
+    carries and a step along alpha_i adds one power of the base.  Each
+    height is sorted by coefficient tuple, so the positives come in
+    (height, lex) order.  The keys and the powers of the base go into the
+    ``RootSystem`` as its one root encoding (``RootSystem.encode``).  All
+    arithmetic is integer.
 
     Raises NotFiniteType when closure overruns the classical root-count
     bound for the rank, and InvalidCartan for malformed input.
@@ -463,7 +454,7 @@ def generate(cartan, stype: SimpleType | None = None) -> RootSystem:
     n = len(cartan)
     bound = _max_positive_count(n)
     base = 2 * bound + 2
-    steps = [base ** (n - 1 - i) for i in range(n)]
+    steps = tuple(base ** i for i in range(n))
 
     # encoding -> (coefficients, pairings <phi, alpha_i^vee>, depths p_i)
     known = {
@@ -471,7 +462,9 @@ def generate(cartan, stype: SimpleType | None = None) -> RootSystem:
         for i in range(n)
     }
     get = known.get
-    level = sorted(known)
+    # each level by coefficient tuple, which the values lead with
+    level = sorted(known, key=get)
+    encs = list(level)
     positives = [known[e][0] for e in level]
     height = 1
     while level:
@@ -487,20 +480,23 @@ def generate(cartan, stype: SimpleType | None = None) -> RootSystem:
                 if up not in nxt:
                     nxt[up] = (phi[:i] + (phi[i] + 1,) + phi[i + 1:],
                                tuple(map(add, pairings, cartan[i])))
-        level = sorted(nxt)
+        level = sorted(nxt, key=nxt.get)
         for enc in level:
             phi, pairings = nxt[enc]
             depths = tuple(below[2][i] + 1 if (below := get(enc - step)) else 0
                            for i, step in enumerate(steps))
             known[enc] = (phi, pairings, depths)
             positives.append(phi)
+        encs += level
         if len(positives) > bound:
             raise NotFiniteType(
                 f"closure produced more than {bound} positive roots at rank {n}"
             )
     if any(c <= 0 for c in positives[-1]):
         raise NotFiniteType("highest root has a zero coefficient; matrix is decomposable")
-    return RootSystem(stype, cartan, d, tuple(positives))
+    if len(positives) > 1 and sum(positives[-2]) == sum(positives[-1]):
+        raise NotFiniteType("highest root is not unique; matrix is not irreducible")
+    return RootSystem(stype, cartan, d, tuple(positives), tuple(encs), steps)
 
 
 def root_system(name: str | SimpleType, max_rank: int = DEFAULT_MAX_RANK) -> RootSystem:

@@ -19,11 +19,6 @@ from .levi import Key, TRootSystem
 from .rootsys import mask_bits
 
 
-def order_of(key) -> int:
-    """Grading order of a key: the sum of its entries."""
-    return sum(key)
-
-
 class Grading:
     """Positive t-roots bucketed by order, plus the top order."""
 
@@ -46,7 +41,7 @@ def grading(trsys: TRootSystem) -> Grading:
     """
     levels: dict[int, list[Key]] = {}
     for key in trsys.positives:
-        levels.setdefault(order_of(key), []).append(key)
+        levels.setdefault(sum(key), []).append(key)
     rs = trsys.rs
     D = trsys.designation.deleted0
     k_cent = sum(rs.marks[d] for d in D)

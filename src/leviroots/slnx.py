@@ -85,19 +85,7 @@ class BlockEntry:
         self.acting_blocks = acting_blocks
 
 
-class BlockTRootTable:
-    __slots__ = ("comp", "entries")
-
-    def __init__(self, comp: Composition, entries: tuple[BlockEntry, ...]):
-        self.comp = comp
-        self.entries = entries
-
-    @property
-    def count(self) -> int:
-        return len(self.entries)
-
-
-def block_table(comp: Composition) -> BlockTRootTable:
+def block_table(comp: Composition) -> tuple[BlockEntry, ...]:
     """All off-diagonal blocks with dimensions and keys, from combinatorics.
 
     The key of block (r, s) with r < s marks the cut points q with
@@ -121,23 +109,12 @@ def block_table(comp: Composition) -> BlockTRootTable:
                 key, hi - lo, acting,
             ))
     entries.sort(key=lambda e: (e.order, e.key, e.row))
-    return BlockTRootTable(comp, tuple(entries))
+    return tuple(entries)
 
 
-class CrossCheckReport:
-    """Agreement record between block combinatorics and the general machinery."""
-
-    __slots__ = ("comp", "ok", "failures", "count")
-
-    def __init__(self, comp, ok, failures, count):
-        self.comp = comp
-        self.ok = ok
-        self.failures = failures
-        self.count = count
-
-
-def crosscheck(comp: Composition, rs: RootSystem | None = None) -> CrossCheckReport:
-    """Verify blocks against the restriction pipeline on A_{n-1}.
+def crosscheck(comp: Composition, rs: RootSystem | None = None) -> tuple[str, ...]:
+    """Verify blocks against the restriction pipeline on A_{n-1}, and return
+    the failure texts (none when they agree).
 
     Checks that the block keys are exactly the t-root keys, that each
     space has its block's dimension, and the acting-blocks rule: a
@@ -147,10 +124,9 @@ def crosscheck(comp: Composition, rs: RootSystem | None = None) -> CrossCheckRep
     """
     des = designation_of(comp, rs)
     trsys = troot_system(des)
-    table = block_table(comp)
     failures = []
 
-    by_key = {e.key: e for e in table.entries}
+    by_key = {e.key: e for e in block_table(comp)}
     space_keys = set(trsys.spaces)
     if set(by_key) != space_keys:
         failures.append(
@@ -179,18 +155,18 @@ def crosscheck(comp: Composition, rs: RootSystem | None = None) -> CrossCheckRep
                     f"block {e.row},{e.col}: diagonal block {b} "
                     f"{'acts' if moves else 'is inert'} contrary to the table"
                 )
-    return CrossCheckReport(comp, not failures, tuple(failures), len(table.entries))
+    return tuple(failures)
 
 
 def sln_document(comp: Composition) -> dict:
     """JSON-ready description of the block table."""
-    table = block_table(comp)
+    entries = block_table(comp)
     return {
         "schema": "leviroots.sln/1",
         "n": comp.n,
         "blocks": list(comp.parts),
         "deleted_nodes": list(comp.cuts()),
-        "troot_count": table.count,
+        "troot_count": len(entries),
         "spaces": [
             {
                 "row": e.row,
@@ -200,6 +176,6 @@ def sln_document(comp: Composition) -> dict:
                 "order": e.order,
                 "acting_blocks": list(e.acting_blocks),
             }
-            for e in table.entries
+            for e in entries
         ],
     }

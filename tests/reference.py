@@ -11,14 +11,18 @@ against a sweep report.
 
 ``generate`` is the closure that ``leviroots.rootsys.generate`` replaced:
 it walks every alpha_i string down through a set of root tuples and sums
-every pairing afresh, and finds the symmetrizers with ``Fraction``.
+every pairing afresh, and finds the symmetrizers with ``Fraction``.  It
+encodes no root, and returns the positives and the symmetrizers alone.
+``form`` is the symmetrized Cartan form of two coefficient vectors, summed
+entry by entry on the Gram matrix.
 """
 
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from leviroots.errors import InvalidCartan, NotFiniteType
-from leviroots.rootsys import RootSystem, _max_positive_count, _validate_cartan
+from leviroots.rootsys import _max_positive_count, _validate_cartan
 
 
 def _shift(key, step, j=1):
@@ -122,7 +126,25 @@ def string_report(trsys, gamma, nu):
     return line[0], line[-1], failures
 
 
-# -- root generation -------------------------------------------------------
+# -- the form and root generation -------------------------------------------
+
+
+def form(rs, v, w):
+    """Symmetrized Cartan form of two coefficient vectors on ``rs.gram``.
+
+    Exact: integer for integer vectors, Fraction otherwise.
+    """
+    total = 0
+    for i, vi in enumerate(v):
+        if vi == 0:
+            continue
+        row = rs.gram[i]
+        acc = 0
+        for j, wj in enumerate(w):
+            if wj != 0:
+                acc += row[j] * wj
+        total += vi * acc
+    return total
 
 
 def symmetrizers(cartan):
@@ -155,8 +177,14 @@ def symmetrizers(cartan):
     return tuple(x // g for x in ints)
 
 
-def generate(cartan, stype=None):
-    """The root system of a Cartan matrix by breadth-first string walks.
+class Generated(NamedTuple):
+    positives: tuple
+    d: tuple
+
+
+def generate(cartan):
+    """The positive roots and symmetrizers of a Cartan matrix by
+    breadth-first string walks.
 
     A positive root phi extends by alpha_i when p - <phi, alpha_i^vee> is
     positive, p the number of steps down the alpha_i string that are
@@ -202,4 +230,6 @@ def generate(cartan, stype=None):
     positives.sort(key=lambda r: (sum(r), r))
     if any(c <= 0 for c in positives[-1]):
         raise NotFiniteType("highest root has a zero coefficient; matrix is decomposable")
-    return RootSystem(stype, cartan, d, tuple(positives))
+    if len(positives) > 1 and sum(positives[-2]) == sum(positives[-1]):
+        raise NotFiniteType("highest root is not unique; matrix is not irreducible")
+    return Generated(tuple(positives), d)

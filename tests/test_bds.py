@@ -15,9 +15,9 @@ from leviroots import (
 )
 from leviroots.bds import (
     DiagramClass,
+    SubalgebraModel,
     _cartan_of,
     _is_prime,
-    alcove_vertex,
     bds_document,
     delete_node,
     extended_dot,
@@ -29,6 +29,7 @@ from leviroots.rootsys import SimpleType, all_simple_types, cartan_matrix
 from fractions import Fraction as Q
 
 from conftest import classical_root_count, fraction_det
+from reference import form
 
 
 def test_extended_diagram_g2(g2):
@@ -54,7 +55,7 @@ def test_links_match_form():
         psi = rs.highest_root
         for i in range(rs.rank):
             unit = tuple(1 if j == i else 0 for j in range(rs.rank))
-            assert ext.links[i] * rs.form(unit, unit) == 2 * rs.form(psi, unit)
+            assert ext.links[i] * form(rs, unit, unit) == 2 * form(rs, psi, unit)
 
 
 # classification round-trips: the named Cartan matrix classifies to itself
@@ -123,6 +124,16 @@ def test_delete_node_g2(g2):
         delete_node(ext, 3)
 
 
+@pytest.mark.parametrize("bad", [True, 2.0, "2"])
+def test_node_numbers_must_be_ints(g2, bad):
+    # never coerced: True is not node 1, and 2.0 is not node 2
+    message = f"node {bad!r} is not an integer"
+    with pytest.raises(InvalidPair, match=re.escape(message)):
+        bds_document(g2, node=bad)
+    with pytest.raises(InvalidPair, match=re.escape(message)):
+        subalgebra_roots(g2, bad)
+
+
 def test_subalgebra_roots_g2(g2):
     model = subalgebra_roots(g2, 2)
     assert model.mark == 2
@@ -172,10 +183,15 @@ def test_residue_irreducibility_g2(g2):
 
 def test_residue_brackets_g2(g2):
     model = subalgebra_roots(g2, 1)  # mark 3: classes 1 and 2
-    rep = residue_bracket_check(model, 1, 1)
-    assert rep.ok and rep.r == 2
-    rep = residue_bracket_check(model, 2, 2)
-    assert rep.ok and rep.r == 1
+    assert residue_bracket_check(model, 1, 1) == ()
+    assert residue_bracket_check(model, 2, 2) == ()
+    # with the target class emptied, the failure names it: 1+1 = 2, 2+2 = 1
+    for p, r in ((1, 2), (2, 1)):
+        sizes = model.residues[r].bit_count()
+        residues = {**model.residues, r: 0}
+        damaged = SubalgebraModel(g2, 1, 3, model.root_set, model.simple_roots, residues)
+        assert residue_bracket_check(damaged, p, p) == (
+            f"classes {p}+{p}: image misses 0 and adds {sizes} roots vs class {r}",)
     with pytest.raises(InvalidPair):
         residue_bracket_check(model, 1, 2)  # sums land in the subalgebra
 
@@ -211,11 +227,15 @@ def test_maximal_empty_for_a(rank):
 
 
 def test_alcove_vertex(g2, f4):
-    assert alcove_vertex(g2, 1) == (Q(1, 3), 0)
-    assert alcove_vertex(g2, 2) == (0, Q(1, 2))
-    assert alcove_vertex(f4, 3) == (0, 0, Q(1, 4), 0)
+    def vertex(rs, j):
+        [node] = bds_document(rs, node=j)["nodes"]
+        return tuple(map(Q, node["alcove_vertex"]))
+
+    assert vertex(g2, 1) == (Q(1, 3), 0)
+    assert vertex(g2, 2) == (0, Q(1, 2))
+    assert vertex(f4, 3) == (0, 0, Q(1, 4), 0)
     with pytest.raises(InvalidPair):
-        alcove_vertex(g2, 0)
+        vertex(g2, 0)
 
 
 def test_residue_sizes_partition(f4):

@@ -1,9 +1,14 @@
+"""levi's exact linear algebra: the fraction-free elimination, and how the
+documents print its rationals."""
+
 from fractions import Fraction as Q
 
 from hypothesis import given, settings, strategies as st
 
 from conftest import fraction_det, fraction_eliminate, fraction_solve
-from leviroots import exactlin
+from leviroots import designation, root_system, troot_system
+from leviroots.bds import bds_document
+from leviroots.levi import eliminate
 
 
 def jordan_solve(mat, rhss):
@@ -14,7 +19,7 @@ def jordan_solve(mat, rhss):
     """
     n = len(mat)
     rows = [list(mat[i]) + [rhs[i] for rhs in rhss] for i in range(n)]
-    rank, p, _ = exactlin.eliminate(rows, n, jordan=True)
+    rank, p, _ = eliminate(rows, n, jordan=True)
     if rank < n:
         return None
     return [tuple(Q(row[n + t], p) for row in rows) for t in range(len(rhss))]
@@ -48,7 +53,7 @@ def det(mat):
     """The determinant read off one elimination: the sign of the row swaps
     times the last pivot at full rank, 0 below it."""
     rows = [list(r) for r in mat]
-    rank, last, sign = exactlin.eliminate(rows, len(rows))
+    rank, last, sign = eliminate(rows, len(rows))
     return sign * last if rank == len(rows) else 0
 
 
@@ -65,7 +70,7 @@ def test_det_values():
 
 def rank_of(rows):
     """The rank of integer rows, not necessarily square: eliminate's pivot count."""
-    return exactlin.eliminate([list(r) for r in rows], len(rows[0]))[0]
+    return eliminate([list(r) for r in rows], len(rows[0]))[0]
 
 
 def test_rank_of():
@@ -87,10 +92,14 @@ def test_project_empty_span():
 
 
 def test_rat_str():
-    assert exactlin.rat_str(Q(3, 2)) == "3/2"
-    assert exactlin.rat_str(Q(-1, 3)) == "-1/3"
-    assert exactlin.rat_str(2) == "2"
-    assert exactlin.rat_str(Q(4, 2)) == "2"
+    # the documents print each rational as str(Fraction(x)): '2', '-1/3',
+    # never '4/2', and Fraction parses it back exactly
+    for x, text in ((Q(3, 2), "3/2"), (Q(-1, 3), "-1/3"), (2, "2"), (Q(4, 2), "2")):
+        assert str(Q(x)) == text and Q(text) == x
+    [node] = bds_document(root_system("F4"), node=3)["nodes"]
+    assert node["alcove_vertex"] == ["0", "0", "1/4", "0"]
+    trace = troot_system(designation(root_system("G2"), kept=[1])).document()["trace_vector"]
+    assert trace == ["9", "6"]
 
 
 @given(st.lists(st.integers(-50, 50), min_size=2, max_size=4))
@@ -154,6 +163,6 @@ def test_eliminate_leaves_scaled_schur_complement():
     # leading block [[2, -1], [-1, 2]] (det 3) of the A3 Cartan matrix: the
     # rows below hold 3 * (2 - (0, -1) B^-1 (0, -1)^T) = 3 * 4/3
     rows = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
-    assert exactlin.eliminate(rows, 2) == (2, 3, 1)
+    assert eliminate(rows, 2) == (2, 3, 1)
     assert rows[2][2] == 4
 

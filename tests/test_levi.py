@@ -9,7 +9,7 @@ from leviroots import (
     root_system,
     troot_system,
 )
-from leviroots.levi import nilradical_trace
+from leviroots.levi import ParabolicDesignation, nilradical_trace
 from conftest import fraction_solve
 from reference import bracket_image, sign_rule, string_report
 from leviroots.checks import all_parabolic_designations
@@ -42,12 +42,23 @@ def test_designation_validation(a2):
     ({"deleted": ()}, "deleted no node; the parabolic must be proper"),
     ({"deleted": (1, 1)}, "node indices named twice: [1]"),
     ({"kept": (2, 1, 2, 1)}, "node indices named twice: [1, 2]"),
+    # node numbers are ints: True is not node 1, nor 2.0 node 2
+    ({"kept": [True]}, "node index True is not an integer"),
+    ({"deleted": [2.0]}, "node index 2.0 is not an integer"),
+    ({"kept": [1.0]}, "node index 1.0 is not an integer"),
+    ({"deleted": [1, True]}, "node index True is not an integer"),
 ])
 def test_designation_rejects_bad_nodes(a2, kwargs, message):
     # kept= and deleted= share the constructor's range check
     with pytest.raises(InvalidDesignation) as err:
         designation(a2, **kwargs)
     assert str(err.value) == message
+
+
+def test_designation_constructor_rejects_non_int_nodes(a2):
+    for bad in ([True], [1.0], ["1"]):
+        with pytest.raises(InvalidDesignation, match="is not an integer"):
+            ParabolicDesignation(a2, bad)
 
 
 def test_a2_keep2_worked_example(a2):

@@ -1,6 +1,7 @@
 import re
 from fractions import Fraction as Q
 from itertools import combinations
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +18,7 @@ from leviroots import (
     troot_system,
 )
 from leviroots.bds import bds_document, maximal_document
+from leviroots.checks import all_parabolic_designations, standard_designations
 from leviroots.series import series_document
 from leviroots.rootsys import (
     SimpleType,
@@ -121,21 +123,21 @@ def test_highest_root_is_long():
     for name in ("B3", "C3", "F4", "G2"):
         rs = root_system(name)
         psi = rs.highest_root
-        length = rs.form(psi, psi)
-        assert length == max(rs.form(r, r) for r in rs.roots)
+        length = reference.form(rs, psi, psi)
+        assert length == max(reference.form(rs, r, r) for r in rs.roots)
 
 
 def test_form_values_a2(a2):
-    assert a2.form((1, 0), (1, 0)) == 2
-    assert a2.form((1, 0), (0, 1)) == -1
-    assert a2.form((Q(1), Q(1, 2)), (Q(1), Q(1, 2))) == Q(3, 2)
+    assert reference.form(a2, (1, 0), (1, 0)) == 2
+    assert reference.form(a2, (1, 0), (0, 1)) == -1
+    assert reference.form(a2, (Q(1), Q(1, 2)), (Q(1), Q(1, 2))) == Q(3, 2)
 
 
 def test_form_values_g2(g2):
-    assert g2.form((1, 0), (1, 0)) == 2
-    assert g2.form((0, 1), (0, 1)) == 6
-    assert g2.form((1, 0), (0, 1)) == -3
-    assert g2.form(g2.highest_root, g2.highest_root) == 6
+    assert reference.form(g2, (1, 0), (1, 0)) == 2
+    assert reference.form(g2, (0, 1), (0, 1)) == 6
+    assert reference.form(g2, (1, 0), (0, 1)) == -3
+    assert reference.form(g2, g2.highest_root, g2.highest_root) == 6
 
 
 def test_root_strings_have_no_gaps(g2):
@@ -188,9 +190,29 @@ def test_generate_explicit_matrix_matches_named():
     assert rs.stype is None
 
 
-def test_encode_roundtrip(f4):
-    # encodings of distinct roots never collide
-    assert len({f4.encode(r) for r in f4.roots}) == len(f4.roots)
+def _encodes_injectively(rs, vectors):
+    """Whether rs.encode is injective on zero, the vectors and every sum of
+    two of them; vectors closed under negation make the sums cover the
+    differences."""
+    assert {tuple([-c for c in v]) for v in vectors} == set(vectors)
+    vecs = {(0,) * len(vectors[0]), *vectors}
+    vecs.update(tuple(map(add, a, b)) for i, a in enumerate(vectors) for b in vectors[i:])
+    return len({rs.encode(v) for v in vecs}) == len(vecs)
+
+
+def test_encode_roundtrip():
+    # the one encoding, generate's key, on every type of rank <= 12: each
+    # root's encoding is its entry in _encs, and the sums and differences
+    # of two roots, and of two t-root keys, encode injectively, which the
+    # sum table and key_index rely on.  The Borel's keys are the roots
+    for stype in all_simple_types(12):
+        rs = root_system(stype)
+        assert [rs.encode(phi) for phi in rs.indexed] == list(rs._encs), stype
+        assert _encodes_injectively(rs, rs.indexed), stype
+        scope = all_parabolic_designations(rs) if rs.rank <= 4 else standard_designations(rs)
+        for des in scope:
+            if len(des.deleted) < rs.rank:
+                assert _encodes_injectively(rs, troot_system(des).keys), (stype, des.deleted)
 
 
 def test_negation_closure():
@@ -217,7 +239,7 @@ def test_sum_of_two_roots_is_root_or_not_by_form(stype):
         for psi in roots:
             if phi == psi or all(a + b == 0 for a, b in zip(phi, psi)):
                 continue
-            if rs.form(phi, psi) < 0:
+            if reference.form(rs, phi, psi) < 0:
                 assert tuple(a + b for a, b in zip(phi, psi)) in rs.roots
 
 

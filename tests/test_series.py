@@ -14,7 +14,6 @@ from leviroots.rootsys import all_simple_types
 from leviroots.series import (
     _nilradical_sums,
     lower_series_oracle,
-    order_of,
     series_document,
     upper_series_oracle,
 )
@@ -23,8 +22,12 @@ from conftest import replace
 
 
 def test_order_of():
-    assert order_of((1, 0, 2)) == 3
-    assert order_of((1,)) == 1
+    # the order of a key is the sum of its entries: (0, 1, 2) has order 3
+    # and (1,) order 1
+    levels = grading(troot_system(designation(root_system("B3"), kept=()))).levels
+    assert (0, 1, 2) in levels[3]
+    assert all(sum(key) == k for k, keys in levels.items() for key in keys)
+    assert grading(troot_system(designation(root_system("A2"), deleted=[1]))).levels[1] == ((1,),)
 
 
 def test_borel_a2_grading(a2):

@@ -43,12 +43,12 @@ def test_roots_verb_loads_only_rootsys():
 
 # each verb's modules besides leviroots, errors and rootsys
 VERB_MODULES = {
-    "troots A3 --delete 2": {"levi", "exactlin"},
-    "series G2 --delete 1,2": {"levi", "exactlin", "series"},
-    "bds G2": {"bds", "exactlin"},
-    "maximal G2": {"bds", "exactlin"},
-    "sln 2,1": {"levi", "exactlin", "slnx"},
-    "check G2": {"levi", "exactlin", "series", "bds", "slnx", "checks"},
+    "troots A3 --delete 2": {"levi"},
+    "series G2 --delete 1,2": {"levi", "series"},
+    "bds G2": {"bds"},
+    "maximal G2": {"bds"},
+    "sln 2,1": {"levi", "slnx"},
+    "check G2": {"levi", "series", "bds", "slnx", "checks"},
 }
 
 
