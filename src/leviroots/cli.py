@@ -19,14 +19,24 @@ import json
 import sys
 
 from .errors import InvalidCartan, InvalidRank, LeviRootsError
-from .rootsys import DEFAULT_MAX_RANK, RootSystem, generate, root_system
+from .rootsys import DEFAULT_MAX_RANK, RootSystem, decimal, generate, root_system
+
+
+def _int(text: str) -> int:
+    number = decimal(text)
+    if number is None:  # argparse's own text for a type=int argument
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return number
 
 
 def _node_list(text: str) -> tuple[int, ...]:
     entries = text.split(",") if text.strip() else []  # --keep "" is the Borel
     if "" in map(str.strip, entries):
         raise argparse.ArgumentTypeError(f"empty entry in {text!r}")
-    return tuple(map(int, entries))
+    nodes = tuple(decimal(entry.strip()) for entry in entries)
+    if None in nodes:  # argparse names the text: invalid _node_list value: '1,a'
+        raise ValueError(text)
+    return nodes
 
 
 def _load_cartan(path: str):
@@ -105,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bds", parents=[common, typed],
                        help="equal-rank subalgebras from the extended diagram")
-    p.add_argument("--node", type=int, help="restrict to one node")
+    p.add_argument("--node", type=_int, help="restrict to one node")
     p.add_argument("--dot", action="store_true",
                    help="emit the extended diagram as Graphviz DOT")
 
@@ -121,7 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="run the invariant suite")
     p.add_argument("--all-parabolics", action="store_true",
                    help="sweep every designation instead of Borel + maximals")
-    p.add_argument("--max-rank", type=int, metavar="R",
+    p.add_argument("--max-rank", type=_int, metavar="R",
                    help="without a type: sweep all simple types of rank <= R")
     return parser
 

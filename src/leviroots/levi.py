@@ -12,23 +12,25 @@ The projection and the t-root form come from ``eliminate``, one
 fraction-free elimination (Bareiss, 1968) whose divisions are all exact;
 nothing is floating point, and a ``Fraction`` is built only for output.
 
-Each t-root space g_nu is certified irreducible under m here, by a
-unique highest-weight root and a unique lowest-weight root, which
+Each t-root space g_nu, held as the mask of the roots restricting to nu,
+is certified irreducible under m here, by a unique highest-weight root
+and a unique lowest-weight root, which
 ``RootSystem.weight_certificate`` reads off the raising mask of the kept
 simple roots, their reach in the root-sum table.
 The laws that the spaces obey together (the bracket law, the sign rule,
 the string law and the positivity of the nilradical trace) are checked,
-on the same data, by ``checks.check_designation``.
+on the same masks and the integer form ``scaled_form``, by
+``checks.check_designation``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from operator import add, mul
+from operator import mul
 
 from .errors import InvalidDesignation, IrreducibilityViolation, NotFiniteType
-from .rootsys import Root, RootSystem, mask_bits
+from .rootsys import Root, RootSystem
 
 Key = tuple[int, ...]
 
@@ -134,32 +136,6 @@ def designation(rs: RootSystem, kept: Iterable[int] | None = None,
     return ParabolicDesignation(rs, nodes)
 
 
-class TRootSpace:
-    """One t-root space: all roots restricting to the same nonzero key.
-
-    The space is its key and its roots, held once as a ``mask`` over the
-    numbering of ``rs.indexed`` (``indexed``).  ``roots`` decodes them for
-    output, in (height, lex) order; ``TRootSystem.extremes`` finds the
-    highest and lowest weight roots.
-    """
-
-    __slots__ = ("key", "mask", "indexed")
-
-    def __init__(self, key: Key, mask: int, indexed: tuple[Root, ...]):
-        self.key = key
-        self.mask = mask
-        self.indexed = indexed
-
-    @property
-    def dim(self) -> int:
-        return self.mask.bit_count()
-
-    @property
-    def roots(self) -> tuple[Root, ...]:
-        roots = map(self.indexed.__getitem__, mask_bits(self.mask))
-        return tuple(sorted(roots, key=lambda r: (sum(r), r)))
-
-
 def _certify(rs: RootSystem, key: Key, mask: int, raised: int) -> tuple[int, int]:
     """The numbers of the one highest and one lowest weight root of a space,
     ``raised`` the raising mask of the kept simple roots; any other count is
@@ -175,14 +151,15 @@ def _certify(rs: RootSystem, key: Key, mask: int, raised: int) -> tuple[int, int
 class TRootSystem:
     """All t-root spaces of one parabolic designation.
 
-    Spaces are indexed by key; iteration and serialization order is
-    (key height, key) ascending, so output is deterministic.
+    ``spaces`` maps each key to its t-root space, the roots restricting to
+    that key, as a mask over the numbering of ``rs.indexed``.  Iteration
+    and serialization order is (key height, key) ascending, so output is
+    deterministic.
     """
 
     __slots__ = (
         "designation", "rs", "spaces", "keys", "positives", "simples",
-        "delta_key", "_troots", "_nil_sums",
-        "_form", "_proj", "_pairings",
+        "delta_key", "_raised", "_nil_sums", "_form", "_proj",
     )
 
     def __init__(self, des: ParabolicDesignation):
@@ -191,7 +168,8 @@ class TRootSystem:
         self.rs = rs
         D = des.deleted0
         width = len(D)
-        raised = rs.sum_table().reach(rs.simple_mask(des.kept0))
+        # the raising mask of the kept simple roots, which certifies each space
+        self._raised = rs.sum_table().reach(rs.simple_mask(des.kept0))
 
         # each positive root's key, zipped from the deleted coefficient columns
         columns = rs.columns()
@@ -201,17 +179,14 @@ class TRootSystem:
         groups.pop((0,) * width, None)  # the Levi factor's roots
 
         positives = sorted(groups, key=lambda k: (sum(k), k))
-        pos_spaces, neg_spaces = [], []
         for key in positives:
-            mask = groups[key]
-            _certify(rs, key, mask, raised)
-            pos_spaces.append(TRootSpace(key, mask, rs.indexed))
-            neg_spaces.append(TRootSpace(tuple([-c for c in key]), rs.mirror(mask), rs.indexed))
+            _certify(rs, key, groups[key], self._raised)
         # negation reverses the (height, key) order, and every negative key
         # comes before every positive one
-        neg_spaces.reverse()
-        self.keys = tuple([sp.key for sp in neg_spaces]) + tuple(positives)
-        self.spaces = dict(zip(self.keys, neg_spaces + pos_spaces))
+        negatives = [tuple([-c for c in key]) for key in reversed(positives)]
+        self.keys = tuple(negatives) + tuple(positives)
+        masks = [rs.mirror(groups[k]) for k in reversed(positives)]
+        self.spaces = dict(zip(self.keys, masks + [groups[k] for k in positives]))
         self.positives = tuple(positives)
         self.simples = tuple(
             tuple(1 if i == a else 0 for i in range(width)) for a in range(width)
@@ -221,29 +196,12 @@ class TRootSystem:
                 raise IrreducibilityViolation(f"unit key {s} missing from t-root set")
         delta = [0] * width
         for k in self.positives:
-            dim = self.spaces[k].dim
+            dim = self.spaces[k].bit_count()
             for i, c in enumerate(k):
                 delta[i] += dim * c
         self.delta_key = tuple(delta)
-        self._troots = None
         self._nil_sums = None
         self._form = None
-        self._pairings = {}
-
-    # -- key arithmetic -------------------------------------------------
-
-    def key_index(self) -> dict[int, Key]:
-        """Each t-root by its integer encoding, read from ``keys`` on first use.
-
-        A key is encoded like a root, by ``rs.encode``: generate's base,
-        alpha_1's digit first, the digits stopping at the key's width.  The
-        encoding adds and is injective on sums and differences of two keys,
-        so the encoding of a sum or difference of two t-roots is in the
-        index exactly when the sum or difference is a t-root.
-        """
-        if self._troots is None:
-            self._troots = {self.rs.encode(k): k for k in self.keys}
-        return self._troots
 
     # -- exact geometry ---------------------------------------------------
 
@@ -286,58 +244,11 @@ class TRootSystem:
             out[a] = Fraction(-sum(map(mul, row, key)), det)
         return tuple(out)
 
-    def inner(self, k1: Sequence[int], k2: Sequence[int]) -> Fraction:
-        """Exact pairing of two key combinations under the ambient form."""
-        return Fraction(sum(map(mul, k1, self._pairing(tuple(k2)))), self.scaled_form()[0])
-
-    def _pairing(self, key: Key) -> tuple[int, ...]:
-        # integer vector Gs . key, memoized per key
-        cached = self._pairings.get(key)
-        if cached is None:
-            cached = tuple(sum(map(mul, row, key)) for row in self.scaled_form()[1])
-            self._pairings[key] = cached
-        return cached
-
-    def positive_pairings(self) -> list[int]:
-        """Scaled integer pairings of the positive t-roots, row by row.
-
-        With p positive t-roots, entry ``i * p + j`` pairs ``positives[i]``
-        with ``positives[j]``: a fixed positive multiple of ``inner``, so
-        it has the same sign.  By bilinearity the row of a key one simple
-        t-root above a positive key is that key's row plus the simple's row,
-        and any other row takes p dot products.  Built on each call, as one
-        flat list.
-        """
-        pos, encode = self.positives, self.rs.encode
-        units = list(map(encode, self.simples))
-        rows: dict[int, list[int]] = {}
-        table: list[int] = []
-        for key in pos:  # by height, so the key one step below comes first
-            e = encode(key)
-            for u in units:
-                below, unit = rows.get(e - u), rows.get(u)
-                if below is not None and unit is not None:
-                    row = list(map(add, below, unit))
-                    break
-            else:
-                form = self._pairing(key)
-                row = [sum(map(mul, nu, form)) for nu in pos]
-            rows[e] = row
-            table += row
-        return table
-
-    def inner_sign(self, k1: Sequence[int], k2) -> int:
-        """Sign of the pairing, read on the integer form ``scaled_form``."""
-        s = sum(map(mul, k1, self._pairing(tuple(k2))))
-        return (s > 0) - (s < 0)
-
     def extremes(self, key) -> tuple[Root, Root]:
         """The highest and the lowest weight root of the space at key, by
         the certificate that ``__init__`` runs on each positive space."""
-        rs = self.rs
-        raised = rs.sum_table().reach(rs.simple_mask(self.designation.kept0))
-        top, bottom = _certify(rs, tuple(key), self.spaces[tuple(key)].mask, raised)
-        return rs.indexed[top], rs.indexed[bottom]
+        top, bottom = _certify(self.rs, tuple(key), self.spaces[tuple(key)], self._raised)
+        return self.rs.indexed[top], self.rs.indexed[bottom]
 
     # -- serialization ----------------------------------------------------
 
@@ -345,12 +256,13 @@ class TRootSystem:
         """Versioned JSON-ready description (see docs/schemas.md)."""
         des = self.designation
         spaces = []
-        for key, sp in self.spaces.items():
+        for key, mask in self.spaces.items():
             highest, lowest = self.extremes(key)
+            roots = sorted(self.rs.roots_of(mask), key=lambda r: (sum(r), r))
             spaces.append({
                 "key": list(key),
-                "dim": sp.dim,
-                "roots": [list(r) for r in sp.roots],
+                "dim": mask.bit_count(),
+                "roots": [list(r) for r in roots],
                 "highest": list(highest),
                 "lowest": list(lowest),
             })

@@ -45,6 +45,12 @@ _RANK_RANGE = {
 DEFAULT_MAX_RANK = 12
 
 
+def decimal(text: str) -> int | None:
+    """The number that text spells in ASCII decimal digits, else None: never
+    '0_2', ' 2' or '٣' (which ``int`` reads) or '²' (``str.isdigit``)."""
+    return int(text) if text.isascii() and text.isdigit() else None
+
+
 class FrozenRecord:
     """Base of the immutable value records: fields are set once, by
     ``__init__``, and the record is equal and hashed by ``_key()``."""
@@ -95,9 +101,10 @@ class SimpleType(FrozenRecord):
     @classmethod
     def parse(cls, text: str) -> "SimpleType":
         text = text.strip()
-        if len(text) < 2 or text[0].upper() not in _RANK_RANGE or not text[1:].isdigit():
+        rank = decimal(text[1:])
+        if rank is None or text[:1].upper() not in _RANK_RANGE:
             raise InvalidRank(f"cannot parse simple type from {text!r}")
-        return cls(text[0].upper(), int(text[1:]))
+        return cls(text[0].upper(), rank)
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"

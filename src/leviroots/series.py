@@ -77,7 +77,7 @@ def _nilradical_sums(trsys: TRootSystem) -> tuple[list[int], int, dict[int, int]
     Levi roots; a negative root in n (damaged data) takes the direct sums.
     """
     if trsys._nil_sums is None:
-        total = reduce(or_, (trsys.spaces[key].mask for key in trsys.positives), 0)
+        total = reduce(or_, (trsys.spaces[key] for key in trsys.positives), 0)
         members = mask_bits(total)
         table = trsys.rs.sum_table()
         sums = table.sums
@@ -124,7 +124,7 @@ def upper_series_oracle(trsys: TRootSystem) -> list[int]:
     Levi factor), which is what makes per-root computation exact.
     """
     _, total, sums = _nilradical_sums(trsys)
-    spaces = [(key, trsys.spaces[key].mask) for key in trsys.positives]
+    spaces = [(key, trsys.spaces[key]) for key in trsys.positives]
     chain: list[int] = []
     prev = 0
     while prev != total:
@@ -153,7 +153,7 @@ def closed_form_series(trsys: TRootSystem, grad: Grading | None = None) -> Centr
     if grad is None:
         grad = grading(trsys)
     k_cent = grad.k_cent
-    level_masks = {k: reduce(or_, (trsys.spaces[key].mask for key in keys), 0)
+    level_masks = {k: reduce(or_, (trsys.spaces[key] for key in keys), 0)
                    for k, keys in grad.levels.items()}
     # upper term i is the top i orders, lower term i everything of order
     # >= i: upper term k_cent + 1 - i

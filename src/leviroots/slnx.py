@@ -146,10 +146,10 @@ def crosscheck(comp: Composition, rs: RootSystem | None = None) -> tuple[str, ..
         space = trsys.spaces.get(key)
         if space is None:
             continue
-        if space.dim != e.dim:
-            failures.append(f"key {key}: dim {space.dim} != block {e.row},{e.col} dim {e.dim}")
+        if space.bit_count() != e.dim:
+            failures.append(f"key {key}: dim {space.bit_count()} != block {e.row},{e.col} dim {e.dim}")
         for b in range(1, comp.k + 1):
-            moves = bool(space.mask & movers[b])
+            moves = bool(space & movers[b])
             if moves != (b in e.acting_blocks):
                 failures.append(
                     f"block {e.row},{e.col}: diagonal block {b} "

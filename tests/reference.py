@@ -2,12 +2,15 @@
 root generation by walking every root string.
 
 Each oracle reads only the public data of a t-root system: the spaces
-(``trsys.spaces``), the keys (``trsys.keys``), the exact pairing
-(``trsys.inner``) and the roots (``trsys.rs.roots``).  They work on root
-tuples and keys directly, and share no code with the sweep in
-``leviroots.checks``: no sum table, no key encoding, no pairing table.
-Their failure texts are the sweep's, so a reference report can be matched
-against a sweep report.
+(``trsys.spaces``, each a mask over ``trsys.rs.indexed``, decoded here bit
+by bit), the keys (``trsys.keys``), the roots (``trsys.rs.roots``) and the
+Gram matrix (``trsys.rs.gram``).  The exact pairing ``inner`` is computed
+here, by ``Fraction`` algebra on the Schur complement of the kept Gram
+block (``schur_form``), not read from the integer form the sweep uses.
+The oracles work on root tuples and keys directly, and share no code with
+the sweep in ``leviroots.checks``: no sum table, no key encoding, no
+pairing table.  Their failure texts are the sweep's, so a reference report
+can be matched against a sweep report.
 
 ``generate`` is the closure that ``leviroots.rootsys.generate`` replaced:
 it walks every alpha_i string down through a set of root tuples and sums
@@ -18,11 +21,13 @@ entry by entry on the Gram matrix.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
 
 from leviroots.errors import InvalidCartan, NotFiniteType
 from leviroots.rootsys import _max_positive_count, _validate_cartan
+from conftest import fraction_solve
 
 
 def _shift(key, step, j=1):
@@ -37,12 +42,36 @@ def _troot(trsys, key):
     return key
 
 
+def _roots(trsys, key):
+    """The roots of the space at key, in numbering order."""
+    mask = trsys.spaces[key]
+    return [phi for i, phi in enumerate(trsys.rs.indexed) if mask >> i & 1]
+
+
+@lru_cache(maxsize=64)
+def schur_form(des):
+    """The exact t-root form by Fraction algebra: G_DD - G_DK G_KK^-1 G_KD,
+    with K the kept and D the deleted nodes."""
+    gram, K, D = des.rs.gram, des.kept0, des.deleted0
+    span = [[gram[a][b] for b in K] for a in K]
+    coeffs = [fraction_solve(span, [gram[a][d] for a in K]) if K else () for d in D]
+    return tuple(tuple(gram[x][y] - sum(c * gram[a][y] for c, a in zip(coeffs[i], K))
+                       for y in D) for i, x in enumerate(D))
+
+
+def inner(trsys, k1, k2):
+    """Exact pairing of two key combinations under the ambient form."""
+    form = schur_form(trsys.designation)
+    return sum(Fraction(a) * form[i][j] * b
+               for i, a in enumerate(k1) for j, b in enumerate(k2))
+
+
 def _acts(trsys, w, e):
     """Whether some root of the space at w adds to some root of the space
     at e within Delta u {0}."""
     roots = trsys.rs.roots
     return any(not any(s) or s in roots
-               for phi in trsys.spaces[w].roots for psi in trsys.spaces[e].roots
+               for phi in _roots(trsys, w) for psi in _roots(trsys, e)
                for s in [_shift(phi, psi)])
 
 
@@ -58,7 +87,7 @@ def bracket_image(trsys, mu, nu):
     if not any(_shift(mu, nu)):
         raise ValueError("mu + nu = 0: the bracket lands in the Levi factor")
     roots = trsys.rs.roots
-    image = {s for phi in trsys.spaces[mu].roots for psi in trsys.spaces[nu].roots
+    image = {s for phi in _roots(trsys, mu) for psi in _roots(trsys, nu)
              for s in [_shift(phi, psi)] if s in roots}
     return tuple(sorted(image, key=lambda r: (sum(r), r)))
 
@@ -72,7 +101,7 @@ def sign_rule(trsys, mu, nu):
     (nu, nu) > 0.
     """
     mu, nu = _troot(trsys, mu), _troot(trsys, nu)
-    s = trsys.inner(mu, nu)
+    s = inner(trsys, mu, nu)
     if mu == nu:
         return [] if s > 0 else [f"({mu},{nu}) is not positive"]
     troots = set(trsys.keys)
@@ -109,7 +138,7 @@ def string_report(trsys, gamma, nu):
     for j in line:
         w = _shift(gamma, nu, j)
         raised, lowered = j + 1 in line, j - 1 in line
-        s = trsys.inner(w, nu)
+        s = inner(trsys, w, nu)
         if not (raised or lowered):
             if s:
                 failures.append(f"singleton string at {w} along {nu} not orthogonal")

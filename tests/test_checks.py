@@ -20,12 +20,14 @@ from leviroots.checks import (
     standard_designations,
 )
 from leviroots import bds, checks, slnx
-from leviroots.rootsys import SimpleType, all_simple_types, cartan_matrix, generate, mask_bits
+from leviroots.rootsys import (
+    RootSystem, SimpleType, all_simple_types, cartan_matrix, generate, mask_bits,
+)
 from leviroots.errors import SeriesMismatch
 from leviroots.levi import TRootSystem, troot_system as real_troot_system
 from leviroots.series import upper_series_oracle
 from conftest import replace
-from reference import bracket_image, sign_rule, string_report
+from reference import bracket_image, inner, sign_rule, string_report
 
 
 def test_all_parabolic_designations_count():
@@ -87,18 +89,16 @@ def _corrupting(monkeypatch, damage):
 
 def _drop_root(t, key):
     """Clear the lowest bit, the first root by number, of the public space at key."""
-    sp = t.spaces[key]
-    t.spaces[key] = replace(sp, mask=sp.mask & (sp.mask - 1))
+    t.spaces[key] = t.spaces[key] & (t.spaces[key] - 1)
 
 
 def _move_root(t, src, dst, keep=False):
     """Move the first root by number of the space at src to the space at dst,
     or with ``keep`` add it to dst and leave it in src too."""
-    a, b = t.spaces[src], t.spaces[dst]
-    bit = a.mask & -a.mask
+    bit = t.spaces[src] & -t.spaces[src]
     if not keep:
-        t.spaces[src] = replace(a, mask=a.mask ^ bit)
-    t.spaces[dst] = replace(b, mask=b.mask | bit)
+        t.spaces[src] = t.spaces[src] ^ bit
+    t.spaces[dst] = t.spaces[dst] | bit
 
 
 def _drop_troot(t, key):
@@ -153,8 +153,7 @@ def test_repeated_top_key_breaks_grading_alone(monkeypatch, g2):
 
 def _add_negative_simple(t):
     """Add -alpha_1 to the space at (1,) of the A2 parabolic deleting node 1."""
-    sp = t.spaces[(1,)]
-    t.spaces[(1,)] = replace(sp, mask=sp.mask | t.rs.mirror(1 << t.rs.index[(1, 0)]))
+    t.spaces[(1,)] = t.spaces[(1,)] | t.rs.mirror(1 << t.rs.index[(1, 0)])
 
 
 def test_negative_root_in_the_nilradical_stops_the_lower_series(monkeypatch):
@@ -178,7 +177,7 @@ def test_levi_root_in_every_nilradical_sum_stalls_the_upper_oracle():
     rs = root_system("A2")
     t = real_troot_system(designation(rs, deleted=[1]))
     rows = rs.sum_table().positive_sums()
-    for phi in mask_bits(t.spaces[(1,)].mask):
+    for phi in mask_bits(t.spaces[(1,)]):
         rows[phi] |= 1 << rs.index[(0, 1)]
     with pytest.raises(SeriesMismatch, match="upper central series stalled"):
         upper_series_oracle(t)
@@ -187,8 +186,7 @@ def test_levi_root_in_every_nilradical_sum_stalls_the_upper_oracle():
 def test_corrupted_raising_space_breaks_string_law(monkeypatch):
     # an emptied space at nu leaves no root sum to raise along nu
     def damage(t):
-        nu = t.positives[0]
-        t.spaces[nu] = replace(t.spaces[nu], mask=0)
+        t.spaces[t.positives[0]] = 0
 
     _corrupting(monkeypatch, damage)
     rep = check_designation(designation(root_system("B3"), deleted=[2]))
@@ -249,8 +247,8 @@ def _laws_by_pair(trsys, strings=True):
             total = tuple(a + b for a, b in zip(mu, nu))
             if total in trsys.positives:
                 image = sum(1 << index[r] for r in bracket_image(trsys, mu, nu))
-                mirror = reach(spaces[tuple(-c for c in mu)].mask)
-                agree.append(mirror & spaces[total].mask == image)
+                mirror = reach(spaces[tuple(-c for c in mu)])
+                agree.append(mirror & spaces[total] == image)
     signs = {t for mu in trsys.keys for nu in trsys.keys for t in sign_rule(trsys, mu, nu)}
     if strings:
         strings = {t for gamma in (None,) + trsys.keys for nu in trsys.keys
@@ -308,7 +306,7 @@ def test_sweep_and_per_pair_api_agree_on_a_missing_troot(monkeypatch, g2):
 
 
 def _empty_space(t, key):
-    t.spaces[key] = replace(t.spaces[key], mask=0)
+    t.spaces[key] = 0
 
 
 @pytest.mark.parametrize("name, deleted, damage, text", [
@@ -335,9 +333,9 @@ def test_sweep_and_reference_agree_on_damaged_spaces(monkeypatch, name, deleted,
 
 def test_flipped_pairings_break_endpoint_signs(monkeypatch, g2):
     # both laws read their signs from the positive pairing table
-    real_pairings = TRootSystem.positive_pairings
-    monkeypatch.setattr(TRootSystem, "positive_pairings",
-                        lambda t: [-v for v in real_pairings(t)])
+    real_pairings = checks._form_table
+    monkeypatch.setattr(checks, "_form_table",
+                        lambda t, encs: [-v for v in real_pairings(t, encs)])
     rep = check_designation(designation(g2, deleted=[1, 2]))
     details = {f.check: f.detail for f in rep.failures}
     assert "sign-rule" in details
@@ -350,12 +348,47 @@ def test_flipped_pairings_break_endpoint_signs(monkeypatch, g2):
 def test_nonpositive_diagonal_pairing_breaks_sign_rule(monkeypatch, g2, deleted, entry):
     # (1,) pairs with itself first in the table; 2 * (1,) is a t-root, so
     # the walk along (1,) sees (1,) as interior and tests nothing there
-    real_pairings = TRootSystem.positive_pairings
-    monkeypatch.setattr(TRootSystem, "positive_pairings",
-                        lambda t: [entry] + real_pairings(t)[1:])
+    real_pairings = checks._form_table
+    monkeypatch.setattr(checks, "_form_table",
+                        lambda t, encs: [entry] + real_pairings(t, encs)[1:])
     rep = check_designation(designation(g2, deleted=deleted))
     assert [(f.check, f.detail) for f in rep.failures] == [
         ("sign-rule", "((1,),(1,)) is not positive")]
+
+
+def test_positive_pairings_match_exact_form():
+    # the scaled integer table is a positive multiple of the reference's
+    # exact pairing, on every designation of every type of rank <= 4
+    for stype in all_simple_types(4):
+        for des in all_parabolic_designations(root_system(stype)):
+            trsys = real_troot_system(des)
+            table = checks._form_table(trsys, {k: des.rs.encode(k) for k in trsys.keys})
+            pos = trsys.positives
+            p = len(pos)
+            assert len(table) == p * p
+            scale = inner(trsys, pos[0], pos[0]) / table[0]
+            for i, mu in enumerate(pos):
+                for j, nu in enumerate(pos):
+                    assert table[i * p + j] == table[j * p + i]
+                    assert inner(trsys, mu, nu) == scale * table[i * p + j]
+            assert scale > 0
+
+
+def test_check_designation_encodes_each_key_once(monkeypatch, f4):
+    # one pass encodes the keys: the key index, the positive encodings and
+    # the pairing table's unit rows all read it
+    des = designation(f4, deleted=[1, 3])
+    keys = real_troot_system(des).keys
+    encoded = []
+    real_encode = RootSystem.encode
+
+    def encode(rs, coeffs):
+        encoded.append(tuple(coeffs))
+        return real_encode(rs, coeffs)
+
+    monkeypatch.setattr(RootSystem, "encode", encode)
+    assert check_designation(des).ok
+    assert sorted(encoded) == sorted(keys)
 
 
 def test_two_highest_weight_roots_fail_certification():
@@ -410,7 +443,7 @@ def test_empty_space_at_a_key_without_a_fiber_breaks_restriction(monkeypatch):
     # empty fiber; an empty space there is not a fiber of its key either
     def damage(t):
         for key in ((3,), (-3,)):
-            t.spaces[key] = replace(t.spaces[(1,)], key=key, mask=0)
+            t.spaces[key] = 0
         t.keys = ((-3,),) + t.keys + ((3,),)
         t.positives += ((3,),)
 
@@ -427,22 +460,22 @@ def test_bracket_records_at_both_ends_of_the_target_range(monkeypatch, g2):
     # encoding, holding the top root, and an emptied space at (0, -1), whose
     # mirror (0, 1) then no longer reaches the top key (3, 2) with (3, 1)
     def damage(t):
-        t.spaces[(1, -1)] = replace(t.spaces[(3, 2)], key=(1, -1))
-        t.spaces[(-1, 1)] = replace(t.spaces[(-3, -2)], key=(-1, 1))
+        t.spaces[(1, -1)] = t.spaces[(3, 2)]
+        t.spaces[(-1, 1)] = t.spaces[(-3, -2)]
         t.keys += ((1, -1), (-1, 1))
         t.positives += ((1, -1),)
-        t.spaces[(0, -1)] = replace(t.spaces[(0, -1)], mask=0)
+        t.spaces[(0, -1)] = 0
 
     seen = []
     _corrupting(monkeypatch, lambda t: (damage(t), seen.append(t)))
     rep = check_designation(designation(g2, deleted=[1, 2]))
     [trsys] = seen
     # every pair of keys, in encoding order, with a positive sum key
-    troots = trsys.key_index()
-    reach = trsys.rs.sum_table().reach
-    reaches = {e: reach(trsys.spaces[k].mask) for e, k in troots.items()}
     encode = trsys.rs.encode
-    targets = {encode(k): trsys.spaces[k].mask for k in trsys.positives}
+    troots = {encode(k): k for k in trsys.keys}
+    reach = trsys.rs.sum_table().reach
+    reaches = {e: reach(trsys.spaces[k]) for e, k in troots.items()}
+    targets = {encode(k): trsys.spaces[k] for k in trsys.positives}
     assert min(targets) == encode((1, -1)) < 0
     assert max(targets) == encode((3, 2))
     encs = sorted(troots)
@@ -471,7 +504,7 @@ def test_mixed_sign_key_breaks_positivity_dichotomy(monkeypatch, g2):
     # a mixed-sign key and its negative, each with an empty space
     def damage(t):
         for key in ((1, -1), (-1, 1)):
-            t.spaces[key] = replace(t.spaces[(1, 0)], key=key, mask=0)
+            t.spaces[key] = 0
             t.keys += (key,)
 
     _corrupting(monkeypatch, damage)
@@ -975,7 +1008,7 @@ def _damage_troots(data, t):
         if data.draw(st.booleans()):
             del t.spaces[key]
         else:  # one mask bit flipped
-            t.spaces[key] = replace(t.spaces[key], mask=t.spaces[key].mask ^ data.draw(bits))
+            t.spaces[key] = t.spaces[key] ^ data.draw(bits)
     else:
         setattr(t, field, tuple(_damaged(data, getattr(t, field), keys)))
 

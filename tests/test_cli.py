@@ -302,6 +302,24 @@ def test_node_lists_reject_empty_and_repeated_entries(capsys, argv, message):
     assert message in captured.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["roots", "A²"], "error: cannot parse simple type from 'A²'\n"),
+    (["roots", "A٣"], "error: cannot parse simple type from 'A٣'\n"),
+    (["roots", "E８"], "error: cannot parse simple type from 'E８'\n"),
+    (["troots", "A3", "--delete", "٢"], "argument --delete: invalid _node_list value: '٢'\n"),
+    (["troots", "A3", "--delete", "1_2"], "argument --delete: invalid _node_list value: '1_2'\n"),
+    (["bds", "G2", "--node", "0_2"], "argument --node: invalid int value: '0_2'\n"),
+    (["check", "--max-rank", "0_3"], "argument --max-rank: invalid int value: '0_3'\n"),
+    (["sln", "2,1_0"], "argument blocks: invalid _node_list value: '2,1_0'\n"),
+])
+def test_numbers_beyond_ascii_digits_exit_one(capsys, argv, message):
+    # int() would read each of these (sln 2,1_0 as n = 12); none is run
+    assert cli.run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(message)
+
+
 def test_sln_is_capped_at_the_maximum_rank(capsys):
     # blocks adding up to 13 give A12, the cap; one more is rejected
     assert _json_out(capsys, ["sln", "4,4,5"])["n"] == 13

@@ -24,6 +24,7 @@ from leviroots.rootsys import (
     SimpleType,
     all_simple_types,
     cartan_matrix,
+    decimal,
     mask_bits,
     symmetrizers,
 )
@@ -40,8 +41,23 @@ def test_parse_and_str():
 
 @pytest.mark.parametrize("bad", ["Z9", "A0", "E9", "D3", "B1", "F5", "G3", "A", "4"])
 def test_parse_rejects(bad):
-    with pytest.raises((InvalidRank, ValueError)):
+    with pytest.raises(InvalidRank):
         SimpleType.parse(bad)
+
+
+@pytest.mark.parametrize("name", ["A²", "A٣", "E８", "A1_0"])
+def test_parse_rejects_what_int_reads_but_ascii_digits_do_not_spell(name):
+    # int() reads other scripts' digits and underscores, and str.isdigit()
+    # passes superscripts; a rank is ASCII decimal digits only
+    with pytest.raises(InvalidRank, match=re.escape(f"cannot parse simple type from {name!r}")):
+        root_system(name)
+    assert decimal(name[1:]) is None
+
+
+def test_decimal_reads_ascii_digits_only():
+    assert decimal("0") == 0 and decimal("012") == 12
+    for text in ("", "-1", "+1", " 2", "2 ", "1_0", "٢", "８", "²", "1.0"):
+        assert decimal(text) is None, text
 
 
 def test_all_simple_types_rank8_count():
@@ -204,7 +220,7 @@ def test_encode_roundtrip():
     # the one encoding, generate's key, on every type of rank <= 12: each
     # root's encoding is its entry in _encs, and the sums and differences
     # of two roots, and of two t-root keys, encode injectively, which the
-    # sum table and key_index rely on.  The Borel's keys are the roots
+    # sum table and the key index of check_designation rely on.  The Borel's keys are the roots
     for stype in all_simple_types(12):
         rs = root_system(stype)
         assert [rs.encode(phi) for phi in rs.indexed] == list(rs._encs), stype
