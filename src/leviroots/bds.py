@@ -4,12 +4,12 @@ Adjoining the negative of the highest root to the simple roots gives
 the extended (affine) diagram; deleting one node with mark n leaves the
 simple system of an equal-rank subalgebra, realized here two
 independent ways: once as a Cartan matrix read off the extended
-diagram, and once as the honest root subset
-``{phi : coefficient on the node in {0, +-n}}`` with simple system
-``kept simples + (-highest)``.  The remaining roots split into residue
-classes of the node coefficient mod n; each class is certified
-irreducible by a unique highest-weight root, and residue classes
-multiply by addition mod n.
+diagram, and once as a root subset read off the t-root system of the
+maximal parabolic that deletes the node (Remark 3.9): the Levi factor
+plus g_n and g_-n, with simple system ``kept simples + (-highest)``.
+The other roots split into the residue classes g_k | g_(k-n); each
+class is certified irreducible by a unique highest-weight root, and
+residue classes multiply by addition mod n.
 
 Diagram classification works on structural fingerprints alone (rank,
 bond orders with orientation, branch arms), so it also names root
@@ -19,9 +19,10 @@ systems built from explicit user matrices.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 from math import isqrt
-from operator import mul
+from operator import mul, or_
 
 from .errors import InvalidCartan, InvalidPair, IrreducibilityViolation, NotFiniteType, SimpleSystemFailure
 from .rootsys import CartanMatrix, FrozenRecord, Root, RootSystem, SimpleType, _validate_cartan, mask_bits
@@ -115,43 +116,37 @@ class SubalgebraModel:
         self.residues = residues
 
 
-def subalgebra_roots(rs: RootSystem, j: int) -> SubalgebraModel:
-    """Split the root set at node j into subalgebra and residue classes.
+def subalgebra_roots(trsys) -> SubalgebraModel:
+    """Split the roots at the node j that trsys's maximal parabolic deletes.
 
-    Class k holds the positives of class k and the negatives of those of
-    class n - k.  Every subalgebra root is certified to be a one-signed
-    integer combination of the candidate simple system.
+    With n the mark of j, the t-roots are +-1..n times the unit key (Remark
+    3.9): the subalgebra is the Levi factor (the roots in no space) plus
+    g_n and g_-n, and class k is g_k | g_(k-n).  Every root of g_n is
+    certified to be a one-signed combination of the candidate simple system.
     """
-    _require_node(rs, j)
-    j0 = j - 1
-    n = rs.marks[j0]
+    des, rs, spaces = trsys.designation, trsys.rs, trsys.spaces
+    if len(des.deleted) != 1:
+        raise InvalidPair(f"deleting nodes {list(des.deleted)} is no maximal parabolic")
+    j0 = des.deleted0[0]
+    j, n = j0 + 1, rs.marks[j0]
     # the kept unit vectors and -psi have determinant +-n
     if not n:
         raise SimpleSystemFailure("candidate simple system does not span")
     if n < 0:  # a mark of the highest root is positive; n is a modulus below
         raise SimpleSystemFailure(f"mark {n} of node {j} is negative")
-    kept = [i for i in range(rs.rank) if i != j0]
 
-    pos = [0] * n
-    for i, phi in enumerate(rs.positives):
-        c = phi[j0]
-        pos[c % n] |= 1 << i
-        # one-signed integer coordinates in the candidate simple system,
-        # tested on the positives: a negative root has the negated ones,
-        # and at c = 0 they are phi's own coefficients, all >= 0
-        if c % n or not c:
-            continue
-        c0 = -c // n
-        coords = [phi[t] + c0 * rs.marks[t] for t in kept] + [c0]
-        if not (all(x >= 0 for x in coords) or all(x <= 0 for x in coords)):
-            raise SimpleSystemFailure(
-                f"root {phi} is not a one-signed combination at node {j}"
-            )
-    root_set = pos[0] | rs.mirror(pos[0])
-    residues = {k: pos[k] | rs.mirror(pos[n - k]) for k in range(1, n)}
+    # phi in g_n has coordinate -1 on -psi and phi_t - psi_t on each kept
+    # simple root: it is one-signed when phi <= psi entrywise
+    top = spaces.get((n,), 0)
+    for phi in rs.roots_of(top):
+        if any(c > m for c, m in zip(phi, rs.marks)):
+            raise SimpleSystemFailure(f"root {phi} is not a one-signed combination at node {j}")
+    levi = ((1 << len(rs.indexed)) - 1) & ~reduce(or_, spaces.values(), 0)
+    root_set = levi | top | spaces.get((-n,), 0)
+    residues = {k: spaces.get((k,), 0) | spaces.get((k - n,), 0) for k in range(1, n)}
 
     simple_roots = tuple(
-        tuple(1 if t == i else 0 for t in range(rs.rank)) for i in kept
+        tuple(1 if t == i else 0 for t in range(rs.rank)) for i in range(rs.rank) if i != j0
     ) + (tuple(-c for c in rs.highest_root),)
     return SubalgebraModel(rs, j, n, root_set, simple_roots, residues)
 
@@ -358,9 +353,11 @@ def _is_prime(n: int) -> bool:
 
 
 def _node_entry(ext: ExtendedDiagram, j: int) -> dict:
+    from .levi import designation, troot_system  # bds --dot and maximal read no t-roots
+
     rs = ext.rs
-    model = subalgebra_roots(rs, j)
-    cls = classify(delete_node(ext, j))
+    cls = classify(delete_node(ext, j))  # which rejects a bad node before designation does
+    model = subalgebra_roots(troot_system(designation(rs, deleted=(j,))))
     residues = [
         {
             "class": k,

@@ -37,7 +37,7 @@ from .bds import (
     residue_irreducibility, subalgebra_roots,
 )
 from .errors import LeviRootsError
-from .levi import ParabolicDesignation, designation, troot_system
+from .levi import ParabolicDesignation, TRootSystem, designation, troot_system
 from .rootsys import RootSystem, SimpleType, all_simple_types, cartan_matrix, root_system
 from .series import closed_form_series, grading
 
@@ -112,17 +112,11 @@ class DesignationReport:
         }
 
 
-def check_designation(des: ParabolicDesignation) -> DesignationReport:
-    """Run every per-designation theorem check, the ladder too, and collect failures."""
+def check_designation(trsys: TRootSystem) -> DesignationReport:
+    """Run every per-designation check, the ladder too, on a certified t-root system."""
+    des = trsys.designation
     failures: list[Failure] = []
     label = _deleted_label(des)
-    try:  # and the t-root form, which the pairing laws read
-        trsys = troot_system(des)
-        trsys.scaled_form()
-    except LeviRootsError as exc:
-        failures.append(Failure("certification", label, str(exc)))
-        return DesignationReport(des.deleted, {}, tuple(failures))
-
     counts = {
         "troots": len(trsys.keys),
         "positive": len(trsys.positives),
@@ -406,15 +400,16 @@ class NodeReport:
         }
 
 
-def check_node(rs: RootSystem, ext, j: int) -> NodeReport:
-    """Dual-pipeline classification and residue certificates; builds no t-roots."""
+def check_node(ext, trsys: TRootSystem) -> NodeReport:
+    """Dual-pipeline classification and residue certificates on a maximal parabolic."""
     failures: list[Failure] = []
+    rs, j = trsys.rs, trsys.designation.deleted[0]
     label = f"node={j}"
     n = rs.marks[j - 1]
     classes = None
     try:
         from_diagram = classify(delete_node(ext, j))
-        model = subalgebra_roots(rs, j)
+        model = subalgebra_roots(trsys)
         from_roots = classify(_cartan_of(rs, model.simple_roots))
         classes = from_diagram
         if from_diagram != from_roots:
@@ -495,31 +490,39 @@ class TypeReport:
 
 
 def check_type(rs: RootSystem, all_parabolics: bool = False) -> TypeReport:
-    """Run the designation suite, node suite, and (type A) block crosschecks."""
-    scope = (
-        all_parabolic_designations(rs) if all_parabolics
-        else standard_designations(rs)
-    )
-    reports = [check_designation(des) for des in scope]
-    try:
-        ext = extended_diagram(rs)
-    except LeviRootsError as exc:  # no node can be classified
-        nodes = [NodeReport(j, n, None, (Failure("equal-rank-classify", f"node={j}", str(exc)),))
-                 for j, n in enumerate(rs.marks, 1)]
-    else:
-        nodes = [check_node(rs, ext, j) for j in range(1, rs.rank + 1)]
-    sln_failures: list[Failure] = []
-    if rs.cartan == cartan_matrix(SimpleType("A", rs.rank), max_rank=rs.rank):
-        for des in scope:
-            comp = slnx.composition_of(des)
-            subject = f"blocks={list(comp.parts)}"
-            try:  # the crosscheck builds the t-root system again
-                msgs = slnx.crosscheck(comp, rs)
-            except LeviRootsError as exc:
-                sln_failures.append(Failure("block-crosscheck", subject, str(exc)))
-                continue
-            for msg in msgs:
+    """Build each designation's t-root system once (a failed build is one
+    certification record) and run the designation, node and block checks on it."""
+    scope = all_parabolic_designations(rs) if all_parabolics else standard_designations(rs)
+    type_a = rs.cartan == cartan_matrix(SimpleType("A", rs.rank), max_rank=rs.rank)
+    # only the maximal parabolics outlive their checks: the node checks read them
+    reports, by_node, sln_failures = [], {}, []
+    for des in scope:
+        try:  # and the t-root form, which the pairing laws read
+            trsys = troot_system(des)
+            trsys.scaled_form()
+        except LeviRootsError as exc:
+            failure = Failure("certification", _deleted_label(des), str(exc))
+            reports.append(DesignationReport(des.deleted, {}, (failure,)))
+            continue
+        reports.append(check_designation(trsys))
+        if len(des.deleted) == 1:
+            by_node[des.deleted[0]] = trsys
+        if type_a:
+            subject = f"blocks={list(slnx.composition_of(des).parts)}"
+            for msg in slnx.crosscheck(trsys):
                 sln_failures.append(Failure("block-crosscheck", subject, msg))
+    try:
+        ext, unsplit = extended_diagram(rs), None
+    except LeviRootsError as exc:  # no node can be classified
+        ext, unsplit = None, str(exc)
+    nodes = []
+    for j, n in enumerate(rs.marks, 1):  # every scope holds each node's maximal parabolic
+        if unsplit is None and j in by_node:
+            nodes.append(check_node(ext, by_node[j]))
+        else:
+            detail = unsplit or f"the maximal parabolic deleting node {j} failed certification"
+            nodes.append(NodeReport(
+                j, n, None, (Failure("equal-rank-classify", f"node={j}", detail),)))
     # the maximal table is the prime-mark nodes; one whose classification
     # failed is already a reported failure
     maximal = [(r.node, r.classes) for r in nodes

@@ -17,7 +17,7 @@ from itertools import accumulate
 from operator import sub
 
 from .errors import InvalidComposition
-from .levi import Key, ParabolicDesignation, designation, troot_system
+from .levi import Key, ParabolicDesignation, TRootSystem, designation
 from .rootsys import FrozenRecord, RootSystem, SimpleType, cartan_matrix, root_system
 
 
@@ -112,9 +112,9 @@ def block_table(comp: Composition) -> tuple[BlockEntry, ...]:
     return tuple(entries)
 
 
-def crosscheck(comp: Composition, rs: RootSystem | None = None) -> tuple[str, ...]:
-    """Verify blocks against the restriction pipeline on A_{n-1}, and return
-    the failure texts (none when they agree).
+def crosscheck(trsys: TRootSystem) -> tuple[str, ...]:
+    """Verify the block table of a parabolic on A_{n-1} against its t-root
+    system, and return the failure texts (none when they agree).
 
     Checks that the block keys are exactly the t-root keys, that each
     space has its block's dimension, and the acting-blocks rule: a
@@ -122,8 +122,7 @@ def crosscheck(comp: Composition, rs: RootSystem | None = None) -> tuple[str, ..
     block r or s and has size > 1.  The table's own shape (k(k-1)
     distinct keys, order = |r - s|) holds by construction.
     """
-    des = designation_of(comp, rs)
-    trsys = troot_system(des)
+    comp = composition_of(trsys.designation)
     failures = []
 
     by_key = {e.key: e for e in block_table(comp)}
@@ -136,7 +135,7 @@ def crosscheck(comp: Composition, rs: RootSystem | None = None) -> tuple[str, ..
     # M_b, the roots that a kept node of diagonal block b raises: block b of
     # size p from matrix index first holds nodes first..first+p-2.  Block b
     # moves a space when M_b or its mirror (the roots it lowers) meets it
-    rs, movers, first = des.rs, {}, 1
+    rs, movers, first = trsys.rs, {}, 1
     reach = rs.sum_table().reach
     for b, p in enumerate(comp.parts, start=1):
         raised = reach(rs.simple_mask(range(first - 1, first + p - 2)))

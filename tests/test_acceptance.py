@@ -14,6 +14,7 @@ from leviroots import (
     cli,
     composition,
     crosscheck,
+    designation,
     maximal_equal_rank,
     root_system,
     subalgebra_roots,
@@ -23,6 +24,7 @@ from leviroots import (
 from leviroots.bds import residue_irreducibility
 from leviroots.checks import all_parabolic_designations
 from leviroots.rootsys import all_simple_types
+from leviroots.slnx import designation_of
 
 MAX_RANK = 8
 DESIGNATION_TOTAL = 2458  # sum of 2^rank - 1 over the 32 simple types of rank <= 8
@@ -122,7 +124,7 @@ def test_criterion_8_residues(acceptance_log, full_sweep, g2):
     bad = _node_failures(
         full_sweep,
         {"residue-partition", "residue-irreducibility", "residue-bracket"})
-    model = subalgebra_roots(g2, 2)
+    model = subalgebra_roots(troot_system(designation(g2, deleted=[2])))
     spots = (model.root_set.bit_count() == 4
              and model.residues[1].bit_count() == 8
              and residue_irreducibility(model, 1) in g2.roots_of(model.residues[1]))
@@ -167,7 +169,7 @@ def test_criterion_10_block_tables(acceptance_log):
                 else:
                     width += 1
             parts.append(width)
-            failures = crosscheck(composition(parts))
+            failures = crosscheck(troot_system(designation_of(composition(parts))))
             count += 1
             if failures:
                 bad.append((tuple(parts), failures))

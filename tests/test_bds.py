@@ -4,14 +4,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from leviroots import (
+    InvalidDesignation,
     InvalidPair,
     NotFiniteType,
     SimpleSystemFailure,
     classify,
+    designation,
     extended_diagram,
     maximal_equal_rank,
     root_system,
     subalgebra_roots,
+    troot_system,
 )
 from leviroots.bds import (
     DiagramClass,
@@ -30,6 +33,11 @@ from fractions import Fraction as Q
 
 from conftest import classical_root_count, fraction_det
 from reference import form
+
+
+def _split(rs, j):
+    """The node split at j, on the maximal parabolic that deletes node j."""
+    return subalgebra_roots(troot_system(designation(rs, deleted=[j])))
 
 
 def test_extended_diagram_g2(g2):
@@ -126,16 +134,24 @@ def test_delete_node_g2(g2):
 
 @pytest.mark.parametrize("bad", [True, 2.0, "2"])
 def test_node_numbers_must_be_ints(g2, bad):
-    # never coerced: True is not node 1, and 2.0 is not node 2
+    # never coerced: True is not node 1, and 2.0 is not node 2; the split
+    # takes its node from a designation, which rejects it in turn
     message = f"node {bad!r} is not an integer"
     with pytest.raises(InvalidPair, match=re.escape(message)):
         bds_document(g2, node=bad)
+    message = f"node index {bad!r} is not an integer"
+    with pytest.raises(InvalidDesignation, match=re.escape(message)):
+        designation(g2, deleted=[bad])
+
+
+def test_split_needs_a_maximal_parabolic(g2):
+    message = "deleting nodes [1, 2] is no maximal parabolic"
     with pytest.raises(InvalidPair, match=re.escape(message)):
-        subalgebra_roots(g2, bad)
+        subalgebra_roots(troot_system(designation(g2, deleted=[1, 2])))
 
 
 def test_subalgebra_roots_g2(g2):
-    model = subalgebra_roots(g2, 2)
+    model = _split(g2, 2)
     assert model.mark == 2
     assert model.root_set.bit_count() == 4
     assert set(g2.roots_of(model.root_set)) == {(1, 0), (-1, 0), (3, 2), (-3, -2)}
@@ -154,7 +170,7 @@ def test_split_matches_the_residue_definition():
             want = [0] * n
             for i, phi in enumerate(rs.indexed):
                 want[phi[j - 1] % n] |= 1 << i
-            model = subalgebra_roots(rs, j)
+            model = _split(rs, j)
             assert model.mark == n and model.root_set == want[0], (stype, j)
             assert list(model.residues.items()) == list(enumerate(want))[1:], (stype, j)
 
@@ -165,7 +181,7 @@ def test_split_names_a_root_that_is_not_one_signed(monkeypatch, g2):
     monkeypatch.setattr(g2, "marks", (2, 2))
     with pytest.raises(SimpleSystemFailure,
                        match=re.escape("root (3, 2) is not a one-signed combination at node 2")):
-        subalgebra_roots(g2, 2)
+        _split(g2, 2)
 
 
 def test_is_prime_matches_trial_division():
@@ -174,7 +190,7 @@ def test_is_prime_matches_trial_division():
 
 
 def test_residue_irreducibility_g2(g2):
-    model = subalgebra_roots(g2, 2)
+    model = _split(g2, 2)
     hw = residue_irreducibility(model, 1)
     assert hw in g2.roots_of(model.residues[1])
     with pytest.raises(InvalidPair):
@@ -182,7 +198,7 @@ def test_residue_irreducibility_g2(g2):
 
 
 def test_residue_brackets_g2(g2):
-    model = subalgebra_roots(g2, 1)  # mark 3: classes 1 and 2
+    model = _split(g2, 1)  # mark 3: classes 1 and 2
     assert residue_bracket_check(model, 1, 1) == ()
     assert residue_bracket_check(model, 2, 2) == ()
     # with the target class emptied, the failure names it: 1+1 = 2, 2+2 = 1
@@ -201,7 +217,7 @@ def test_dual_pipelines_agree_rank8():
         rs = root_system(stype)
         ext = extended_diagram(rs)
         for j in range(1, rs.rank + 1):
-            model = subalgebra_roots(rs, j)
+            model = _split(rs, j)
             assert classify(delete_node(ext, j)) == classify(_cartan_of(rs, model.simple_roots)), (
                 stype, j)
 
@@ -240,7 +256,7 @@ def test_alcove_vertex(g2, f4):
 
 def test_residue_sizes_partition(f4):
     for j in range(1, 5):
-        model = subalgebra_roots(f4, j)
+        model = _split(f4, j)
         total = model.root_set.bit_count() + sum(v.bit_count() for v in model.residues.values())
         assert total == 48
         for k, v in model.residues.items():
@@ -283,7 +299,7 @@ def test_maximal_document(g2):
 def test_subalgebra_rank_and_size(stype, data):
     rs = root_system(stype)
     j = data.draw(st.integers(1, rs.rank))
-    model = subalgebra_roots(rs, j)
+    model = _split(rs, j)
     # equal rank: the simple system spans the whole space, with the
     # determinant +-n that the split's span test relies on
     assert abs(fraction_det(model.simple_roots)) == model.mark

@@ -23,7 +23,7 @@ from leviroots import bds, checks, slnx
 from leviroots.rootsys import (
     RootSystem, SimpleType, all_simple_types, cartan_matrix, generate, mask_bits,
 )
-from leviroots.errors import SeriesMismatch
+from leviroots.errors import NotFiniteType, SeriesMismatch
 from leviroots.levi import TRootSystem, troot_system as real_troot_system
 from leviroots.series import upper_series_oracle
 from conftest import replace
@@ -54,37 +54,46 @@ def test_standard_designations_g2(g2):
 
 def test_check_designation_green(g2, f4):
     for rs, deleted in ((g2, [2]), (f4, [1, 4]), (f4, [1, 2, 3, 4])):
-        rep = check_designation(designation(rs, deleted=deleted))
+        rep = check_designation(_built(rs, deleted))
         assert rep.failures == ()
         assert rep.counts["troots"] > 0
 
 
 def test_counts_recorded(g2):
-    rep = check_designation(designation(g2, deleted=[1, 2]))
+    rep = check_designation(_built(g2, [1, 2]))
     assert rep.counts["troots"] == 12
     assert rep.counts["positive"] == 6
     assert rep.counts["k_cent"] == 5
 
 
-def test_corrupted_delta_detected(monkeypatch, g2):
-    def corrupt(des):
-        t = real_troot_system(des)
-        t.delta_key = tuple(-x for x in t.delta_key)
-        return t
+def _built(rs, deleted):
+    """The t-root system of the designation of rs deleting these nodes."""
+    return real_troot_system(designation(rs, deleted=deleted))
 
-    monkeypatch.setattr(checks, "troot_system", corrupt)
-    rep = check_designation(designation(g2, deleted=[2]))
-    assert {f.check for f in rep.failures} == {"trace-positivity"}
+
+def _corrupt(rs, deleted, damage):
+    """The t-root system of rs deleting these nodes, damaged after construction."""
+    t = _built(rs, deleted)
+    damage(t)
+    return t
 
 
 def _corrupting(monkeypatch, damage):
-    """Make check_designation see t-root systems damaged after construction."""
+    """Make check_type see t-root systems damaged after construction."""
     def corrupt(des):
         t = real_troot_system(des)
         damage(t)
         return t
 
     monkeypatch.setattr(checks, "troot_system", corrupt)
+
+
+def test_corrupted_delta_detected(g2):
+    def corrupt(t):
+        t.delta_key = tuple(-x for x in t.delta_key)
+
+    rep = check_designation(_corrupt(g2, [2], corrupt))
+    assert {f.check for f in rep.failures} == {"trace-positivity"}
 
 
 def _drop_root(t, key):
@@ -111,42 +120,40 @@ def _drop_troot(t, key):
     t.positives = tuple(k for k in t.positives if k not in gone)
 
 
-def test_corrupted_space_detected(monkeypatch):
+def test_corrupted_space_detected():
     # one root dropped from a public space must break the bracket law: the
     # damaged space at (1,) is the target of (-1,) + (2,), and the reach of
     # its own damaged copy, the mirror of (-1,), no longer covers it
-    _corrupting(monkeypatch, lambda t: _drop_root(t, t.positives[0]))
-    rep = check_designation(designation(root_system("B3"), deleted=[2]))
+    rep = check_designation(
+        _corrupt(root_system("B3"), [2], lambda t: _drop_root(t, t.positives[0])))
     names = {f.check for f in rep.failures}
     assert "bracket-law" in names
 
 
-def test_corrupted_top_space_breaks_central_series(monkeypatch):
+def test_corrupted_top_space_breaks_central_series():
     # [n, n] still reaches the root dropped from the top space, so the
     # lower-series oracle and the closed form part ways
-    _corrupting(monkeypatch, lambda t: _drop_root(t, t.positives[-1]))
-    rep = check_designation(designation(root_system("B3"), deleted=[2]))
+    rep = check_designation(
+        _corrupt(root_system("B3"), [2], lambda t: _drop_root(t, t.positives[-1])))
     details = [f.detail for f in rep.failures if f.check == "central-series"]
     assert details == ["closed-form lower series disagrees with its oracle"]
 
 
-def test_corrupted_bottom_space_splits_upper_series_term(monkeypatch, g2):
+def test_corrupted_bottom_space_splits_upper_series_term(g2):
     # the lower series still agrees, but the upper-series oracle finds a
     # center term that holds only part of the damaged space at (1,)
-    _corrupting(monkeypatch, lambda t: _drop_root(t, (1,)))
-    rep = check_designation(designation(g2, deleted=[2]))
+    rep = check_designation(_corrupt(g2, [2], lambda t: _drop_root(t, (1,))))
     details = [f.detail for f in rep.failures if f.check == "central-series"]
     assert details == ["center term splits the t-root space (1,)"]
 
 
-def test_repeated_top_key_breaks_grading_alone(monkeypatch, g2):
+def test_repeated_top_key_breaks_grading_alone(g2):
     # positives listing the restricted highest root twice: every law but
     # the grading reads each key once more and finds it consistent
     def damage(t):
         t.positives += t.positives[-1:]
 
-    _corrupting(monkeypatch, damage)
-    rep = check_designation(designation(g2, deleted=[1, 2]))
+    rep = check_designation(_corrupt(g2, [1, 2], damage))
     assert [(f.check, f.detail) for f in rep.failures] == [
         ("grading", "top level is not the restricted highest root alone")]
 
@@ -156,11 +163,10 @@ def _add_negative_simple(t):
     t.spaces[(1,)] = t.spaces[(1,)] | t.rs.mirror(1 << t.rs.index[(1, 0)])
 
 
-def test_negative_root_in_the_nilradical_stops_the_lower_series(monkeypatch):
+def test_negative_root_in_the_nilradical_stops_the_lower_series():
     # (alpha_1 + alpha_2) - alpha_1 = alpha_2 and alpha_2 + alpha_1 lead
     # back to alpha_1 + alpha_2, so bracketing with n never reaches zero
-    _corrupting(monkeypatch, _add_negative_simple)
-    rep = check_designation(designation(root_system("A2"), deleted=[1]))
+    rep = check_designation(_corrupt(root_system("A2"), [1], _add_negative_simple))
     assert [(f.check, f.detail) for f in rep.failures] == [
         ("partition", "5 space roots + 2 Levi roots != 6"),
         ("negation-symmetry", "key (1,) mirror mismatch"),
@@ -183,28 +189,26 @@ def test_levi_root_in_every_nilradical_sum_stalls_the_upper_oracle():
         upper_series_oracle(t)
 
 
-def test_corrupted_raising_space_breaks_string_law(monkeypatch):
+def test_corrupted_raising_space_breaks_string_law():
     # an emptied space at nu leaves no root sum to raise along nu
     def damage(t):
         t.spaces[t.positives[0]] = 0
 
-    _corrupting(monkeypatch, damage)
-    rep = check_designation(designation(root_system("B3"), deleted=[2]))
+    rep = check_designation(_corrupt(root_system("B3"), [2], damage))
     details = [f.detail for f in rep.failures if f.check == "string-law"]
     assert any("no raising root sum" in d for d in details)
 
 
-def test_missing_troot_breaks_sign_rule(monkeypatch, g2):
+def test_missing_troot_breaks_sign_rule(g2):
     # without (1, 1), the negatively paired simple t-roots of the G2 Borel
     # have a sum that is no longer a t-root
-    _corrupting(monkeypatch, lambda t: _drop_troot(t, (1, 1)))
-    rep = check_designation(designation(g2, deleted=[1, 2]))
+    rep = check_designation(_corrupt(g2, [1, 2], lambda t: _drop_troot(t, (1, 1))))
     details = [f.detail for f in rep.failures if f.check == "sign-rule"]
     assert any("< 0 but the sum is not a t-root" in d for d in details)
     assert "string-law" in {f.check for f in rep.failures}
 
 
-def test_per_pair_api_and_sweep_read_the_same_troots(monkeypatch, g2):
+def test_per_pair_api_and_sweep_read_the_same_troots(g2):
     # a t-root dropped from the public data is gone for the reference
     # oracles and for the sweep alike, with the same failure texts
     damaged = []
@@ -213,8 +217,7 @@ def test_per_pair_api_and_sweep_read_the_same_troots(monkeypatch, g2):
         _drop_troot(t, (1, 1))
         damaged.append(t)
 
-    _corrupting(monkeypatch, damage)
-    rep = check_designation(designation(g2, deleted=[1, 2]))
+    rep = check_designation(_corrupt(g2, [1, 2], damage))
     [trsys] = damaged
     assert sign_rule(trsys, (1, 0), (0, 1)) == [
         "((1, 0),(0, 1)) < 0 but the sum is not a t-root"]
@@ -264,8 +267,9 @@ def test_mask_laws_agree_with_per_pair_api():
     designations = pairs = 0
     for stype in all_simple_types(4):
         for des in all_parabolic_designations(root_system(stype)):
-            rep = check_designation(des)
-            agree, signs, strings = _laws_by_pair(real_troot_system(des))
+            trsys = real_troot_system(des)
+            rep = check_designation(trsys)
+            agree, signs, strings = _laws_by_pair(trsys)
             assert all(agree), des
             found = {f.check for f in rep.failures}
             assert ("sign-rule" in found) == bool(signs), des
@@ -275,7 +279,7 @@ def test_mask_laws_agree_with_per_pair_api():
     assert designations == 109 and pairs > 1000
 
 
-def test_sweep_and_per_pair_api_agree_on_a_missing_troot(monkeypatch, g2):
+def test_sweep_and_per_pair_api_agree_on_a_missing_troot(g2):
     # without (1, 1) the sweep reports exactly the reference sign texts of
     # its representatives mu <= nu, and both fail the string law (the
     # reference walks the whole line, gaps included)
@@ -285,8 +289,7 @@ def test_sweep_and_per_pair_api_agree_on_a_missing_troot(monkeypatch, g2):
         _drop_troot(t, (1, 1))
         damaged.append(t)
 
-    _corrupting(monkeypatch, damage)
-    rep = check_designation(designation(g2, deleted=[1, 2]))
+    rep = check_designation(_corrupt(g2, [1, 2], damage))
     [trsys] = damaged
     _, signs, _ = _laws_by_pair(trsys, strings=False)
     strings = set()
@@ -315,12 +318,12 @@ def _empty_space(t, key):
     # without (2, 1), (1, 1) tops its (1, 0)-run and pairs negatively with it
     ("G2", [1, 2], lambda t: _drop_troot(t, (2, 1)), "top of string (1, 1) along (1, 0) not positive"),
 ])
-def test_sweep_and_reference_agree_on_damaged_spaces(monkeypatch, name, deleted, damage, text):
+def test_sweep_and_reference_agree_on_damaged_spaces(name, deleted, damage, text):
     # each string-law text of the sweep is one the reference reports on the
     # whole lines, and the sign-rule texts are the reference's for mu <= nu
     damaged = []
-    _corrupting(monkeypatch, lambda t: (damage(t), damaged.append(t)))
-    rep = check_designation(designation(root_system(name), deleted=deleted))
+    rep = check_designation(
+        _corrupt(root_system(name), deleted, lambda t: (damage(t), damaged.append(t))))
     [trsys] = damaged
     sweep = {f.detail for f in rep.failures if f.check == "string-law"}
     strings = {t for gamma in (None,) + trsys.keys for nu in trsys.keys
@@ -336,7 +339,7 @@ def test_flipped_pairings_break_endpoint_signs(monkeypatch, g2):
     real_pairings = checks._form_table
     monkeypatch.setattr(checks, "_form_table",
                         lambda t, encs: [-v for v in real_pairings(t, encs)])
-    rep = check_designation(designation(g2, deleted=[1, 2]))
+    rep = check_designation(_built(g2, [1, 2]))
     details = {f.check: f.detail for f in rep.failures}
     assert "sign-rule" in details
     assert any(f.check == "string-law" and "not positive" in f.detail for f in rep.failures)
@@ -351,7 +354,7 @@ def test_nonpositive_diagonal_pairing_breaks_sign_rule(monkeypatch, g2, deleted,
     real_pairings = checks._form_table
     monkeypatch.setattr(checks, "_form_table",
                         lambda t, encs: [entry] + real_pairings(t, encs)[1:])
-    rep = check_designation(designation(g2, deleted=deleted))
+    rep = check_designation(_built(g2, deleted))
     assert [(f.check, f.detail) for f in rep.failures] == [
         ("sign-rule", "((1,),(1,)) is not positive")]
 
@@ -377,8 +380,8 @@ def test_positive_pairings_match_exact_form():
 def test_check_designation_encodes_each_key_once(monkeypatch, f4):
     # one pass encodes the keys: the key index, the positive encodings and
     # the pairing table's unit rows all read it
-    des = designation(f4, deleted=[1, 3])
-    keys = real_troot_system(des).keys
+    trsys = _built(f4, [1, 3])
+    keys = trsys.keys
     encoded = []
     real_encode = RootSystem.encode
 
@@ -387,42 +390,43 @@ def test_check_designation_encodes_each_key_once(monkeypatch, f4):
         return real_encode(rs, coeffs)
 
     monkeypatch.setattr(RootSystem, "encode", encode)
-    assert check_designation(des).ok
+    assert check_designation(trsys).ok
     assert sorted(encoded) == sorted(keys)
 
 
 def test_two_highest_weight_roots_fail_certification():
     # a root of the space at (1,) that no kept simple root's sum-table row
-    # raises is a second highest weight
+    # raises is a second highest weight; check_type builds the t-root system
+    # and reports the failed build as the designation's one record
     rs = root_system("B3")
     des = designation(rs, deleted=[2])
     lowest = real_troot_system(des).extremes((1,))[1]
     adjz = rs.sum_table().adjz
     for k in mask_bits(rs.simple_mask(des.kept0)):
         adjz[k] &= ~(1 << rs.index[lowest])
-    rep = check_designation(des)
+    rep = {r.deleted: r for r in check_type(rs).designations}[(2,)]
     assert [(f.check, f.detail) for f in rep.failures] == [
         ("certification", "space (1,) has 2 highest / 1 lowest weight roots")]
 
 
-def test_dropped_negative_root_breaks_negation_symmetry(monkeypatch):
-    _corrupting(monkeypatch, lambda t: _drop_root(t, tuple(-c for c in t.positives[0])))
-    rep = check_designation(designation(root_system("B3"), deleted=[2]))
+def test_dropped_negative_root_breaks_negation_symmetry():
+    rep = check_designation(_corrupt(
+        root_system("B3"), [2], lambda t: _drop_root(t, tuple(-c for c in t.positives[0]))))
     details = [f.detail for f in rep.failures if f.check == "negation-symmetry"]
     assert details == ["key (1,) mirror mismatch"]
 
 
-def test_repeated_root_number_breaks_partition(monkeypatch):
+def test_repeated_root_number_breaks_partition():
     # a root of the space at (-2,) added to the space at (-1,) too: the
     # spaces overcount the roots, and (-1,) is no longer the mirror of (1,)
-    _corrupting(monkeypatch, lambda t: _move_root(t, (-2,), (-1,), keep=True))
-    rep = check_designation(designation(root_system("B3"), deleted=[2]))
+    rep = check_designation(
+        _corrupt(root_system("B3"), [2], lambda t: _move_root(t, (-2,), (-1,), keep=True)))
     assert [(f.check, f.detail) for f in rep.failures] == [
         ("partition", "15 space roots + 4 Levi roots != 18"),
         ("negation-symmetry", "key (1,) mirror mismatch")]
 
 
-def test_moved_root_breaks_restriction(monkeypatch):
+def test_moved_root_breaks_restriction():
     # a root of (1,) moved to (2,), and its negative from (-1,) to (-2,):
     # the root counts and the mirrors still hold, but two spaces are no
     # longer the fibers of their keys
@@ -430,15 +434,14 @@ def test_moved_root_breaks_restriction(monkeypatch):
         _move_root(t, (1,), (2,))
         _move_root(t, (-1,), (-2,))
 
-    _corrupting(monkeypatch, damage)
-    rep = check_designation(designation(root_system("B3"), deleted=[2]))
+    rep = check_designation(_corrupt(root_system("B3"), [2], damage))
     details = [f.detail for f in rep.failures if f.check == "restriction"]
     assert details == ["space (1,) is not the fiber of its key",
                        "space (2,) is not the fiber of its key"]
     assert "negation-symmetry" not in {f.check for f in rep.failures}
 
 
-def test_empty_space_at_a_key_without_a_fiber_breaks_restriction(monkeypatch):
+def test_empty_space_at_a_key_without_a_fiber_breaks_restriction():
     # no root of B3 has coefficient 3 at node 2, so the key (3,) has an
     # empty fiber; an empty space there is not a fiber of its key either
     def damage(t):
@@ -447,13 +450,12 @@ def test_empty_space_at_a_key_without_a_fiber_breaks_restriction(monkeypatch):
         t.keys = ((-3,),) + t.keys + ((3,),)
         t.positives += ((3,),)
 
-    _corrupting(monkeypatch, damage)
-    rep = check_designation(designation(root_system("B3"), deleted=[2]))
+    rep = check_designation(_corrupt(root_system("B3"), [2], damage))
     details = [f.detail for f in rep.failures if f.check == "restriction"]
     assert "space (3,) is not the fiber of its key" in details
 
 
-def test_bracket_records_at_both_ends_of_the_target_range(monkeypatch, g2):
+def test_bracket_records_at_both_ends_of_the_target_range(g2):
     # the pair loop skips partners whose sum lies below the least or above
     # the greatest target encoding; two damaged G2 Borel spaces put failures
     # at both ends: a positive key (1, -1), mixed-sign with a negative
@@ -467,8 +469,7 @@ def test_bracket_records_at_both_ends_of_the_target_range(monkeypatch, g2):
         t.spaces[(0, -1)] = 0
 
     seen = []
-    _corrupting(monkeypatch, lambda t: (damage(t), seen.append(t)))
-    rep = check_designation(designation(g2, deleted=[1, 2]))
+    rep = check_designation(_corrupt(g2, [1, 2], lambda t: (damage(t), seen.append(t))))
     [trsys] = seen
     # every pair of keys, in encoding order, with a positive sum key
     encode = trsys.rs.encode
@@ -489,46 +490,43 @@ def test_bracket_records_at_both_ends_of_the_target_range(monkeypatch, g2):
     assert [f.detail for f in rep.failures if f.check == "bracket-law"] == want
 
 
-def test_missing_negative_keys_break_negation_symmetry(monkeypatch):
+def test_missing_negative_keys_break_negation_symmetry():
     # the spaces at negative keys are intact, but keys lists none of them
     def damage(t):
         t.keys = t.positives
 
-    _corrupting(monkeypatch, damage)
-    rep = check_designation(designation(root_system("B3"), deleted=[2]))
+    rep = check_designation(_corrupt(root_system("B3"), [2], damage))
     details = [f.detail for f in rep.failures if f.check == "negation-symmetry"]
     assert details == ["key (1,) has no negative in keys", "key (2,) has no negative in keys"]
 
 
-def test_mixed_sign_key_breaks_positivity_dichotomy(monkeypatch, g2):
+def test_mixed_sign_key_breaks_positivity_dichotomy(g2):
     # a mixed-sign key and its negative, each with an empty space
     def damage(t):
         for key in ((1, -1), (-1, 1)):
             t.spaces[key] = 0
             t.keys += (key,)
 
-    _corrupting(monkeypatch, damage)
-    rep = check_designation(designation(g2, deleted=[1, 2]))
+    rep = check_designation(_corrupt(g2, [1, 2], damage))
     details = [f.detail for f in rep.failures if f.check == "positivity-dichotomy"]
     assert details == ["key (1, -1) is mixed-sign", "key (-1, 1) is mixed-sign"]
 
 
-def test_dropped_top_key_breaks_grading(monkeypatch):
+def test_dropped_top_key_breaks_grading():
     # without the top key (2,), no positive t-root has order 2 = k_cent
     def damage(t):
         t.positives = t.positives[:-1]
 
-    _corrupting(monkeypatch, damage)
-    rep = check_designation(designation(root_system("B3"), deleted=[2]))
+    rep = check_designation(_corrupt(root_system("B3"), [2], damage))
     details = [f.detail for f in rep.failures if f.check == "grading"]
     assert details == ["grading levels are not 1..k_cent"]
 
 
-def test_repeated_positive_root_number_breaks_partition(monkeypatch):
+def test_repeated_positive_root_number_breaks_partition():
     # a root of the space at (2,) added to the space at (1,) too: the spaces
     # overcount the roots, and every law that reads the damaged mask fires
-    _corrupting(monkeypatch, lambda t: _move_root(t, (2,), (1,), keep=True))
-    rep = check_designation(designation(root_system("B3"), deleted=[2]))
+    rep = check_designation(
+        _corrupt(root_system("B3"), [2], lambda t: _move_root(t, (2,), (1,), keep=True)))
     assert [(f.check, f.detail) for f in rep.failures] == [
         ("partition", "15 space roots + 4 Levi roots != 18"),
         ("negation-symmetry", "key (1,) mirror mismatch"),
@@ -542,27 +540,25 @@ def test_positively_paired_simples_fail_simple_troots():
     # of the Borel pair positively
     rs = root_system("A2")
     rs.gram = ((2, 1), (1, 2))
-    rep = check_designation(designation(rs, deleted=[1, 2]))
+    rep = check_designation(_built(rs, [1, 2]))
     details = [f.detail for f in rep.failures if f.check == "simple-troots"]
     assert details == ["simple t-roots 0,1 have positive inner product"]
 
 
-def test_dropped_simple_troot_is_one_simple_troots_record(monkeypatch, g2):
+def test_dropped_simple_troot_is_one_simple_troots_record(g2):
     # the obtuseness test pairs only the simples that are there
     def damage(t):
         t.simples = t.simples[:1]
 
-    _corrupting(monkeypatch, damage)
-    rep = check_designation(designation(g2, deleted=[1, 2]))
+    rep = check_designation(_corrupt(g2, [1, 2], damage))
     assert [(f.check, f.detail) for f in rep.failures] == [
         ("simple-troots", "simple t-roots differ from the unit keys")]
 
 
-def test_missing_simple_troot_breaks_intrinsic_simplicity(monkeypatch, g2):
+def test_missing_simple_troot_breaks_intrinsic_simplicity(g2):
     # without the unit key (1, 0), (1, 1) is no longer a sum of two
     # positive t-roots
-    _corrupting(monkeypatch, lambda t: _drop_troot(t, (1, 0)))
-    rep = check_designation(designation(g2, deleted=[1, 2]))
+    rep = check_designation(_corrupt(g2, [1, 2], lambda t: _drop_troot(t, (1, 0))))
     details = [f.detail for f in rep.failures if f.check == "intrinsic-simplicity"]
     assert "key (1, 1) has no decomposition, contradicting the simple set" in details
 
@@ -574,10 +570,10 @@ def test_corrupted_affine_cartan_breaks_equal_rank_classify(g2):
     affine = [list(row) for row in ext.affine_cartan]
     affine[0][2] = affine[2][0] = 0
     bad = replace(ext, affine_cartan=tuple(map(tuple, affine)))
-    rep = check_node(g2, bad, 1)
+    rep = check_node(bad, _built(g2, [1]))
     assert [(f.check, f.detail) for f in rep.failures] == [
         ("equal-rank-classify", "diagram pipeline A1+A1 != root pipeline A2")]
-    assert check_node(g2, ext, 1).ok
+    assert check_node(ext, _built(g2, [1])).ok
 
 
 def test_second_annihilated_root_breaks_residue_irreducibility(monkeypatch, g2):
@@ -586,12 +582,12 @@ def test_second_annihilated_root_breaks_residue_irreducibility(monkeypatch, g2):
     # classifies the one simple root that is left
     real = bds.subalgebra_roots
 
-    def damaged(rs, j):
-        model = real(rs, j)
+    def damaged(trsys):
+        model = real(trsys)
         return replace(model, simple_roots=model.simple_roots[:-1])
 
     monkeypatch.setattr(checks, "subalgebra_roots", damaged)
-    rep = check_node(g2, extended_diagram(g2), 1)
+    rep = check_node(extended_diagram(g2), _built(g2, [1]))
     assert [(f.check, f.detail) for f in rep.failures] == [
         ("equal-rank-classify", "diagram pipeline A2 != root pipeline A1"),
         ("residue-irreducibility", "residue class 1 at node 1 has 2 highest weights"),
@@ -604,12 +600,12 @@ def test_simple_root_that_is_no_root_is_a_residue_record(monkeypatch, g2):
     # the root pipeline still classifies, and it has no sum-table row
     real = bds.subalgebra_roots
 
-    def damaged(rs, j):
-        model = real(rs, j)
+    def damaged(trsys):
+        model = real(trsys)
         return replace(model, simple_roots=model.simple_roots[:-1] + ((4, 2),))
 
     monkeypatch.setattr(checks, "subalgebra_roots", damaged)
-    rep = check_node(g2, extended_diagram(g2), 1)
+    rep = check_node(extended_diagram(g2), _built(g2, [1]))
     assert [(f.check, f.detail) for f in rep.failures] == [
         ("equal-rank-classify", "diagram pipeline A2 != root pipeline A1+A1"),
         ("residue-irreducibility", "simple root (4, 2) at node 1 is not a root"),
@@ -623,13 +619,13 @@ def test_cut_simple_root_at_a_mark_one_node_breaks_equal_rank_classify(monkeypat
     # root pipeline classifies the two that are left
     real = bds.subalgebra_roots
 
-    def damaged(rs, j):
-        model = real(rs, j)
+    def damaged(trsys):
+        model = real(trsys)
         return replace(model, simple_roots=model.simple_roots[:cut] + model.simple_roots[cut + 1:])
 
     monkeypatch.setattr(checks, "subalgebra_roots", damaged)
     b3 = root_system("B3")
-    rep = check_node(b3, extended_diagram(b3), 1)
+    rep = check_node(extended_diagram(b3), _built(b3, [1]))
     assert [(f.check, f.detail) for f in rep.failures] == [
         ("equal-rank-classify", f"diagram pipeline B3 != root pipeline {classes}")]
 
@@ -639,15 +635,15 @@ def test_moved_root_breaks_residue_bracket(monkeypatch, g2):
     # and the class's highest weight, but classes no longer add mod 3
     real = bds.subalgebra_roots
 
-    def damaged(rs, j):
-        model = real(rs, j)
-        moved = 1 << rs.index[(-1, -1)]
+    def damaged(trsys):
+        model = real(trsys)
+        moved = 1 << g2.index[(-1, -1)]
         assert model.residues[2] & moved
         residues = {**model.residues, 2: model.residues[2] & ~moved}
         return replace(model, residues=residues, root_set=model.root_set | moved)
 
     monkeypatch.setattr(checks, "subalgebra_roots", damaged)
-    rep = check_node(g2, extended_diagram(g2), 1)
+    rep = check_node(extended_diagram(g2), _built(g2, [1]))
     assert [(f.check, f.detail) for f in rep.failures] == [
         ("residue-bracket", "classes 1+1: image misses 0 and adds 1 roots vs class 2"),
         ("residue-bracket", "classes 2+2: image misses 2 and adds 0 roots vs class 1"),
@@ -659,14 +655,14 @@ def test_dropped_residue_root_breaks_residue_partition(monkeypatch, g2):
     # classes 1 + 1 land in the subalgebra, so only the count shows it
     real = bds.subalgebra_roots
 
-    def damaged(rs, j):
-        model = real(rs, j)
-        gone = 1 << rs.index[(0, 1)]
+    def damaged(trsys):
+        model = real(trsys)
+        gone = 1 << g2.index[(0, 1)]
         assert model.residues[1] & gone
         return replace(model, residues={1: model.residues[1] & ~gone})
 
     monkeypatch.setattr(checks, "subalgebra_roots", damaged)
-    rep = check_node(g2, extended_diagram(g2), 2)
+    rep = check_node(extended_diagram(g2), _built(g2, [2]))
     assert [(f.check, f.detail) for f in rep.failures] == [
         ("residue-partition", "residues do not complement the subalgebra")]
 
@@ -676,14 +672,14 @@ def test_root_in_two_parts_breaks_residue_partition(monkeypatch, g2):
     # subalgebra too: the part sizes still add up to the root count
     real = bds.subalgebra_roots
 
-    def damaged(rs, j):
-        model = real(rs, j)
-        lowest, doubled = 1 << rs.index[(-3, -2)], 1 << rs.index[(0, 1)]
+    def damaged(trsys):
+        model = real(trsys)
+        lowest, doubled = 1 << g2.index[(-3, -2)], 1 << g2.index[(0, 1)]
         assert model.root_set & lowest and model.residues[1] & doubled
         return replace(model, root_set=model.root_set & ~lowest | doubled)
 
     monkeypatch.setattr(checks, "subalgebra_roots", damaged)
-    rep = check_node(g2, extended_diagram(g2), 2)
+    rep = check_node(extended_diagram(g2), _built(g2, [2]))
     assert [(f.check, f.detail) for f in rep.failures] == [
         ("residue-partition", "residues do not complement the subalgebra")]
 
@@ -693,8 +689,8 @@ def test_emptied_class_breaks_residue_irreducibility(monkeypatch, g2):
     # highest weight
     real = bds.subalgebra_roots
     monkeypatch.setattr(checks, "subalgebra_roots",
-                        lambda rs, j: replace(real(rs, j), residues={1: 0}))
-    rep = check_node(g2, extended_diagram(g2), 2)
+                        lambda trsys: replace(real(trsys), residues={1: 0}))
+    rep = check_node(extended_diagram(g2), _built(g2, [2]))
     assert [(f.check, f.detail) for f in rep.failures] == [
         ("residue-partition", "residues do not complement the subalgebra"),
         ("residue-irreducibility", "residue class 1 at node 2 has 0 highest weights"),
@@ -706,7 +702,7 @@ def test_zero_mark_is_a_reported_failure(monkeypatch, g2):
     # mark is never used as a modulus
     ext = extended_diagram(g2)
     monkeypatch.setattr(g2, "marks", (3, 0))
-    rep = check_node(g2, ext, 2)
+    rep = check_node(ext, _built(g2, [2]))
     assert [(f.check, f.detail) for f in rep.failures] == [
         ("equal-rank-classify", "candidate simple system does not span")]
 
@@ -715,7 +711,7 @@ def test_negative_mark_is_a_reported_failure(monkeypatch, g2):
     # a negative mark is never used as a modulus either
     ext = extended_diagram(g2)
     monkeypatch.setattr(g2, "marks", (3, -2))
-    rep = check_node(g2, ext, 2)
+    rep = check_node(ext, _built(g2, [2]))
     assert [(f.check, f.detail) for f in rep.failures] == [
         ("equal-rank-classify", "mark -2 of node 2 is negative")]
 
@@ -725,8 +721,8 @@ def test_model_mark_off_the_node_mark_is_a_reported_failure(monkeypatch, g2, mar
     # the residue checks read the model's mark; one that is not node 1's
     # mark 3 is reported, and no residue check runs on it
     real = bds.subalgebra_roots
-    monkeypatch.setattr(checks, "subalgebra_roots", lambda rs, j: replace(real(rs, j), mark=mark))
-    rep = check_node(g2, extended_diagram(g2), 1)
+    monkeypatch.setattr(checks, "subalgebra_roots", lambda trsys: replace(real(trsys), mark=mark))
+    rep = check_node(extended_diagram(g2), _built(g2, [1]))
     assert (rep.mark, [(f.check, f.detail) for f in rep.failures]) == (3, [
         ("equal-rank-classify", f"model mark {mark} != mark 3 of node 1")])
 
@@ -736,12 +732,12 @@ def test_missing_residue_class_is_a_reported_failure(monkeypatch, g2):
     # the bracket loop reads no missing class
     real = bds.subalgebra_roots
 
-    def damaged(rs, j):
-        model = real(rs, j)
+    def damaged(trsys):
+        model = real(trsys)
         return replace(model, residues={1: model.residues[1]})
 
     monkeypatch.setattr(checks, "subalgebra_roots", damaged)
-    rep = check_node(g2, extended_diagram(g2), 1)
+    rep = check_node(extended_diagram(g2), _built(g2, [1]))
     assert [(f.check, f.detail) for f in rep.failures] == [
         ("residue-partition", "residues do not complement the subalgebra"),
         ("residue-irreducibility", "node 1 has no residue class 2"),
@@ -767,8 +763,8 @@ def test_indefinite_kept_gram_block_is_a_certification_record():
     rs = root_system("A3")
     rs.gram = ((2, -3, 0), (-3, 2, -1), (0, -1, 2))
     record = [("certification", "the kept Gram block is not positive definite")]
-    rep = check_designation(designation(rs, deleted=[3]))
-    assert [(f.check, f.detail) for f in rep.failures] == record
+    with pytest.raises(NotFiniteType, match=record[0][1]):
+        _built(rs, [3]).scaled_form()
     reports = {r.deleted: r for r in check_type(rs).designations}
     assert [(f.check, f.detail) for f in reports[(3,)].failures] == record
 
@@ -805,26 +801,28 @@ def test_zero_length_highest_root_is_a_reported_failure():
     assert _node_records(rs) == [[("equal-rank-classify", detail)]] * 4
 
 
-def test_dropped_root_number_breaks_block_crosscheck(monkeypatch):
-    # only the block crosscheck sees the damaged space, so only it fails
-    def damaged(des):
-        t = real_troot_system(des)
-        if des.deleted == (1,):
-            _drop_root(t, (1,))
-        return t
+def test_wrong_block_dimension_breaks_block_crosscheck(monkeypatch):
+    # only the block crosscheck reads the block table, so only it fails
+    real = slnx.block_table
 
-    monkeypatch.setattr(slnx, "troot_system", damaged)
+    def damaged(comp):
+        entries = real(comp)
+        if comp.parts != (1, 2):
+            return entries
+        return tuple(replace(e, dim=1) if e.key == (1,) else e for e in entries)
+
+    monkeypatch.setattr(slnx, "block_table", damaged)
     rep = check_type(root_system("A2"))
     assert all(r.ok for r in rep.designations) and all(r.ok for r in rep.nodes)
     assert [(f.check, f.subject, f.detail) for f in rep.sln_failures] == [
-        ("block-crosscheck", "blocks=[1, 2]", "key (1,): dim 1 != block 1,2 dim 2")]
+        ("block-crosscheck", "blocks=[1, 2]", "key (1,): dim 2 != block 1,2 dim 1")]
 
 
-def test_failed_crosscheck_rebuild_is_a_block_crosscheck_record():
+def test_failed_maximal_parabolic_is_one_record_per_consumer():
     # when every simple root's sum-table row raises minus the lowest weight
     # of (1,), every node lowers that weight: the space has no lowest weight,
-    # and it fails certification in the sweep and again in the crosscheck's
-    # build
+    # and the designation fails certification.  No crosscheck reads the
+    # failed build, and node 2, whose split reads it, reports the failure
     rs = root_system("A3")
     t = real_troot_system(designation(rs, deleted=[2]))
     below = 1 << rs.index[tuple(-c for c in t.extremes((1,))[1])]
@@ -835,14 +833,17 @@ def test_failed_crosscheck_rebuild_is_a_block_crosscheck_record():
     assert [(r.deleted, [(f.check, f.detail) for f in r.failures])
             for r in rep.designations if r.failures] == [
         ((2,), [("certification", "space (1,) has 1 highest / 0 lowest weight roots")])]
-    assert [(f.check, f.subject, f.detail) for f in rep.sln_failures] == [
-        ("block-crosscheck", "blocks=[2, 2]", "space (1,) has 1 highest / 0 lowest weight roots")]
+    assert rep.sln_failures == []
+    assert [(r.node, [(f.check, f.detail) for f in r.failures]) for r in rep.nodes] == [
+        (1, []),
+        (2, [("equal-rank-classify",
+              "the maximal parabolic deleting node 2 failed certification")]),
+        (3, [])]
 
 
-def test_missing_top_troot_breaks_maximal_parabolic_ladder(monkeypatch, g2):
+def test_missing_top_troot_breaks_maximal_parabolic_ladder(g2):
     # deleting the mark-3 node must give t-roots +-1..3 times the unit key
-    _corrupting(monkeypatch, lambda t: _drop_troot(t, (3,)))
-    rep = check_designation(designation(g2, deleted=[1]))
+    rep = check_designation(_corrupt(g2, [1], lambda t: _drop_troot(t, (3,))))
     assert [(f.check, f.detail) for f in rep.failures] == [
         ("partition", "6 space roots + 2 Levi roots != 12"),
         ("grading", "grading levels are not 1..k_cent"),
@@ -859,26 +860,24 @@ def test_missing_unit_troot_breaks_the_a1_ladder(monkeypatch):
     assert all(node.ok for node in rep.nodes)
 
 
-def test_key_without_a_space_is_one_partition_record(monkeypatch):
+def test_key_without_a_space_is_one_partition_record():
     # the laws read the space at every key and at every positive key's
     # mirror; a missing one is reported, not raised as KeyError
     def damage(t):
         del t.spaces[(-1,)]
 
-    _corrupting(monkeypatch, damage)
-    rep = check_designation(designation(root_system("B3"), deleted=[2]))
+    rep = check_designation(_corrupt(root_system("B3"), [2], damage))
     assert [(f.check, f.detail) for f in rep.failures] == [
         ("partition", "keys without a space: [(-1,)]")]
 
 
-def test_positive_key_missing_from_keys_is_one_partition_record(monkeypatch, g2):
+def test_positive_key_missing_from_keys_is_one_partition_record(g2):
     # the key index is read from keys; a positive key that keeps its space
     # but is not listed is reported before any law reads the index
     def damage(t):
         t.keys = tuple(k for k in t.keys if k != (1, 1))
 
-    _corrupting(monkeypatch, damage)
-    rep = check_designation(designation(g2, deleted=[1, 2]))
+    rep = check_designation(_corrupt(g2, [1, 2], damage))
     assert [(f.check, f.detail) for f in rep.failures] == [
         ("partition", "t-roots missing from keys: [(1, 1)]")]
 
@@ -935,7 +934,8 @@ def test_check_type_builds_the_extended_diagram_once(monkeypatch):
 
 
 def test_check_type_builds_each_troot_system_once(monkeypatch):
-    # one t-root system per designation in scope; the node checks build none
+    # one t-root system per designation in scope; the node checks and the
+    # block crosschecks build none.  A bds document builds one per node
     built = []
     real_init = TRootSystem.__init__
 
@@ -944,10 +944,16 @@ def test_check_type_builds_each_troot_system_once(monkeypatch):
         real_init(self, des)
 
     monkeypatch.setattr(TRootSystem, "__init__", counting)
-    rs = root_system("E6")
-    assert check_type(rs).ok and len(built) == 7
-    built.clear()
-    assert check_type(rs, all_parabolics=True).ok and len(built) == 63
+    for name, standard, every in (("E6", 7, 63), ("A4", 5, 15)):
+        rs = root_system(name)
+        built.clear()
+        assert check_type(rs).ok and len(built) == standard
+        built.clear()
+        assert check_type(rs, all_parabolics=True).ok and len(built) == every
+        assert sorted(built) == sorted(set(built))
+        built.clear()
+        bds.bds_document(rs)
+        assert built == [(j,) for j in range(1, rs.rank + 1)]
 
 
 def test_explicit_type_a_matrix_gets_the_block_crosscheck(monkeypatch):
@@ -955,9 +961,9 @@ def test_explicit_type_a_matrix_gets_the_block_crosscheck(monkeypatch):
     calls = []
     real = slnx.crosscheck
 
-    def counting(comp, rs=None):
-        calls.append(comp.parts)
-        return real(comp, rs)
+    def counting(trsys):
+        calls.append(slnx.composition_of(trsys.designation).parts)
+        return real(trsys)
 
     monkeypatch.setattr(slnx, "crosscheck", counting)
     rs = generate(cartan_matrix(SimpleType("A", 3)))
@@ -1038,14 +1044,9 @@ def test_damaged_troot_system_is_reported_not_raised(name, data):
     rs = root_system(name)
     des = data.draw(st.sampled_from(all_parabolic_designations(rs)))
 
-    def corrupt(d):
-        t = real_troot_system(d)
-        _damage_troots(data, t)
-        return t
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(checks, "troot_system", corrupt)
-        rep = check_designation(des)
+    t = real_troot_system(des)
+    _damage_troots(data, t)
+    rep = check_designation(t)
     assert isinstance(rep.failures, tuple)
 
 
@@ -1057,7 +1058,7 @@ def test_damaged_subalgebra_model_is_reported_not_raised(name, data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(checks, "subalgebra_roots",
                    lambda *args: _damage_model(data, bds.subalgebra_roots(*args)))
-        rep = check_node(rs, extended_diagram(rs), j)
+        rep = check_node(extended_diagram(rs), _built(rs, [j]))
     assert isinstance(rep.failures, tuple)
 
 
@@ -1065,7 +1066,7 @@ def test_check_node_green(g2, f4):
     for rs in (g2, f4):
         ext = extended_diagram(rs)
         for j in range(1, rs.rank + 1):
-            rep = check_node(rs, ext, j)
+            rep = check_node(ext, _built(rs, [j]))
             assert rep.failures == (), (rs.stype, j, rep.failures)
 
 

@@ -227,7 +227,7 @@ def test_check_failure_exit_code(capsys, monkeypatch):
     from leviroots import checks
 
     def broken(des):
-        rep = checks.check_designation(des)
+        rep = checks.check_designation(troot_system(des))
         forced = rep.failures + (checks.Failure("bracket-law", "fake", "forced"),)
         return checks.DesignationReport(rep.deleted, rep.counts, forced)
 
@@ -250,7 +250,7 @@ def test_check_pretty_counts_the_fail_lines(capsys, monkeypatch):
 
     def report(rs, all_parabolics=False):
         fail = checks.Failure
-        des = checks.check_designation(checks.borel_designation(rs))
+        des = checks.check_designation(troot_system(checks.borel_designation(rs)))
         return checks.TypeReport(
             stype=rs.stype,
             designations=[checks.DesignationReport(
@@ -425,6 +425,21 @@ def test_troots_series_and_bds_documents_pinned():
         digest.update(json.dumps(bds_document(rs)).encode("utf-8"))
     assert count == 633
     assert digest.hexdigest() == DOCUMENTS_SHA256
+
+
+# sha256 over the bds document of every type of rank <= 12 (48 types, 331
+# nodes): residue sizes, highest weights and Cartan matrices of every node
+BDS_DOCUMENTS_SHA256 = "33a1d0e9f1aa9dc5cceaabb154678af60853f9fb6a39da780ebd46de5b08d1bf"
+
+
+def test_bds_documents_to_rank_12_pinned():
+    digest, nodes = hashlib.sha256(), 0
+    for stype in all_simple_types(12):
+        doc = bds_document(root_system(stype, max_rank=12))
+        digest.update(json.dumps(doc).encode("utf-8"))
+        nodes += len(doc["nodes"])
+    assert nodes == 331
+    assert digest.hexdigest() == BDS_DOCUMENTS_SHA256
 
 
 # (arguments, exit status, stdout sha256) for every verb, JSON and --pretty,

@@ -339,9 +339,11 @@ def test_coefficient_masks_hold_each_coefficient_value(name):
 def test_coefficient_masks_built_on_first_use_and_once():
     rs = root_system("E6")
     rs.document()
-    bds_document(rs)
     maximal_document(rs)
     assert rs._columns is None and rs._coef_masks is None
+    # the bds verb's t-root systems read the columns, and its split no masks
+    bds_document(rs)
+    assert rs._columns is not None and rs._coef_masks is None
     masks = rs.coefficient_masks()
     assert rs.coefficient_masks() is masks and rs.columns() is rs.columns()
 

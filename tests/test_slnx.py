@@ -9,7 +9,6 @@ from leviroots import (
     root_system,
     troot_system,
 )
-from leviroots import slnx
 from leviroots.rootsys import SimpleType, cartan_matrix, generate
 from leviroots.checks import all_parabolic_designations
 from leviroots.slnx import Composition, composition_of, designation_of, sln_document
@@ -85,9 +84,14 @@ def test_block_keys_match_troots():
         assert trs.spaces[e.key].bit_count() == e.dim
 
 
+def _blocks(parts, rs=None):
+    """The t-root system of the parabolic whose blocks are parts."""
+    return troot_system(designation_of(composition(parts), rs))
+
+
 def test_crosscheck_examples():
     for parts in ([2, 1], [1, 1, 1], [3, 3, 3], [4, 5], [1, 2, 3, 2, 1]):
-        assert crosscheck(composition(parts)) == ()
+        assert crosscheck(_blocks(parts)) == ()
         k = len(parts)
         assert len(block_table(composition(parts))) == k * (k - 1)
 
@@ -117,7 +121,7 @@ def test_crosscheck_all_n_le_6():
     total = 0
     for n in range(2, 7):
         for parts in _compositions(n):
-            failures = crosscheck(composition(parts))
+            failures = crosscheck(_blocks(parts))
             assert failures == (), (parts, failures)
             total += 1
     assert total == sum(2 ** (n - 1) - 1 for n in range(2, 7))
@@ -126,7 +130,7 @@ def test_crosscheck_all_n_le_6():
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.integers(1, 5), min_size=2, max_size=5).filter(lambda p: sum(p) <= 9))
 def test_crosscheck_random(parts):
-    assert crosscheck(composition(parts)) == ()
+    assert crosscheck(_blocks(parts)) == ()
 
 
 def test_designation_of_reads_the_cartan_matrix():
@@ -147,53 +151,37 @@ def test_designation_of_names_the_rejected_system():
     assert str(exc.value) == "composition of 4 needs type A3, got B3"
 
 
-def test_dropped_troot_breaks_the_key_sets(monkeypatch):
-    def damaged(des):
-        t = troot_system(des)
-        del t.spaces[(1, 1)], t.spaces[(-1, -1)]
-        return t
-
-    monkeypatch.setattr(slnx, "troot_system", damaged)
-    comp = composition([1, 1, 1])
-    assert crosscheck(comp) == ("key sets differ: 6 blocks vs 4 spaces",)
-    assert len(block_table(comp)) == 6
+def test_dropped_troot_breaks_the_key_sets():
+    t = _blocks([1, 1, 1])
+    del t.spaces[(1, 1)], t.spaces[(-1, -1)]
+    assert crosscheck(t) == ("key sets differ: 6 blocks vs 4 spaces",)
+    assert len(block_table(composition([1, 1, 1]))) == 6
 
 
-def test_moved_root_breaks_the_acting_blocks(monkeypatch):
+def test_moved_root_breaks_the_acting_blocks():
     # block (1, 2) is (1, 0, 0), which block 3 leaves alone; (0, 1, 1) in
     # its place keeps the dimension, but alpha_3 moves it
     rs = root_system("A3")
-
-    def damaged(des):
-        t = troot_system(des)
-        t.spaces[(1, 0)] = 1 << rs.index[(0, 1, 1)]
-        return t
-
-    monkeypatch.setattr(slnx, "troot_system", damaged)
-    assert crosscheck(composition([1, 1, 2]), rs) == (
+    t = _blocks([1, 1, 2], rs)
+    t.spaces[(1, 0)] = 1 << rs.index[(0, 1, 1)]
+    assert crosscheck(t) == (
         "block 1,2: diagonal block 3 acts contrary to the table",)
 
 
-def test_inert_block_breaks_the_acting_blocks(monkeypatch):
+def test_inert_block_breaks_the_acting_blocks():
     # block (1, 3) is (1, 1), which block 3 moves; alpha_1 and -alpha_1 in
     # its place keep the dimension, but no root of block 3 moves them
     rs = root_system("A3")
-
-    def damaged(des):
-        t = troot_system(des)
-        mask = 1 << rs.index[(1, 0, 0)] | 1 << rs.index[(-1, 0, 0)]
-        t.spaces[(1, 1)] = mask
-        return t
-
-    monkeypatch.setattr(slnx, "troot_system", damaged)
-    assert crosscheck(composition([1, 1, 2]), rs) == (
+    t = _blocks([1, 1, 2], rs)
+    t.spaces[(1, 1)] = 1 << rs.index[(1, 0, 0)] | 1 << rs.index[(-1, 0, 0)]
+    assert crosscheck(t) == (
         "block 1,3: diagonal block 3 is inert contrary to the table",)
 
 
 def test_crosscheck_reuses_root_system():
-    comp = composition([2, 2])
     rs = root_system("A3")
-    assert crosscheck(comp, rs=rs) == ()
+    t = _blocks([2, 2], rs)
+    assert t.rs is rs and crosscheck(t) == ()
 
 
 def test_frozen_composition_class():

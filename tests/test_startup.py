@@ -45,7 +45,8 @@ def test_roots_verb_loads_only_rootsys():
 VERB_MODULES = {
     "troots A3 --delete 2": {"levi"},
     "series G2 --delete 1,2": {"levi", "series"},
-    "bds G2": {"bds"},
+    "bds G2": {"bds", "levi"},
+    "bds G2 --dot": {"bds"},
     "maximal G2": {"bds"},
     "sln 2,1": {"levi", "slnx"},
     "check G2": {"levi", "series", "bds", "slnx", "checks"},
