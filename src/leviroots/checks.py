@@ -10,18 +10,33 @@ byte-identical reports.
 For the quadratic laws the pair count is cut by symmetry, never the
 content.  t-root spaces at opposite keys are exact mirrors, with the keys
 closed under negation (which the suite itself verifies per designation),
-so the string law is walked once per positive nu over the positive
-t-weights x: a negative x pairs with nu as minus its mirror -x, so its
-conditions are those at -x on the mirrored run, with top and bottom,
-raising and lowering swapped.  The same walk reports the sign rule.  Off
-the diagonal, the sign rule for (x, nu) fails exactly when the walk's
-endpoint test at x does: (x, nu) < 0 forces x + nu to be a t-root,
-(x, nu) > 0 forces x - nu, and (x, nu) = 0 both or neither.  The rule
-for (mu, nu) is the one for (-mu, -nu), (nu, mu) and (mu, -nu), so a
-failed endpoint test is also a sign-rule record when x comes before nu
-among the positives, once per orbit.  On the diagonal the walk counts
-x - nu = 0 as a weight, so it tests nothing at x = nu when 2 nu is a
-t-root; the rule is tested there as (nu, nu) > 0.
+so the string law is walked over the positive t-weights x only: a
+negative x pairs with nu as minus its mirror -x, so its conditions are
+those at -x on the mirrored run, with top and bottom, raising and
+lowering swapped.  Among the positives it visits each unordered pair
+{x, nu} once, with x at or after nu, since the visit at (x, nu) tests
+what the one at (nu, x) would:
+
+- the pairing (x, nu) is symmetric;
+- x + nu is a t-weight exactly when nu + x is;
+- x - nu is a t-weight exactly when nu - x is, the keys being closed
+  under negation;
+- raising asks whether some root of the space at x adds to a root of the
+  space at nu within Delta u {0}; the root-sum table is symmetric, so
+  this is the test at (nu, x);
+- lowering asks the same of the spaces at x and -nu, which matches the
+  spaces at nu and -x, since each negative space is its mirror's
+  negation.
+
+The same walk reports the sign rule.  Off the diagonal, the sign rule
+for (x, nu) fails exactly when the walk's endpoint test at x does:
+(x, nu) < 0 forces x + nu to be a t-root, (x, nu) > 0 forces x - nu, and
+(x, nu) = 0 both or neither.  The rule for (mu, nu) is the one for
+(-mu, -nu), (nu, mu) and (mu, -nu), so a failed endpoint test off the
+diagonal is also one sign-rule record, naming nu, the earlier of the
+two, first: one per orbit.  On the diagonal the walk counts x - nu = 0
+as a weight, so it tests nothing at x = nu when 2 nu is a t-root; the
+rule is tested there as (nu, nu) > 0.
 """
 
 from __future__ import annotations
@@ -137,13 +152,13 @@ def check_designation(trsys: TRootSystem) -> DesignationReport:
     # each key encoded once, for the key index by encoding (partition,
     # bracket and string law) and the positive encodings (simplicity,
     # bracket and string law); then the reach of every space by encoding
-    # (bracket and string law) and the positive pairing table (string law
+    # (bracket and string law) and the positive pairing triangle (string law
     # and sign rule)
     encs = dict(zip(trsys.keys, map(des.rs.encode, trsys.keys)))
     troots = {e: k for k, e in encs.items()}
     pos_encs = [encs[k] for k in trsys.positives]
     reach = des.rs.sum_table().reach
-    reaches = {e: reach(trsys.spaces[k]) for e, k in troots.items() if e}
+    reaches = {e: reach(trsys.spaces[k]) for e, k in troots.items()}
     pairings = _form_table(trsys, encs)
     _check_partition(des, trsys, troots, failures)
     _check_simples(des, trsys, pos_encs, failures)
@@ -171,30 +186,57 @@ def _form_row(trsys, key):
 
 
 def _form_table(trsys, encs):
-    """Scaled integer pairings of the p positive t-roots, as one flat list.
+    """Scaled integer pairings of the p positive t-roots: the upper
+    triangle, as one flat list.
 
-    Entry ``i * p + j`` pairs ``positives[i]`` with ``positives[j]`` on
-    ``_form_row``, so it has the exact pairing's sign.  By bilinearity the
-    row of a key one simple t-root above a positive key (found by the key
-    encodings ``encs``) is that key's row plus the simple's row; any other
-    row takes p dot products.
+    Row i pairs ``positives[i]`` with ``positives[i:]``, so entry 0 pairs
+    positive 0 with itself; each entry is ``pos_i . Gs . pos_j``, with the
+    exact pairing's sign.  Built by bilinearity (docs/conventions.md): a
+    positive's form vector ``Gs . key`` is that of the key one unit step
+    below it (found by the key encodings ``encs``) plus a column of Gs;
+    unit key a's row is entry a of every form vector; and the row of a key
+    one step above an earlier positive is that row, shifted, plus the
+    unit's row.  Any other row takes p - i dot products.
     """
     pos = trsys.positives
-    units = [encs[s] for s in trsys.simples if s in encs]
-    rows: dict[int, list[int]] = {}
-    table: list[int] = []
-    for key in pos:  # by height, so the key one step below comes first
+    gs = trsys.scaled_form()[1]
+    width = len(gs)
+    columns = list(zip(*gs))
+    units = {}
+    for a in range(width):
+        e = encs.get(tuple([int(i == a) for i in range(width)]))
+        if e is not None:
+            units[e] = a
+    # per positive: its form vector, and the (earlier position, unit)
+    # one step below it, if any
+    first: dict[int, int] = {}
+    forms, steps = [], []
+    for i, key in enumerate(pos):  # by height, so the key below comes first
         e = encs[key]
-        for u in units:
-            below, unit = rows.get(e - u), rows.get(u)
-            if below is not None and unit is not None:
-                row = list(map(add, below, unit))
+        for u, a in units.items():
+            k = first.get(e - u)
+            if k is not None:
+                forms.append(list(map(add, forms[k], columns[a])))
+                steps.append((k, a))
                 break
         else:
-            form = _form_row(trsys, key)
-            row = [sum(map(mul, nu, form)) for nu in pos]
-        rows[e] = row
-        table += row
+            forms.append(_form_row(trsys, key))
+            steps.append(None)
+        first.setdefault(e, i)
+    unit_rows = list(map(list, zip(*forms)))
+    p = len(pos)
+    starts, table = [], []
+    for i, key in enumerate(pos):
+        starts.append(len(table))
+        a = units.get(encs[key])
+        if a is not None:
+            table += unit_rows[a][i:]
+        elif steps[i] is not None:
+            k, a = steps[i]
+            at = starts[k] + i - k
+            table += map(add, table[at:at + p - i], unit_rows[a][i:])
+        else:
+            table += [sum(map(mul, key, form)) for form in forms[i:]]
     return table
 
 
@@ -299,32 +341,32 @@ _SIGN_RULE = {
 
 
 def _check_strings(trsys, troots, pos_encs, reaches, pairings, failures, label):
-    """The string law and the sign rule, walked once per positive nu.
+    """The string law and the sign rule, walked once per unordered pair.
 
-    The walk visits the positive t-weights x only (the orbit rule of the
-    module docstring), on encodings, with (x, nu) read from nu's row of
-    the positive pairing table.  x tops its maximal nu-run when x + nu is
-    no t-weight (a t-root or zero), and bottoms it when x - nu is none.  A
-    singleton run must be orthogonal to nu; otherwise its top must pair
-    positively and its bottom negatively with nu, and the action of g_nu
+    For the positive nu at index b, x runs over ``positives[b:]`` (the
+    symmetries of the module docstring), on encodings, with (x, nu) read
+    from nu's row of the pairing triangle.  x tops its maximal nu-run when
+    x + nu is no t-weight (a t-root or zero), and bottoms it when x - nu
+    is none.  A singleton run must be orthogonal to nu; otherwise its top
+    must pair positively and its bottom negatively with nu, and g_nu
     (raising, below the top) and g_-nu (lowering, above the bottom) must
-    be nonzero at x: some root of the space at x adds to a root of the
-    acting space within Delta u {0}.  Zero needs no visit: it is interior
-    to every run, since nu and -nu are t-weights, and bracketing with the
-    Levi factor is automatic.  A failed endpoint test at x before nu is
-    also a sign-rule record, and the diagonal pairing (nu, nu) must be
-    positive (the module docstring).
+    act nonzero at x: some root of the space at x adds to a root of the
+    acting space within Delta u {0}.  Zero is interior to every run and
+    carries no condition.  A failed endpoint test off the diagonal is also
+    a sign-rule record, and (nu, nu) must be positive.
     """
     weights = dict(troots)
     weights[0] = (0,) * len(trsys.simples)
     spaces = trsys.spaces
     p = len(pos_encs)
+    start = 0
     for b, (nu, step) in enumerate(zip(trsys.positives, pos_encs)):
         up, down = spaces[nu], spaces[tuple([-c for c in nu])]
-        row = pairings[b * p:(b + 1) * p]
-        if row[b] <= 0:
+        row = pairings[start:start + p - b]
+        start += p - b
+        if row[0] <= 0:
             failures.append(Failure("sign-rule", label, f"({nu},{nu}) is not positive"))
-        for a, (x, s) in enumerate(zip(pos_encs, row)):
+        for x, s in zip(pos_encs[b:], row):
             raised, lowered = x + step in weights, x - step in weights
             if not (raised or lowered):
                 end = "singleton string at {} along {} not orthogonal" if s else None
@@ -336,16 +378,15 @@ def _check_strings(trsys, troots, pos_encs, reaches, pairings, failures, label):
                 end = None
             if end:
                 failures.append(Failure("string-law", label, end.format(weights[x], nu)))
-                if a < b:
+                if x != step:  # off the diagonal
                     failures.append(Failure(
-                        "sign-rule", label, f"({weights[x]},{nu}) {_SIGN_RULE[(s > 0) - (s < 0)]}"))
-            if x:
-                if raised and not reaches[x] & up:
-                    failures.append(Failure(
-                        "string-law", label, f"no raising root sum at {weights[x]} along {nu}"))
-                if lowered and not reaches[x] & down:
-                    failures.append(Failure(
-                        "string-law", label, f"no lowering root sum at {weights[x]} along {nu}"))
+                        "sign-rule", label, f"({nu},{weights[x]}) {_SIGN_RULE[(s > 0) - (s < 0)]}"))
+            if raised and not reaches[x] & up:
+                failures.append(Failure(
+                    "string-law", label, f"no raising root sum at {weights[x]} along {nu}"))
+            if lowered and not reaches[x] & down:
+                failures.append(Failure(
+                    "string-law", label, f"no lowering root sum at {weights[x]} along {nu}"))
 
 
 def _check_delta(trsys, failures, label):

@@ -120,9 +120,12 @@ def crosscheck(trsys: TRootSystem) -> tuple[str, ...]:
     space has its block's dimension, and the acting-blocks rule: a
     diagonal block moves the space of block (r, s) exactly when it is
     block r or s and has size > 1.  The table's own shape (k(k-1)
-    distinct keys, order = |r - s|) holds by construction.
+    distinct keys, order = |r - s|) holds by construction.  A system
+    whose Cartan matrix is not type A raises ``InvalidComposition``, as
+    ``designation_of`` does.
     """
     comp = composition_of(trsys.designation)
+    designation_of(comp, trsys.rs)
     failures = []
 
     by_key = {e.key: e for e in block_table(comp)}

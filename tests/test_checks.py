@@ -1,5 +1,7 @@
 """The invariant sweep must pass on real data and fail on corrupted data."""
 
+import re
+from ast import literal_eval
 from fractions import Fraction
 
 import pytest
@@ -334,6 +336,37 @@ def test_sweep_and_reference_agree_on_damaged_spaces(name, deleted, damage, text
         t for i, mu in enumerate(pos) for nu in pos[i:] for t in sign_rule(trsys, mu, nu)}
 
 
+_KEY = r"(\([-\d, ]*\))"
+_ENDPOINT = re.compile(rf"^(?:singleton string at|top of string|bottom of string) {_KEY} along {_KEY} not ")
+_ALONG = re.compile(rf" {_KEY} along {_KEY}$")
+_SIGN_PAIR = re.compile(rf"^\({_KEY},{_KEY}\) ")
+
+
+@pytest.mark.parametrize("name", ["G2", "B3", "F4"])
+def test_walk_names_each_unordered_pair_once(name):
+    # each designation with one positive t-root dropped: the walk visits
+    # {x, nu} once, so no two endpoint records and no two sign-rule records
+    # name the same pair, and each record is one the reference gives
+    rs = root_system(name)
+    for des in all_parabolic_designations(rs):
+        for gone in _built(rs, des.deleted).positives:
+            trsys = _corrupt(rs, des.deleted, lambda t: _drop_troot(t, gone))
+            endpoints, signs = [], []
+            for f in check_designation(trsys).failures:
+                if f.check == "string-law":
+                    end = _ENDPOINT.match(f.detail)
+                    x, nu = map(literal_eval, (end or _ALONG.search(f.detail)).groups())
+                    assert f.detail in string_report(trsys, x, nu)[2]
+                    if end:
+                        endpoints.append(frozenset((x, nu)))
+                elif f.check == "sign-rule":
+                    mu, nu = map(literal_eval, _SIGN_PAIR.match(f.detail).groups())
+                    assert f.detail in sign_rule(trsys, mu, nu)
+                    signs.append(frozenset((mu, nu)))
+            assert len(endpoints) == len(set(endpoints)), (des.deleted, gone)
+            assert len(signs) == len(set(signs)), (des.deleted, gone)
+
+
 def test_flipped_pairings_break_endpoint_signs(monkeypatch, g2):
     # both laws read their signs from the positive pairing table
     real_pairings = checks._form_table
@@ -361,19 +394,22 @@ def test_nonpositive_diagonal_pairing_breaks_sign_rule(monkeypatch, g2, deleted,
 
 def test_positive_pairings_match_exact_form():
     # the scaled integer table is a positive multiple of the reference's
-    # exact pairing, on every designation of every type of rank <= 4
+    # exact pairing, on every designation of every type of rank <= 4; it
+    # holds the upper triangle, row i pairing pos[i] with pos[i:]
     for stype in all_simple_types(4):
         for des in all_parabolic_designations(root_system(stype)):
             trsys = real_troot_system(des)
             table = checks._form_table(trsys, {k: des.rs.encode(k) for k in trsys.keys})
             pos = trsys.positives
             p = len(pos)
-            assert len(table) == p * p
+            assert len(table) == p * (p + 1) // 2
             scale = inner(trsys, pos[0], pos[0]) / table[0]
+            entries = iter(table)
             for i, mu in enumerate(pos):
-                for j, nu in enumerate(pos):
-                    assert table[i * p + j] == table[j * p + i]
-                    assert inner(trsys, mu, nu) == scale * table[i * p + j]
+                for nu in pos[i:]:
+                    entry = next(entries)
+                    assert inner(trsys, mu, nu) == scale * entry
+                    assert inner(trsys, nu, mu) == scale * entry
             assert scale > 0
 
 

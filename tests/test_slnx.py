@@ -6,6 +6,7 @@ from leviroots import (
     block_table,
     composition,
     crosscheck,
+    designation,
     root_system,
     troot_system,
 )
@@ -149,6 +150,17 @@ def test_designation_of_names_the_rejected_system():
     with pytest.raises(InvalidComposition) as exc:
         designation_of(comp, root_system("B3"))
     assert str(exc.value) == "composition of 4 needs type A3, got B3"
+
+
+def test_crosscheck_refuses_a_system_that_is_not_type_a():
+    # the same validation as designation_of: no mismatch texts for B3
+    t = troot_system(designation(root_system("B3"), deleted=[2]))
+    with pytest.raises(InvalidComposition) as exc:
+        crosscheck(t)
+    assert str(exc.value) == "composition of 4 needs type A3, got B3"
+    t = troot_system(designation(generate(cartan_matrix(SimpleType("B", 3))), deleted=[2]))
+    with pytest.raises(InvalidComposition, match="got an explicit rank-3 matrix"):
+        crosscheck(t)
 
 
 def test_dropped_troot_breaks_the_key_sets():
