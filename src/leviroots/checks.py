@@ -176,13 +176,13 @@ def check_designation(trsys: TRootSystem) -> DesignationReport:
 
 
 def _form_row(trsys, key):
-    """Gs . key, on the integer t-root form ``scaled_form``.
+    """Gs . key, on the integer t-root form ``trsys.form``.
 
     Entry j is det times the exact pairing of key with the unit key j, so
     the dot product of mu with the row is det times (mu, key): a positive
     multiple, with the exact pairing's sign.
     """
-    return [sum(map(mul, row, key)) for row in trsys.scaled_form()[1]]
+    return [sum(map(mul, row, key)) for row in trsys.form[1]]
 
 
 def _form_table(trsys, encs):
@@ -199,7 +199,7 @@ def _form_table(trsys, encs):
     unit's row.  Any other row takes p - i dot products.
     """
     pos = trsys.positives
-    gs = trsys.scaled_form()[1]
+    gs = trsys.form[1]
     width = len(gs)
     columns = list(zip(*gs))
     units = {}
@@ -493,14 +493,20 @@ def check_node(ext, trsys: TRootSystem) -> NodeReport:
 
 
 class TypeReport:
-    __slots__ = ("stype", "designations", "nodes", "sln_failures", "maximal")
+    __slots__ = ("stype", "designations", "nodes", "sln_failures")
 
-    def __init__(self, stype, designations, nodes, sln_failures, maximal):
+    def __init__(self, stype, designations, nodes, sln_failures):
         self.stype = stype
         self.designations = designations
         self.nodes = nodes
         self.sln_failures = sln_failures
-        self.maximal = maximal
+
+    @property
+    def maximal(self) -> list:
+        """The maximal-subalgebra table: (node, classes) of the prime-mark
+        nodes; one whose classification failed is already a reported failure."""
+        return [(r.node, r.classes) for r in self.nodes
+                if _is_prime(r.mark) and r.classes is not None]
 
     @property
     def ok(self) -> bool:
@@ -531,16 +537,17 @@ class TypeReport:
 
 
 def check_type(rs: RootSystem, all_parabolics: bool = False) -> TypeReport:
-    """Build each designation's t-root system once (a failed build is one
-    certification record) and run the designation, node and block checks on it."""
+    """Build each designation's t-root system once, which certifies its
+    spaces irreducible and its t-root form positive definite (a failed build
+    is one certification record), and run the designation, node and block
+    checks on it."""
     scope = all_parabolic_designations(rs) if all_parabolics else standard_designations(rs)
     type_a = rs.cartan == cartan_matrix(SimpleType("A", rs.rank), max_rank=rs.rank)
     # only the maximal parabolics outlive their checks: the node checks read them
     reports, by_node, sln_failures = [], {}, []
     for des in scope:
-        try:  # and the t-root form, which the pairing laws read
+        try:
             trsys = troot_system(des)
-            trsys.scaled_form()
         except LeviRootsError as exc:
             failure = Failure("certification", _deleted_label(des), str(exc))
             reports.append(DesignationReport(des.deleted, {}, (failure,)))
@@ -564,11 +571,7 @@ def check_type(rs: RootSystem, all_parabolics: bool = False) -> TypeReport:
             detail = unsplit or f"the maximal parabolic deleting node {j} failed certification"
             nodes.append(NodeReport(
                 j, n, None, (Failure("equal-rank-classify", f"node={j}", detail),)))
-    # the maximal table is the prime-mark nodes; one whose classification
-    # failed is already a reported failure
-    maximal = [(r.node, r.classes) for r in nodes
-               if _is_prime(r.mark) and r.classes is not None]
-    return TypeReport(rs.stype, reports, nodes, sln_failures, maximal)
+    return TypeReport(rs.stype, reports, nodes, sln_failures)
 
 
 def check_document(reports: list[TypeReport], all_parabolics: bool) -> dict:

@@ -9,8 +9,10 @@ package.  The rational projection vector is derived data, computed on
 demand by orthogonal projection away from the kept span.
 
 The projection and the t-root form come from ``eliminate``, one
-fraction-free elimination (Bareiss, 1968) whose divisions are all exact;
-nothing is floating point, and a ``Fraction`` is built only for output.
+pivot-only fraction-free Jordan elimination (Bareiss, 1968) whose
+divisions are all exact and whose positive pivots certify the kept Gram
+block positive definite (Sylvester's criterion); nothing is floating
+point, and a ``Fraction`` is built only for output.
 
 Each t-root space g_nu, held as the mask of the roots restricting to nu,
 is certified irreducible under m here, by a unique highest-weight root
@@ -19,7 +21,7 @@ and a unique lowest-weight root, which
 simple roots, their reach in the root-sum table.
 The laws that the spaces obey together (the bracket law, the sign rule,
 the string law and the positivity of the nilradical trace) are checked,
-on the same masks and the integer form ``scaled_form``, by
+on the same masks and the integer t-root form ``TRootSystem.form``, by
 ``checks.check_designation``.
 """
 
@@ -35,47 +37,34 @@ from .rootsys import Root, RootSystem
 Key = tuple[int, ...]
 
 
-def eliminate(rows: list[list[int]], ncols: int, jordan: bool = False) -> tuple[int, int, int]:
-    """Fraction-free elimination of an integer matrix, in place.
+def eliminate(rows: list[list[int]], k: int) -> int:
+    """Fraction-free Jordan elimination of the first ``k`` columns, in place.
 
-    Pivots are sought in the first ``ncols`` columns, left to right: the
-    first nonzero entry at or below the next pivot row, swapped up; a
-    column without one is skipped (exact integers need no pivoting for
-    stability).  With pivot p and previous pivot q (1 at first), every
-    row r below the pivot row (every other row, if ``jordan``) becomes
-    (p*r - r[c]*pivot row) / q, an exact division.
-    Returns the number of pivots, the last pivot (1 if none) and the sign
-    of the row permutation.
+    Pivot c is ``rows[c][c]`` as it stands: no pivot search and no row
+    swap.  With pivot p and previous pivot q (1 at first), every other row
+    r becomes (p*r - r[c]*row c) / q, an exact division (Bareiss, 1968).
+    Pivot c is then the leading (c+1)-minor, so every pivot is positive
+    exactly when the leading k x k block B of a symmetric matrix is
+    positive definite (Sylvester's criterion).
 
-    After k pivots with no swap, the last pivot is det(B) for the leading
-    k x k block B, and the rows below hold det(B) times the Schur
-    complement of B.  With ``jordan``, each pivot row also has the last
-    pivot on its diagonal and zeros in the other pivot columns.  The
-    determinant of a square matrix is the sign times the last pivot at
-    full rank, 0 below it.
+    Returns det(B), the last pivot (1 if k = 0), or 0 at the first pivot
+    <= 0.  On success each of the first k rows has det(B) on its diagonal
+    and zeros in the other first k columns, and the rows below hold det(B)
+    times the Schur complement of B.
     """
-    n = len(rows)
-    rank, prev, sign = 0, 1, 1
-    for c in range(ncols):
-        pivot = next((r for r in range(rank, n) if rows[r][c]), None)
-        if pivot is None:
-            continue
-        if pivot != rank:
-            rows[rank], rows[pivot] = rows[pivot], rows[rank]
-            sign = -sign
-        prow = rows[rank]
+    prev = 1
+    for c in range(k):
+        prow = rows[c]
         p = prow[c]
-        # below the pivot row, the columns left of c are already zero
-        start = 0 if jordan else c
-        for r in range(0 if jordan else rank + 1, n):
-            if r != rank:
-                row = rows[r]
+        if p <= 0:
+            return 0
+        for r, row in enumerate(rows):
+            if r != c:
                 f = row[c]
-                for t in range(start, len(row)):
+                for t in range(len(row)):
                     row[t] = (p * row[t] - f * prow[t]) // prev
         prev = p
-        rank += 1
-    return rank, prev, sign
+    return prev
 
 
 def _node_set(nodes: Iterable[int]) -> frozenset[int]:
@@ -154,12 +143,13 @@ class TRootSystem:
     ``spaces`` maps each key to its t-root space, the roots restricting to
     that key, as a mask over the numbering of ``rs.indexed``.  Iteration
     and serialization order is (key height, key) ascending, so output is
-    deterministic.
+    deterministic.  ``form`` is ``(det, Gs)``: the t-root form as an
+    integer matrix Gs and its positive scale det.
     """
 
     __slots__ = (
         "designation", "rs", "spaces", "keys", "positives", "simples",
-        "delta_key", "_raised", "_nil_sums", "_form", "_proj",
+        "delta_key", "form", "_raised", "_proj",
     )
 
     def __init__(self, des: ParabolicDesignation):
@@ -200,34 +190,24 @@ class TRootSystem:
             for i, c in enumerate(k):
                 delta[i] += dim * c
         self.delta_key = tuple(delta)
-        self._nil_sums = None
-        self._form = None
+
+        # the t-root form (det, Gs), Gs = det * S for the Schur complement
+        # S = G_DD - G_DK G_KK^-1 G_KD, K the kept and D the deleted nodes:
+        # one Jordan elimination of the Gram matrix, kept nodes first,
+        # certifies G_KK positive definite (det = det(G_KK) > 0), leaves Gs
+        # in the deleted block and, in the kept rows, det * G_KK^-1 G_KD,
+        # which ``troot_vec`` reads
+        k = len(des.kept0)
+        order = des.kept0 + D
+        gram = rs.gram
+        rows = [[gram[a][b] for b in order] for a in order]
+        det = eliminate(rows, k)
+        if not det:
+            raise NotFiniteType("the kept Gram block is not positive definite")
+        self.form = det, tuple(tuple(row[k:]) for row in rows[k:])
+        self._proj = tuple(row[k:] for row in rows[:k])
 
     # -- exact geometry ---------------------------------------------------
-
-    def scaled_form(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """``(det, Gs)``: the t-root form as an integer matrix and its scale.
-
-        With K the kept and D the deleted nodes, the exact t-root Gram is
-        the Schur complement S = G_DD - G_DK G_KK^-1 G_KD.  One fraction-free
-        Jordan elimination of the Gram matrix, kept nodes first, leaves
-        Gs = det * S in the deleted block, with det = det(G_KK) > 0 since
-        G_KK is positive definite; so Gs is an integer matrix with the
-        signs of the exact form.  The kept rows of the deleted columns hold
-        det * G_KK^-1 G_KD, which ``troot_vec`` reads.  Built on first use.
-        """
-        if self._form is None:
-            K = self.designation.kept0
-            order = K + self.designation.deleted0
-            gram = self.rs.gram
-            rows = [[gram[a][b] for b in order] for a in order]
-            k = len(K)
-            rank, det, _ = eliminate(rows, k, jordan=True)
-            if rank != k or det <= 0:
-                raise NotFiniteType("the kept Gram block is not positive definite")
-            self._form = det, tuple(tuple(row[k:]) for row in rows[k:])
-            self._proj = tuple(row[k:] for row in rows[:k])
-        return self._form
 
     def troot_vec(self, key: Sequence[int]) -> tuple[Fraction, ...]:
         """Rational vector of a key combination, in simple-root coordinates.
@@ -236,7 +216,7 @@ class TRootSystem:
         coordinate j is the key entry, kept coordinate a is minus the
         projection row of a, dotted with the key, over det.
         """
-        det = self.scaled_form()[0]
+        det = self.form[0]
         out = [Fraction(0)] * self.rs.rank
         for j, c in zip(self.designation.deleted0, key):
             out[j] = Fraction(c)
@@ -283,7 +263,8 @@ class TRootSystem:
 
 
 def troot_system(des: ParabolicDesignation) -> TRootSystem:
-    """Group the roots by key and certify every space irreducible."""
+    """Group the roots by key, certify every space irreducible and the
+    kept Gram block positive definite, and build the t-root form."""
     return TRootSystem(des)
 
 

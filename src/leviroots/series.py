@@ -67,7 +67,10 @@ class CentralSeries:
         self.length = length
 
 
-def _nilradical_sums(trsys: TRootSystem) -> tuple[list[int], int, dict[int, int]]:
+NilSums = tuple[list[int], int, dict[int, int]]
+
+
+def nilradical_sums(trsys: TRootSystem) -> NilSums:
     """Nilradical roots by number, their mask, and each one's sums with n.
 
     For phi in n, sums[phi] is the bitmask of the roots phi + psi with psi
@@ -75,29 +78,29 @@ def _nilradical_sums(trsys: TRootSystem) -> tuple[list[int], int, dict[int, int]
     positive roots only, sums[phi] is phi's row of ``positive_sums`` less
     the sums of phi with the positive roots outside n, the few positive
     Levi roots; a negative root in n (damaged data) takes the direct sums.
+    Computed on each call, from the spaces as they stand.
     """
-    if trsys._nil_sums is None:
-        total = reduce(or_, (trsys.spaces[key] for key in trsys.positives), 0)
-        members = mask_bits(total)
-        table = trsys.rs.sum_table()
-        sums = table.sums
-        positive = (1 << len(trsys.rs.positives)) - 1
-        if total & ~positive:
-            nil = {phi: sums((phi,), total) for phi in members}
-        else:
-            rows, levi = table.positive_sums(), positive & ~total
-            nil = {phi: rows[phi] & ~sums((phi,), levi) for phi in members}
-        trsys._nil_sums = members, total, nil
-    return trsys._nil_sums
+    total = reduce(or_, (trsys.spaces[key] for key in trsys.positives), 0)
+    members = mask_bits(total)
+    table = trsys.rs.sum_table()
+    sums = table.sums
+    positive = (1 << len(trsys.rs.positives)) - 1
+    if total & ~positive:
+        nil = {phi: sums((phi,), total) for phi in members}
+    else:
+        rows, levi = table.positive_sums(), positive & ~total
+        nil = {phi: rows[phi] & ~sums((phi,), levi) for phi in members}
+    return members, total, nil
 
 
-def lower_series_oracle(trsys: TRootSystem) -> list[int]:
+def lower_series_oracle(trsys: TRootSystem, nil: NilSums) -> list[int]:
     """Brute-force descending series: repeatedly bracket with all of n.
 
     Starts from the full nilradical root set and keeps only root sums;
     stops when bracketing kills everything.  Independent of the grading.
+    ``nil`` is ``nilradical_sums(trsys)``.
     """
-    members, total, sums = _nilradical_sums(trsys)
+    members, total, sums = nil
     sums_with_n = trsys.rs.sum_table().sums
     chain = [total]
     while True:
@@ -115,15 +118,16 @@ def lower_series_oracle(trsys: TRootSystem) -> list[int]:
     return chain
 
 
-def upper_series_oracle(trsys: TRootSystem) -> list[int]:
+def upper_series_oracle(trsys: TRootSystem, nil: NilSums) -> list[int]:
     """Brute-force ascending series: iterated centers, per root vector.
 
     A root vector sits in the next term when bracketing with every
     nilradical root vector lands in the previous term.  Each term is
     verified to be a union of whole t-root spaces (stability under the
     Levi factor), which is what makes per-root computation exact.
+    ``nil`` is ``nilradical_sums(trsys)``.
     """
-    _, total, sums = _nilradical_sums(trsys)
+    _, total, sums = nil
     spaces = [(key, trsys.spaces[key]) for key in trsys.positives]
     chain: list[int] = []
     prev = 0
@@ -147,8 +151,9 @@ def upper_series_oracle(trsys: TRootSystem) -> list[int]:
 def closed_form_series(trsys: TRootSystem, grad: Grading | None = None) -> CentralSeries:
     """Both central series read off the order grading.
 
-    The result is always compared against both brute-force oracles, and
-    SeriesMismatch is raised on any difference.
+    The result is always compared against both brute-force oracles, which
+    share one ``nilradical_sums``, and SeriesMismatch is raised on any
+    difference.
     """
     if grad is None:
         grad = grading(trsys)
@@ -164,9 +169,10 @@ def closed_form_series(trsys: TRootSystem, grad: Grading | None = None) -> Centr
         upper.append(acc)
     lower = upper[::-1]
     series = CentralSeries(tuple(upper), tuple(lower), k_cent)
-    if lower != lower_series_oracle(trsys):
+    nil = nilradical_sums(trsys)
+    if lower != lower_series_oracle(trsys, nil):
         raise SeriesMismatch("closed-form lower series disagrees with its oracle")
-    if upper != upper_series_oracle(trsys):
+    if upper != upper_series_oracle(trsys, nil):
         raise SeriesMismatch("closed-form upper series disagrees with its oracle")
     return series
 

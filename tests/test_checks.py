@@ -27,7 +27,7 @@ from leviroots.rootsys import (
 )
 from leviroots.errors import NotFiniteType, SeriesMismatch
 from leviroots.levi import TRootSystem, troot_system as real_troot_system
-from leviroots.series import upper_series_oracle
+from leviroots.series import closed_form_series, nilradical_sums, upper_series_oracle
 from conftest import replace
 from reference import bracket_image, inner, sign_rule, string_report
 
@@ -165,15 +165,28 @@ def _add_negative_simple(t):
     t.spaces[(1,)] = t.spaces[(1,)] | t.rs.mirror(1 << t.rs.index[(1, 0)])
 
 
+_NEGATIVE_SIMPLE_RECORDS = [
+    ("partition", "5 space roots + 2 Levi roots != 6"),
+    ("negation-symmetry", "key (1,) mirror mismatch"),
+    ("restriction", "space (1,) is not the fiber of its key"),
+    ("central-series", "lower central series did not terminate")]
+
+
 def test_negative_root_in_the_nilradical_stops_the_lower_series():
     # (alpha_1 + alpha_2) - alpha_1 = alpha_2 and alpha_2 + alpha_1 lead
     # back to alpha_1 + alpha_2, so bracketing with n never reaches zero
     rep = check_designation(_corrupt(root_system("A2"), [1], _add_negative_simple))
-    assert [(f.check, f.detail) for f in rep.failures] == [
-        ("partition", "5 space roots + 2 Levi roots != 6"),
-        ("negation-symmetry", "key (1,) mirror mismatch"),
-        ("restriction", "space (1,) is not the fiber of its key"),
-        ("central-series", "lower central series did not terminate")]
+    assert [(f.check, f.detail) for f in rep.failures] == _NEGATIVE_SIMPLE_RECORDS
+
+
+def test_series_oracles_read_the_spaces_as_they_stand():
+    # nothing of a series run is kept on the system: damage made after one
+    # run is what the next run reads, as on a freshly damaged system
+    t = real_troot_system(designation(root_system("A2"), deleted=[1]))
+    closed_form_series(t)
+    _add_negative_simple(t)
+    rep = check_designation(t)
+    assert [(f.check, f.detail) for f in rep.failures] == _NEGATIVE_SIMPLE_RECORDS
 
 
 def test_levi_root_in_every_nilradical_sum_stalls_the_upper_oracle():
@@ -188,7 +201,7 @@ def test_levi_root_in_every_nilradical_sum_stalls_the_upper_oracle():
     for phi in mask_bits(t.spaces[(1,)]):
         rows[phi] |= 1 << rs.index[(0, 1)]
     with pytest.raises(SeriesMismatch, match="upper central series stalled"):
-        upper_series_oracle(t)
+        upper_series_oracle(t, nilradical_sums(t))
 
 
 def test_corrupted_raising_space_breaks_string_law():
@@ -800,9 +813,19 @@ def test_indefinite_kept_gram_block_is_a_certification_record():
     rs.gram = ((2, -3, 0), (-3, 2, -1), (0, -1, 2))
     record = [("certification", "the kept Gram block is not positive definite")]
     with pytest.raises(NotFiniteType, match=record[0][1]):
-        _built(rs, [3]).scaled_form()
+        _built(rs, [3])
     reports = {r.deleted: r for r in check_type(rs).designations}
     assert [(f.check, f.detail) for f in reports[(3,)].failures] == record
+
+
+def test_indefinite_kept_gram_block_of_positive_determinant_is_certified():
+    # deleting node 4 keeps a block of eigenvalues 8, -1, -1: its
+    # determinant 8 is positive, but its second leading minor 2*2 - 3*3 is not
+    rs = root_system("A4")
+    rs.gram = ((2, 3, 3, 0), (3, 2, 3, -1), (3, 3, 2, 0), (0, -1, 0, 2))
+    reports = {r.deleted: r for r in check_type(rs).designations}
+    assert [(f.check, f.detail) for f in reports[(4,)].failures] == [
+        ("certification", "the kept Gram block is not positive definite")]
 
 
 def _node_records(rs):
@@ -1044,13 +1067,19 @@ def _damaged(data, seq, extra):
 def _damage_troots(data, t):
     bits = st.integers(0, len(t.rs.indexed) - 1).map(lambda i: 1 << i)
     keys = st.tuples(*[st.integers(-3, 3)] * len(t.simples))
-    field = data.draw(st.sampled_from(["spaces", "keys", "positives", "simples"]))
+    field = data.draw(st.sampled_from(["spaces", "keys", "positives", "simples", "form"]))
     if field == "spaces":
         key = data.draw(st.sampled_from(t.keys))
         if data.draw(st.booleans()):
             del t.spaces[key]
         else:  # one mask bit flipped
             t.spaces[key] = t.spaces[key] ^ data.draw(bits)
+    elif field == "form":  # one entry of Gs moved
+        det, gs = t.form
+        rows = [list(row) for row in gs]
+        cell = st.integers(0, len(rows) - 1)
+        rows[data.draw(cell)][data.draw(cell)] += data.draw(st.integers(-3, 3).filter(bool))
+        t.form = det, tuple(map(tuple, rows))
     else:
         setattr(t, field, tuple(_damaged(data, getattr(t, field), keys)))
 

@@ -236,7 +236,6 @@ def test_check_failure_exit_code(capsys, monkeypatch):
         designations=[broken(checks.borel_designation(rs))],
         nodes=[],
         sln_failures=[],
-        maximal=[],
     ))
     assert cli.run(["check", "A1"]) == 2
     doc = json.loads(capsys.readouterr().out)
@@ -258,7 +257,6 @@ def test_check_pretty_counts_the_fail_lines(capsys, monkeypatch):
                 (fail("bracket-law", "x", "one"), fail("sign-rule", "x", "two")))],
             nodes=[checks.NodeReport(1, 2, None, (fail("equal-rank-classify", "x", "three"),))],
             sln_failures=[fail("block-crosscheck", "blocks=[1, 1]", "four")],
-            maximal=[],
         )
 
     monkeypatch.setattr(checks, "check_type", report)

@@ -71,7 +71,7 @@ def test_a2_keep2_worked_example(a2):
     beta = trsys.simples[0]
     assert trsys.troot_vec(beta) == (Q(1), Q(1, 2))
     assert inner(trsys, beta, beta) == Q(3, 2)
-    det, gs = trsys.scaled_form()
+    det, gs = trsys.form
     assert Q(gs[0][0], det) == Q(3, 2)
     # nilradical trace: delta = 2*beta, (delta, beta) = 3
     assert trsys.delta_key == (2,)
@@ -279,7 +279,7 @@ def test_inner_matches_fraction_schur_complement(stype):
     for des in all_parabolic_designations(root_system(stype)):
         trsys = troot_system(des)
         form = schur_form(des)
-        det, scaled = trsys.scaled_form()
+        det, scaled = trsys.form
         assert det > 0
         assert tuple(tuple(Q(v, det) for v in row) for row in scaled) == form
         for mu in trsys.keys:
