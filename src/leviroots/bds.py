@@ -7,9 +7,12 @@ independent ways: once as a Cartan matrix read off the extended
 diagram, and once as a root subset read off the t-root system of the
 maximal parabolic that deletes the node (Remark 3.9): the Levi factor
 plus g_n and g_-n, with simple system ``kept simples + (-highest)``.
-The other roots split into the residue classes g_k | g_(k-n); each
-class is certified irreducible by a unique highest-weight root, and
-residue classes multiply by addition mod n.
+Both Cartan matrices come from ``_cartan_of``, on vectors read by their
+nonzero terms; the node check classifies the second only when it differs
+from the first, since one matrix has one class.  The other roots split
+into the residue classes g_k | g_(k-n); each class is certified
+irreducible by a unique highest-weight root, and residue classes multiply
+by addition mod n, which commutes, so each unordered pair is checked once.
 
 Diagram classification works on structural fingerprints alone (rank,
 bond orders with orientation, branch arms), so it also names root
@@ -22,7 +25,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import product
 from math import isqrt
-from operator import mul, or_
+from operator import or_
 
 from .errors import InvalidCartan, InvalidPair, IrreducibilityViolation, NotFiniteType, SimpleSystemFailure
 from .rootsys import CartanMatrix, FrozenRecord, Root, RootSystem, SimpleType, _validate_cartan, mask_bits
@@ -38,9 +41,26 @@ def _require_node(rs: RootSystem, j: int) -> None:
 
 
 def _cartan_of(rs: RootSystem, vectors: list[Root] | tuple[Root, ...]) -> CartanMatrix:
-    """Cartan-type entries 2(x,y)/(y,y) of integer vectors, on the Gram matrix."""
-    images = [[sum(map(mul, row, y)) for row in rs.gram] for y in vectors]  # G y
-    form = [[sum(map(mul, x, gy)) for gy in images] for x in vectors]
+    """Cartan-type entries 2(x,y)/(y,y) of integer vectors, on the Gram matrix.
+
+    Each vector is read as its nonzero (index, coefficient) terms.  G y is
+    the sum of c times column t of G over the terms of y, with the columns
+    read off G as it stands, symmetric or not.  Row x of the pairings
+    x . G y is the same sum over the terms of x, with column t now the
+    entries t of every G y.  So a unit vector's G y is one column of G, and
+    its row of pairings one such column.
+    """
+    terms = [[(t, c) for t, c in zip(range(rs.rank), v) if c] for v in vectors]
+
+    def combine(columns, width):  # per vector, the sum of c * columns[t] over its terms
+        zero, out = (0,) * width, []
+        for y in terms:
+            parts = [columns[t] if c == 1 else [c * g for g in columns[t]] for t, c in y]
+            out.append(parts[0] if len(parts) == 1 else tuple(map(sum, zip(zero, *parts))))
+        return out
+
+    images = combine(tuple(zip(*rs.gram)), rs.rank)  # G y
+    form = combine(tuple(zip(*images)), len(vectors))  # form[a][b] = x_a . G y_b
     for a, b in product(range(len(vectors)), repeat=2):
         if not form[b][b] or 2 * form[a][b] % form[b][b]:  # a damaged form may zero (y,y)
             raise InvalidCartan(

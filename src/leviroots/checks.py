@@ -449,9 +449,13 @@ def check_node(ext, trsys: TRootSystem) -> NodeReport:
     n = rs.marks[j - 1]
     classes = None
     try:
-        from_diagram = classify(delete_node(ext, j))
+        diagram = delete_node(ext, j)
+        from_diagram = classify(diagram)
         model = subalgebra_roots(trsys)
-        from_roots = classify(_cartan_of(rs, model.simple_roots))
+        matrix = _cartan_of(rs, model.simple_roots)
+        # one matrix has one class: the root pipeline classifies only a
+        # matrix that differs from the diagram's
+        from_roots = from_diagram if matrix == diagram else classify(matrix)
         classes = from_diagram
         if from_diagram != from_roots:
             failures.append(Failure(
@@ -477,10 +481,14 @@ def check_node(ext, trsys: TRootSystem) -> NodeReport:
             residue_irreducibility(model, k)
         except LeviRootsError as exc:
             failures.append(Failure("residue-irreducibility", label, str(exc)))
-    # a missing class is reported above, and its brackets are not read
+    # a missing class is reported above, and its brackets are not read.
+    # Each unordered pair once, p <= q: sums(P, Q) is sums(Q, P), since the
+    # sum table is symmetric by construction (RootSums sets bit j of
+    # adjz[i] and bit i of adjz[j] together) and the sum is found by
+    # adding the two encodings, which commutes
     present = [k for k in range(1, n) if k in model.residues]
-    for p in present:
-        for q in present:
+    for i, p in enumerate(present):
+        for q in present[i:]:
             if (p + q) % n == 0:
                 continue
             for msg in residue_bracket_check(model, p, q):

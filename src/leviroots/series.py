@@ -74,23 +74,31 @@ def nilradical_sums(trsys: TRootSystem) -> NilSums:
     """Nilradical roots by number, their mask, and each one's sums with n.
 
     For phi in n, sums[phi] is the bitmask of the roots phi + psi with psi
-    in n.  Read from the spaces and the root-sum table only.  When n holds
-    positive roots only, sums[phi] is phi's row of ``positive_sums`` less
-    the sums of phi with the positive roots outside n, the few positive
-    Levi roots; a negative root in n (damaged data) takes the direct sums.
-    Computed on each call, from the spaces as they stand.
+    in n, read from the spaces, the root-sum table and each positive root's
+    deleted-node coefficients.  Take the nilradical by coefficients, N: the
+    positive roots with a nonzero deleted-node coefficient.  For phi and psi
+    positive, phi + psi has phi's deleted-node coefficients exactly when psi
+    has none, that is, when psi is a Levi root; so when n is N, phi's row of
+    ``positive_sums`` outside phi's coefficient fiber is sums[phi].  Spaces
+    whose union is not N (damaged data) take the direct sums.  Computed on
+    each call, from the spaces as they stand.
     """
+    rs = trsys.rs
     total = reduce(or_, (trsys.spaces[key] for key in trsys.positives), 0)
     members = mask_bits(total)
-    table = trsys.rs.sum_table()
-    sums = table.sums
-    positive = (1 << len(trsys.rs.positives)) - 1
-    if total & ~positive:
-        nil = {phi: sums((phi,), total) for phi in members}
-    else:
-        rows, levi = table.positive_sums(), positive & ~total
-        nil = {phi: rows[phi] & ~sums((phi,), levi) for phi in members}
-    return members, total, nil
+    table = rs.sum_table()
+    # each positive root's deleted-node coefficients, and each one's fiber
+    deleted = trsys.designation.deleted0
+    coeffs = list(zip(*[rs.columns()[d] for d in deleted]))
+    fibers: dict[tuple[int, ...], int] = {}
+    for i, c in enumerate(coeffs):
+        fibers[c] = fibers.get(c, 0) | 1 << i
+    positive = (1 << len(rs.positives)) - 1
+    by_coeffs = positive & ~fibers.get((0,) * len(deleted), 0)
+    if total != by_coeffs:
+        return members, total, {phi: table.sums((phi,), total) for phi in members}
+    rows = table.positive_sums()
+    return members, total, {phi: rows[phi] & ~fibers[coeffs[phi]] for phi in members}
 
 
 def lower_series_oracle(trsys: TRootSystem, nil: NilSums) -> list[int]:

@@ -17,12 +17,16 @@ it walks every alpha_i string down through a set of root tuples and sums
 every pairing afresh, and finds the symmetrizers with ``Fraction``.  It
 encodes no root, and returns the positives and the symmetrizers alone.
 ``form`` is the symmetrized Cartan form of two coefficient vectors, summed
-entry by entry on the Gram matrix.
+entry by entry on the Gram matrix, and ``cartan_of`` the Cartan-type matrix
+of a list of vectors by dense dot products, against which the sparse
+``leviroots.bds._cartan_of`` is tested.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import gcd
+from operator import mul
 from typing import NamedTuple
 
 from leviroots.errors import InvalidCartan, NotFiniteType
@@ -174,6 +178,18 @@ def form(rs, v, w):
                 acc += row[j] * wj
         total += vi * acc
     return total
+
+
+def cartan_of(rs, vectors):
+    """Cartan-type entries 2(x,y)/(y,y) of integer vectors, by dense dot
+    products on ``rs.gram``: G y for every y, then x . G y for every pair."""
+    images = [[sum(map(mul, row, y)) for row in rs.gram] for y in vectors]
+    pairs = [[sum(map(mul, x, gy)) for gy in images] for x in vectors]
+    for a, b in product(range(len(vectors)), repeat=2):
+        if not pairs[b][b] or 2 * pairs[a][b] % pairs[b][b]:
+            raise InvalidCartan(
+                f"2(x,y)/(y,y) is not an integer for {vectors[a]}, {vectors[b]}")
+    return tuple(tuple(2 * f // pairs[b][b] for b, f in enumerate(row)) for row in pairs)
 
 
 def symmetrizers(cartan):

@@ -1,9 +1,11 @@
 import re
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from leviroots import (
+    InvalidCartan,
     InvalidDesignation,
     InvalidPair,
     NotFiniteType,
@@ -32,7 +34,7 @@ from leviroots.rootsys import SimpleType, all_simple_types, cartan_matrix
 from fractions import Fraction as Q
 
 from conftest import classical_root_count, fraction_det
-from reference import form
+from reference import cartan_of, form
 
 
 def _split(rs, j):
@@ -142,6 +144,40 @@ def test_node_numbers_must_be_ints(g2, bad):
     message = f"node index {bad!r} is not an integer"
     with pytest.raises(InvalidDesignation, match=re.escape(message)):
         designation(g2, deleted=[bad])
+
+
+_GRAMS = {str(t): root_system(t).gram for t in all_simple_types(12)}
+
+
+@st.composite
+def gram_and_vectors(draw):
+    """A Gram matrix of rank <= 12, perhaps with one entry moved off the
+    symmetric, and integer vectors: unit vectors, the all-zero vector, and
+    small entries of either sign."""
+    gram = [list(row) for row in _GRAMS[draw(st.sampled_from(sorted(_GRAMS)))]]
+    rank = len(gram)
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, rank - 1)), draw(st.integers(0, rank - 1))
+        gram[i][j] += draw(st.integers(-2, 2))
+    unit = st.integers(0, rank - 1).map(lambda t: tuple(int(i == t) for i in range(rank)))
+    vector = st.one_of(
+        unit, st.just((0,) * rank), st.lists(st.integers(-3, 3), min_size=rank, max_size=rank))
+    vectors = draw(st.lists(vector.map(tuple), min_size=1, max_size=rank + 1))
+    return SimpleNamespace(gram=tuple(map(tuple, gram)), rank=rank), vectors
+
+
+@settings(max_examples=300, deadline=None)
+@given(gram_and_vectors())
+def test_sparse_cartan_of_matches_the_dense_formula(case):
+    # the same matrix, or InvalidCartan with the same text
+    rs, vectors = case
+    try:
+        want = cartan_of(rs, vectors)
+    except InvalidCartan as exc:
+        with pytest.raises(InvalidCartan, match=f"^{re.escape(str(exc))}$"):
+            _cartan_of(rs, vectors)
+    else:
+        assert _cartan_of(rs, vectors) == want
 
 
 def test_split_needs_a_maximal_parabolic(g2):

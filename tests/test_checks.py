@@ -959,9 +959,7 @@ def test_unclassifiable_prime_node_is_a_reported_failure(monkeypatch, g2):
     assert rep.as_dict()["maximal_equal_rank"] == [{"node": 2, "subalgebra": ["A1", "A1"]}]
 
 
-def test_check_type_classifies_each_node_once(monkeypatch):
-    # two classifications per node (diagram and root pipeline), none more
-    # for the maximal table
+def _counting_classify(monkeypatch):
     calls = []
     real = bds.classify
 
@@ -971,9 +969,77 @@ def test_check_type_classifies_each_node_once(monkeypatch):
 
     monkeypatch.setattr(bds, "classify", counting)
     monkeypatch.setattr(checks, "classify", counting)
+    return calls
+
+
+def test_check_type_classifies_each_node_once(monkeypatch):
+    # the root pipeline's matrix equals the diagram's at every node, so each
+    # node is classified once, and the maximal table classifies nothing more
+    calls = _counting_classify(monkeypatch)
     rep = check_type(root_system("E6"))
-    assert rep.ok and len(calls) == 12
+    assert rep.ok and len(calls) == 6
     assert rep.maximal == bds.maximal_equal_rank(root_system("E6"))
+
+
+def test_permuted_simple_roots_are_classified_twice(monkeypatch):
+    # F4 node 1 leaves A1+C3; its simple roots in reverse order give another
+    # matrix of the same class, so both pipelines classify, and they agree
+    f4 = root_system("F4")
+    ext = extended_diagram(f4)
+    real = bds.subalgebra_roots
+
+    def permuted(trsys):
+        model = real(trsys)
+        return replace(model, simple_roots=model.simple_roots[::-1])
+
+    trsys = _built(f4, [1])
+    reversed_roots = permuted(trsys).simple_roots
+    assert bds._cartan_of(f4, reversed_roots) != bds.delete_node(ext, 1)
+    monkeypatch.setattr(checks, "subalgebra_roots", permuted)
+    calls = _counting_classify(monkeypatch)
+    rep = check_node(ext, trsys)
+    assert rep.ok and str(rep.classes) == "A1+C3" and len(calls) == 2
+
+
+def test_residue_brackets_walk_unordered_class_pairs(monkeypatch):
+    # E8 node 4 has mark 6: of the 20 ordered pairs of classes 1..5 with
+    # p + q != 0 mod 6, the 12 with p <= q
+    calls = []
+    real = bds.residue_bracket_check
+
+    def counting(model, p, q):
+        calls.append((p, q))
+        return real(model, p, q)
+
+    monkeypatch.setattr(checks, "residue_bracket_check", counting)
+    e8 = root_system("E8")
+    rep = check_node(extended_diagram(e8), _built(e8, [4]))
+    assert rep.ok and rep.mark == 6
+    assert calls == [(p, q) for p in range(1, 6) for q in range(p, 6) if (p + q) % 6]
+    assert len(calls) == 12
+
+
+def test_damaged_off_diagonal_class_pair_is_one_residue_bracket_record():
+    # F4 node 3 has mark 4.  The sum table loses every pair of classes 1
+    # and 2 that adds to the highest weight of class 3, both ways, so
+    # classes 1 + 2 miss that root; the pair is reported once, as 1+2
+    f4 = root_system("F4")
+    trsys = _built(f4, [3])
+    model = bds.subalgebra_roots(trsys)
+    assert model.mark == 4
+    table = f4.sum_table()
+    target = f4.index[bds.residue_irreducibility(model, 3)]
+    cut = 0
+    for i in mask_bits(model.residues[1]):
+        for j in mask_bits(model.residues[2] & table.adjz[i]):
+            if table.sums((i,), 1 << j) == 1 << target:
+                table.adjz[i] &= ~(1 << j)
+                table.adjz[j] &= ~(1 << i)
+                cut += 1
+    assert cut
+    rep = check_node(extended_diagram(f4), trsys)
+    assert [(f.check, f.detail) for f in rep.failures] == [
+        ("residue-bracket", "classes 1+2: image misses 1 and adds 0 roots vs class 3")]
 
 
 def test_check_type_builds_the_extended_diagram_once(monkeypatch):

@@ -276,6 +276,18 @@ def test_mask_roundtrip(f4):
     assert f4.roots_of(0) == () and mask_bits(0) == []
 
 
+def test_sum_table_is_symmetric():
+    # bit j of adjz[i] exactly when bit i of adjz[j], on every type of rank
+    # <= 12: check_node reads each unordered pair of residue classes once
+    for stype in all_simple_types(12):
+        adjz = root_system(stype).sum_table().adjz
+        transposed = [0] * len(adjz)
+        for i, row in enumerate(adjz):
+            for j in mask_bits(row):
+                transposed[j] |= 1 << i
+        assert transposed == adjz, stype
+
+
 @pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2", "F4", "D4"])
 def test_sum_table_matches_brute_force(name):
     rs = root_system(name)
