@@ -21,23 +21,14 @@ systems built from explicit user matrices.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import reduce
 from itertools import product
 from math import isqrt
-from operator import or_
+from operator import gt, or_
 
 from .errors import InvalidCartan, InvalidPair, IrreducibilityViolation, NotFiniteType, SimpleSystemFailure
-from .rootsys import CartanMatrix, FrozenRecord, Root, RootSystem, SimpleType, _validate_cartan, mask_bits
-
-
-def _require_node(rs: RootSystem, j: int) -> None:
-    """Reject a node number that is not an int (2.0, True) or lies outside
-    the ordinary diagram's 1..rank."""
-    if isinstance(j, bool) or not isinstance(j, int):
-        raise InvalidPair(f"node {j!r} is not an integer")
-    if not 1 <= j <= rs.rank:
-        raise InvalidPair(f"node {j} out of range 1..{rs.rank}")
+from .rootsys import CartanMatrix, FrozenRecord, Root, RootSystem, SimpleType, _validate_cartan
+from .rootsys import mask_bits, node_set
 
 
 def _cartan_of(rs: RootSystem, vectors: list[Root] | tuple[Root, ...]) -> CartanMatrix:
@@ -108,7 +99,7 @@ def delete_node(ext: ExtendedDiagram, j: int) -> CartanMatrix:
     Rows/columns run over the kept nodes in ascending order followed by
     the adjoined node: a slice of ``ext.affine_cartan``.
     """
-    _require_node(ext.rs, j)
+    node_set(ext.rs.rank, (j,))
     order = [i for i in range(1, ext.rs.rank + 1) if i != j] + [0]
     affine = ext.affine_cartan
     return tuple(tuple(affine[x][y] for y in order) for x in order)
@@ -159,7 +150,7 @@ def subalgebra_roots(trsys) -> SubalgebraModel:
     # simple root: it is one-signed when phi <= psi entrywise
     top = spaces.get((n,), 0)
     for phi in rs.roots_of(top):
-        if any(c > m for c, m in zip(phi, rs.marks)):
+        if any(map(gt, phi, rs.marks)):
             raise SimpleSystemFailure(f"root {phi} is not a one-signed combination at node {j}")
     levi = ((1 << len(rs.indexed)) - 1) & ~reduce(or_, spaces.values(), 0)
     root_set = levi | top | spaces.get((-n,), 0)
@@ -373,10 +364,11 @@ def _is_prime(n: int) -> bool:
 
 
 def _node_entry(ext: ExtendedDiagram, j: int) -> dict:
-    from .levi import designation, troot_system  # bds --dot and maximal read no t-roots
+    from fractions import Fraction  # bds --dot and maximal load no fractions
+    from .levi import designation, troot_system  # and read no t-roots
 
     rs = ext.rs
-    cls = classify(delete_node(ext, j))  # which rejects a bad node before designation does
+    cls = classify(delete_node(ext, j))
     model = subalgebra_roots(troot_system(designation(rs, deleted=(j,))))
     residues = [
         {
@@ -441,7 +433,7 @@ def extended_dot(ext: ExtendedDiagram, deleted: int | None = None) -> str:
     """
     rs = ext.rs
     if deleted is not None:
-        _require_node(rs, deleted)
+        node_set(rs.rank, (deleted,))
     lines = ["graph extended_diagram {", "  node [shape=circle];"]
     name = str(rs.stype) if rs.stype else f"rank{rs.rank}"
     lines.append(f'  label="{name} extended";')

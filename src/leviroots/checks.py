@@ -551,34 +551,33 @@ def check_type(rs: RootSystem, all_parabolics: bool = False) -> TypeReport:
     checks on it."""
     scope = all_parabolic_designations(rs) if all_parabolics else standard_designations(rs)
     type_a = rs.cartan == cartan_matrix(SimpleType("A", rs.rank), max_rank=rs.rank)
-    # only the maximal parabolics outlive their checks: the node checks read them
-    reports, by_node, sln_failures = [], {}, []
+    try:
+        ext, unsplit = extended_diagram(rs), None
+    except LeviRootsError as exc:  # no node can be classified
+        ext, unsplit = None, str(exc)
+    # every scope holds each node's maximal parabolic, in node order
+    reports, nodes, sln_failures = [], [], []
     for des in scope:
         try:
             trsys = troot_system(des)
         except LeviRootsError as exc:
             failure = Failure("certification", _deleted_label(des), str(exc))
             reports.append(DesignationReport(des.deleted, {}, (failure,)))
-            continue
-        reports.append(check_designation(trsys))
-        if len(des.deleted) == 1:
-            by_node[des.deleted[0]] = trsys
-        if type_a:
-            subject = f"blocks={list(slnx.composition_of(des).parts)}"
-            for msg in slnx.crosscheck(trsys):
-                sln_failures.append(Failure("block-crosscheck", subject, msg))
-    try:
-        ext, unsplit = extended_diagram(rs), None
-    except LeviRootsError as exc:  # no node can be classified
-        ext, unsplit = None, str(exc)
-    nodes = []
-    for j, n in enumerate(rs.marks, 1):  # every scope holds each node's maximal parabolic
-        if unsplit is None and j in by_node:
-            nodes.append(check_node(ext, by_node[j]))
+            trsys = None
         else:
-            detail = unsplit or f"the maximal parabolic deleting node {j} failed certification"
-            nodes.append(NodeReport(
-                j, n, None, (Failure("equal-rank-classify", f"node={j}", detail),)))
+            reports.append(check_designation(trsys))
+            if type_a:
+                subject = f"blocks={list(slnx.composition_of(des).parts)}"
+                for msg in slnx.crosscheck(trsys):
+                    sln_failures.append(Failure("block-crosscheck", subject, msg))
+        if len(des.deleted) == 1:
+            j = des.deleted[0]
+            if unsplit is None and trsys is not None:
+                nodes.append(check_node(ext, trsys))
+            else:
+                detail = unsplit or f"the maximal parabolic deleting node {j} failed certification"
+                nodes.append(NodeReport(
+                    j, rs.marks[j - 1], None, (Failure("equal-rank-classify", f"node={j}", detail),)))
     return TypeReport(rs.stype, reports, nodes, sln_failures)
 
 

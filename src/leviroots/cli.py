@@ -40,26 +40,23 @@ def _node_list(text: str) -> tuple[int, ...]:
 
 
 def _load_cartan(path: str):
-    """Read a Cartan matrix from JSON: a list of rows, or {"cartan": rows}.
+    """Read a Cartan matrix from JSON: rows, or {"cartan": rows}.
 
-    Only the JSON shape and the rank cap (DEFAULT_MAX_RANK, like named
-    types) are checked here; ``generate`` validates the entries, so floats
+    Only the JSON and the rank cap (DEFAULT_MAX_RANK, like named types) are
+    read here; ``generate`` validates the shape and the entries, so floats
     and booleans are rejected, never rounded.
     """
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise InvalidCartan(f"{path}: {exc}") from None
+            raise InvalidCartan(str(exc)) from None
     if isinstance(data, dict):
         if "cartan" not in data:
-            raise InvalidCartan(f'{path}: the JSON object has no "cartan" key')
+            raise InvalidCartan('the JSON object has no "cartan" key')
         data = data["cartan"]
-    if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
-        raise InvalidCartan(f"{path}: the Cartan matrix must be a list of rows")
-    if len(data) > DEFAULT_MAX_RANK:
-        raise InvalidRank(
-            f"{path}: rank {len(data)} exceeds the configured maximum {DEFAULT_MAX_RANK}")
+    if isinstance(data, list) and len(data) > DEFAULT_MAX_RANK:
+        raise InvalidRank(f"rank {len(data)} exceeds the configured maximum {DEFAULT_MAX_RANK}")
     return data
 
 
@@ -70,9 +67,8 @@ def _resolve_system(args) -> RootSystem:
     if getattr(args, "dot", False) and args.pretty:
         raise LeviRootsError("give either --dot or --pretty, not both")
     if args.cartan:
-        data = _load_cartan(args.cartan)
-        try:
-            return generate(data)
+        try:  # every error about the file starts with its path
+            return generate(_load_cartan(args.cartan))
         except LeviRootsError as exc:
             raise type(exc)(f"{args.cartan}: {exc}") from None
     if not args.type:

@@ -6,7 +6,7 @@ class LeviRootsError(Exception):
 
 
 class InvalidRank(LeviRootsError):
-    """A simple type was requested with a rank outside its family's range."""
+    """A rank is not an int, lies outside its family's range or exceeds the cap."""
 
 
 class InvalidCartan(LeviRootsError):
@@ -20,7 +20,8 @@ class NotFiniteType(LeviRootsError):
 
 
 class InvalidDesignation(LeviRootsError):
-    """A parabolic designation kept every node or named an unknown node."""
+    """A node number (from any entry point) is not an int, lies outside
+    1..rank or is named twice, or a parabolic designation kept every node."""
 
 
 class IrreducibilityViolation(LeviRootsError):
@@ -33,8 +34,8 @@ class IrreducibilityViolation(LeviRootsError):
 
 
 class InvalidPair(LeviRootsError):
-    """A node or residue-class argument was rejected (e.g. classes p, q
-    with p + q = 0 mod n, whose bracket lands in the subalgebra)."""
+    """A residue class was rejected (say p, q with p + q = 0 mod n, whose
+    bracket lands in the subalgebra), or a split asked of a non-maximal parabolic."""
 
 
 class SeriesMismatch(LeviRootsError):

@@ -32,7 +32,7 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import InvalidDesignation, IrreducibilityViolation, NotFiniteType
-from .rootsys import Root, RootSystem
+from .rootsys import Root, RootSystem, node_set
 
 Key = tuple[int, ...]
 
@@ -67,31 +67,14 @@ def eliminate(rows: list[list[int]], k: int) -> int:
     return prev
 
 
-def _node_set(nodes: Iterable[int]) -> frozenset[int]:
-    """The node numbers as a set, each an int (never 2.0 for 2 or True for
-    1) and named once."""
-    nodes = tuple(nodes)
-    for k in nodes:
-        if isinstance(k, bool) or not isinstance(k, int):
-            raise InvalidDesignation(f"node index {k!r} is not an integer")
-    out = frozenset(nodes)
-    if len(out) < len(nodes):
-        twice = sorted({k for k in nodes if nodes.count(k) > 1})
-        raise InvalidDesignation(f"node indices named twice: {twice}")
-    return out
-
-
 class ParabolicDesignation:
     """A choice of kept simple-root nodes (1-based), kept != all."""
 
     __slots__ = ("rs", "deleted", "kept0", "deleted0")
 
     def __init__(self, rs: RootSystem, kept_nodes: Iterable[int]):
-        kept = _node_set(kept_nodes)
+        kept = node_set(rs.rank, kept_nodes)
         nodes = frozenset(range(1, rs.rank + 1))
-        if not kept <= nodes:
-            bad = sorted(kept - nodes)
-            raise InvalidDesignation(f"node indices out of range: {bad}")
         if kept == nodes:
             raise InvalidDesignation("kept every node; the parabolic must be proper")
         self.rs = rs
@@ -115,14 +98,12 @@ def designation(rs: RootSystem, kept: Iterable[int] | None = None,
     """Build a designation from either the kept or the deleted node set."""
     if (kept is None) == (deleted is None):
         raise InvalidDesignation("give exactly one of kept= or deleted=")
-    nodes = _node_set(deleted if kept is None else kept)
     if kept is None:
-        if not nodes:
+        deleted = node_set(rs.rank, deleted)
+        if not deleted:
             raise InvalidDesignation("deleted no node; the parabolic must be proper")
-        # the symmetric difference keeps an out-of-range node in the kept
-        # set, where the constructor's range check names it
-        nodes = frozenset(range(1, rs.rank + 1)) ^ nodes
-    return ParabolicDesignation(rs, nodes)
+        kept = frozenset(range(1, rs.rank + 1)) - deleted
+    return ParabolicDesignation(rs, kept)
 
 
 def _certify(rs: RootSystem, key: Key, mask: int, raised: int) -> tuple[int, int]:

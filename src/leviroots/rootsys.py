@@ -19,11 +19,12 @@ statements are normalization-free.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from itertools import compress, count
 from math import gcd, lcm
 from operator import add, gt, mul
 
-from .errors import InvalidCartan, InvalidRank, NotFiniteType
+from .errors import InvalidCartan, InvalidDesignation, InvalidRank, NotFiniteType
 
 Root = tuple[int, ...]
 CartanMatrix = tuple[tuple[int, ...], ...]
@@ -49,6 +50,28 @@ def decimal(text: str) -> int | None:
     """The number that text spells in ASCII decimal digits, else None: never
     '0_2', ' 2' or '٣' (which ``int`` reads) or '²' (``str.isdigit``)."""
     return int(text) if text.isascii() and text.isdigit() else None
+
+
+def is_int(x) -> bool:
+    """The one integer rule of every input: an int, not a bool (nor 2.0)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def node_set(rank: int, nodes: Iterable[int]) -> frozenset[int]:
+    """The node numbers as a set, each an int in 1..rank named once: the one
+    check of the nodes that designations and the extended diagram take."""
+    nodes = tuple(nodes)
+    for k in nodes:
+        if not is_int(k):
+            raise InvalidDesignation(f"node index {k!r} is not an integer")
+    out = frozenset(nodes)
+    if len(out) < len(nodes):
+        twice = sorted({k for k in nodes if nodes.count(k) > 1})
+        raise InvalidDesignation(f"node indices named twice: {twice}")
+    bad = sorted(k for k in out if not 1 <= k <= rank)
+    if bad:
+        raise InvalidDesignation(f"node indices out of range: {bad}")
+    return out
 
 
 class FrozenRecord:
@@ -80,6 +103,8 @@ class SimpleType(FrozenRecord):
     def __init__(self, family: str, rank: int):
         if family not in _RANK_RANGE:
             raise InvalidRank(f"unknown family {family!r}")
+        if not is_int(rank):
+            raise InvalidRank(f"rank {rank!r} is not an integer")
         lo, hi = _RANK_RANGE[family]
         if rank < lo or (hi is not None and rank > hi):
             raise InvalidRank(f"{family}{rank} is not a simple type")
@@ -191,7 +216,7 @@ def _validate_cartan(cartan) -> CartanMatrix:
         raise InvalidCartan("the matrix must be a sequence of rows") from None
     for i, row in enumerate(cartan):
         for j, x in enumerate(row):
-            if isinstance(x, bool) or not isinstance(x, int):
+            if not is_int(x):
                 raise InvalidCartan(f"entry a[{i}][{j}] = {x!r} is not an integer")
     n = len(cartan)
     if n == 0:

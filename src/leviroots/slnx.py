@@ -15,10 +15,13 @@ from __future__ import annotations
 
 from itertools import accumulate
 from operator import sub
+from typing import TYPE_CHECKING
 
 from .errors import InvalidComposition
-from .levi import Key, ParabolicDesignation, TRootSystem, designation
-from .rootsys import FrozenRecord, RootSystem, SimpleType, cartan_matrix, root_system
+from .rootsys import FrozenRecord, RootSystem, SimpleType, cartan_matrix, is_int, root_system
+
+if TYPE_CHECKING:  # sln builds no t-roots, so levi is imported where it runs
+    from .levi import Key, ParabolicDesignation, TRootSystem
 
 
 class Composition(FrozenRecord):
@@ -29,7 +32,7 @@ class Composition(FrozenRecord):
     def __init__(self, parts: tuple[int, ...]):
         if len(parts) < 2:
             raise InvalidComposition("need at least two blocks")
-        if any(isinstance(p, bool) or not isinstance(p, int) or p < 1 for p in parts):
+        if not all(is_int(p) and p > 0 for p in parts):
             raise InvalidComposition(f"parts must be positive integers: {parts}")
         object.__setattr__(self, "parts", parts)
 
@@ -55,6 +58,8 @@ def composition(parts) -> Composition:
 
 def designation_of(comp: Composition, rs: RootSystem | None = None) -> ParabolicDesignation:
     """The parabolic on A_{n-1} whose deleted nodes are the cut points."""
+    from .levi import designation
+
     if rs is None:
         rs = root_system(SimpleType("A", comp.n - 1), max_rank=comp.n - 1)
     if rs.cartan != cartan_matrix(SimpleType("A", comp.n - 1), max_rank=comp.n - 1):

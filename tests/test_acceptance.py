@@ -5,6 +5,7 @@ at most 8) is computed once per session and sliced per criterion; wall-clock
 budgets are measured on fresh runs, never on cached state.
 """
 
+import hashlib
 import json
 import time
 
@@ -22,12 +23,14 @@ from leviroots import (
     troot_system,
 )
 from leviroots.bds import residue_irreducibility
-from leviroots.checks import all_parabolic_designations
+from leviroots.checks import all_parabolic_designations, check_document
 from leviroots.rootsys import all_simple_types
 from leviroots.slnx import designation_of
 
 MAX_RANK = 8
 DESIGNATION_TOTAL = 2458  # sum of 2^rank - 1 over the 32 simple types of rank <= 8
+# sha256 of the stdout of `check --max-rank 8 --all-parabolics`
+SWEEP_R8_SHA256 = "6c52755026c0fc8bf10699ae919fb4190b2c912bdc68884a473cc5f78d190136"
 
 
 def _report(log, num, ok, detail):
@@ -201,3 +204,9 @@ def test_sweep_has_no_failures_at_all(full_sweep):
     doc = json.loads(json.dumps(
         {"ok": all(rep.ok for rep in full_sweep)}))
     assert doc["ok"] is True
+
+
+def test_sweep_stdout_pinned(full_sweep):
+    # the text cli._emit prints for `check --max-rank 8 --all-parabolics`
+    text = json.dumps(check_document(full_sweep, True), indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_R8_SHA256

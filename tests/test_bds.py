@@ -30,6 +30,7 @@ from leviroots.bds import (
     residue_bracket_check,
     residue_irreducibility,
 )
+from leviroots.levi import ParabolicDesignation
 from leviroots.rootsys import SimpleType, all_simple_types, cartan_matrix
 from fractions import Fraction as Q
 
@@ -130,20 +131,32 @@ def test_delete_node_g2(g2):
     ext = extended_diagram(g2)
     assert classify(delete_node(ext, 1)).names() == ["A2"]
     assert classify(delete_node(ext, 2)).names() == ["A1", "A1"]
-    with pytest.raises(InvalidPair):
+    with pytest.raises(InvalidDesignation):
         delete_node(ext, 3)
 
 
-@pytest.mark.parametrize("bad", [True, 2.0, "2"])
-def test_node_numbers_must_be_ints(g2, bad):
-    # never coerced: True is not node 1, and 2.0 is not node 2; the split
-    # takes its node from a designation, which rejects it in turn
-    message = f"node {bad!r} is not an integer"
-    with pytest.raises(InvalidPair, match=re.escape(message)):
-        bds_document(g2, node=bad)
-    message = f"node index {bad!r} is not an integer"
-    with pytest.raises(InvalidDesignation, match=re.escape(message)):
-        designation(g2, deleted=[bad])
+@pytest.mark.parametrize("nodes, message", [
+    ((True,), "node index True is not an integer"),
+    ((2.0,), "node index 2.0 is not an integer"),
+    (("2",), "node index '2' is not an integer"),
+    ((0,), "node indices out of range: [0]"),
+    ((3,), "node indices out of range: [3]"),
+    ((1, 1), "node indices named twice: [1]"),
+], ids=["True", "2.0", "2", "0", "3", "1,1"])
+def test_node_numbers_must_be_ints(g2, nodes, message):
+    # one check of node numbers, never coerced (True is not node 1, nor 2.0
+    # node 2): every entry point that takes them gives one class and text
+    ext = extended_diagram(g2)
+    calls = [lambda: designation(g2, kept=nodes), lambda: designation(g2, deleted=nodes),
+             lambda: ParabolicDesignation(g2, nodes)]
+    if len(nodes) == 1:
+        [j] = nodes
+        calls += [lambda: delete_node(ext, j), lambda: extended_dot(ext, deleted=j),
+                  lambda: bds_document(g2, node=j)]
+    for call in calls:
+        with pytest.raises(InvalidDesignation) as err:
+            call()
+        assert str(err.value) == message
 
 
 _GRAMS = {str(t): root_system(t).gram for t in all_simple_types(12)}
@@ -286,7 +299,7 @@ def test_alcove_vertex(g2, f4):
     assert vertex(g2, 1) == (Q(1, 3), 0)
     assert vertex(g2, 2) == (0, Q(1, 2))
     assert vertex(f4, 3) == (0, 0, Q(1, 4), 0)
-    with pytest.raises(InvalidPair):
+    with pytest.raises(InvalidDesignation):
         vertex(g2, 0)
 
 

@@ -99,6 +99,15 @@ def test_cartan_file(tmp_path, capsys):
     assert doc["count"] == 12
 
 
+def _cartan_file_error(capsys, path, argv=("roots",)) -> str:
+    # every error about a Cartan file starts with its path
+    assert cli.run([*argv, "--cartan", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: ")
+    return captured.err
+
+
 BAD_CARTAN_FILES = [
     ([[2, -1.7], [-1, 2]], "is not an integer"),  # would truncate to A2
     ([[2.9, -1], [-1, 2]], "is not an integer"),
@@ -116,33 +125,28 @@ def test_cartan_file_rejects_non_integer_entries(tmp_path, capsys, matrix, messa
     # the errors of generate name the file, like those of the JSON checks
     path = tmp_path / "bad.json"
     path.write_text(matrix if isinstance(matrix, str) else json.dumps({"cartan": matrix}))
-    assert cli.run(["roots", "--cartan", str(path)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(f"error: {path}: ")
-    assert message in captured.err
+    assert message in _cartan_file_error(capsys, path)
 
 
 def test_cartan_file_without_cartan_key(tmp_path, capsys):
     path = tmp_path / "nokey.json"
     path.write_text(json.dumps({"matrix": [[2, -1], [-1, 2]]}))
-    assert cli.run(["roots", "--cartan", str(path)]) == 1
-    err = capsys.readouterr().err
-    assert 'no "cartan" key' in err
+    assert 'no "cartan" key' in _cartan_file_error(capsys, path)
 
 
 def test_cartan_file_not_a_matrix(tmp_path, capsys):
+    # the shape is checked by generate's validation, as for a library caller
     path = tmp_path / "flat.json"
-    path.write_text(json.dumps([2, -1, -1, 2]))
-    assert cli.run(["roots", "--cartan", str(path)]) == 1
-    assert "list of rows" in capsys.readouterr().err
+    for data in ([2, -1, -1, 2], {"cartan": 2}, None):
+        path.write_text(json.dumps(data))
+        assert "the matrix must be a sequence of rows" in _cartan_file_error(capsys, path)
 
 
 def test_bds_dot_rejects_bad_node(capsys):
     assert cli.run(["bds", "G2", "--dot", "--node", "7"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "node 7 out of range 1..2" in captured.err
+    assert captured.err == "error: node indices out of range: [7]\n"
     assert cli.run(["bds", "G2", "--dot", "--node", "2"]) == 0
     assert "fillcolor" in capsys.readouterr().out
 
@@ -168,10 +172,7 @@ def test_cartan_file_rank_capped(tmp_path, capsys):
     path = tmp_path / "a13.json"
     path.write_text(json.dumps(_a_cartan(13)))
     for verb in (["roots"], ["check", "--all-parabolics"]):
-        assert cli.run(verb + ["--cartan", str(path)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "rank 13 exceeds the configured maximum 12" in captured.err
+        assert "rank 13 exceeds the configured maximum 12" in _cartan_file_error(capsys, path, verb)
     path.write_text(json.dumps(_a_cartan(12)))
     assert _json_out(capsys, ["roots", "--cartan", str(path)])["count"] == 156
 

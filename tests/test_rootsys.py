@@ -54,6 +54,15 @@ def test_parse_rejects_what_int_reads_but_ascii_digits_do_not_spell(name):
     assert decimal(name[1:]) is None
 
 
+@pytest.mark.parametrize("rank", [True, 8.0, "8", None])
+def test_simple_type_rank_must_be_an_int(rank):
+    # never coerced: True is not rank 1 (type "ATrue"), nor 8.0 rank 8
+    for family in ("A", "E"):
+        with pytest.raises(InvalidRank) as err:
+            root_system(SimpleType(family, rank))
+        assert str(err.value) == f"rank {rank!r} is not an integer"
+
+
 def test_decimal_reads_ascii_digits_only():
     assert decimal("0") == 0 and decimal("012") == 12
     for text in ("", "-1", "+1", " 2", "2 ", "1_0", "٢", "８", "²", "1.0"):

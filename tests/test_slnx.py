@@ -24,7 +24,7 @@ def test_composition_validation():
     with pytest.raises(InvalidComposition):
         composition([2, -1])
     # parts are checked as given, never coerced to int
-    for parts in ([2.5, 1], [True, 1], ["2", 1]):
+    for parts in ([2.5, 1], [2.0, 1], [True, 1], ["2", 1]):
         with pytest.raises(InvalidComposition):
             composition(parts)
     c = composition((2, 1))
