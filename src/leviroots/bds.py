@@ -13,6 +13,8 @@ from the first, since one matrix has one class.  The other roots split
 into the residue classes g_k | g_(k-n); each class is certified
 irreducible by a unique highest-weight root, and residue classes multiply
 by addition mod n, which commutes, so each unordered pair is checked once.
+The model stores the split alone: n is the node's own mark, read from the
+root system wherever it is used.
 
 Diagram classification works on structural fingerprints alone (rank,
 bond orders with orientation, branch arms), so it also names root
@@ -112,19 +114,24 @@ class SubalgebraModel:
     simple system (kept simples then the lowest root), and residues[k]
     collects the leftover roots whose node coefficient is congruent to
     k mod the node's mark, each as a mask over ``rs.indexed``.  Its Cartan
-    matrix is ``_cartan_of(rs, simple_roots)``, computed where it is read.
+    matrix is ``_cartan_of(rs, simple_roots)`` and its mark is the node's
+    mark, each computed where it is read.
     """
 
-    __slots__ = ("rs", "node", "mark", "root_set", "simple_roots", "residues")
+    __slots__ = ("rs", "node", "root_set", "simple_roots", "residues")
 
-    def __init__(self, rs: RootSystem, node: int, mark: int, root_set: int,
+    def __init__(self, rs: RootSystem, node: int, root_set: int,
                  simple_roots: tuple[Root, ...], residues: dict[int, int]):
         self.rs = rs
         self.node = node
-        self.mark = mark
         self.root_set = root_set
         self.simple_roots = simple_roots
         self.residues = residues
+
+    @property
+    def mark(self) -> int:
+        """The mark of the node: its coefficient in the highest root."""
+        return self.rs.marks[self.node - 1]
 
 
 def subalgebra_roots(trsys) -> SubalgebraModel:
@@ -159,7 +166,7 @@ def subalgebra_roots(trsys) -> SubalgebraModel:
     simple_roots = tuple(
         tuple(1 if t == i else 0 for t in range(rs.rank)) for i in range(rs.rank) if i != j0
     ) + (tuple(-c for c in rs.highest_root),)
-    return SubalgebraModel(rs, j, n, root_set, simple_roots, residues)
+    return SubalgebraModel(rs, j, root_set, simple_roots, residues)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +186,7 @@ class DiagramClass(FrozenRecord):
 
     @classmethod
     def of(cls, types) -> "DiagramClass":
-        return cls(tuple(sorted(types, key=lambda t: (t.family, t.rank))))
+        return cls(tuple(sorted(types)))
 
     def __str__(self) -> str:
         return "+".join(str(t) for t in self.components) if self.components else "0"

@@ -22,7 +22,10 @@ simple roots, their reach in the root-sum table.
 The laws that the spaces obey together (the bracket law, the sign rule,
 the string law and the positivity of the nilradical trace) are checked,
 on the same masks and the integer t-root form ``TRootSystem.form``, by
-``checks.check_designation``.
+``checks.check_designation``.  A system stores only what nothing else
+determines: the simple t-roots (the unit keys) and the key of the
+nilradical trace (the dimension-weighted sum of the positive keys) are
+derived on each read, so the trace law reads the spaces as they stand.
 """
 
 from __future__ import annotations
@@ -125,20 +128,19 @@ class TRootSystem:
     that key, as a mask over the numbering of ``rs.indexed``.  Iteration
     and serialization order is (key height, key) ascending, so output is
     deterministic.  ``form`` is ``(det, Gs)``: the t-root form as an
-    integer matrix Gs and its positive scale det.
+    integer matrix Gs and its positive scale det.  The simple t-roots
+    ``simples`` and the trace key ``delta_key`` are read off the
+    designation and the spaces each time they are read, so they follow
+    the spaces as they stand.
     """
 
-    __slots__ = (
-        "designation", "rs", "spaces", "keys", "positives", "simples",
-        "delta_key", "form", "_raised", "_proj",
-    )
+    __slots__ = ("designation", "rs", "spaces", "keys", "positives", "form", "_raised", "_proj")
 
     def __init__(self, des: ParabolicDesignation):
         rs = des.rs
         self.designation = des
         self.rs = rs
         D = des.deleted0
-        width = len(D)
         # the raising mask of the kept simple roots, which certifies each space
         self._raised = rs.sum_table().reach(rs.simple_mask(des.kept0))
 
@@ -147,7 +149,7 @@ class TRootSystem:
         groups: dict[Key, int] = {}
         for i, key in enumerate(zip(*[columns[d] for d in D])):
             groups[key] = groups.get(key, 0) | 1 << i
-        groups.pop((0,) * width, None)  # the Levi factor's roots
+        groups.pop((0,) * len(D), None)  # the Levi factor's roots
 
         positives = sorted(groups, key=lambda k: (sum(k), k))
         for key in positives:
@@ -159,18 +161,6 @@ class TRootSystem:
         masks = [rs.mirror(groups[k]) for k in reversed(positives)]
         self.spaces = dict(zip(self.keys, masks + [groups[k] for k in positives]))
         self.positives = tuple(positives)
-        self.simples = tuple(
-            tuple(1 if i == a else 0 for i in range(width)) for a in range(width)
-        )
-        for s in self.simples:
-            if s not in self.spaces:  # alpha_j itself restricts to the unit key
-                raise IrreducibilityViolation(f"unit key {s} missing from t-root set")
-        delta = [0] * width
-        for k in self.positives:
-            dim = self.spaces[k].bit_count()
-            for i, c in enumerate(k):
-                delta[i] += dim * c
-        self.delta_key = tuple(delta)
 
         # the t-root form (det, Gs), Gs = det * S for the Schur complement
         # S = G_DD - G_DK G_KK^-1 G_KD, K the kept and D the deleted nodes:
@@ -187,6 +177,26 @@ class TRootSystem:
             raise NotFiniteType("the kept Gram block is not positive definite")
         self.form = det, tuple(tuple(row[k:]) for row in rows[k:])
         self._proj = tuple(row[k:] for row in rows[:k])
+
+    # -- derived keys, computed on each read -----------------------------
+
+    @property
+    def simples(self) -> tuple[Key, ...]:
+        """The simple t-roots: the unit keys, one per deleted node, since
+        alpha_j itself restricts to unit key j."""
+        width = len(self.designation.deleted)
+        return tuple(tuple(1 if i == a else 0 for i in range(width)) for a in range(width))
+
+    @property
+    def delta_key(self) -> Key:
+        """The key of the nilradical trace: the sum of the positive keys,
+        each weighted by the dimension of its space as it stands."""
+        delta = [0] * len(self.designation.deleted)
+        for k in self.positives:
+            dim = self.spaces[k].bit_count()
+            for i, c in enumerate(k):
+                delta[i] += dim * c
+        return tuple(delta)
 
     # -- exact geometry ---------------------------------------------------
 

@@ -95,7 +95,8 @@ class FrozenRecord:
 class SimpleType(FrozenRecord):
     """One of the simple types A1..G2, e.g. SimpleType('E', 8).
 
-    Ordered by (family, rank).
+    Ordered by (family, rank), the one order in which ``sorted`` lists
+    types, as ``bds.DiagramClass`` does.
     """
 
     __slots__ = ("family", "rank")
@@ -116,9 +117,6 @@ class SimpleType(FrozenRecord):
 
     def __lt__(self, other):
         return self._key() < other._key() if isinstance(other, SimpleType) else NotImplemented
-
-    def __le__(self, other):
-        return self._key() <= other._key() if isinstance(other, SimpleType) else NotImplemented
 
     def __repr__(self) -> str:
         return f"SimpleType({self.family!r}, {self.rank})"

@@ -1,12 +1,14 @@
 """Center-weighted grading and central series of a nilradical.
 
 The order of a positive t-root is the sum of its key entries; grading
-the nilradical by order makes both central series computable in closed
+the nilradical by order makes the central series computable in closed
 form: the i-th term of the upper central series is the span of the top
-i orders, and the i-th term of the lower central series is everything
-of order at least i.  Both closed forms are checked here against
-deliberately independent brute-force oracles that work purely on root
-sets and never consult the grading.
+i orders.  Up to indexing the upper and lower central series are one
+chain (Theorem 0.2): the i-th term of the lower central series,
+everything of order at least i, is the same chain read in reverse.  The
+chain and its reverse are checked here against deliberately independent
+brute-force oracles, one per series, that work purely on root sets and
+never consult the grading.
 """
 
 from __future__ import annotations
@@ -19,59 +21,34 @@ from .levi import Key, TRootSystem
 from .rootsys import mask_bits
 
 
-class Grading:
-    """Positive t-roots bucketed by order, plus the top order."""
+def grading(trsys: TRootSystem) -> dict[int, tuple[Key, ...]]:
+    """The positive t-roots bucketed by order, the levels in ascending
+    order, with the grading certified.
 
-    __slots__ = ("levels", "k_cent", "center_key")
-
-    def __init__(self, levels: dict[int, tuple[Key, ...]], k_cent: int, center_key: Key):
-        self.levels = levels
-        self.k_cent = k_cent
-        self.center_key = center_key
-
-
-def grading(trsys: TRootSystem) -> Grading:
-    """Bucket the positive t-roots by order and certify the grading.
-
-    Verifies that every order 1..k_cent is realized, that the top order
-    equals the sum of the highest root's coefficients over the deleted
-    nodes, and that the top level is the single restricted highest root.
+    Verifies that every order 1..k_cent is realized, k_cent the sum of
+    the highest root's coefficients over the deleted nodes, and that the
+    top level is the single restricted highest root.  So k_cent is the
+    number of levels and the center key is the one key of the top level.
     Orders add across t-root sums by linearity of the key sum, so no
     separate additivity pass is needed.
     """
     levels: dict[int, list[Key]] = {}
     for key in trsys.positives:
         levels.setdefault(sum(key), []).append(key)
-    rs = trsys.rs
-    D = trsys.designation.deleted0
-    k_cent = sum(rs.marks[d] for d in D)
+    marks = tuple(trsys.rs.marks[d] for d in trsys.designation.deleted0)
+    k_cent = sum(marks)
     if sorted(levels) != list(range(1, k_cent + 1)):
         raise SeriesMismatch("grading levels are not 1..k_cent")
-    center_key = tuple(rs.marks[d] for d in D)
-    if levels[k_cent] != [center_key]:
+    if levels[k_cent] != [marks]:
         raise SeriesMismatch("top level is not the restricted highest root alone")
-    return Grading(
-        {k: tuple(v) for k, v in sorted(levels.items())}, k_cent, center_key
-    )
+    return {k: tuple(v) for k, v in sorted(levels.items())}
 
 
-class CentralSeries:
-    """Both central series as root masks over ``rs.indexed``; length is the
-    nilpotency class."""
-
-    __slots__ = ("upper", "lower", "length")
-
-    def __init__(self, upper: tuple[int, ...], lower: tuple[int, ...], length: int):
-        self.upper = upper
-        self.lower = lower
-        self.length = length
-
-
-NilSums = tuple[list[int], int, dict[int, int]]
+NilSums = tuple[int, dict[int, int]]
 
 
 def nilradical_sums(trsys: TRootSystem) -> NilSums:
-    """Nilradical roots by number, their mask, and each one's sums with n.
+    """The nilradical's root mask, and each of its roots' sums with n.
 
     For phi in n, sums[phi] is the bitmask of the roots phi + psi with psi
     in n, read from the spaces, the root-sum table and each positive root's
@@ -85,7 +62,6 @@ def nilradical_sums(trsys: TRootSystem) -> NilSums:
     """
     rs = trsys.rs
     total = reduce(or_, (trsys.spaces[key] for key in trsys.positives), 0)
-    members = mask_bits(total)
     table = rs.sum_table()
     # each positive root's deleted-node coefficients, and each one's fiber
     deleted = trsys.designation.deleted0
@@ -96,9 +72,9 @@ def nilradical_sums(trsys: TRootSystem) -> NilSums:
     positive = (1 << len(rs.positives)) - 1
     by_coeffs = positive & ~fibers.get((0,) * len(deleted), 0)
     if total != by_coeffs:
-        return members, total, {phi: table.sums((phi,), total) for phi in members}
+        return total, {phi: table.sums((phi,), total) for phi in mask_bits(total)}
     rows = table.positive_sums()
-    return members, total, {phi: rows[phi] & ~fibers[coeffs[phi]] for phi in members}
+    return total, {phi: rows[phi] & ~fibers[coeffs[phi]] for phi in mask_bits(total)}
 
 
 def lower_series_oracle(trsys: TRootSystem, nil: NilSums) -> list[int]:
@@ -108,7 +84,7 @@ def lower_series_oracle(trsys: TRootSystem, nil: NilSums) -> list[int]:
     stops when bracketing kills everything.  Independent of the grading.
     ``nil`` is ``nilradical_sums(trsys)``.
     """
-    members, total, sums = nil
+    total, sums = nil
     sums_with_n = trsys.rs.sum_table().sums
     chain = [total]
     while True:
@@ -120,7 +96,7 @@ def lower_series_oracle(trsys: TRootSystem, nil: NilSums) -> list[int]:
             nxt |= step
         if not nxt:
             break
-        if len(chain) > len(members) + 1:
+        if len(chain) > total.bit_count() + 1:
             raise SeriesMismatch("lower central series did not terminate")
         chain.append(nxt)
     return chain
@@ -135,7 +111,7 @@ def upper_series_oracle(trsys: TRootSystem, nil: NilSums) -> list[int]:
     Levi factor), which is what makes per-root computation exact.
     ``nil`` is ``nilradical_sums(trsys)``.
     """
-    _, total, sums = nil
+    total, sums = nil
     spaces = [(key, trsys.spaces[key]) for key in trsys.positives]
     chain: list[int] = []
     prev = 0
@@ -156,39 +132,36 @@ def upper_series_oracle(trsys: TRootSystem, nil: NilSums) -> list[int]:
     return chain
 
 
-def closed_form_series(trsys: TRootSystem, grad: Grading | None = None) -> CentralSeries:
-    """Both central series read off the order grading.
+def closed_form_series(trsys: TRootSystem, levels: dict[int, tuple[Key, ...]]) -> list[int]:
+    """The central series read off the order grading ``levels``, as one chain.
 
-    The result is always compared against both brute-force oracles, which
-    share one ``nilradical_sums``, and SeriesMismatch is raised on any
-    difference.
+    Term i of the upper central series is the span of the top i orders, a
+    root mask over ``rs.indexed``.  Up to indexing the lower central
+    series is the same chain (Theorem 0.2): its term i, everything of order
+    at least i, is upper term k_cent + 1 - i.  Returns the upper chain,
+    after comparing it with the upper oracle and its reverse with the
+    lower oracle, which share one ``nilradical_sums``; SeriesMismatch is
+    raised on any difference.
     """
-    if grad is None:
-        grad = grading(trsys)
-    k_cent = grad.k_cent
-    level_masks = {k: reduce(or_, (trsys.spaces[key] for key in keys), 0)
-                   for k, keys in grad.levels.items()}
-    # upper term i is the top i orders, lower term i everything of order
-    # >= i: upper term k_cent + 1 - i
     upper = []
     acc = 0
-    for k in range(k_cent, 0, -1):
-        acc |= level_masks[k]
+    for keys in reversed(levels.values()):
+        for key in keys:
+            acc |= trsys.spaces[key]
         upper.append(acc)
-    lower = upper[::-1]
-    series = CentralSeries(tuple(upper), tuple(lower), k_cent)
     nil = nilradical_sums(trsys)
-    if lower != lower_series_oracle(trsys, nil):
+    if upper[::-1] != lower_series_oracle(trsys, nil):
         raise SeriesMismatch("closed-form lower series disagrees with its oracle")
     if upper != upper_series_oracle(trsys, nil):
         raise SeriesMismatch("closed-form upper series disagrees with its oracle")
-    return series
+    return upper
 
 
 def series_document(trsys: TRootSystem) -> dict:
     """Versioned JSON-ready description (see docs/schemas.md)."""
-    grad = grading(trsys)
-    series = closed_form_series(trsys, grad)
+    levels = grading(trsys)
+    upper = closed_form_series(trsys, levels)
+    k_cent = len(levels)
     des = trsys.designation
 
     def root_list(term):
@@ -202,12 +175,12 @@ def series_document(trsys: TRootSystem) -> dict:
         "rank": trsys.rs.rank,
         "kept": sorted(des.kept),
         "deleted": list(des.deleted),
-        "k_cent": grad.k_cent,
-        "center_key": list(grad.center_key),
+        "k_cent": k_cent,
+        "center_key": list(levels[k_cent][0]),
         "levels": [
             {"order": k, "keys": [list(key) for key in keys]}
-            for k, keys in grad.levels.items()
+            for k, keys in levels.items()
         ],
-        "upper": [root_list(t) for t in series.upper],
-        "lower": [root_list(t) for t in series.lower],
+        "upper": [root_list(t) for t in upper],
+        "lower": [root_list(t) for t in reversed(upper)],
     }

@@ -1,4 +1,5 @@
 import re
+from random import Random
 from types import SimpleNamespace
 
 import pytest
@@ -91,6 +92,17 @@ def test_classify_disjoint_sum():
     assert cls.names() == ["A2", "G2"]
     assert str(cls) == "A2+G2"
     assert classify(a1).names() == ["A1"]
+
+
+def test_simple_types_have_one_order():
+    # (family, rank): all_simple_types lists the types in the order that
+    # sorted gives them, and DiagramClass.of sorts its components by it
+    types = all_simple_types(12)
+    shuffled = list(types)
+    Random(0).shuffle(shuffled)
+    assert shuffled != types and sorted(shuffled) == types
+    parts = [SimpleType("B", 2), SimpleType("A", 3), SimpleType("A", 1)]
+    assert DiagramClass.of(parts).names() == ["A1", "A3", "B2"]
 
 
 def test_classify_b_vs_c_orientation():
@@ -254,7 +266,7 @@ def test_residue_brackets_g2(g2):
     for p, r in ((1, 2), (2, 1)):
         sizes = model.residues[r].bit_count()
         residues = {**model.residues, r: 0}
-        damaged = SubalgebraModel(g2, 1, 3, model.root_set, model.simple_roots, residues)
+        damaged = SubalgebraModel(g2, 1, model.root_set, model.simple_roots, residues)
         assert residue_bracket_check(damaged, p, p) == (
             f"classes {p}+{p}: image misses 0 and adds {sizes} roots vs class {r}",)
     with pytest.raises(InvalidPair):

@@ -27,7 +27,7 @@ from leviroots.rootsys import (
 )
 from leviroots.errors import NotFiniteType, SeriesMismatch
 from leviroots.levi import TRootSystem, troot_system as real_troot_system
-from leviroots.series import closed_form_series, nilradical_sums, upper_series_oracle
+from leviroots.series import closed_form_series, grading, nilradical_sums, upper_series_oracle
 from conftest import replace
 from reference import bracket_image, inner, sign_rule, string_report
 
@@ -90,12 +90,30 @@ def _corrupting(monkeypatch, damage):
     monkeypatch.setattr(checks, "troot_system", corrupt)
 
 
-def test_corrupted_delta_detected(g2):
-    def corrupt(t):
-        t.delta_key = tuple(-x for x in t.delta_key)
+def _negate_form(t):
+    """Negate the integer t-root form Gs, keeping its scale."""
+    det, gs = t.form
+    t.form = det, tuple(tuple(-v for v in row) for row in gs)
 
-    rep = check_designation(_corrupt(g2, [2], corrupt))
-    assert {f.check for f in rep.failures} == {"trace-positivity"}
+
+def test_corrupted_delta_detected():
+    # with Gs negated, delta pairs negatively with every positive t-root
+    for name, deleted in (("G2", [2]), ("B3", [1, 2]), ("A2", [1, 2])):
+        rep = check_designation(_corrupt(root_system(name), deleted, _negate_form))
+        positives = _built(root_system(name), deleted).positives
+        assert [f.detail for f in rep.failures if f.check == "trace-positivity"] == [
+            f"({nu}, delta) is not positive" for nu in positives], name
+
+
+def test_delta_follows_the_spaces():
+    # delta is the dimension-weighted key sum of the spaces as they stand:
+    # a root moved from the space at (1, 0) to the one at (1, 1) of the B3
+    # Borel is one more unit of weight at each (1, 1) entry
+    t = _built(root_system("B3"), [1, 2])
+    before = t.delta_key
+    _move_root(t, (1, 0), (1, 1))
+    assert t.delta_key == (before[0], before[1] + 1) == tuple(
+        sum(t.spaces[k].bit_count() * k[i] for k in t.positives) for i in range(2))
 
 
 def _drop_root(t, key):
@@ -149,15 +167,32 @@ def test_corrupted_bottom_space_splits_upper_series_term(g2):
     assert details == ["center term splits the t-root space (1,)"]
 
 
-def test_repeated_top_key_breaks_grading_alone(g2):
-    # positives listing the restricted highest root twice: every law but
-    # the grading reads each key once more and finds it consistent
-    def damage(t):
-        t.positives += t.positives[-1:]
-
-    rep = check_designation(_corrupt(g2, [1, 2], damage))
+def test_swapped_marks_break_grading_alone(monkeypatch, g2):
+    # with the marks read as (2, 3), every order 1..5 is there, but the top
+    # level (3, 2) is not the restricted highest root (2, 3); no other law
+    # of the Borel reads the marks
+    monkeypatch.setattr(g2, "marks", (2, 3))
+    rep = check_designation(_built(g2, [1, 2]))
     assert [(f.check, f.detail) for f in rep.failures] == [
         ("grading", "top level is not the restricted highest root alone")]
+
+
+@pytest.mark.parametrize("name, deleted, field, at, key", [
+    ("G2", [1, 2], "positives", -1, (3, 2)),
+    ("B3", [1, 2], "keys", -1, (1, 2)),
+    ("B3", [1, 2], "positives", 0, (0, 1)),
+    ("F4", [2, 3], "keys", -1, (3, 4)),
+], ids=["G2-top-positive", "B3-last-key", "B3-first-positive", "F4-last-key"])
+def test_repeated_key_is_one_partition_record(name, deleted, field, at, key):
+    # a key listed twice in keys or positives: the laws read each key once,
+    # so none of them sees the repeat, which the counts would count twice
+    def damage(t):
+        seq = getattr(t, field)
+        setattr(t, field, seq + (seq[at],))
+
+    rep = check_designation(_corrupt(root_system(name), deleted, damage))
+    assert [(f.check, f.detail) for f in rep.failures] == [
+        ("partition", f"repeated keys: [{key}]")]
 
 
 def _add_negative_simple(t):
@@ -183,7 +218,7 @@ def test_series_oracles_read_the_spaces_as_they_stand():
     # nothing of a series run is kept on the system: damage made after one
     # run is what the next run reads, as on a freshly damaged system
     t = real_troot_system(designation(root_system("A2"), deleted=[1]))
-    closed_form_series(t)
+    closed_form_series(t, grading(t))
     _add_negative_simple(t)
     rep = check_designation(t)
     assert [(f.check, f.detail) for f in rep.failures] == _NEGATIVE_SIMPLE_RECORDS
@@ -594,16 +629,6 @@ def test_positively_paired_simples_fail_simple_troots():
     assert details == ["simple t-roots 0,1 have positive inner product"]
 
 
-def test_dropped_simple_troot_is_one_simple_troots_record(g2):
-    # the obtuseness test pairs only the simples that are there
-    def damage(t):
-        t.simples = t.simples[:1]
-
-    rep = check_designation(_corrupt(g2, [1, 2], damage))
-    assert [(f.check, f.detail) for f in rep.failures] == [
-        ("simple-troots", "simple t-roots differ from the unit keys")]
-
-
 def test_missing_simple_troot_breaks_intrinsic_simplicity(g2):
     # without the unit key (1, 0), (1, 1) is no longer a sum of two
     # positive t-roots
@@ -763,17 +788,6 @@ def test_negative_mark_is_a_reported_failure(monkeypatch, g2):
     rep = check_node(ext, _built(g2, [2]))
     assert [(f.check, f.detail) for f in rep.failures] == [
         ("equal-rank-classify", "mark -2 of node 2 is negative")]
-
-
-@pytest.mark.parametrize("mark", [0, 1, 2, 4])
-def test_model_mark_off_the_node_mark_is_a_reported_failure(monkeypatch, g2, mark):
-    # the residue checks read the model's mark; one that is not node 1's
-    # mark 3 is reported, and no residue check runs on it
-    real = bds.subalgebra_roots
-    monkeypatch.setattr(checks, "subalgebra_roots", lambda trsys: replace(real(trsys), mark=mark))
-    rep = check_node(extended_diagram(g2), _built(g2, [1]))
-    assert (rep.mark, [(f.check, f.detail) for f in rep.failures]) == (3, [
-        ("equal-rank-classify", f"model mark {mark} != mark 3 of node 1")])
 
 
 def test_missing_residue_class_is_a_reported_failure(monkeypatch, g2):
@@ -1132,8 +1146,8 @@ def _damaged(data, seq, extra):
 
 def _damage_troots(data, t):
     bits = st.integers(0, len(t.rs.indexed) - 1).map(lambda i: 1 << i)
-    keys = st.tuples(*[st.integers(-3, 3)] * len(t.simples))
-    field = data.draw(st.sampled_from(["spaces", "keys", "positives", "simples", "form"]))
+    keys = st.tuples(*[st.integers(-3, 3)] * len(t.designation.deleted))
+    field = data.draw(st.sampled_from(["spaces", "keys", "positives", "form"]))
     if field == "spaces":
         key = data.draw(st.sampled_from(t.keys))
         if data.draw(st.booleans()):
@@ -1152,7 +1166,7 @@ def _damage_troots(data, t):
 
 def _damage_model(data, model):
     bits = st.integers(0, len(model.rs.indexed) - 1).map(lambda i: 1 << i)
-    field = data.draw(st.sampled_from(["root_set", "residues", "mark", "simple_roots"]))
+    field = data.draw(st.sampled_from(["root_set", "residues", "simple_roots"]))
     if field == "root_set":
         return replace(model, root_set=model.root_set ^ data.draw(bits))
     if field == "residues":
@@ -1163,8 +1177,6 @@ def _damage_model(data, model):
         else:
             residues[k] = residues.get(k, 0) ^ data.draw(bits)
         return replace(model, residues=residues)
-    if field == "mark":
-        return replace(model, mark=data.draw(st.integers(-3, 7)))
     roots = st.sampled_from(model.rs.indexed)
     return replace(model, simple_roots=tuple(_damaged(data, model.simple_roots, roots)))
 

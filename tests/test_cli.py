@@ -6,7 +6,7 @@ import pytest
 from leviroots import cli, root_system
 from leviroots.bds import bds_document
 from leviroots.checks import all_parabolic_designations, standard_designations
-from leviroots.levi import troot_system
+from leviroots.levi import designation, troot_system
 from leviroots.rootsys import all_simple_types
 from leviroots.series import series_document
 
@@ -194,7 +194,8 @@ def test_check_cartan_file_has_no_type_name(tmp_path, capsys, monkeypatch):
 
     def corrupt(des):
         t = real(des)
-        t.delta_key = tuple(-x for x in t.delta_key)
+        det, gs = t.form  # negated: delta pairs negatively with every t-root
+        t.form = det, tuple(tuple(-v for v in row) for row in gs)
         return t
 
     monkeypatch.setattr(checks, "troot_system", corrupt)
@@ -234,7 +235,7 @@ def test_check_failure_exit_code(capsys, monkeypatch):
 
     monkeypatch.setattr(checks, "check_type", lambda rs, all_parabolics=False: checks.TypeReport(
         stype=rs.stype,
-        designations=[broken(checks.borel_designation(rs))],
+        designations=[broken(designation(rs, kept=()))],
         nodes=[],
         sln_failures=[],
     ))
@@ -250,7 +251,7 @@ def test_check_pretty_counts_the_fail_lines(capsys, monkeypatch):
 
     def report(rs, all_parabolics=False):
         fail = checks.Failure
-        des = checks.check_designation(troot_system(checks.borel_designation(rs)))
+        des = checks.check_designation(troot_system(designation(rs, kept=())))
         return checks.TypeReport(
             stype=rs.stype,
             designations=[checks.DesignationReport(

@@ -9,7 +9,7 @@ from leviroots import (
     root_system,
     troot_system,
 )
-from leviroots.levi import ParabolicDesignation, nilradical_trace
+from leviroots.levi import ParabolicDesignation, TRootSystem, nilradical_trace
 from conftest import fraction_solve
 from reference import bracket_image, inner, schur_form, sign_rule, string_report
 from leviroots.checks import _form_row, all_parabolic_designations
@@ -78,6 +78,17 @@ def test_a2_keep2_worked_example(a2):
     assert nilradical_trace(trsys) == (Q(2), Q(1))
     assert inner(trsys, trsys.delta_key, beta) == 3
     assert Q(_form_row(trsys, trsys.delta_key)[0], det) == 3
+
+
+def test_derived_keys_are_not_stored(a2):
+    # the simple t-roots and delta are read off the designation and the
+    # spaces on each read: neither is a field to assign
+    trsys = troot_system(designation(a2, kept=()))
+    assert trsys.simples == ((1, 0), (0, 1)) and trsys.delta_key == (2, 2)
+    for name in ("simples", "delta_key"):
+        assert name not in TRootSystem.__slots__
+        with pytest.raises(AttributeError):
+            setattr(trsys, name, ())
 
 
 def test_borel_all_dims_one():

@@ -10,7 +10,7 @@ from leviroots import (
 )
 
 from leviroots.checks import all_parabolic_designations, standard_designations
-from leviroots.rootsys import all_simple_types
+from leviroots.rootsys import all_simple_types, mask_bits
 from leviroots.series import (
     lower_series_oracle,
     nilradical_sums,
@@ -23,78 +23,73 @@ from leviroots.series import (
 def test_order_of():
     # the order of a key is the sum of its entries: (0, 1, 2) has order 3
     # and (1,) order 1
-    levels = grading(troot_system(designation(root_system("B3"), kept=()))).levels
+    levels = grading(troot_system(designation(root_system("B3"), kept=())))
     assert (0, 1, 2) in levels[3]
     assert all(sum(key) == k for k, keys in levels.items() for key in keys)
-    assert grading(troot_system(designation(root_system("A2"), deleted=[1]))).levels[1] == ((1,),)
+    assert grading(troot_system(designation(root_system("A2"), deleted=[1])))[1] == ((1,),)
 
 
 def test_borel_a2_grading(a2):
     trsys = troot_system(designation(a2, kept=()))
-    grad = grading(trsys)
-    assert grad.k_cent == 2
-    assert grad.levels[1] == ((0, 1), (1, 0))
-    assert grad.levels[2] == ((1, 1),)
-    assert grad.center_key == (1, 1)
+    levels = grading(trsys)
+    # k_cent 2, and the top level holds the center key (1, 1) alone
+    assert levels == {1: ((0, 1), (1, 0)), 2: ((1, 1),)}
 
 
 def test_borel_a2_series(a2):
     trsys = troot_system(designation(a2, kept=()))
-    series = closed_form_series(trsys)
-    assert series.length == 2
-    assert set(a2.roots_of(series.upper[0])) == {(1, 1)}
-    assert set(a2.roots_of(series.upper[1])) == {(1, 0), (0, 1), (1, 1)}
-    assert series.lower[0] == series.upper[1]
-    assert series.lower[1] == series.upper[0]
+    upper = closed_form_series(trsys, grading(trsys))
+    assert len(upper) == 2
+    assert set(a2.roots_of(upper[0])) == {(1, 1)}
+    assert set(a2.roots_of(upper[1])) == {(1, 0), (0, 1), (1, 1)}
+    assert lower_series_oracle(trsys, nilradical_sums(trsys)) == upper[::-1]
 
 
 def test_oracles_match_closed_form(g2, f4):
     for rs, deleted in [(g2, (1,)), (g2, (1, 2)), (f4, (2,)), (f4, (1, 3))]:
         trsys = troot_system(designation(rs, deleted=deleted))
-        series = closed_form_series(trsys)
+        upper = closed_form_series(trsys, grading(trsys))
         nil = nilradical_sums(trsys)
-        assert list(series.upper) == list(upper_series_oracle(trsys, nil))
-        assert list(series.lower) == list(lower_series_oracle(trsys, nil))
+        assert upper == upper_series_oracle(trsys, nil)
+        assert upper[::-1] == lower_series_oracle(trsys, nil)
 
 
 def test_maximal_parabolic_level_dims(g2):
     # at a single deleted node the grading levels are exactly k*unit
     trsys = troot_system(designation(g2, deleted=(2,)))
-    grad = grading(trsys)
-    assert grad.k_cent == 2
-    assert grad.levels == {1: ((1,),), 2: ((2,),)}
+    assert grading(trsys) == {1: ((1,),), 2: ((2,),)}
 
 
 def test_abelian_nilradical():
     # deleting a mark-1 node makes the nilradical abelian: k_cent = 1
     rs = root_system("A4")
     trsys = troot_system(designation(rs, deleted=(2,)))
-    grad = grading(trsys)
-    assert grad.k_cent == 1
-    series = closed_form_series(trsys, grad)
-    assert series.length == 1
-    assert series.upper[0] == series.lower[0]
+    levels = grading(trsys)
+    assert len(levels) == 1
+    [term] = closed_form_series(trsys, levels)
     # the single term is everything
     total = {r for k in trsys.positives for r in rs.roots_of(trsys.spaces[k])}
-    assert set(rs.roots_of(series.upper[0])) == total
+    assert set(rs.roots_of(term)) == total
 
 
 def test_reversal_identity():
+    # Theorem 0.2 on the two independent oracles: the lower central series
+    # is the upper one reversed
     rs = root_system("B4")
     for deleted in [(1,), (4,), (1, 3), (2, 4)]:
         trsys = troot_system(designation(rs, deleted=deleted))
-        series = closed_form_series(trsys)
-        k = series.length
-        for i in range(k):
-            assert series.lower[i] == series.upper[k - i - 1]
+        nil = nilradical_sums(trsys)
+        upper = upper_series_oracle(trsys, nil)
+        assert len(upper) == len(grading(trsys))
+        assert lower_series_oracle(trsys, nil) == upper[::-1]
 
 
 def test_series_terms_are_unions_of_spaces():
     rs = root_system("C4")
     trsys = troot_system(designation(rs, deleted=(2, 3)))
-    series = closed_form_series(trsys)
+    upper = closed_form_series(trsys, grading(trsys))
     spaces = [set(rs.roots_of(trsys.spaces[k])) for k in trsys.positives]
-    for term in list(series.upper) + list(series.lower):
+    for term in upper:
         for sp in spaces:
             got = sp & set(rs.roots_of(term))
             assert not got or got == sp
@@ -128,25 +123,24 @@ def small_designation(draw):
 @given(small_designation())
 def test_series_matches_oracles_randomized(des):
     trsys = troot_system(des)
-    closed_form_series(trsys)  # raises SeriesMismatch on any gap
+    closed_form_series(trsys, grading(trsys))  # raises SeriesMismatch on any gap
 
 
 @settings(max_examples=50, deadline=None)
 @given(small_designation())
 def test_k_cent_is_deleted_mark_sum(des):
     trsys = troot_system(des)
-    grad = grading(trsys)
+    levels = grading(trsys)
     rs = des.rs
-    assert grad.k_cent == sum(rs.marks[j - 1] for j in des.deleted)
-    assert max(grad.levels) == grad.k_cent
+    assert len(levels) == max(levels) == sum(rs.marks[j - 1] for j in des.deleted)
 
 
 def _assert_direct_sums(trsys):
     # each nilradical root's sums with n, against the direct walk of n
-    members, total, nil = nilradical_sums(trsys)
+    total, nil = nilradical_sums(trsys)
     sums = trsys.rs.sum_table().sums
-    assert sorted(nil) == sorted(members)
-    for phi in members:
+    assert sorted(nil) == list(mask_bits(total))
+    for phi in nil:
         assert nil[phi] == sums((phi,), total), phi
 
 
@@ -179,5 +173,5 @@ def test_nilradical_sums_on_damaged_spaces(damage):
     if damage == "drop-and-levi":
         trsys.spaces[(2,)] |= 1 << rs.index[(1, 0, 0)]
     _assert_direct_sums(trsys)
-    total = nilradical_sums(trsys)[1]
+    total = nilradical_sums(trsys)[0]
     assert (total >> n_pos != 0) == (damage == "negative")
