@@ -10,9 +10,11 @@ plus g_n and g_-n, with simple system ``kept simples + (-highest)``.
 Both Cartan matrices come from ``_cartan_of``, on vectors read by their
 nonzero terms; the node check classifies the second only when it differs
 from the first, since one matrix has one class.  The other roots split
-into the residue classes g_k | g_(k-n); each class is certified
-irreducible by a unique highest-weight root, and residue classes multiply
-by addition mod n, which commutes, so each unordered pair is checked once.
+into the residue classes g_k | g_(k-n).  A t-root system stores its
+positive spaces alone, so g_-n and g_(k-n) are read as the mirrors of g_n
+and g_(n-k).  Each class is certified irreducible by a unique
+highest-weight root, and residue classes multiply by addition mod n,
+which commutes, so each unordered pair is checked once.
 The model stores the split alone: n is the node's own mark, read from the
 root system wherever it is used.
 
@@ -159,9 +161,10 @@ def subalgebra_roots(trsys) -> SubalgebraModel:
     for phi in rs.roots_of(top):
         if any(map(gt, phi, rs.marks)):
             raise SimpleSystemFailure(f"root {phi} is not a one-signed combination at node {j}")
-    levi = ((1 << len(rs.indexed)) - 1) & ~reduce(or_, spaces.values(), 0)
-    root_set = levi | top | spaces.get((-n,), 0)
-    residues = {k: spaces.get((k,), 0) | spaces.get((k - n,), 0) for k in range(1, n)}
+    levi = ((1 << len(rs.positives)) - 1) & ~reduce(or_, spaces.values(), 0)
+    root_set = levi | top | rs.mirror(levi | top)
+    residues = {k: spaces.get((k,), 0) | rs.mirror(spaces.get((n - k,), 0))
+                for k in range(1, n)}
 
     simple_roots = tuple(
         tuple(1 if t == i else 0 for t in range(rs.rank)) for i in range(rs.rank) if i != j0

@@ -8,9 +8,10 @@ in a fixed (height, lexicographic) order so repeated runs emit
 byte-identical reports.
 
 For the quadratic laws the pair count is cut by symmetry, never the
-content.  t-root spaces at opposite keys are exact mirrors, with the keys
-closed under negation (which the suite itself verifies per designation),
-so the string law is walked over the positive t-weights x only: a
+content.  A t-root system stores its positive spaces alone, and the space
+at -nu is the mirror of the one at nu, so the keys are closed under
+negation and opposite spaces are exact mirrors by construction.  The
+string law is therefore walked over the positive t-weights x only: a
 negative x pairs with nu as minus its mirror -x, so its conditions are
 those at -x on the mirrored run, with top and bottom, raising and
 lowering swapped.  Among the positives it visits each unordered pair
@@ -25,8 +26,8 @@ what the one at (nu, x) would:
   space at nu within Delta u {0}; the root-sum table is symmetric, so
   this is the test at (nu, x);
 - lowering asks the same of the spaces at x and -nu, which matches the
-  spaces at nu and -x, since each negative space is its mirror's
-  negation.
+  spaces at nu and -x, since each negative space is the mirror of its
+  positive one.
 
 The same walk reports the sign rule.  Off the diagonal, the sign rule
 for (x, nu) fails exactly when the walk's endpoint test at x does:
@@ -42,7 +43,6 @@ rule is tested there as (nu, nu) > 0.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from functools import reduce
 from itertools import combinations
 from operator import add, mul, or_
@@ -129,48 +129,37 @@ def check_designation(trsys: TRootSystem) -> DesignationReport:
     des = trsys.designation
     failures: list[Failure] = []
     label = _deleted_label(des)
+    spaces = trsys.spaces
     counts = {
-        "troots": len(trsys.keys),
-        "positive": len(trsys.positives),
+        "troots": 2 * len(spaces),
+        "positive": len(spaces),
         "simple": len(des.deleted),
     }
-    # every law below reads the space at each key and at each positive
-    # key's mirror, and the string law finds each positive key in the key
-    # index (a mirror missing from keys is a negation-symmetry failure).
-    # The laws read each key once, by its encoding, so a key listed twice
-    # would pass them all and be counted twice
-    keys, positives = set(trsys.keys), set(trsys.positives)
-    needed = {*keys, *positives, *(tuple([-c for c in k]) for k in positives)}
-    for what, bad in (
-        ("keys without a space", (k for k in needed if k not in trsys.spaces)),
-        ("t-roots missing from keys", positives.difference(keys)),
-        ("repeated keys", (k for seq, once in ((trsys.keys, keys), (trsys.positives, positives))
-                           if len(once) < len(seq) for k, n in Counter(seq).items() if n > 1)),
-    ):
-        bad = sorted(set(bad), key=lambda k: (sum(k), k))
-        if bad:
-            failures.append(Failure("partition", label, f"{what}: {bad}"))
-            return DesignationReport(des.deleted, counts, tuple(failures))
-    # each key encoded once, for the key index by encoding (partition,
-    # bracket and string law) and the positive encodings (simplicity,
-    # bracket and string law); then the reach of every space by encoding
-    # (bracket and string law) and the positive pairing triangle (string law
+    # each positive key encoded once, for the positive encodings (simplicity,
+    # bracket and string law); then, by encoding, the key index of both
+    # signs and the reach of every space (bracket and string law), with -nu
+    # encoded as minus nu and its reach the mirror of nu's, the sum table
+    # being mirror-symmetric; and the positive pairing triangle (string law
     # and sign rule)
-    encs = dict(zip(trsys.keys, map(des.rs.encode, trsys.keys)))
-    troots = {e: k for k, e in encs.items()}
-    pos_encs = [encs[k] for k in trsys.positives]
-    reach = des.rs.sum_table().reach
-    reaches = {e: reach(trsys.spaces[k]) for e, k in troots.items()}
-    pairings = _form_table(trsys, encs)
-    _check_partition(des, trsys, troots, failures)
-    _check_simples(des, trsys, pos_encs, failures)
+    rs = des.rs
+    reach = rs.sum_table().reach
+    pos_encs = list(map(rs.encode, spaces))
+    troots, reaches = {}, {}
+    for (key, mask), e in zip(spaces.items(), pos_encs):
+        troots[e] = key
+        troots[-e] = tuple([-c for c in key])
+        reaches[e] = reach(mask)
+        reaches[-e] = rs.mirror(reaches[e])
+    pairings = _form_table(trsys, dict(zip(spaces, pos_encs)))
+    _check_partition(trsys, failures, label)
+    _check_simples(trsys, pos_encs, failures, label)
     _check_brackets(trsys, troots, pos_encs, reaches, failures, label)
     _check_strings(trsys, troots, pos_encs, reaches, pairings, failures, label)
     _check_delta(trsys, failures, label)
     counts["k_cent"] = _check_series(trsys, failures, label)
     if len(des.deleted) == 1:  # a maximal parabolic: t-roots +-1..n, n the mark
-        n = des.rs.marks[des.deleted0[0]]
-        if set(trsys.positives) != {(k,) for k in range(1, n + 1)} or len(trsys.keys) != 2 * n:
+        n = rs.marks[des.deleted0[0]]
+        if list(spaces) != [(k,) for k in range(1, n + 1)]:
             failures.append(Failure(
                 "maximal-parabolic-ladder", label,
                 f"t-roots are not +-1..{n} times the unit key"))
@@ -242,14 +231,13 @@ def _form_table(trsys, encs):
     return table
 
 
-def _check_partition(des, trsys, troots, failures):
-    """Spaces partition the roots off the Levi factor; mirrors are exact;
-    each positive space is the whole fiber of its key."""
-    rs = des.rs
-    label = _deleted_label(des)
+def _check_partition(trsys, failures, label):
+    """Positive spaces partition the positive roots off the Levi factor;
+    each is the whole fiber of its key."""
+    rs = trsys.rs
     # the fiber of a key: the AND, over the deleted nodes, of the positive
     # roots with that key entry as their coefficient there
-    value_masks = [rs.coefficient_masks()[d] for d in des.deleted0]
+    value_masks = [rs.coefficient_masks()[d] for d in trsys.designation.deleted0]
     everything = (1 << len(rs.positives)) - 1
 
     def fiber(key):
@@ -258,31 +246,22 @@ def _check_partition(des, trsys, troots, failures):
             out &= masks.get(c, 0)
         return out
 
-    in_levi = 2 * fiber((0,) * len(value_masks)).bit_count()
+    in_levi = fiber((0,) * len(value_masks)).bit_count()
     total = sum(mask.bit_count() for mask in trsys.spaces.values())
-    if total + in_levi != len(rs.roots):
+    if total + in_levi != len(rs.positives):
         failures.append(Failure(
             "partition", label,
-            f"{total} space roots + {in_levi} Levi roots != {len(rs.roots)}",
+            f"{total} space roots + {in_levi} Levi roots != {len(rs.positives)}",
         ))
-    for e, key in troots.items():
-        if -e not in troots:
-            failures.append(Failure(
-                "negation-symmetry", label, f"key {key} has no negative in keys"))
-    spaces = trsys.spaces
-    for key in trsys.positives:
-        if spaces[tuple([-c for c in key])] != rs.mirror(spaces[key]):
-            failures.append(Failure(
-                "negation-symmetry", label, f"key {key} mirror mismatch"))
+    for key, mask in trsys.spaces.items():
         own = fiber(key)
-        if not own or spaces[key] != own:  # a key no root has is no t-root
+        if not own or mask != own:  # a key no root has is no t-root
             failures.append(Failure(
                 "restriction", label, f"space {key} is not the fiber of its key"))
 
 
-def _check_simples(des, trsys, pos_encs, failures):
+def _check_simples(trsys, pos_encs, failures, label):
     """Simple t-roots, the unit keys: obtuseness, intrinsic simplicity."""
-    label = _deleted_label(des)
     simples = trsys.simples
     units = set(simples)
     rows = [_form_row(trsys, t) for t in simples]
@@ -291,13 +270,14 @@ def _check_simples(des, trsys, pos_encs, failures):
             failures.append(Failure(
                 "simple-troots", label,
                 f"simple t-roots {a},{b} have positive inner product"))
-    # one-signed keys, and simplicity <=> not a sum of two positives
+    # one-signed keys (a key is one-signed when its negative is), and
+    # simplicity <=> not a sum of two positives
     encs = frozenset(pos_encs)
-    for key in trsys.keys:
+    for key in trsys.spaces:
         if not (min(key) >= 0 or max(key) <= 0):
             failures.append(Failure(
                 "positivity-dichotomy", label, f"key {key} is mixed-sign"))
-    for key, e in zip(trsys.positives, pos_encs):
+    for key, e in zip(trsys.spaces, pos_encs):
         decomposable = not encs.isdisjoint(map(e.__sub__, encs))
         if decomposable == (key in units):
             kind = "decomposes" if decomposable else "has no decomposition"
@@ -315,11 +295,11 @@ def _check_brackets(trsys, troots, pos_encs, reaches, failures, label):
     docs/conventions.md).  Only pairs with a positive sum key are checked;
     the pair with both keys negated is the mirror case.
     """
-    targets = {e: trsys.spaces[k] for e, k in zip(pos_encs, trsys.positives)}
+    targets = dict(zip(pos_encs, trsys.spaces.values()))
     low, high = min(targets, default=0), max(targets, default=0)
     encs = sorted(troots)
     for i, em in enumerate(encs):
-        reach = reaches.get(-em, 0)  # 0 when -mu is no key (negation-symmetry)
+        reach = reaches[-em]
         # a partner outside [low - em, high - em] reaches no target
         for en in encs[bisect_left(encs, low - em, i):bisect_right(encs, high - em, i)]:
             target = targets.get(em + en)
@@ -347,19 +327,19 @@ def _check_strings(trsys, troots, pos_encs, reaches, pairings, failures, label):
     x + nu is no t-weight (a t-root or zero), and bottoms it when x - nu
     is none.  A singleton run must be orthogonal to nu; otherwise its top
     must pair positively and its bottom negatively with nu, and g_nu
-    (raising, below the top) and g_-nu (lowering, above the bottom) must
-    act nonzero at x: some root of the space at x adds to a root of the
-    acting space within Delta u {0}.  Zero is interior to every run and
-    carries no condition.  A failed endpoint test off the diagonal is also
-    a sign-rule record, and (nu, nu) must be positive.
+    (raising, below the top) and its mirror g_-nu (lowering, above the
+    bottom) must act nonzero at x: some root of the space at x adds to a
+    root of the acting space within Delta u {0}.  Zero is interior to
+    every run and carries no condition.  A failed endpoint test off the
+    diagonal is also a sign-rule record, and (nu, nu) must be positive.
     """
     weights = dict(troots)
     weights[0] = (0,) * len(trsys.designation.deleted)
-    spaces = trsys.spaces
+    mirror = trsys.rs.mirror
     p = len(pos_encs)
     start = 0
-    for b, (nu, step) in enumerate(zip(trsys.positives, pos_encs)):
-        up, down = spaces[nu], spaces[tuple([-c for c in nu])]
+    for b, ((nu, up), step) in enumerate(zip(trsys.spaces.items(), pos_encs)):
+        down = mirror(up)
         row = pairings[start:start + p - b]
         start += p - b
         if row[0] <= 0:

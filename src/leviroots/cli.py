@@ -40,7 +40,7 @@ def _node_list(text: str) -> tuple[int, ...]:
 
 
 def _load_cartan(path: str):
-    """Read a Cartan matrix from JSON: rows, or {"cartan": rows}.
+    """Read a Cartan matrix from JSON: rows, or {"cartan": rows} with no other key.
 
     Only the JSON and the rank cap (DEFAULT_MAX_RANK, like named types) are
     read here; ``generate`` validates the shape and the entries, so floats
@@ -54,6 +54,9 @@ def _load_cartan(path: str):
     if isinstance(data, dict):
         if "cartan" not in data:
             raise InvalidCartan('the JSON object has no "cartan" key')
+        extra = ", ".join(json.dumps(k) for k in sorted(data.keys() - {"cartan"}))
+        if extra:  # a key that nothing reads is rejected, never dropped
+            raise InvalidCartan(f'the JSON object has keys other than "cartan": {extra}')
         data = data["cartan"]
     if isinstance(data, list) and len(data) > DEFAULT_MAX_RANK:
         raise InvalidRank(f"rank {len(data)} exceeds the configured maximum {DEFAULT_MAX_RANK}")

@@ -23,9 +23,11 @@ The laws that the spaces obey together (the bracket law, the sign rule,
 the string law and the positivity of the nilradical trace) are checked,
 on the same masks and the integer t-root form ``TRootSystem.form``, by
 ``checks.check_designation``.  A system stores only what nothing else
-determines: the simple t-roots (the unit keys) and the key of the
-nilradical trace (the dimension-weighted sum of the positive keys) are
-derived on each read, so the trace law reads the spaces as they stand.
+determines: the positive spaces, since g_-nu is the negative of g_nu root
+by root, the mirror of its mask.  The positive keys, the simple t-roots
+(the unit keys) and the key of the nilradical trace (the
+dimension-weighted sum of the positive keys) are derived on each read, so
+the trace law reads the spaces as they stand.
 """
 
 from __future__ import annotations
@@ -124,17 +126,17 @@ def _certify(rs: RootSystem, key: Key, mask: int, raised: int) -> tuple[int, int
 class TRootSystem:
     """All t-root spaces of one parabolic designation.
 
-    ``spaces`` maps each key to its t-root space, the roots restricting to
-    that key, as a mask over the numbering of ``rs.indexed``.  Iteration
-    and serialization order is (key height, key) ascending, so output is
-    deterministic.  ``form`` is ``(det, Gs)``: the t-root form as an
-    integer matrix Gs and its positive scale det.  The simple t-roots
-    ``simples`` and the trace key ``delta_key`` are read off the
-    designation and the spaces each time they are read, so they follow
-    the spaces as they stand.
+    ``spaces`` maps each positive key to its t-root space, the roots
+    restricting to that key, as a mask over the numbering of ``rs.indexed``,
+    in (key height, key) ascending order, so output is deterministic; the
+    space at -nu is ``rs.mirror(spaces[nu])``.  ``form`` is ``(det, Gs)``:
+    the t-root form as an integer matrix Gs and its positive scale det.
+    The positive keys ``positives``, the simple t-roots ``simples`` and the
+    trace key ``delta_key`` are read off the designation and the spaces each
+    time they are read, so they follow the spaces as they stand.
     """
 
-    __slots__ = ("designation", "rs", "spaces", "keys", "positives", "form", "_raised", "_proj")
+    __slots__ = ("designation", "rs", "spaces", "form", "_raised", "_proj")
 
     def __init__(self, des: ParabolicDesignation):
         rs = des.rs
@@ -151,16 +153,10 @@ class TRootSystem:
             groups[key] = groups.get(key, 0) | 1 << i
         groups.pop((0,) * len(D), None)  # the Levi factor's roots
 
-        positives = sorted(groups, key=lambda k: (sum(k), k))
-        for key in positives:
+        self.spaces = {}
+        for key in sorted(groups, key=lambda k: (sum(k), k)):
             _certify(rs, key, groups[key], self._raised)
-        # negation reverses the (height, key) order, and every negative key
-        # comes before every positive one
-        negatives = [tuple([-c for c in key]) for key in reversed(positives)]
-        self.keys = tuple(negatives) + tuple(positives)
-        masks = [rs.mirror(groups[k]) for k in reversed(positives)]
-        self.spaces = dict(zip(self.keys, masks + [groups[k] for k in positives]))
-        self.positives = tuple(positives)
+            self.spaces[key] = groups[key]
 
         # the t-root form (det, Gs), Gs = det * S for the Schur complement
         # S = G_DD - G_DK G_KK^-1 G_KD, K the kept and D the deleted nodes:
@@ -181,6 +177,11 @@ class TRootSystem:
     # -- derived keys, computed on each read -----------------------------
 
     @property
+    def positives(self) -> tuple[Key, ...]:
+        """The positive t-roots, the keys of ``spaces`` in their order."""
+        return tuple(self.spaces)
+
+    @property
     def simples(self) -> tuple[Key, ...]:
         """The simple t-roots: the unit keys, one per deleted node, since
         alpha_j itself restricts to unit key j."""
@@ -192,8 +193,8 @@ class TRootSystem:
         """The key of the nilradical trace: the sum of the positive keys,
         each weighted by the dimension of its space as it stands."""
         delta = [0] * len(self.designation.deleted)
-        for k in self.positives:
-            dim = self.spaces[k].bit_count()
+        for k, mask in self.spaces.items():
+            dim = mask.bit_count()
             for i, c in enumerate(k):
                 delta[i] += dim * c
         return tuple(delta)
@@ -216,9 +217,14 @@ class TRootSystem:
         return tuple(out)
 
     def extremes(self, key) -> tuple[Root, Root]:
-        """The highest and the lowest weight root of the space at key, by
-        the certificate that ``__init__`` runs on each positive space."""
-        top, bottom = _certify(self.rs, tuple(key), self.spaces[tuple(key)], self._raised)
+        """The highest and the lowest weight root of the space at a positive
+        or negative key, by the certificate that ``__init__`` runs on each
+        positive space."""
+        key = tuple(key)
+        mask = self.spaces.get(key)
+        if mask is None:  # the space at -nu is the mirror of the one at nu
+            mask = self.rs.mirror(self.spaces[tuple([-c for c in key])])
+        top, bottom = _certify(self.rs, key, mask, self._raised)
         return self.rs.indexed[top], self.rs.indexed[bottom]
 
     # -- serialization ----------------------------------------------------
@@ -226,16 +232,20 @@ class TRootSystem:
     def document(self) -> dict:
         """Versioned JSON-ready description (see docs/schemas.md)."""
         des = self.designation
+        # every t-root in (key height, key) order: the negatives, reversed, first
+        positives = list(self.spaces.items())
+        negatives = [(tuple([-c for c in key]), self.rs.mirror(mask))
+                     for key, mask in reversed(positives)]
         spaces = []
-        for key, mask in self.spaces.items():
-            highest, lowest = self.extremes(key)
+        for key, mask in negatives + positives:
+            top, bottom = _certify(self.rs, key, mask, self._raised)
             roots = sorted(self.rs.roots_of(mask), key=lambda r: (sum(r), r))
             spaces.append({
                 "key": list(key),
                 "dim": mask.bit_count(),
                 "roots": [list(r) for r in roots],
-                "highest": list(highest),
-                "lowest": list(lowest),
+                "highest": list(self.rs.indexed[top]),
+                "lowest": list(self.rs.indexed[bottom]),
             })
         return {
             "schema": "leviroots.trootsystem/1",
@@ -250,7 +260,7 @@ class TRootSystem:
 
     def __repr__(self) -> str:
         return (f"TRootSystem({self.designation!r}, "
-                f"{len(self.keys)} t-roots)")
+                f"{2 * len(self.spaces)} t-roots)")
 
 
 def troot_system(des: ParabolicDesignation) -> TRootSystem:

@@ -121,23 +121,23 @@ def crosscheck(trsys: TRootSystem) -> tuple[str, ...]:
     """Verify the block table of a parabolic on A_{n-1} against its t-root
     system, and return the failure texts (none when they agree).
 
-    Checks that the block keys are exactly the t-root keys, that each
-    space has its block's dimension, and the acting-blocks rule: a
-    diagonal block moves the space of block (r, s) exactly when it is
-    block r or s and has size > 1.  The table's own shape (k(k-1)
-    distinct keys, order = |r - s|) holds by construction.  A system
-    whose Cartan matrix is not type A raises ``InvalidComposition``, as
-    ``designation_of`` does.
+    Checks that the keys of the blocks (r, s) with r < s are exactly the
+    positive t-root keys, that each space has its block's dimension, and
+    the acting-blocks rule: a diagonal block moves the space of block
+    (r, s) exactly when it is block r or s and has size > 1.  Block (s, r)
+    and the space at the negated key mirror these, so they repeat the same
+    tests.  The table's own shape (k(k-1) distinct keys, order = |r - s|)
+    holds by construction.  A system whose Cartan matrix is not type A
+    raises ``InvalidComposition``, as ``designation_of`` does.
     """
     comp = composition_of(trsys.designation)
     designation_of(comp, trsys.rs)
     failures = []
 
-    by_key = {e.key: e for e in block_table(comp)}
-    space_keys = set(trsys.spaces)
-    if set(by_key) != space_keys:
+    by_key = {e.key: e for e in block_table(comp) if e.row < e.col}
+    if set(by_key) != set(trsys.spaces):
         failures.append(
-            f"key sets differ: {len(by_key)} blocks vs {len(space_keys)} spaces"
+            f"key sets differ: {len(by_key)} blocks vs {len(trsys.spaces)} spaces"
         )
 
     # M_b, the roots that a kept node of diagonal block b raises: block b of

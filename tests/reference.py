@@ -1,10 +1,13 @@
 """Reference oracles: the t-root laws one pair or one string at a time, and
 root generation by walking every root string.
 
-Each oracle reads only the public data of a t-root system: the spaces
-(``trsys.spaces``, each a mask over ``trsys.rs.indexed``, decoded here bit
-by bit), the keys (``trsys.keys``), the roots (``trsys.rs.roots``) and the
-Gram matrix (``trsys.rs.gram``).  The exact pairing ``inner`` is computed
+Each oracle reads only the public data of a t-root system: the positive
+spaces (``trsys.spaces``, each a mask over ``trsys.rs.indexed``, decoded
+here bit by bit), the roots (``trsys.rs.roots``) and the Gram matrix
+(``trsys.rs.gram``).  The negative t-roots are built here from the
+positive ones by negating tuples: the keys in ``troot_keys``, and the
+space at -nu as the negatives of the roots at nu, never by the mask mirror
+or the sum table.  The exact pairing ``inner`` is computed
 here, by ``Fraction`` algebra on the Schur complement of the kept Gram
 block (``schur_form``), not read from the integer form the sweep uses.
 The oracles work on root tuples and keys directly, and share no code with
@@ -39,17 +42,30 @@ def _shift(key, step, j=1):
     return tuple(a + j * b for a, b in zip(key, step))
 
 
+def _negated(v):
+    return tuple(-c for c in v)
+
+
+def troot_keys(trsys):
+    """Every t-root key: the negatives of the positive keys, in reverse,
+    then the positive keys."""
+    return tuple(map(_negated, reversed(trsys.spaces))) + tuple(trsys.spaces)
+
+
 def _troot(trsys, key):
     key = tuple(key)
-    if key not in trsys.spaces:
+    if key not in troot_keys(trsys):
         raise ValueError(f"{key} is not a t-root here")
     return key
 
 
 def _roots(trsys, key):
-    """The roots of the space at key, in numbering order."""
-    mask = trsys.spaces[key]
-    return [phi for i, phi in enumerate(trsys.rs.indexed) if mask >> i & 1]
+    """The roots of the space at key: at a positive key in numbering order,
+    at a negative one the negatives of the roots at its negative."""
+    negative = key not in trsys.spaces
+    mask = trsys.spaces[_negated(key) if negative else key]
+    roots = [phi for i, phi in enumerate(trsys.rs.indexed) if mask >> i & 1]
+    return list(map(_negated, roots)) if negative else roots
 
 
 @lru_cache(maxsize=64)
@@ -108,7 +124,7 @@ def sign_rule(trsys, mu, nu):
     s = inner(trsys, mu, nu)
     if mu == nu:
         return [] if s > 0 else [f"({mu},{nu}) is not positive"]
-    troots = set(trsys.keys)
+    troots = set(troot_keys(trsys))
     plus, minus = _shift(mu, nu), _shift(mu, nu, -1)
     if s < 0 and any(plus) and plus not in troots:
         return [f"({mu},{nu}) < 0 but the sum is not a t-root"]
@@ -133,11 +149,11 @@ def string_report(trsys, gamma, nu):
     nu = _troot(trsys, nu)
     zero = (0,) * len(nu)
     gamma = zero if gamma is None or not any(gamma) else _troot(trsys, gamma)
-    weights = {zero, *trsys.keys}
+    weights = {zero, *troot_keys(trsys)}
     # at a nonzero entry of nu, |j| <= |j * nu| = |weight - gamma| <= bound
     bound = 2 * max(max(map(abs, k)) for k in weights)
     line = [j for j in range(-bound, bound + 1) if _shift(gamma, nu, j) in weights]
-    minus_nu = tuple(-c for c in nu)
+    minus_nu = _negated(nu)
     failures = []
     for j in line:
         w = _shift(gamma, nu, j)

@@ -3,6 +3,7 @@
 import re
 from ast import literal_eval
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,7 +30,7 @@ from leviroots.errors import NotFiniteType, SeriesMismatch
 from leviroots.levi import TRootSystem, troot_system as real_troot_system
 from leviroots.series import closed_form_series, grading, nilradical_sums, upper_series_oracle
 from conftest import replace
-from reference import bracket_image, inner, sign_rule, string_report
+from reference import bracket_image, inner, sign_rule, string_report, troot_keys
 
 
 def test_all_parabolic_designations_count():
@@ -131,19 +132,15 @@ def _move_root(t, src, dst, keep=False):
 
 
 def _drop_troot(t, key):
-    """Remove the t-root key and its negative from the public spaces and
-    key lists."""
-    gone = {key, tuple(-c for c in key)}
-    for k in gone:
-        del t.spaces[k]
-    t.keys = tuple(k for k in t.keys if k not in gone)
-    t.positives = tuple(k for k in t.positives if k not in gone)
+    """Remove the positive t-root key, and with it its negative, from the
+    public spaces."""
+    del t.spaces[key]
 
 
 def test_corrupted_space_detected():
     # one root dropped from a public space must break the bracket law: the
-    # damaged space at (1,) is the target of (-1,) + (2,), and the reach of
-    # its own damaged copy, the mirror of (-1,), no longer covers it
+    # damaged space at (1,) is the target of (-1,) + (2,), and its own
+    # reach, which finds the root sums from (-1,), no longer covers it
     rep = check_designation(
         _corrupt(root_system("B3"), [2], lambda t: _drop_root(t, t.positives[0])))
     names = {f.check for f in rep.failures}
@@ -177,32 +174,13 @@ def test_swapped_marks_break_grading_alone(monkeypatch, g2):
         ("grading", "top level is not the restricted highest root alone")]
 
 
-@pytest.mark.parametrize("name, deleted, field, at, key", [
-    ("G2", [1, 2], "positives", -1, (3, 2)),
-    ("B3", [1, 2], "keys", -1, (1, 2)),
-    ("B3", [1, 2], "positives", 0, (0, 1)),
-    ("F4", [2, 3], "keys", -1, (3, 4)),
-], ids=["G2-top-positive", "B3-last-key", "B3-first-positive", "F4-last-key"])
-def test_repeated_key_is_one_partition_record(name, deleted, field, at, key):
-    # a key listed twice in keys or positives: the laws read each key once,
-    # so none of them sees the repeat, which the counts would count twice
-    def damage(t):
-        seq = getattr(t, field)
-        setattr(t, field, seq + (seq[at],))
-
-    rep = check_designation(_corrupt(root_system(name), deleted, damage))
-    assert [(f.check, f.detail) for f in rep.failures] == [
-        ("partition", f"repeated keys: [{key}]")]
-
-
 def _add_negative_simple(t):
     """Add -alpha_1 to the space at (1,) of the A2 parabolic deleting node 1."""
     t.spaces[(1,)] = t.spaces[(1,)] | t.rs.mirror(1 << t.rs.index[(1, 0)])
 
 
 _NEGATIVE_SIMPLE_RECORDS = [
-    ("partition", "5 space roots + 2 Levi roots != 6"),
-    ("negation-symmetry", "key (1,) mirror mismatch"),
+    ("partition", "3 space roots + 1 Levi roots != 3"),
     ("restriction", "space (1,) is not the fiber of its key"),
     ("central-series", "lower central series did not terminate")]
 
@@ -292,19 +270,21 @@ def _laws_by_pair(trsys, strings=True):
     key; the reference sign rule and (unless ``strings`` is false) string
     report run on every pair.
     """
-    spaces, index = trsys.spaces, trsys.rs.index
+    spaces, index, mirror = trsys.spaces, trsys.rs.index, trsys.rs.mirror
     reach = trsys.rs.sum_table().reach
+    keys = troot_keys(trsys)
     agree = []
-    for mu in trsys.keys:
-        for nu in trsys.keys:
+    for mu in keys:
+        for nu in keys:
             total = tuple(a + b for a, b in zip(mu, nu))
-            if total in trsys.positives:
+            if total in spaces:
                 image = sum(1 << index[r] for r in bracket_image(trsys, mu, nu))
-                mirror = reach(spaces[tuple(-c for c in mu)])
-                agree.append(mirror & spaces[total] == image)
-    signs = {t for mu in trsys.keys for nu in trsys.keys for t in sign_rule(trsys, mu, nu)}
+                neg = tuple(-c for c in mu)
+                lowered = reach(spaces[neg]) if neg in spaces else mirror(reach(spaces[mu]))
+                agree.append(lowered & spaces[total] == image)
+    signs = {t for mu in keys for nu in keys for t in sign_rule(trsys, mu, nu)}
     if strings:
-        strings = {t for gamma in (None,) + trsys.keys for nu in trsys.keys
+        strings = {t for gamma in (None,) + keys for nu in keys
                    for t in string_report(trsys, gamma, nu)[2]}
     return agree, signs, strings
 
@@ -343,8 +323,9 @@ def test_sweep_and_per_pair_api_agree_on_a_missing_troot(g2):
     [trsys] = damaged
     _, signs, _ = _laws_by_pair(trsys, strings=False)
     strings = set()
-    for gamma in (None,) + trsys.keys:
-        for nu in trsys.keys:
+    keys = troot_keys(trsys)
+    for gamma in (None,) + keys:
+        for nu in keys:
             strings.update(string_report(trsys, gamma, nu)[2])
     pos = trsys.positives
     representatives = {t for i, mu in enumerate(pos) for nu in pos[i:]
@@ -376,7 +357,8 @@ def test_sweep_and_reference_agree_on_damaged_spaces(name, deleted, damage, text
         _corrupt(root_system(name), deleted, lambda t: (damage(t), damaged.append(t))))
     [trsys] = damaged
     sweep = {f.detail for f in rep.failures if f.check == "string-law"}
-    strings = {t for gamma in (None,) + trsys.keys for nu in trsys.keys
+    keys = troot_keys(trsys)
+    strings = {t for gamma in (None,) + keys for nu in keys
                for t in string_report(trsys, gamma, nu)[2]}
     assert text in sweep and sweep <= strings
     pos = trsys.positives
@@ -447,7 +429,7 @@ def test_positive_pairings_match_exact_form():
     for stype in all_simple_types(4):
         for des in all_parabolic_designations(root_system(stype)):
             trsys = real_troot_system(des)
-            table = checks._form_table(trsys, {k: des.rs.encode(k) for k in trsys.keys})
+            table = checks._form_table(trsys, {k: des.rs.encode(k) for k in trsys.spaces})
             pos = trsys.positives
             p = len(pos)
             assert len(table) == p * (p + 1) // 2
@@ -462,10 +444,11 @@ def test_positive_pairings_match_exact_form():
 
 
 def test_check_designation_encodes_each_key_once(monkeypatch, f4):
-    # one pass encodes the keys: the key index, the positive encodings and
-    # the pairing table's unit rows all read it
+    # one pass encodes the positive keys, -nu encoding as minus nu's: the
+    # key index, the positive encodings and the pairing table's unit rows
+    # all read it
     trsys = _built(f4, [1, 3])
-    keys = trsys.keys
+    keys = trsys.positives
     encoded = []
     real_encode = RootSystem.encode
 
@@ -493,46 +476,35 @@ def test_two_highest_weight_roots_fail_certification():
         ("certification", "space (1,) has 2 highest / 1 lowest weight roots")]
 
 
-def test_dropped_negative_root_breaks_negation_symmetry():
-    rep = check_designation(_corrupt(
-        root_system("B3"), [2], lambda t: _drop_root(t, tuple(-c for c in t.positives[0]))))
-    details = [f.detail for f in rep.failures if f.check == "negation-symmetry"]
-    assert details == ["key (1,) mirror mismatch"]
-
-
 def test_repeated_root_number_breaks_partition():
-    # a root of the space at (-2,) added to the space at (-1,) too: the
-    # spaces overcount the roots, and (-1,) is no longer the mirror of (1,)
+    # a root of the space at (1,) added to the space at (2,) too: the
+    # spaces overcount the positive roots, and (2,) is no longer the fiber
+    # of its key
     rep = check_designation(
-        _corrupt(root_system("B3"), [2], lambda t: _move_root(t, (-2,), (-1,), keep=True)))
+        _corrupt(root_system("B3"), [2], lambda t: _move_root(t, (1,), (2,), keep=True)))
     assert [(f.check, f.detail) for f in rep.failures] == [
-        ("partition", "15 space roots + 4 Levi roots != 18"),
-        ("negation-symmetry", "key (1,) mirror mismatch")]
+        ("partition", "8 space roots + 2 Levi roots != 9"),
+        ("restriction", "space (2,) is not the fiber of its key"),
+        ("central-series", "closed-form lower series disagrees with its oracle")]
 
 
 def test_moved_root_breaks_restriction():
-    # a root of (1,) moved to (2,), and its negative from (-1,) to (-2,):
-    # the root counts and the mirrors still hold, but two spaces are no
-    # longer the fibers of their keys
-    def damage(t):
-        _move_root(t, (1,), (2,))
-        _move_root(t, (-1,), (-2,))
-
-    rep = check_designation(_corrupt(root_system("B3"), [2], damage))
+    # a root of (1,) moved to (2,), and with it its negative from (-1,) to
+    # (-2,): the root count still holds, but two spaces are no longer the
+    # fibers of their keys
+    rep = check_designation(
+        _corrupt(root_system("B3"), [2], lambda t: _move_root(t, (1,), (2,))))
     details = [f.detail for f in rep.failures if f.check == "restriction"]
     assert details == ["space (1,) is not the fiber of its key",
                        "space (2,) is not the fiber of its key"]
-    assert "negation-symmetry" not in {f.check for f in rep.failures}
+    assert "partition" not in {f.check for f in rep.failures}
 
 
 def test_empty_space_at_a_key_without_a_fiber_breaks_restriction():
     # no root of B3 has coefficient 3 at node 2, so the key (3,) has an
     # empty fiber; an empty space there is not a fiber of its key either
     def damage(t):
-        for key in ((3,), (-3,)):
-            t.spaces[key] = 0
-        t.keys = ((-3,),) + t.keys + ((3,),)
-        t.positives += ((3,),)
+        t.spaces[(3,)] = 0
 
     rep = check_designation(_corrupt(root_system("B3"), [2], damage))
     details = [f.detail for f in rep.failures if f.check == "restriction"]
@@ -543,63 +515,51 @@ def test_bracket_records_at_both_ends_of_the_target_range(g2):
     # the pair loop skips partners whose sum lies below the least or above
     # the greatest target encoding; two damaged G2 Borel spaces put failures
     # at both ends: a positive key (1, -1), mixed-sign with a negative
-    # encoding, holding the top root, and an emptied space at (0, -1), whose
-    # mirror (0, 1) then no longer reaches the top key (3, 2) with (3, 1)
+    # encoding, holding the top root, and an emptied space at (0, 1), whose
+    # mirror (0, -1) then reaches nothing: no sum from (0, -1) and (1, 0)
+    # fills (1, -1), and none from (0, 1) and (3, 1) the top key (3, 2)
     def damage(t):
         t.spaces[(1, -1)] = t.spaces[(3, 2)]
-        t.spaces[(-1, 1)] = t.spaces[(-3, -2)]
-        t.keys += ((1, -1), (-1, 1))
-        t.positives += ((1, -1),)
-        t.spaces[(0, -1)] = 0
+        t.spaces[(0, 1)] = 0
 
     seen = []
     rep = check_designation(_corrupt(g2, [1, 2], lambda t: (damage(t), seen.append(t))))
     [trsys] = seen
     # every pair of keys, in encoding order, with a positive sum key
     encode = trsys.rs.encode
-    troots = {encode(k): k for k in trsys.keys}
+    troots = {encode(k): k for k in troot_keys(trsys)}
     reach = trsys.rs.sum_table().reach
-    reaches = {e: reach(trsys.spaces[k]) for e, k in troots.items()}
-    targets = {encode(k): trsys.spaces[k] for k in trsys.positives}
+    targets = {encode(k): mask for k, mask in trsys.spaces.items()}
+    reaches = {e: reach(mask) for e, mask in targets.items()}
+    reaches.update({-e: trsys.rs.mirror(r) for e, r in reaches.items()})
     assert min(targets) == encode((1, -1)) < 0
     assert max(targets) == encode((3, 2))
     encs = sorted(troots)
     want = [
         f"keys {troots[em]} + {troots[en]}: root sums miss the target space"
         for i, em in enumerate(encs) for en in encs[i:]
-        if em + en in targets and reaches.get(-em, 0) & targets[em + en] != targets[em + en]
+        if em + en in targets and reaches[-em] & targets[em + en] != targets[em + en]
     ]
     for pair in ("(0, -1) + (1, 0)", "(0, 1) + (3, 1)"):
         assert f"keys {pair}: root sums miss the target space" in want
     assert [f.detail for f in rep.failures if f.check == "bracket-law"] == want
 
 
-def test_missing_negative_keys_break_negation_symmetry():
-    # the spaces at negative keys are intact, but keys lists none of them
-    def damage(t):
-        t.keys = t.positives
-
-    rep = check_designation(_corrupt(root_system("B3"), [2], damage))
-    details = [f.detail for f in rep.failures if f.check == "negation-symmetry"]
-    assert details == ["key (1,) has no negative in keys", "key (2,) has no negative in keys"]
-
-
 def test_mixed_sign_key_breaks_positivity_dichotomy(g2):
-    # a mixed-sign key and its negative, each with an empty space
+    # a mixed-sign key with an empty space; its negative is mixed-sign with
+    # it, so the law reads the positive keys alone
     def damage(t):
-        for key in ((1, -1), (-1, 1)):
-            t.spaces[key] = 0
-            t.keys += (key,)
+        t.spaces[(1, -1)] = 0
 
     rep = check_designation(_corrupt(g2, [1, 2], damage))
     details = [f.detail for f in rep.failures if f.check == "positivity-dichotomy"]
-    assert details == ["key (1, -1) is mixed-sign", "key (-1, 1) is mixed-sign"]
+    assert details == ["key (1, -1) is mixed-sign"]
 
 
 def test_dropped_top_key_breaks_grading():
     # without the top key (2,), no positive t-root has order 2 = k_cent
     def damage(t):
-        t.positives = t.positives[:-1]
+        del t.spaces[(2,)]
 
     rep = check_designation(_corrupt(root_system("B3"), [2], damage))
     details = [f.detail for f in rep.failures if f.check == "grading"]
@@ -612,8 +572,7 @@ def test_repeated_positive_root_number_breaks_partition():
     rep = check_designation(
         _corrupt(root_system("B3"), [2], lambda t: _move_root(t, (2,), (1,), keep=True)))
     assert [(f.check, f.detail) for f in rep.failures] == [
-        ("partition", "15 space roots + 4 Levi roots != 18"),
-        ("negation-symmetry", "key (1,) mirror mismatch"),
+        ("partition", "8 space roots + 2 Levi roots != 9"),
         ("restriction", "space (1,) is not the fiber of its key"),
         ("bracket-law", "keys (-1,) + (2,): root sums miss the target space"),
         ("central-series", "center term splits the t-root space (1,)")]
@@ -918,7 +877,7 @@ def test_missing_top_troot_breaks_maximal_parabolic_ladder(g2):
     # deleting the mark-3 node must give t-roots +-1..3 times the unit key
     rep = check_designation(_corrupt(g2, [1], lambda t: _drop_troot(t, (3,))))
     assert [(f.check, f.detail) for f in rep.failures] == [
-        ("partition", "6 space roots + 2 Levi roots != 12"),
+        ("partition", "3 space roots + 1 Levi roots != 6"),
         ("grading", "grading levels are not 1..k_cent"),
         ("maximal-parabolic-ladder", "t-roots are not +-1..3 times the unit key")]
 
@@ -931,28 +890,6 @@ def test_missing_unit_troot_breaks_the_a1_ladder(monkeypatch):
     assert ("maximal-parabolic-ladder", "t-roots are not +-1..1 times the unit key") in [
         (f.check, f.detail) for f in des.failures]
     assert all(node.ok for node in rep.nodes)
-
-
-def test_key_without_a_space_is_one_partition_record():
-    # the laws read the space at every key and at every positive key's
-    # mirror; a missing one is reported, not raised as KeyError
-    def damage(t):
-        del t.spaces[(-1,)]
-
-    rep = check_designation(_corrupt(root_system("B3"), [2], damage))
-    assert [(f.check, f.detail) for f in rep.failures] == [
-        ("partition", "keys without a space: [(-1,)]")]
-
-
-def test_positive_key_missing_from_keys_is_one_partition_record(g2):
-    # the key index is read from keys; a positive key that keeps its space
-    # but is not listed is reported before any law reads the index
-    def damage(t):
-        t.keys = tuple(k for k in t.keys if k != (1, 1))
-
-    rep = check_designation(_corrupt(g2, [1, 2], damage))
-    assert [(f.check, f.detail) for f in rep.failures] == [
-        ("partition", "t-roots missing from keys: [(1, 1)]")]
 
 
 def test_unclassifiable_prime_node_is_a_reported_failure(monkeypatch, g2):
@@ -1147,21 +1084,18 @@ def _damaged(data, seq, extra):
 def _damage_troots(data, t):
     bits = st.integers(0, len(t.rs.indexed) - 1).map(lambda i: 1 << i)
     keys = st.tuples(*[st.integers(-3, 3)] * len(t.designation.deleted))
-    field = data.draw(st.sampled_from(["spaces", "keys", "positives", "form"]))
-    if field == "spaces":
-        key = data.draw(st.sampled_from(t.keys))
-        if data.draw(st.booleans()):
-            del t.spaces[key]
-        else:  # one mask bit flipped
-            t.spaces[key] = t.spaces[key] ^ data.draw(bits)
+    field = data.draw(st.sampled_from(["spaces", "mask", "form"]))
+    if field == "mask":  # one mask bit flipped
+        key = data.draw(st.sampled_from(t.positives))
+        t.spaces[key] = t.spaces[key] ^ data.draw(bits)
     elif field == "form":  # one entry of Gs moved
         det, gs = t.form
         rows = [list(row) for row in gs]
         cell = st.integers(0, len(rows) - 1)
         rows[data.draw(cell)][data.draw(cell)] += data.draw(st.integers(-3, 3).filter(bool))
         t.form = det, tuple(map(tuple, rows))
-    else:
-        setattr(t, field, tuple(_damaged(data, getattr(t, field), keys)))
+    else:  # one space dropped, or one at a drawn key put in anywhere
+        t.spaces = dict(_damaged(data, t.spaces.items(), st.tuples(keys, bits)))
 
 
 def _damage_model(data, model):
@@ -1203,6 +1137,39 @@ def test_damaged_subalgebra_model_is_reported_not_raised(name, data):
                    lambda *args: _damage_model(data, bds.subalgebra_roots(*args)))
         rep = check_node(extended_diagram(rs), _built(rs, [j]))
     assert isinstance(rep.failures, tuple)
+
+
+# -- relabeled Cartan data: the laws renumber with the nodes ------------------
+
+
+@lru_cache(maxsize=None)
+def _bourbaki_verdicts(stype):
+    """Per deleted set, the counts, and per node, the mark and class of the
+    all-parabolic report at the Bourbaki labelling."""
+    rep = check_type(root_system(stype), all_parabolics=True)
+    assert rep.ok
+    return ({r.deleted: r.counts for r in rep.designations},
+            {r.node: (r.mark, r.classes.names()) for r in rep.nodes})
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(all_simple_types(5)), st.data())
+def test_relabeled_cartan_data_give_the_same_verdicts(stype, data):
+    # node i of the relabeled matrix is Bourbaki node sigma[i - 1] + 1, so
+    # each designation and node report is that of its sigma-image.  A
+    # relabeled A_n gets no block crosscheck, which this does not test
+    cartan = cartan_matrix(stype)
+    sigma = data.draw(st.permutations(range(stype.rank)))
+    rs = generate(tuple(tuple(cartan[a][b] for b in sigma) for a in sigma))
+    rep = check_type(rs, all_parabolics=True)
+    assert rep.ok
+    counts, nodes = _bourbaki_verdicts(stype)
+
+    def image(nodes):
+        return tuple(sorted(sigma[j - 1] + 1 for j in nodes))
+
+    assert {image(r.deleted): r.counts for r in rep.designations} == counts
+    assert {sigma[r.node - 1] + 1: (r.mark, r.classes.names()) for r in rep.nodes} == nodes
 
 
 def test_check_node_green(g2, f4):

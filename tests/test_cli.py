@@ -134,6 +134,14 @@ def test_cartan_file_without_cartan_key(tmp_path, capsys):
     assert 'no "cartan" key' in _cartan_file_error(capsys, path)
 
 
+def test_cartan_file_rejects_other_keys(tmp_path, capsys):
+    # nothing reads a key beside "cartan", so it is rejected, never dropped:
+    # a "type" would not name the matrix
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps({"cartan": [[2, -1], [-3, 2]], "type": "B2", "note": 1}))
+    assert 'keys other than "cartan": "note", "type"' in _cartan_file_error(capsys, path)
+
+
 def test_cartan_file_not_a_matrix(tmp_path, capsys):
     # the shape is checked by generate's validation, as for a library caller
     path = tmp_path / "flat.json"

@@ -11,7 +11,7 @@ from leviroots import (
 )
 from leviroots.levi import ParabolicDesignation, TRootSystem, nilradical_trace
 from conftest import fraction_solve
-from reference import bracket_image, inner, schur_form, sign_rule, string_report
+from reference import bracket_image, inner, schur_form, sign_rule, string_report, troot_keys
 from leviroots.checks import _form_row, all_parabolic_designations
 from leviroots.rootsys import all_simple_types
 
@@ -63,10 +63,11 @@ def test_designation_constructor_rejects_non_int_nodes(a2):
 
 def test_a2_keep2_worked_example(a2):
     trsys = troot_system(des_a2_keep2(a2))
-    assert trsys.keys == ((-1,), (1,))
+    assert trsys.positives == ((1,),)
     assert set(a2.roots_of(trsys.spaces[(1,)])) == {(1, 0), (1, 1)}
-    # alpha1+alpha2+alpha2 is not a root
+    # alpha1+alpha2+alpha2 is not a root; the space at (-1,) is the mirror
     assert trsys.extremes((1,)) == ((1, 1), (1, 0))
+    assert trsys.extremes((-1,)) == ((-1, 0), (-1, -1))
     # projection of alpha1: alpha1 + alpha2/2
     beta = trsys.simples[0]
     assert trsys.troot_vec(beta) == (Q(1), Q(1, 2))
@@ -81,11 +82,13 @@ def test_a2_keep2_worked_example(a2):
 
 
 def test_derived_keys_are_not_stored(a2):
-    # the simple t-roots and delta are read off the designation and the
-    # spaces on each read: neither is a field to assign
+    # the positive keys, the simple t-roots and delta are read off the
+    # designation and the spaces on each read, and the negative keys are
+    # no field at all: none is a field to assign
     trsys = troot_system(designation(a2, kept=()))
+    assert trsys.positives == ((0, 1), (1, 0), (1, 1))
     assert trsys.simples == ((1, 0), (0, 1)) and trsys.delta_key == (2, 2)
-    for name in ("simples", "delta_key"):
+    for name in ("keys", "positives", "simples", "delta_key"):
         assert name not in TRootSystem.__slots__
         with pytest.raises(AttributeError):
             setattr(trsys, name, ())
@@ -95,7 +98,7 @@ def test_borel_all_dims_one():
     for name in ("A3", "B3", "G2"):
         rs = root_system(name)
         trsys = troot_system(designation(rs, kept=()))
-        assert len(trsys.keys) == len(rs.roots)
+        assert 2 * len(trsys.spaces) == len(rs.roots)
         assert all(mask.bit_count() == 1 for mask in trsys.spaces.values())
 
 
@@ -105,9 +108,9 @@ def test_space_partition_counts():
         des = designation(rs, deleted=deleted)
         trsys = troot_system(des)
         in_levi = sum(
-            1 for phi in rs.roots if not any(phi[j - 1] for j in deleted)
+            1 for phi in rs.positives if not any(phi[j - 1] for j in deleted)
         )
-        assert sum(m.bit_count() for m in trsys.spaces.values()) + in_levi == len(rs.roots)
+        assert sum(m.bit_count() for m in trsys.spaces.values()) + in_levi == len(rs.positives)
 
 
 def test_highest_and_lowest_certificates():
@@ -135,7 +138,7 @@ def test_highest_and_lowest_certificates():
 
 def test_g2_mark2_parabolic_spaces(g2):
     trsys = troot_system(designation(g2, deleted=(2,)))
-    assert trsys.keys == ((-2,), (-1,), (1,), (2,))
+    assert trsys.positives == ((1,), (2,))
     assert trsys.spaces[(1,)].bit_count() == 4
     assert trsys.spaces[(2,)].bit_count() == 1
     assert g2.roots_of(trsys.spaces[(2,)]) == ((3, 2),)
@@ -158,8 +161,9 @@ def test_bracket_image_g2_beta_beta(g2):
 
 def test_bracket_fills_target_space(f4):
     trsys = troot_system(designation(f4, deleted=(1, 4)))
-    for mu in trsys.keys:
-        for nu in trsys.keys:
+    keys = troot_keys(trsys)
+    for mu in keys:
+        for nu in keys:
             s = tuple(a + b for a, b in zip(mu, nu))
             if s not in trsys.spaces:
                 continue
@@ -186,9 +190,9 @@ def test_troot_string_examples(a2, g2):
 
 def test_troot_string_reports_pass(g2):
     trsys = troot_system(designation(g2, deleted=(2,)))
-    weights = [None] + list(trsys.keys)
+    weights = [None] + list(troot_keys(trsys))
     for gamma in weights:
-        for nu in trsys.keys:
+        for nu in weights[1:]:
             p, q, failures = string_report(trsys, gamma, nu)
             assert not failures, (gamma, nu, failures)
             assert p <= 0 <= q
@@ -227,13 +231,18 @@ def small_designation(draw):
 @settings(max_examples=60, deadline=None)
 @given(small_designation())
 def test_mirror_spaces(des):
+    # a built system stores the positive keys alone, and its document reads
+    # the space at -nu as the negatives of the roots at nu, highest and
+    # lowest weight swapped
     trsys = troot_system(des)
-    for key in trsys.positives:
-        neg = tuple(-c for c in key)
-        roots_of = trsys.rs.roots_of
-        assert {tuple(-c for c in r) for r in roots_of(trsys.spaces[key])} == set(
-            roots_of(trsys.spaces[neg])
-        )
+    assert all(min(key) >= 0 for key in trsys.spaces)
+    doc = {tuple(s["key"]): s for s in trsys.document()["spaces"]}
+    assert len(doc) == 2 * len(trsys.spaces)
+    for key in trsys.spaces:
+        pos, neg = doc[key], doc[tuple(-c for c in key)]
+        assert sorted(neg["roots"]) == sorted([-c for c in r] for r in pos["roots"])
+        assert neg["lowest"] == [-c for c in pos["highest"]]
+        assert neg["highest"] == [-c for c in pos["lowest"]]
 
 
 @settings(max_examples=60, deadline=None)
@@ -259,7 +268,7 @@ def test_simples_span_positives(des):
 @given(small_designation(), st.data())
 def test_string_report_random_pairs(des, data):
     trsys = troot_system(des)
-    keys = list(trsys.keys)
+    keys = list(troot_keys(trsys))
     gamma = data.draw(st.sampled_from([None] + keys))
     nu = data.draw(st.sampled_from(keys))
     _, _, failures = string_report(trsys, gamma, nu)
@@ -293,10 +302,11 @@ def test_inner_matches_fraction_schur_complement(stype):
         det, scaled = trsys.form
         assert det > 0
         assert tuple(tuple(Q(v, det) for v in row) for row in scaled) == form
-        for mu in trsys.keys:
+        keys = troot_keys(trsys)
+        for mu in keys:
             row = [sum(Q(a) * form[x][y] for x, a in enumerate(mu)) for y in range(len(mu))]
             scaled_row = _form_row(trsys, mu)
-            for nu in trsys.keys:
+            for nu in keys:
                 want = sum(r * b for r, b in zip(row, nu))
                 assert inner(trsys, mu, nu) == want
                 # the integer row the sweep pairs with is det times the exact one
