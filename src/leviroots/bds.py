@@ -323,7 +323,8 @@ def residue_irreducibility(model: SubalgebraModel, k: int) -> Root:
         if r not in rs.index:
             raise IrreducibilityViolation(f"simple root {r} at node {model.node} is not a root")
         simples |= 1 << rs.index[r]
-    top = rs.weight_certificate(model.residues[k], rs.sum_table().reach(simples))[0]
+    raised = rs.sum_table().reach(simples)
+    top = rs.weight_certificate(model.residues[k], raised, rs.mirror(raised))[0]
     if top.bit_count() != 1:
         raise IrreducibilityViolation(
             f"residue class {k} at node {model.node} has {top.bit_count()} highest weights")

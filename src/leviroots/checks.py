@@ -38,11 +38,15 @@ diagonal is also one sign-rule record, naming nu, the earlier of the
 two, first: one per orbit.  On the diagonal the walk counts x - nu = 0
 as a weight, so it tests nothing at x = nu when 2 nu is a t-root; the
 rule is tested there as (nu, nu) > 0.
+
+The bracket law and intrinsic simplicity read one table of key-sum
+triples (a, b, a + b), a <= b positive key encodings whose sum is plus or
+minus one (``_check_brackets`` and ``_check_simples`` say how).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from functools import reduce
 from itertools import combinations
 from operator import add, mul, or_
@@ -135,26 +139,27 @@ def check_designation(trsys: TRootSystem) -> DesignationReport:
         "positive": len(spaces),
         "simple": len(des.deleted),
     }
-    # each positive key encoded once, for the positive encodings (simplicity,
-    # bracket and string law); then, by encoding, the key index of both
-    # signs and the reach of every space (bracket and string law), with -nu
-    # encoded as minus nu and its reach the mirror of nu's, the sum table
-    # being mirror-symmetric; and the positive pairing triangle (string law
-    # and sign rule)
+    # each positive key encoded once: by encoding, the positive keys and the
+    # reach of every space, -nu encoded as minus nu and its reach the mirror
+    # of nu's, the sum table being mirror-symmetric; the key-sum triples, b
+    # up to the top encoding minus a; the t-weights and the pairing triangle
     rs = des.rs
     reach = rs.sum_table().reach
     pos_encs = list(map(rs.encode, spaces))
-    troots, reaches = {}, {}
-    for (key, mask), e in zip(spaces.items(), pos_encs):
-        troots[e] = key
-        troots[-e] = tuple([-c for c in key])
-        reaches[e] = reach(mask)
-        reaches[-e] = rs.mirror(reaches[e])
+    named = dict(zip(pos_encs, spaces))
+    reaches = {}
+    for e, mask in zip(pos_encs, spaces.values()):
+        reaches[e] = r = reach(mask)
+        reaches[-e] = rs.mirror(r)
+    encs, top = sorted(pos_encs), max(reaches, default=0)
+    table = [(a, b, s) for i, a in enumerate(encs) for b in encs[i:bisect_right(encs, top - a, i)]
+             if (s := a + b) in reaches]
+    weights = {0, *reaches}
     pairings = _form_table(trsys, dict(zip(spaces, pos_encs)))
     _check_partition(trsys, failures, label)
-    _check_simples(trsys, pos_encs, failures, label)
-    _check_brackets(trsys, troots, pos_encs, reaches, failures, label)
-    _check_strings(trsys, troots, pos_encs, reaches, pairings, failures, label)
+    _check_simples(trsys, named, table, failures, label)
+    _check_brackets(trsys, named, table, reaches, failures, label)
+    _check_strings(trsys, named, weights, pos_encs, reaches, pairings, failures, label)
     _check_delta(trsys, failures, label)
     counts["k_cent"] = _check_series(trsys, failures, label)
     if len(des.deleted) == 1:  # a maximal parabolic: t-roots +-1..n, n the mark
@@ -191,13 +196,8 @@ def _form_table(trsys, encs):
     """
     pos = trsys.positives
     gs = trsys.form[1]
-    width = len(gs)
     columns = list(zip(*gs))
-    units = {}
-    for a in range(width):
-        e = encs.get(tuple([int(i == a) for i in range(width)]))
-        if e is not None:
-            units[e] = a
+    units = {encs[t]: a for a, t in enumerate(trsys.simples) if t in encs}
     # per positive: its form vector, and the (earlier position, unit)
     # one step below it, if any
     first: dict[int, int] = {}
@@ -260,25 +260,25 @@ def _check_partition(trsys, failures, label):
                 "restriction", label, f"space {key} is not the fiber of its key"))
 
 
-def _check_simples(trsys, pos_encs, failures, label):
-    """Simple t-roots, the unit keys: obtuseness, intrinsic simplicity."""
-    simples = trsys.simples
-    units = set(simples)
-    rows = [_form_row(trsys, t) for t in simples]
-    for a, b in combinations(range(len(simples)), 2):
-        if sum(map(mul, simples[a], rows[b])) > 0:
+def _check_simples(trsys, named, table, failures, label):
+    """Simple t-roots, the unit keys: obtuseness, read as Gs[a][b], det times
+    the pairing of units a and b, and intrinsic simplicity: a positive key
+    decomposes exactly when its encoding is the sum of a key-sum triple."""
+    units = set(trsys.simples)
+    gs = trsys.form[1]
+    for a, b in combinations(range(len(gs)), 2):
+        if gs[a][b] > 0:
             failures.append(Failure(
                 "simple-troots", label,
                 f"simple t-roots {a},{b} have positive inner product"))
-    # one-signed keys (a key is one-signed when its negative is), and
-    # simplicity <=> not a sum of two positives
-    encs = frozenset(pos_encs)
+    # one-signed keys (a key is one-signed when its negative is)
     for key in trsys.spaces:
         if not (min(key) >= 0 or max(key) <= 0):
             failures.append(Failure(
                 "positivity-dichotomy", label, f"key {key} is mixed-sign"))
-    for key, e in zip(trsys.spaces, pos_encs):
-        decomposable = not encs.isdisjoint(map(e.__sub__, encs))
+    sums = {s for _, _, s in table}
+    for e, key in named.items():
+        decomposable = e in sums
         if decomposable == (key in units):
             kind = "decomposes" if decomposable else "has no decomposition"
             failures.append(Failure(
@@ -286,28 +286,38 @@ def _check_simples(trsys, pos_encs, failures, label):
                 f"key {key} {kind}, contradicting the simple set"))
 
 
-def _check_brackets(trsys, troots, pos_encs, reaches, failures, label):
+def _check_brackets(trsys, named, table, reaches, failures, label):
     """Root sums from keys mu, nu fill the space at mu+nu exactly.
 
     A root k at mu+nu is a sum from mu and nu exactly when it is in the
     reach of the space at -mu, and no sum escapes the target, because
     every space is the whole fiber of its key (``restriction``; see
     docs/conventions.md).  Only pairs with a positive sum key are checked;
-    the pair with both keys negated is the mirror case.
+    the pair with both keys negated is the mirror case.  Such a pair (em, en)
+    of +- encodings, em <= en, with sum c, is (a, b) of the key-sum triple
+    (a, b, c) when both are positive keys; otherwise it has a negated key
+    -a, and the other member is a + c, so it is (-a, s) of the triple of a
+    and c.  A failing pair is one record, in (em, en) order, though damaged
+    keys can give it twice; two negated keys with sum c (a + b = -c, the
+    zero-sum case) need a damaged key.
     """
-    targets = dict(zip(pos_encs, trsys.spaces.values()))
-    low, high = min(targets, default=0), max(targets, default=0)
-    encs = sorted(troots)
-    for i, em in enumerate(encs):
-        reach = reaches[-em]
-        # a partner outside [low - em, high - em] reaches no target
-        for en in encs[bisect_left(encs, low - em, i):bisect_right(encs, high - em, i)]:
-            target = targets.get(em + en)
-            if target is not None and reach & target != target:
-                failures.append(Failure(
-                    "bracket-law", label,
-                    f"keys {troots[em]} + {troots[en]}: root sums miss the target space",
-                ))
+    targets = dict(zip(named, trsys.spaces.values()))
+    failing = set()
+    for a, b, s in table:
+        target = targets.get(s)
+        if target is not None and reaches[-a] & target != target:
+            failing.add((a, b))
+        # (-a, s) with sum b and (-b, s) with sum a, the lesser first
+        em = -a if -a <= s else s
+        if reaches[-em] & targets[b] != targets[b]:
+            failing.add((em, b - em))
+        em = -b if -b <= s else s
+        if a != b and reaches[-em] & targets[a] != targets[a]:
+            failing.add((em, a - em))
+    for pair in sorted(failing):
+        mu, nu = (named[e] if e in named else tuple([-c for c in named[-e]]) for e in pair)
+        failures.append(Failure(
+            "bracket-law", label, f"keys {mu} + {nu}: root sums miss the target space"))
 
 
 # what the sign rule asks of (mu, nu), by the sign of the pairing
@@ -318,7 +328,7 @@ _SIGN_RULE = {
 }
 
 
-def _check_strings(trsys, troots, pos_encs, reaches, pairings, failures, label):
+def _check_strings(trsys, named, weights, pos_encs, reaches, pairings, failures, label):
     """The string law and the sign rule, walked once per unordered pair.
 
     For the positive nu at index b, x runs over ``positives[b:]`` (the
@@ -333,8 +343,6 @@ def _check_strings(trsys, troots, pos_encs, reaches, pairings, failures, label):
     every run and carries no condition.  A failed endpoint test off the
     diagonal is also a sign-rule record, and (nu, nu) must be positive.
     """
-    weights = dict(troots)
-    weights[0] = (0,) * len(trsys.designation.deleted)
     mirror = trsys.rs.mirror
     p = len(pos_encs)
     start = 0
@@ -355,16 +363,16 @@ def _check_strings(trsys, troots, pos_encs, reaches, pairings, failures, label):
             else:
                 end = None
             if end:
-                failures.append(Failure("string-law", label, end.format(weights[x], nu)))
+                failures.append(Failure("string-law", label, end.format(named[x], nu)))
                 if x != step:  # off the diagonal
                     failures.append(Failure(
-                        "sign-rule", label, f"({nu},{weights[x]}) {_SIGN_RULE[(s > 0) - (s < 0)]}"))
+                        "sign-rule", label, f"({nu},{named[x]}) {_SIGN_RULE[(s > 0) - (s < 0)]}"))
             if raised and not reaches[x] & up:
                 failures.append(Failure(
-                    "string-law", label, f"no raising root sum at {weights[x]} along {nu}"))
+                    "string-law", label, f"no raising root sum at {named[x]} along {nu}"))
             if lowered and not reaches[x] & down:
                 failures.append(Failure(
-                    "string-law", label, f"no lowering root sum at {weights[x]} along {nu}"))
+                    "string-law", label, f"no lowering root sum at {named[x]} along {nu}"))
 
 
 def _check_delta(trsys, failures, label):

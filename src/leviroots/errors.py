@@ -21,7 +21,8 @@ class NotFiniteType(LeviRootsError):
 
 class InvalidDesignation(LeviRootsError):
     """A node number (from any entry point) is not an int, lies outside
-    1..rank or is named twice, or a parabolic designation kept every node."""
+    1..rank or is named twice, a parabolic designation kept every node, or
+    a key is not one int per deleted node, or for ``extremes`` no t-root."""
 
 
 class IrreducibilityViolation(LeviRootsError):

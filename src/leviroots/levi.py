@@ -5,14 +5,14 @@ the semisimple part s of the Levi factor m) and deletes the rest.
 Restricting a root phi to the center t of m amounts to reading off
 phi's integer coefficients on the deleted nodes: that tuple is the
 *key*, and it is the canonical identity of a t-root throughout this
-package.  The rational projection vector is derived data, computed on
-demand by orthogonal projection away from the kept span.
+package.
 
-The projection and the t-root form come from ``eliminate``, one
-pivot-only fraction-free Jordan elimination (Bareiss, 1968) whose
-divisions are all exact and whose positive pivots certify the kept Gram
-block positive definite (Sylvester's criterion); nothing is floating
-point, and a ``Fraction`` is built only for output.
+The t-root form comes from ``eliminate``, one pivot-only fraction-free
+forward elimination (Bareiss, 1968) whose divisions are all exact and
+whose positive pivots certify the kept Gram block positive definite
+(Sylvester's criterion); ``troot_vec`` back-substitutes through it for
+the projection away from the kept span.  Nothing is floating point, and
+a ``Fraction`` is built only for output.
 
 Each t-root space g_nu, held as the mask of the roots restricting to nu,
 is certified irreducible under m here, by a unique highest-weight root
@@ -37,25 +37,25 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import InvalidDesignation, IrreducibilityViolation, NotFiniteType
-from .rootsys import Root, RootSystem, node_set
+from .rootsys import Root, RootSystem, is_int, node_set
 
 Key = tuple[int, ...]
 
 
 def eliminate(rows: list[list[int]], k: int) -> int:
-    """Fraction-free Jordan elimination of the first ``k`` columns, in place.
+    """Fraction-free forward elimination of the first ``k`` columns, in place.
 
     Pivot c is ``rows[c][c]`` as it stands: no pivot search and no row
-    swap.  With pivot p and previous pivot q (1 at first), every other row
-    r becomes (p*r - r[c]*row c) / q, an exact division (Bareiss, 1968).
-    Pivot c is then the leading (c+1)-minor, so every pivot is positive
-    exactly when the leading k x k block B of a symmetric matrix is
-    positive definite (Sylvester's criterion).
+    swap.  With pivot p and previous pivot q (1 at first), each row r below
+    row c becomes 0 in column c and (p*r - r[c]*row c) / q right of it, an
+    exact division (Bareiss, 1968).  Pivot c is then the leading
+    (c+1)-minor, so every pivot is positive exactly when the leading k x k
+    block B of a symmetric matrix is positive definite (Sylvester's criterion).
 
     Returns det(B), the last pivot (1 if k = 0), or 0 at the first pivot
-    <= 0.  On success each of the first k rows has det(B) on its diagonal
-    and zeros in the other first k columns, and the rows below hold det(B)
-    times the Schur complement of B.
+    <= 0.  On success the first k rows are upper triangular, pivot c on the
+    diagonal, and the rows below hold zeros in the first k columns and
+    det(B) times the Schur complement of B.
     """
     prev = 1
     for c in range(k):
@@ -63,11 +63,12 @@ def eliminate(rows: list[list[int]], k: int) -> int:
         p = prow[c]
         if p <= 0:
             return 0
-        for r, row in enumerate(rows):
-            if r != c:
-                f = row[c]
-                for t in range(len(row)):
-                    row[t] = (p * row[t] - f * prow[t]) // prev
+        right = range(c + 1, len(prow))
+        for row in rows[c + 1:]:
+            f = row[c]
+            row[c] = 0
+            for t in right:
+                row[t] = (p * row[t] - f * prow[t]) // prev
         prev = p
     return prev
 
@@ -111,16 +112,23 @@ def designation(rs: RootSystem, kept: Iterable[int] | None = None,
     return ParabolicDesignation(rs, kept)
 
 
-def _certify(rs: RootSystem, key: Key, mask: int, raised: int) -> tuple[int, int]:
+def _certify(rs: RootSystem, key: Key, mask: int, raised: int, lowered: int) -> tuple[int, int]:
     """The numbers of the one highest and one lowest weight root of a space,
-    ``raised`` the raising mask of the kept simple roots; any other count is
-    an ``IrreducibilityViolation``."""
-    top, bottom = rs.weight_certificate(mask, raised)
+    ``raised`` the raising mask of the kept simple roots and ``lowered`` its
+    mirror; other counts are an ``IrreducibilityViolation``."""
+    top, bottom = rs.weight_certificate(mask, raised, lowered)
     if top.bit_count() != 1 or bottom.bit_count() != 1:
         raise IrreducibilityViolation(
             f"space {key} has {top.bit_count()} highest / {bottom.bit_count()} lowest weight roots"
         )
     return top.bit_length() - 1, bottom.bit_length() - 1
+
+
+def _eliminated(des: ParabolicDesignation) -> tuple[list[list[int]], int]:
+    """The Gram matrix, kept nodes first, and ``eliminate`` of its kept columns."""
+    order = des.kept0 + des.deleted0
+    rows = [[des.rs.gram[a][b] for b in order] for a in order]
+    return rows, eliminate(rows, len(des.kept0))
 
 
 class TRootSystem:
@@ -136,15 +144,16 @@ class TRootSystem:
     time they are read, so they follow the spaces as they stand.
     """
 
-    __slots__ = ("designation", "rs", "spaces", "form", "_raised", "_proj")
+    __slots__ = ("designation", "rs", "spaces", "form", "_raised")
 
     def __init__(self, des: ParabolicDesignation):
         rs = des.rs
         self.designation = des
         self.rs = rs
         D = des.deleted0
-        # the raising mask of the kept simple roots, which certifies each space
+        # the raising mask of the kept simple roots and its mirror certify each space
         self._raised = rs.sum_table().reach(rs.simple_mask(des.kept0))
+        lowered = rs.mirror(self._raised)
 
         # each positive root's key, zipped from the deleted coefficient columns
         columns = rs.columns()
@@ -155,24 +164,18 @@ class TRootSystem:
 
         self.spaces = {}
         for key in sorted(groups, key=lambda k: (sum(k), k)):
-            _certify(rs, key, groups[key], self._raised)
+            _certify(rs, key, groups[key], self._raised, lowered)
             self.spaces[key] = groups[key]
 
         # the t-root form (det, Gs), Gs = det * S for the Schur complement
         # S = G_DD - G_DK G_KK^-1 G_KD, K the kept and D the deleted nodes:
-        # one Jordan elimination of the Gram matrix, kept nodes first,
-        # certifies G_KK positive definite (det = det(G_KK) > 0), leaves Gs
-        # in the deleted block and, in the kept rows, det * G_KK^-1 G_KD,
-        # which ``troot_vec`` reads
+        # the forward elimination certifies G_KK positive definite
+        # (det = det(G_KK) > 0) and leaves Gs in the deleted block
         k = len(des.kept0)
-        order = des.kept0 + D
-        gram = rs.gram
-        rows = [[gram[a][b] for b in order] for a in order]
-        det = eliminate(rows, k)
+        rows, det = _eliminated(des)
         if not det:
             raise NotFiniteType("the kept Gram block is not positive definite")
         self.form = det, tuple(tuple(row[k:]) for row in rows[k:])
-        self._proj = tuple(row[k:] for row in rows[:k])
 
     # -- derived keys, computed on each read -----------------------------
 
@@ -192,12 +195,9 @@ class TRootSystem:
     def delta_key(self) -> Key:
         """The key of the nilradical trace: the sum of the positive keys,
         each weighted by the dimension of its space as it stands."""
-        delta = [0] * len(self.designation.deleted)
-        for k, mask in self.spaces.items():
-            dim = mask.bit_count()
-            for i, c in enumerate(k):
-                delta[i] += dim * c
-        return tuple(delta)
+        dims = [mask.bit_count() for mask in self.spaces.values()]
+        return (tuple(sum(map(mul, column, dims)) for column in zip(*self.spaces))
+                or (0,) * len(self.designation.deleted))  # no key, all zero
 
     # -- exact geometry ---------------------------------------------------
 
@@ -205,26 +205,35 @@ class TRootSystem:
         """Rational vector of a key combination, in simple-root coordinates.
 
         The deleted simple roots projected away from the kept span: deleted
-        coordinate j is the key entry, kept coordinate a is minus the
-        projection row of a, dotted with the key, over det.
+        coordinate j is the key entry, kept coordinate a is minus entry a of
+        G_KK^-1 G_KD key, det times which back-substitution finds in integers
+        on the upper triangular kept rows of the elimination behind ``form``.
         """
-        det = self.form[0]
-        out = [Fraction(0)] * self.rs.rank
-        for j, c in zip(self.designation.deleted0, key):
-            out[j] = Fraction(c)
-        for a, row in zip(self.designation.kept0, self._proj):
-            out[a] = Fraction(-sum(map(mul, row, key)), det)
-        return tuple(out)
+        des, key = self.designation, tuple(key)
+        if len(key) != len(des.deleted) or not all(map(is_int, key)):
+            raise InvalidDesignation(f"key {key} is not one integer per deleted node of {des!r}")
+        rows, det = _eliminated(des)
+        k = len(des.kept0)
+        proj = [0] * k
+        for i in reversed(range(k)):
+            row = rows[i]
+            proj[i] = (det * sum(map(mul, row[k:], key))
+                       - sum(map(mul, row[i + 1:k], proj[i + 1:]))) // row[i]
+        out = dict(zip(des.deleted0, map(Fraction, key)))
+        out.update(zip(des.kept0, (Fraction(-v, det) for v in proj)))
+        return tuple(map(out.__getitem__, range(self.rs.rank)))
 
     def extremes(self, key) -> tuple[Root, Root]:
         """The highest and the lowest weight root of the space at a positive
         or negative key, by the certificate that ``__init__`` runs on each
         positive space."""
         key = tuple(key)
-        mask = self.spaces.get(key)
-        if mask is None:  # the space at -nu is the mirror of the one at nu
-            mask = self.rs.mirror(self.spaces[tuple([-c for c in key])])
-        top, bottom = _certify(self.rs, key, mask, self._raised)
+        negated = tuple([-c for c in key]) if all(map(is_int, key)) else None
+        if negated is None or key not in self.spaces and negated not in self.spaces:
+            raise InvalidDesignation(f"key {key} is no t-root of {self.designation!r}")
+        # the space at -nu is the mirror of the one at nu
+        mask = self.spaces[key] if key in self.spaces else self.rs.mirror(self.spaces[negated])
+        top, bottom = _certify(self.rs, key, mask, self._raised, self.rs.mirror(self._raised))
         return self.rs.indexed[top], self.rs.indexed[bottom]
 
     # -- serialization ----------------------------------------------------
@@ -237,8 +246,9 @@ class TRootSystem:
         negatives = [(tuple([-c for c in key]), self.rs.mirror(mask))
                      for key, mask in reversed(positives)]
         spaces = []
+        masks = self._raised, self.rs.mirror(self._raised)
         for key, mask in negatives + positives:
-            top, bottom = _certify(self.rs, key, mask, self._raised)
+            top, bottom = _certify(self.rs, key, mask, *masks)
             roots = sorted(self.rs.roots_of(mask), key=lambda r: (sum(r), r))
             spaces.append({
                 "key": list(key),

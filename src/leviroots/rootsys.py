@@ -404,14 +404,14 @@ class RootSystem:
         n_pos = len(self.positives)
         return mask >> n_pos | (mask & (1 << n_pos) - 1) << n_pos
 
-    def weight_certificate(self, mask: int, raised: int) -> tuple[int, int]:
+    def weight_certificate(self, mask: int, raised: int, lowered: int) -> tuple[int, int]:
         """The highest and the lowest weight roots of mask, as two masks.
 
         ``raised`` holds the roots that a raising set moves within Delta u {0}
-        and its mirror those that the lowering set moves; mask spans an
-        irreducible module when each extreme is one root.
-        """
-        return mask & ~raised, mask & ~self.mirror(raised)
+        and ``lowered``, its mirror (taken once per raising set), those that
+        the lowering set moves; mask spans an irreducible module when each
+        extreme is one root."""
+        return mask & ~raised, mask & ~lowered
 
     def columns(self) -> tuple[tuple[int, ...], ...]:
         """The positives transposed, built on first use: ``columns()[k][i]``

@@ -1,5 +1,6 @@
 """The invariant sweep must pass on real data and fail on corrupted data."""
 
+import random
 import re
 from ast import literal_eval
 from fractions import Fraction
@@ -512,9 +513,9 @@ def test_empty_space_at_a_key_without_a_fiber_breaks_restriction():
 
 
 def test_bracket_records_at_both_ends_of_the_target_range(g2):
-    # the pair loop skips partners whose sum lies below the least or above
-    # the greatest target encoding; two damaged G2 Borel spaces put failures
-    # at both ends: a positive key (1, -1), mixed-sign with a negative
+    # the key-sum triples bound each partner by the top encoding, and a
+    # damaged key can have a negative one; two damaged G2 Borel spaces put
+    # failures at both ends: a positive key (1, -1), mixed-sign with a negative
     # encoding, holding the top root, and an emptied space at (0, 1), whose
     # mirror (0, -1) then reaches nothing: no sum from (0, -1) and (1, 0)
     # fills (1, -1), and none from (0, 1) and (3, 1) the top key (3, 2)
@@ -543,6 +544,68 @@ def test_bracket_records_at_both_ends_of_the_target_range(g2):
     for pair in ("(0, -1) + (1, 0)", "(0, 1) + (3, 1)"):
         assert f"keys {pair}: root sums miss the target space" in want
     assert [f.detail for f in rep.failures if f.check == "bracket-law"] == want
+
+
+def _walked_records(trsys):
+    """The bracket-law and intrinsic-simplicity details of a walk over every
+    pair of t-root keys, each sum added entry by entry.
+
+    The space at a key is its positive space or the mirror of the one at
+    its negative; where a damaged key is the negative of another key, the
+    later one in ``spaces`` order sets both, as the laws read it.
+    """
+    rs = trsys.rs
+    reach = rs.sum_table().reach
+    space_at = {}
+    for key, mask in trsys.spaces.items():
+        space_at[key] = mask
+        space_at[tuple(-c for c in key)] = rs.mirror(mask)
+    keys = sorted(space_at, key=rs.encode)
+
+    def plus(mu, nu):
+        return tuple(a + b for a, b in zip(mu, nu))
+
+    brackets = []
+    for i, mu in enumerate(keys):
+        for nu in keys[i:]:
+            target = trsys.spaces.get(plus(mu, nu))
+            if target is not None and reach(space_at[tuple(-c for c in mu)]) & target != target:
+                brackets.append(f"keys {mu} + {nu}: root sums miss the target space")
+    positives, units = list(trsys.spaces), set(trsys.simples)
+    simples = []
+    for key in positives:
+        decomposable = any(plus(a, b) == key for a in positives for b in positives)
+        if decomposable == (key in units):
+            kind = "decomposes" if decomposable else "has no decomposition"
+            simples.append(f"key {key} {kind}, contradicting the simple set")
+    return {"bracket-law": brackets, "intrinsic-simplicity": simples}
+
+
+def _details(rep, checks):
+    return {check: [f.detail for f in rep.failures if f.check == check] for check in checks}
+
+
+def test_negated_key_that_is_a_key_is_one_bracket_record(g2):
+    # a damaged G2 Borel space at (-1, -1), a copy of the one at (1, 1): the
+    # encoding of (-1, -1) is a key's and a negated key's, yet each pair of
+    # keys is one record.  (0, -1) + (-1, 0) has the positive-listed sum
+    # (-1, -1) from two negated keys, the zero-sum case (0, 1) + (1, 0) +
+    # (-1, -1) = 0
+    def damage(t):
+        t.spaces[(-1, -1)] = t.spaces[(1, 1)]
+
+    rep = check_designation(_corrupt(g2, [1, 2], damage))
+    assert _details(rep, ("bracket-law", "intrinsic-simplicity")) == {
+        "bracket-law": [
+            "keys (-3, -2) + (2, 1): root sums miss the target space",
+            "keys (0, -1) + (-1, 0): root sums miss the target space",
+            "keys (1, 1) + (2, 1): root sums miss the target space",
+        ],
+        "intrinsic-simplicity": [
+            "key (1, 0) decomposes, contradicting the simple set",
+            "key (-1, -1) has no decomposition, contradicting the simple set",
+        ],
+    }
 
 
 def test_mixed_sign_key_breaks_positivity_dichotomy(g2):
@@ -1127,6 +1190,15 @@ def test_damaged_troot_system_is_reported_not_raised(name, data):
     assert isinstance(rep.failures, tuple)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(FAULT_TYPES), st.data())
+def test_bracket_and_simplicity_records_equal_a_walk_over_every_pair(name, data):
+    t = real_troot_system(data.draw(st.sampled_from(all_parabolic_designations(root_system(name)))))
+    _damage_troots(data, t)
+    want = _walked_records(t)
+    assert _details(check_designation(t), want) == want
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(FAULT_TYPES), st.data())
 def test_damaged_subalgebra_model_is_reported_not_raised(name, data):
@@ -1152,14 +1224,16 @@ def _bourbaki_verdicts(stype):
             {r.node: (r.mark, r.classes.names()) for r in rep.nodes})
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.sampled_from(all_simple_types(5)), st.data())
-def test_relabeled_cartan_data_give_the_same_verdicts(stype, data):
-    # node i of the relabeled matrix is Bourbaki node sigma[i - 1] + 1, so
-    # each designation and node report is that of its sigma-image.  A
-    # relabeled A_n gets no block crosscheck, which this does not test
+def _assert_relabeled_verdicts(stype, sigma):
+    """The all-parabolic report of stype's Cartan matrix relabeled by sigma
+    is clean, and its counts, marks and classes are those of the Bourbaki
+    labelling under sigma.
+
+    Node i of the relabeled matrix is Bourbaki node sigma[i - 1] + 1, so
+    each designation and node report is that of its sigma-image.  A
+    relabeled A_n gets no block crosscheck, which this does not test.
+    """
     cartan = cartan_matrix(stype)
-    sigma = data.draw(st.permutations(range(stype.rank)))
     rs = generate(tuple(tuple(cartan[a][b] for b in sigma) for a in sigma))
     rep = check_type(rs, all_parabolics=True)
     assert rep.ok
@@ -1170,6 +1244,22 @@ def test_relabeled_cartan_data_give_the_same_verdicts(stype, data):
 
     assert {image(r.deleted): r.counts for r in rep.designations} == counts
     assert {sigma[r.node - 1] + 1: (r.mark, r.classes.names()) for r in rep.nodes} == nodes
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(all_simple_types(5)), st.data())
+def test_relabeled_cartan_data_give_the_same_verdicts(stype, data):
+    _assert_relabeled_verdicts(stype, data.draw(st.permutations(range(stype.rank))))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("stype", all_simple_types(8), ids=str)
+def test_relabeled_cartan_data_to_rank_8_give_the_same_verdicts(stype):
+    # two relabelings of every type of rank <= 8, drawn from a generator
+    # seeded by the type's name, so a failure reruns as it was
+    draw = random.Random(str(stype))
+    for _ in range(2):
+        _assert_relabeled_verdicts(stype, draw.sample(range(stype.rank), stype.rank))
 
 
 def test_check_node_green(g2, f4):

@@ -13,44 +13,52 @@ from leviroots.bds import bds_document
 from leviroots.levi import eliminate
 
 
-def jordan_solve(mat, rhss):
+def eliminate_solve(mat, rhss):
     """The solutions of mat . x = rhs, one per rhs, or None unless every
     leading minor of mat is positive.
 
-    Read off one Jordan elimination of [mat | rhss] as levi reads the
-    t-root projections: pivot row i holds p * x_i, p the last pivot.
+    Read off one forward elimination of [mat | rhss] as levi reads the
+    t-root projection: back-substitution through the upper triangular
+    rows, in integers, gives p * x with p the last pivot, det(mat).
     """
     n = len(mat)
     rows = [list(mat[i]) + [rhs[i] for rhs in rhss] for i in range(n)]
     p = eliminate(rows, n)
     if not p:
         return None
-    return [tuple(Q(row[n + t], p) for row in rows) for t in range(len(rhss))]
+    out = []
+    for t in range(len(rhss)):
+        px = [0] * n
+        for i in reversed(range(n)):
+            row = rows[i]
+            px[i] = (p * row[n + t] - sum(row[j] * px[j] for j in range(i + 1, n))) // row[i]
+        out.append(tuple(Q(v, p) for v in px))
+    return out
 
 
 def test_solve_identity():
-    assert jordan_solve([[1, 0], [0, 1]], [[3, 5]]) == [(Q(3), Q(5))]
+    assert eliminate_solve([[1, 0], [0, 1]], [[3, 5]]) == [(Q(3), Q(5))]
 
 
 def test_solve_exact_fractions():
     # 2x - y = 1, -x + 2y = 1  ->  x = y = 1
-    assert jordan_solve([[2, -1], [-1, 2]], [[1, 1]]) == [(Q(1), Q(1))]
+    assert eliminate_solve([[2, -1], [-1, 2]], [[1, 1]]) == [(Q(1), Q(1))]
     # a system with a genuinely fractional answer
-    [sol] = jordan_solve([[2, 1], [1, 3]], [[1, 0]])
+    [sol] = eliminate_solve([[2, 1], [1, 3]], [[1, 0]])
     assert sol == (Q(3, 5), Q(-1, 5))
 
 
 def test_solve_singular():
     # the second pivot, the determinant, is 0
-    assert jordan_solve([[1, 1], [2, 2]], [[1, 2]]) is None
+    assert eliminate_solve([[1, 1], [2, 2]], [[1, 2]]) is None
 
 
 def test_solve_many_matches_repeated_solve():
     mat = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
     rhss = [[1, 0, 0], [0, 1, 0], [2, 3, 4]]
-    got = jordan_solve(mat, rhss)
+    got = eliminate_solve(mat, rhss)
     for rhs, sol in zip(rhss, got):
-        assert jordan_solve(mat, [rhs]) == [sol]
+        assert eliminate_solve(mat, [rhs]) == [sol]
 
 
 def test_det_values():
@@ -88,11 +96,11 @@ def test_project_onto_span():
     # project alpha1 onto span{alpha2} in A2: coefficient -1/2
     span_gram = [[2]]
     pairings = [-1]
-    assert jordan_solve(span_gram, [pairings]) == [(Q(-1, 2),)]
+    assert eliminate_solve(span_gram, [pairings]) == [(Q(-1, 2),)]
 
 
 def test_project_empty_span():
-    assert jordan_solve([], [[]]) == [()]
+    assert eliminate_solve([], [[]]) == [()]
 
 
 def test_rat_str():
@@ -114,7 +122,7 @@ def test_solve_roundtrip_diagonally_dominant(diag_noise):
     mat = [[151 + abs(diag_noise[i]) if i == j else diag_noise[(i + j) % n]
             for j in range(n)] for i in range(n)]
     rhs = [diag_noise[i] - i for i in range(n)]
-    [sol] = jordan_solve(mat, [rhs])
+    [sol] = eliminate_solve(mat, [rhs])
     for i in range(n):
         assert sum(Q(mat[i][j]) * sol[j] for j in range(n)) == rhs[i]
 
@@ -141,8 +149,10 @@ def symmetric_matrix(draw):
 @given(symmetric_matrix(), st.data())
 def test_eliminate_is_sylvester_criterion(mat, data):
     # nonzero exactly when every leading minor of the k x k block is
-    # positive, and then det(B), with det(B) times B^-1 C in the kept rows
-    # and det(B) times the Schur complement D - C^T B^-1 C below them
+    # positive, and then det(B); kept row i is upper triangular, entry j >= i
+    # the minor of rows 0..i and columns 0..i-1, j (pivot i the leading
+    # minor), and the rows below hold det(B) times the Schur complement
+    # D - C^T B^-1 C
     n = len(mat)
     k = data.draw(st.integers(0, n))
     rows = [list(r) for r in mat]
@@ -153,10 +163,10 @@ def test_eliminate_is_sylvester_criterion(mat, data):
         assert got == 0
         return
     assert got == fraction_det(block)
-    solved = [fraction_solve(block, [mat[i][j] for i in range(k)]) for j in range(k, n)]
     for i in range(k):
-        assert rows[i][:k] == [got * (i == j) for j in range(k)]
-        assert rows[i][k:] == [got * x[i] for x in solved]
+        assert rows[i] == [0] * i + [
+            fraction_det([r[:i] + [r[j]] for r in mat[:i + 1]]) for j in range(i, n)]
+    solved = [fraction_solve(block, [mat[i][j] for i in range(k)]) for j in range(k, n)]
     for i in range(k, n):
         assert rows[i][:k] == [0] * k
         assert rows[i][k:] == [
@@ -171,13 +181,14 @@ def test_solve_many_matches_fraction_reference(cols, data):
     n = len(cols)
     mat = [[sum(map(mul, cols[i], cols[j])) + (i == j) for j in range(n)] for i in range(n)]
     rhss = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=1, max_size=3))
-    assert jordan_solve(mat, rhss) == [fraction_solve(mat, rhs) for rhs in rhss]
+    assert eliminate_solve(mat, rhss) == [fraction_solve(mat, rhs) for rhs in rhss]
 
 
 def test_eliminate_leaves_scaled_schur_complement():
     # leading block [[2, -1], [-1, 2]] (det 3) of the A3 Cartan matrix: the
-    # rows below hold 3 * (2 - (0, -1) B^-1 (0, -1)^T) = 3 * 4/3
+    # kept rows are upper triangular with the pivots 2 and 3 on the
+    # diagonal, and the row below holds 3 * (2 - (0, -1) B^-1 (0, -1)^T) = 3 * 4/3
     rows = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
     assert eliminate(rows, 2) == 3
-    assert rows == [[3, 0, -1], [0, 3, -2], [0, 0, 4]]
+    assert rows == [[2, -1, 0], [0, 3, -2], [0, 0, 4]]
 

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as Q
 
 import pytest
@@ -79,6 +80,22 @@ def test_a2_keep2_worked_example(a2):
     assert nilradical_trace(trsys) == (Q(2), Q(1))
     assert inner(trsys, trsys.delta_key, beta) == 3
     assert Q(_form_row(trsys, trsys.delta_key)[0], det) == 3
+
+
+@pytest.mark.parametrize("key", [(1,), (1, 0, 5), (1, 0.5)])
+def test_troot_vec_rejects_a_key_of_the_wrong_shape(key):
+    # B3 deleting nodes 1 and 2 has keys of two entries: a short or long
+    # key is not cut to fit, nor a fractional one read as a rational
+    trsys = troot_system(designation(root_system("B3"), deleted=[1, 2]))
+    with pytest.raises(InvalidDesignation, match=re.escape(f"key {key!r}") + ".*B3, kept=\\[3\\]"):
+        trsys.troot_vec(key)
+
+
+@pytest.mark.parametrize("key", [(1,), (1, 0, 5), (1, -1), (0, 0)])
+def test_extremes_rejects_a_key_that_is_no_troot(key):
+    trsys = troot_system(designation(root_system("B3"), deleted=[1, 2]))
+    with pytest.raises(InvalidDesignation, match=re.escape(f"key {key!r}") + ".*B3, kept=\\[3\\]"):
+        trsys.extremes(key)
 
 
 def test_derived_keys_are_not_stored(a2):

@@ -403,10 +403,11 @@ def test_weight_certificate_reads_both_extremes():
     # and alpha_1 + 2 alpha_2, raised by alpha_2 from the bottom up
     rs = root_system("B2")
     space = sum(1 << rs.index[r] for r in [(1, 0), (1, 1), (1, 2)])
-    top, bottom = rs.weight_certificate(space, rs.sum_table().reach(1 << rs.index[(0, 1)]))
+    raised = rs.sum_table().reach(1 << rs.index[(0, 1)])
+    top, bottom = rs.weight_certificate(space, raised, rs.mirror(raised))
     assert rs.roots_of(top) == ((1, 2),) and rs.roots_of(bottom) == ((1, 0),)
     # with nothing raising, every root is both a highest and a lowest weight
-    assert rs.weight_certificate(space, 0) == (space, space)
+    assert rs.weight_certificate(space, 0, 0) == (space, space)
 
 
 def test_sum_table_built_lazily_and_once():
